@@ -30,9 +30,6 @@
 //                    P.<stem>.<cell>.json ("dcrd-timeseries-v1"); render
 //                    with tools/dcrd_trace --timeseries. Works at any
 //                    --shards count
-//   --no_timer_wheel run every scheduler on the legacy binary-heap backend
-//                    (determinism_check.sh byte-diffs this against the
-//                    default timer-wheel path)
 //   --delay_audit P  delay-provenance capture: per cell, stream the full
 //                    trace to P.trace.<stem>.<cell>.jsonl and the Theorem-1
 //                    model rows to P.model.<stem>.<cell>.jsonl (DCRD cells
@@ -130,14 +127,6 @@ inline FigureScale ParseScale(const Flags& flags) {
   scale.jobs = CapJobsForShards(
       ResolveJobCount(static_cast<int>(flags.GetInt("jobs", 0))),
       scale.shards);
-  if (flags.GetBool("no_timer_wheel", false)) {
-    // Debug escape hatch for scripts/determinism_check.sh: run every
-    // scheduler on the legacy binary-heap backend so the wheel and heap
-    // paths can be byte-diffed against each other. Set here, before the
-    // sweep pool spawns worker threads (the default is process-wide).
-    Scheduler::SetProcessDefaultBackend(SchedulerBackend::kBinaryHeap);
-    std::cerr << "timer wheel disabled: binary-heap scheduler backend\n";
-  }
   scale.bench_json = flags.GetString("bench_json", "");
   scale.trace = flags.GetBool("trace", false);
   scale.trace_out = flags.GetString("trace_out", "");

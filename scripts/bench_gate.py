@@ -25,7 +25,9 @@ Refreshing the baseline after an intentional perf change:
   scripts/bench_gate.py write-baseline --baseline bench/perf_gate_baseline.json \
       --candidate /tmp/gate.json
 
-and commit the updated file (see README.md, "perf gate").
+and commit the updated file (see README.md, "perf gate"). write-baseline
+refuses a candidate that lacks a binary the current baseline gates, the
+same coverage rule check applies.
 """
 
 import argparse
@@ -68,6 +70,20 @@ def write_baseline(args):
     candidate = medians(load_rates(args.candidate))
     if not candidate:
         raise SystemExit(f"bench_gate: no rates in {args.candidate}")
+    # Same coverage rule as check: a binary the current baseline gates must
+    # not silently drop out because the refresh run skipped it.
+    try:
+        with open(args.baseline, encoding="utf-8") as fh:
+            current = json.load(fh)["binaries"]
+    except FileNotFoundError:
+        current = {}
+    missing = sorted(set(current) - set(candidate))
+    if missing:
+        raise SystemExit(
+            f"bench_gate: {args.candidate} has no records for "
+            f"{', '.join(missing)}, which {args.baseline} gates; run every "
+            "gated binary (see README.md, \"perf gate\")"
+        )
     for binary, per in candidate.items():
         if CALIBRATION not in per:
             raise SystemExit(

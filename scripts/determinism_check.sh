@@ -100,38 +100,6 @@ for binary_name in $binaries; do
   done < "$serial.files"
 done
 
-# Two-tier scheduler: forcing the timer wheel off (--no_timer_wheel runs
-# every scheduler on the legacy binary-heap backend) must not change a
-# single output byte — the wheel preserves the heap's deterministic
-# (time, seq) timer order exactly (DESIGN.md §8). Byte-diff the heap path
-# against the default wheel captures from the loop above, serial and
-# parallel alike.
-wheel_binary="fig5_network_size"
-if [[ " $binaries " == *" $wheel_binary "* ]]; then
-  binary="$build_dir/bench/$wheel_binary"
-  echo "=== determinism check: $wheel_binary timer wheel vs --no_timer_wheel ==="
-  for pair in "j1 1 $workdir/$wheel_binary.serial" \
-              "jN $jobs $workdir/$wheel_binary.parallel"; do
-    read -r tag run_jobs baseline <<< "$pair"
-    heap="$workdir/$wheel_binary.heap.$tag"
-    "$binary" --reps "$reps" --seconds "$sim_seconds" --jobs "$run_jobs" \
-      --no_timer_wheel --csv "$heap" > "$heap.out" 2> /dev/null
-    if ! diff -u "$baseline.out" "$heap.out"; then
-      echo "determinism_check: $wheel_binary stdout differs with --no_timer_wheel ($tag)" >&2
-      fail=1
-    fi
-    while IFS= read -r csv; do
-      if ! cmp -s "$baseline/$csv" "$heap/$csv"; then
-        echo "determinism_check: $wheel_binary CSV $csv differs with --no_timer_wheel ($tag)" >&2
-        diff -u "$baseline/$csv" "$heap/$csv" || true
-        fail=1
-      fi
-    done < "$baseline.files"
-  done
-else
-  echo "determinism_check: $wheel_binary not in binary set; skipping wheel-vs-heap phase" >&2
-fi
-
 # Observability must be result-neutral: a traced run (full JSONL trace +
 # metrics registry) must produce byte-identical stdout and CSVs to an
 # untraced one. The traces themselves go to per-cell files and stderr only.

@@ -73,11 +73,6 @@ class SlotMap {
   // Slab capacity (live + free slots); monotone over the map's lifetime.
   [[nodiscard]] std::size_t slab_size() const { return meta_.size(); }
 
-  void Reserve(std::size_t n) {
-    meta_.reserve(n);
-    chunks_.reserve((n + kChunkSize - 1) >> kChunkShift);
-  }
-
  private:
   // The value living in `slot` (which must have been acquired at least
   // once, so its T is constructed).

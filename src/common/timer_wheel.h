@@ -1,6 +1,6 @@
-// Hierarchical timer wheel: the scheduler's near-horizon event tier.
+// Hierarchical timer wheel: the scheduler's event queue.
 //
-// A three-level, 2048-slot-per-level wheel over the simulator's microsecond
+// A four-level, 2048-slot-per-level wheel over the simulator's microsecond
 // ticks (the structure lokinet/i2pd run for their RTO and reconnect
 // timers). Level 0 buckets are exact microsecond ticks; level L buckets
 // span 2048^L ticks. An event goes into the *lowest* level whose current
@@ -11,11 +11,11 @@
 // ~4.2 simulated seconds, so the RTO/probe/epoch population (tens of
 // microseconds to a few seconds out) pays exactly one cascade hop before
 // dispatch, and the per-level occupancy bitmap keeps the wider slot scans
-// at a handful of 64-bit word loads. Together the three levels cover 2^33
-// us (~2.4 hours) ahead of the clock — past the paper-scale 2h figure runs
-// — and anything beyond that horizon is the caller's problem (the
-// Scheduler keeps a binary-heap overflow tier and migrates entries down as
-// the horizon advances).
+// at a handful of 64-bit word loads. Together the four levels index every
+// tick in [0, 2^44) us (~203 simulated days) — absolute, not relative to
+// the clock — which spans every time the scheduler's canonical key can
+// encode, so there is no overflow tier: a tick outside [current(), 2^44)
+// is a caller bug and fails a check.
 //
 // Determinism contract (load-bearing — the figure byte-identity gate sits
 // on it): every entry carries a canonical ordering key (k1, k2) that is a
@@ -30,11 +30,12 @@
 // k2) monotonicity per yield — a violated contract fails loudly rather than
 // silently reordering a figure run.
 //
-// Horizon-bounded draining: PopNextBefore(limit) refuses to detach a
-// level-0 bucket or cascade into a block at or past `limit`. The sharded
-// engine's window loop uses this so the wheel clock never runs ahead of a
-// synchronization horizon — a bucket whose tick is still reachable by a
-// cross-shard injection is never mid-yield when the injection arrives.
+// Limit-bounded draining: PopNextBefore(limit) refuses to detach a level-0
+// bucket or cascade into a block at or past `limit`, so the clock stays
+// below it. The scheduler bounds every partial drain this way — RunUntil
+// at deadline + 1, the sharded engine's window loop at its synchronization
+// horizon — so a later insert at or past the limit never lands behind the
+// clock or into a bucket that is mid-yield.
 //
 // Memory: nodes live in fixed-size pooled slabs recycled through a free
 // list — slab growth never relocates live nodes (no vector-doubling copy),
@@ -55,11 +56,12 @@ namespace dcrd {
 template <typename Payload>
 class TimerWheel {
  public:
-  static constexpr int kLevels = 3;
+  static constexpr int kLevels = 4;
   static constexpr int kSlotBits = 11;
   static constexpr std::uint32_t kSlots = 1u << kSlotBits;
-  // Ticks covered ahead of current(): same top prefix above 33 bits.
-  static constexpr int kHorizonBits = kSlotBits * kLevels;
+  // Ticks the levels index: [0, kHorizon) = [0, 2^44).
+  static constexpr std::int64_t kHorizon = std::int64_t{1}
+                                           << (kSlotBits * kLevels);
 
   struct Entry {
     std::int64_t at = 0;
@@ -76,40 +78,15 @@ class TimerWheel {
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::int64_t current() const { return current_; }
 
-  // Pre-grows the node pool to hold `n` in-flight entries.
-  void Reserve(std::size_t n) {
-    const std::size_t want = (n + kPoolChunkSize - 1) >> kPoolChunkShift;
-    pool_.reserve(want);
-    while (pool_.size() < want) {
-      pool_.push_back(std::make_unique_for_overwrite<Node[]>(kPoolChunkSize));
-    }
-  }
-
-  // True when `at` falls inside the wheel's horizon: the three levels only
-  // index ticks sharing the clock's prefix above kHorizonBits. `at` ticks
-  // beyond that belong in the caller's overflow tier until the clock
-  // advances into their block.
-  [[nodiscard]] bool Accepts(std::int64_t at) const {
-    return (at >> kHorizonBits) == (current_ >> kHorizonBits) &&
-           at >= current_;
-  }
-
-  // Inserts an entry expiring at tick `at` (must satisfy Accepts), carrying
+  // Inserts an entry expiring at tick `at` in [current(), 2^44), carrying
   // its canonical ordering key (k1, k2).
   void Insert(std::int64_t at, std::uint64_t k1, std::uint64_t k2,
               const Payload& payload) {
-    DCRD_CHECK(Accepts(at)) << "tick " << at << " outside wheel horizon @"
-                            << current_;
-    (void)TryInsert(at, k1, k2, payload);
-  }
-
-  // Insert iff `at` is inside the horizon; the horizon test and the level
-  // selection share one xor, which is why the scheduler's enqueue fast
-  // path calls this instead of Accepts-then-Insert.
-  bool TryInsert(std::int64_t at, std::uint64_t k1, std::uint64_t k2,
-                 const Payload& payload) {
+    DCRD_CHECK(at >= current_ && at < kHorizon)
+        << "tick " << at << " outside wheel range [" << current_
+        << ", 2^44)";
+    // LevelFor inlined: the range check above already bounds the level.
     const std::uint64_t diff = static_cast<std::uint64_t>(at ^ current_);
-    if ((diff >> kHorizonBits) != 0 || at < current_) return false;
     const int level =
         diff == 0 ? 0 : (63 - __builtin_clzll(diff)) / kSlotBits;
     const std::uint32_t node = AcquireNode();
@@ -121,15 +98,17 @@ class TimerWheel {
     n.next = kNil;
     Link(level, SlotOf(at, level), node);
     ++size_;
-    return true;
   }
 
-  // Moves the clock to `tick` without draining anything. Only legal while
-  // the wheel is empty (used when the caller jumps to its overflow tier's
-  // front); jumping over live entries would strand them behind the clock.
-  void JumpTo(std::int64_t tick) {
-    DCRD_CHECK(empty()) << "JumpTo over " << size_ << " live entries";
+  // Moves an empty wheel's clock to `tick` and forgets the last yielded key,
+  // so the next insert may land anywhere at or after `tick`. Stale entries
+  // can drain the wheel past its owner's clock; this hands the gap back.
+  void ResetClock(std::int64_t tick) {
+    DCRD_CHECK(empty()) << "ResetClock over " << size_ << " pending entries";
     current_ = tick;
+    last_at_ = tick - 1;
+    last_k1_ = 0;
+    last_k2_ = 0;
   }
 
   // Yields the next pending entry in (tick, k1, k2) order, advancing the
@@ -423,7 +402,7 @@ class TimerWheel {
   std::uint32_t pool_size_ = 0;  // nodes handed out (free or linked)
   std::uint32_t free_head_ = kNil;
   // Detached level-0 list currently being yielded by PopNext. Counted in
-  // size_ until yielded (so empty()/JumpTo stay honest about them).
+  // size_ until yielded (so empty()/ResetClock stay honest about them).
   std::uint32_t cursor_ = kNil;
   std::size_t size_ = 0;
   std::int64_t current_ = 0;

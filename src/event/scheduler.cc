@@ -1,23 +1,8 @@
 #include "event/scheduler.h"
 
-#include <algorithm>
+#include <cstdint>
 
 namespace dcrd {
-
-namespace {
-
-// Process-wide default, set once at startup before worker threads exist.
-SchedulerBackend g_default_backend = SchedulerBackend::kTimerWheel;
-
-}  // namespace
-
-void Scheduler::SetProcessDefaultBackend(SchedulerBackend backend) {
-  g_default_backend = backend;
-}
-
-SchedulerBackend Scheduler::ProcessDefaultBackend() {
-  return g_default_backend;
-}
 
 EventHandle Scheduler::RearmCurrentAt(SimTime at) {
   DCRD_CHECK(in_dispatch_) << "RearmCurrent outside an event callback";
@@ -34,140 +19,12 @@ bool Scheduler::Cancel(EventHandle handle) {
   Action* action = actions_.Get(handle.handle_);
   if (action == nullptr) return false;  // ran, already cancelled, or empty
   // Drop the capture now (it may own resources); the slab slot is recycled.
-  // The queue entry (wheel bucket or heap) goes stale in place and is
-  // skipped at dispatch/migration.
+  // The wheel entry goes stale in place and is skipped at dispatch.
   *action = nullptr;
   actions_.ReleaseLive(handle.handle_);
   DCRD_CHECK(live_ > 0);
   --live_;
-  if (!use_wheel_) {
-    ++tombstones_;
-    CompactIfStale();
-  }
   return true;
-}
-
-void Scheduler::CompactIfStale() {
-  // An all-dead heap (mass cancellation, engine teardown) drops in O(1).
-  if (tombstones_ == heap_.size()) {
-    heap_.clear();
-    tombstones_ = 0;
-    return;
-  }
-  // Compact once live entries fall below 1/8 of the heap. The high
-  // threshold keeps the rebuilt heap tiny (cheap make_heap) and each
-  // rebuild removes >= 7/8 of the entries, so total compaction work is a
-  // sharply geometric series — amortized O(1) per cancel. The 64-entry
-  // floor keeps tiny heaps out of the path entirely.
-  if (heap_.size() < 64 || tombstones_ < heap_.size() - heap_.size() / 8) {
-    return;
-  }
-  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                             [this](const Entry& entry) {
-                               return actions_.Get(entry.slot) == nullptr;
-                             }),
-              heap_.end());
-  std::make_heap(heap_.begin(), heap_.end(), std::greater<>());
-  tombstones_ = 0;  // exactly the stale entries were removed
-}
-
-void Scheduler::SkipCancelled() {
-  while (!heap_.empty() && actions_.Get(heap_.front().slot) == nullptr) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-    heap_.pop_back();
-    if (!use_wheel_) {
-      DCRD_CHECK(tombstones_ > 0);
-      --tombstones_;
-    }
-  }
-}
-
-void Scheduler::MigrateHeap() {
-  // Heap entries whose time has come inside the wheel horizon move down a
-  // tier; heap pop order is (at, k1, k2), so same-tick migrants append to
-  // their bucket already key-ordered.
-  while (!heap_.empty()) {
-    const Entry& top = heap_.front();
-    if (actions_.Get(top.slot) == nullptr) {
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-      heap_.pop_back();
-      continue;  // stale: drop instead of migrating
-    }
-    if (!wheel_.Accepts(top.at.micros())) break;
-    wheel_.Insert(top.at.micros(), top.k1, top.k2, top.slot);
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-    heap_.pop_back();
-  }
-}
-
-const Scheduler::WheelEntry* Scheduler::PrepareNext(std::int64_t limit) {
-  for (;;) {
-    // A bypass entry (stranded heap tier) always precedes the staged wheel
-    // entry — it was staged precisely because its key is smaller.
-    if (bypass_valid_) {
-      if (actions_.Get(bypass_.payload) != nullptr) return &bypass_;
-      bypass_valid_ = false;  // cancelled between peeks
-    }
-    if (staged_valid_) {
-      if (actions_.Get(staged_.payload) == nullptr) {
-        staged_valid_ = false;  // cancelled: skip and restage
-        continue;
-      }
-      // A stranded heap entry may precede the staged wheel entry; compare
-      // the full (at, k1, k2) key — a cross-shard injection can strand at
-      // the staged entry's own tick.
-      if (!heap_.empty()) {
-        SkipCancelled();
-        if (!heap_.empty()) {
-          const Entry& front = heap_.front();
-          const bool precedes =
-              front.at.micros() != staged_.at
-                  ? front.at.micros() < staged_.at
-                  : front.k1 != staged_.k1 ? front.k1 < staged_.k1
-                                           : front.k2 < staged_.k2;
-          if (precedes) {
-            const Entry top = heap_.front();
-            std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-            heap_.pop_back();
-            bypass_ = WheelEntry{top.at.micros(), top.k1, top.k2, top.slot};
-            bypass_valid_ = true;
-            return &bypass_;
-          }
-        }
-      }
-      return &staged_;
-    }
-    // Restage: migrate heap entries that entered the horizon, then pull the
-    // earliest wheel entry reachable without crossing `limit`.
-    MigrateHeap();
-    if (wheel_.PopNextBefore(limit, &staged_)) {
-      staged_valid_ = true;
-      // Warm the action's cache lines under the staging bookkeeping; the
-      // loop's staleness probe (cancelled entries go stale in place and are
-      // filtered right here) then hits warm metadata.
-      actions_.Prefetch(staged_.payload);
-      continue;  // loop validates liveness and orders against the heap
-    }
-    SkipCancelled();
-    if (heap_.empty()) return nullptr;
-    const Entry top = heap_.front();
-    if (top.at.micros() >= limit) return nullptr;  // horizon: leave in place
-    if (top.at.micros() >= wheel_.current()) {
-      // Beyond the horizon with nothing nearer: jump the (empty) wheel to
-      // the heap front's block and let migration move it in. Legal under a
-      // finite limit because the target tick was just checked against it.
-      wheel_.JumpTo(top.at.micros());
-      continue;
-    }
-    // Stranded behind the wheel clock (scheduled after a RunUntil stopped
-    // the sim clock short of a tick the wheel had already advanced to):
-    // dispatch straight off the heap until the wheel is reachable again.
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-    heap_.pop_back();
-    bypass_ = WheelEntry{top.at.micros(), top.k1, top.k2, top.slot};
-    bypass_valid_ = true;
-    return &bypass_;
-  }
 }
 
 void Scheduler::Execute(SimTime at, SlotHandle slot) {
@@ -192,155 +49,53 @@ void Scheduler::Execute(SimTime at, SlotHandle slot) {
   }
 }
 
-bool Scheduler::StepHeap() {
-  SkipCancelled();
-  if (heap_.empty()) return false;
-  const Entry entry = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-  heap_.pop_back();
-  Execute(entry.at, entry.slot);
-  return true;
+std::uint64_t Scheduler::Drain(std::int64_t limit, std::uint64_t budget) {
+  std::uint64_t count = 0;
+  Wheel::Entry e;
+  while (count < budget && wheel_.PopNextBefore(limit, &e)) {
+    // Warm the action's cache lines under the wheel bookkeeping; the
+    // staleness probe (cancelled entries go stale in place) then hits warm
+    // metadata.
+    actions_.Prefetch(e.payload);
+    if (actions_.Get(e.payload) == nullptr) continue;  // cancelled
+    Execute(SimTime::FromMicros(e.at), e.payload);
+    ++count;
+  }
+  // Trailing cancelled entries may have carried the wheel clock past now_;
+  // an empty wheel hands that gap back so the next ScheduleAt at >= now_
+  // is insertable.
+  if (wheel_.empty()) wheel_.ResetClock(now_.micros());
+  return count;
 }
 
-bool Scheduler::Step() {
-  if (!use_wheel_) return StepHeap();
-  const WheelEntry* next = PrepareNext();
-  if (next == nullptr) return false;
-  const WheelEntry entry = *next;
-  ConsumeStaged();
-  Execute(SimTime::FromMicros(entry.at), entry.payload);
-  return true;
-}
-
-// The wheel-only regime: no staged peek left over, no stranded bypass, an
-// empty overflow tier, and a wheel clock that hasn't run ahead of the sim
-// clock. Under it Run/RunUntil pop-and-execute straight off the wheel,
-// skipping the staging round trip PrepareNext pays for peek semantics —
-// and the regime is closed under dispatch: a callback's far-future insert
-// lands in the heap with a strictly larger horizon prefix (later than the
-// whole wheel), and during the drain the wheel clock equals the sim clock
-// at every callback, so nothing can strand behind it.
-bool Scheduler::WheelOnlyRegime() const {
-  return !staged_valid_ && !bypass_valid_ && heap_.empty() &&
-         wheel_.current() <= now_.micros();
-}
+bool Scheduler::Step() { return Drain(INT64_MAX, 1) == 1; }
 
 std::uint64_t Scheduler::Run() {
   // Expose the clock to DCRD_LOG for the whole run, not per Step — a
   // thread-local store per event would show up in the event-queue bench.
   internal::ScopedSimClock clock_guard(&now_);
-  std::uint64_t count = 0;
-  if (use_wheel_) {
-    for (;;) {
-      if (WheelOnlyRegime()) {
-        WheelEntry e;
-        while (wheel_.PopNext(&e)) {
-          actions_.Prefetch(e.payload);
-          if (actions_.Get(e.payload) == nullptr) continue;  // cancelled
-          Execute(SimTime::FromMicros(e.at), e.payload);
-          ++count;
-        }
-        if (heap_.empty()) return count;  // fully drained
-      }
-      const WheelEntry* next = PrepareNext();
-      if (next == nullptr) return count;
-      const WheelEntry entry = *next;
-      ConsumeStaged();
-      Execute(SimTime::FromMicros(entry.at), entry.payload);
-      ++count;
-    }
-  }
-  while (Step()) ++count;
-  return count;
+  return Drain(INT64_MAX, UINT64_MAX);
 }
 
 std::uint64_t Scheduler::RunUntil(SimTime deadline) {
   internal::ScopedSimClock clock_guard(&now_);
-  std::uint64_t count = 0;
-  if (use_wheel_) {
-    bool done = false;
-    while (!done) {
-      if (WheelOnlyRegime()) {
-        WheelEntry e;
-        while (wheel_.PopNext(&e)) {
-          if (e.at > deadline.micros()) {
-            // Popped past the deadline: park it in the staging slot, where
-            // the next Run/RunUntil picks it up (possibly stale by then).
-            staged_ = e;
-            staged_valid_ = true;
-            done = true;
-            break;
-          }
-          actions_.Prefetch(e.payload);
-          if (actions_.Get(e.payload) == nullptr) continue;  // cancelled
-          Execute(SimTime::FromMicros(e.at), e.payload);
-          ++count;
-        }
-        if (done || heap_.empty()) break;  // deadline or fully drained
-      }
-      const WheelEntry* next = PrepareNext();
-      if (next == nullptr || next->at > deadline.micros()) break;
-      const WheelEntry entry = *next;
-      ConsumeStaged();
-      Execute(SimTime::FromMicros(entry.at), entry.payload);
-      ++count;
-    }
-  } else {
-    while (true) {
-      SkipCancelled();
-      if (heap_.empty() || heap_.front().at > deadline) break;
-      StepHeap();
-      ++count;
-    }
-  }
+  // Limit deadline + 1: the wheel clock never passes the deadline, so
+  // anything scheduled at >= deadline afterwards still lands ahead of it.
+  const std::int64_t at = deadline.micros();
+  const std::uint64_t count =
+      Drain(at == INT64_MAX ? INT64_MAX : at + 1, UINT64_MAX);
   if (now_ < deadline) now_ = deadline;
   return count;
 }
 
 std::uint64_t Scheduler::RunBefore(SimTime horizon) {
   internal::ScopedSimClock clock_guard(&now_);
-  const std::int64_t limit = horizon.micros();
-  std::uint64_t count = 0;
-  if (use_wheel_) {
-    for (;;) {
-      if (WheelOnlyRegime()) {
-        WheelEntry e;
-        while (wheel_.PopNextBefore(limit, &e)) {
-          actions_.Prefetch(e.payload);
-          if (actions_.Get(e.payload) == nullptr) continue;  // cancelled
-          Execute(SimTime::FromMicros(e.at), e.payload);
-          ++count;
-        }
-        if (heap_.empty()) return count;
-      }
-      const WheelEntry* next = PrepareNext(limit);
-      if (next == nullptr) return count;
-      DCRD_CHECK(next->at < limit);  // PrepareNext's horizon contract
-      const WheelEntry entry = *next;
-      ConsumeStaged();
-      Execute(SimTime::FromMicros(entry.at), entry.payload);
-      ++count;
-    }
-  }
-  while (true) {
-    SkipCancelled();
-    if (heap_.empty() || heap_.front().at >= horizon) break;
-    StepHeap();
-    ++count;
-  }
-  return count;
+  return Drain(horizon.micros(), UINT64_MAX);
 }
 
 SimTime Scheduler::NextEventTime() const {
-  std::int64_t best = INT64_MAX;
-  if (bypass_valid_) best = std::min(best, bypass_.at);
-  if (staged_valid_) best = std::min(best, staged_.at);
-  std::int64_t wheel_at = 0;
-  if (use_wheel_ && wheel_.PeekNextAt(&wheel_at)) {
-    best = std::min(best, wheel_at);
-  }
-  if (!heap_.empty()) best = std::min(best, heap_.front().at.micros());
-  return best == INT64_MAX ? SimTime::Max() : SimTime::FromMicros(best);
+  std::int64_t at = 0;
+  return wheel_.PeekNextAt(&at) ? SimTime::FromMicros(at) : SimTime::Max();
 }
 
 }  // namespace dcrd

@@ -1,6 +1,6 @@
 // Deterministic discrete-event scheduler.
 //
-// The scheduler owns the simulated clock and two tiers of pending events.
+// The scheduler owns the simulated clock and the pending-event queue.
 // Events firing at the same instant are delivered in ascending canonical
 // key order. The key (k1, k2) is a pure function of the event's content:
 //   k1 = (scheduling-time micros << 20) | origin
@@ -8,32 +8,32 @@
 // where `origin` identifies the entity that created the event (a broker id
 // for network arrivals; kEngineOrigin — the maximal value, sorting last —
 // for everything scheduled through the plain ScheduleAt/ScheduleAfter
-// path). Locally created events therefore keep their scheduling order, as
-// before; but because the key does not depend on *global* insertion order,
-// an event injected from another engine shard sorts identically whether it
-// was created locally (1-shard run) or handed across a shard boundary —
-// the property the sharded engine's byte-identity gate rests on.
+// path). Locally created events therefore keep their scheduling order; but
+// because the key does not depend on *global* insertion order, an event
+// injected from another engine shard sorts identically whether it was
+// created locally (1-shard run) or handed across a shard boundary — the
+// property the sharded engine's byte-identity gate rests on.
 //
-// Tier layout (the hot part): events inside the timer wheel's horizon —
-// ~2.4 simulated hours, which covers every RTO retransmit timer,
-// peer-death probe and epoch tick the protocols arm — live in a three-level
-// hierarchical timer wheel (common/timer_wheel.h): O(1) insert, O(1)
-// cancel, and dispatch that walks same-tick bucket lists in place instead
-// of paying one O(log n) heap pop per event. The binary
-// heap remains as the far-future overflow tier; its entries migrate into
-// the wheel as the clock advances. The legacy heap-only backend is kept
-// behind SchedulerBackend::kBinaryHeap so scripts/determinism_check.sh can
-// byte-diff the two paths (--no_timer_wheel on the figure binaries).
+// Queue: one four-level hierarchical timer wheel (common/timer_wheel.h)
+// over every time the canonical key can encode, [0, 2^44) us (~203
+// simulated days): O(1) insert, O(1) cancel, and dispatch that walks
+// same-tick bucket lists in place instead of paying an O(log n) heap pop
+// per event. Run, RunUntil, RunBefore and Step are one drain loop over the
+// wheel, kept sound by two invariants. A partial drain is bounded by a
+// limit (RunUntil: deadline + 1 us; RunBefore: the horizon), so the wheel
+// clock never passes a time the caller may schedule at next. And a drain
+// that empties the wheel resets its clock to now(): trailing cancelled
+// entries may have carried it further.
 //
 // Actions live in a generation-checked slot map — a dense slab recycled
 // through a free list — and are InlineAction callbacks with fixed inline
 // capture storage, so ScheduleAt/Cancel/Step perform zero heap allocations
-// once the slab, wheel pool and heap have grown to the simulation's
-// high-water mark. An EventHandle is {slot, generation}: cancelling is two
-// array reads and a compare, and a stale handle (the event already ran,
-// was cancelled, or its slot now belongs to a newer event) is rejected by
-// the generation mismatch — no hash lookup anywhere. Cancelled entries go
-// stale in place (wheel bucket or heap) and are skipped at dispatch.
+// once the slab and wheel pool have grown to the simulation's high-water
+// mark. An EventHandle is {slot, generation}: cancelling is two array
+// reads and a compare, and a stale handle (the event already ran, was
+// cancelled, or its slot now belongs to a newer event) is rejected by the
+// generation mismatch — no hash lookup anywhere. Cancelled entries go
+// stale in their wheel bucket and are skipped at dispatch.
 //
 // Re-arm path: a periodic-style timer — the RTO retransmit chain, the
 // peer-death probe loop — may call RearmCurrentAfter/At from inside its own
@@ -43,11 +43,8 @@
 // wheel idiom HopTransport's per-pending timer bookkeeping rides on.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <utility>
-#include <vector>
 
 #include "common/inline_function.h"
 #include "common/logging.h"
@@ -70,19 +67,13 @@ class EventHandle {
   SlotHandle handle_;
 };
 
-// Storage backend for the pending-event queue. kTimerWheel is the default;
-// kBinaryHeap is the pre-wheel path, kept alive so the determinism gate can
-// prove the two produce byte-identical simulations.
-enum class SchedulerBackend { kTimerWheel, kBinaryHeap };
-
 class Scheduler {
  public:
   // Non-allocating callback: captures beyond the inline budget are compile
   // errors, keeping the event loop heap-free (see inline_function.h).
   using Action = InlineFunction<void()>;
 
-  explicit Scheduler(SchedulerBackend backend = ProcessDefaultBackend())
-      : use_wheel_(backend == SchedulerBackend::kTimerWheel) {}
+  Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -101,22 +92,6 @@ class Scheduler {
         << "scheduling time overflows the canonical key: " << sched_micros;
     DCRD_CHECK(origin <= kEngineOrigin) << "origin overflows 20 bits";
     return (static_cast<std::uint64_t>(sched_micros) << 20) | origin;
-  }
-
-  // Process-wide default backend, read by every subsequently constructed
-  // Scheduler. Set once at startup (figure binaries: --no_timer_wheel),
-  // before any worker thread starts — the sweep purity contract (DESIGN §7)
-  // forbids flipping it mid-run.
-  static void SetProcessDefaultBackend(SchedulerBackend backend);
-  static SchedulerBackend ProcessDefaultBackend();
-
-  // Pre-grows every tier to hold `n` simultaneously pending events,
-  // front-loading slab/pool growth that would otherwise interleave with the
-  // first simulated seconds.
-  void Reserve(std::size_t n) {
-    actions_.Reserve(n);
-    wheel_.Reserve(n);
-    heap_.reserve(use_wheel_ ? n / 8 + 8 : n);
   }
 
   [[nodiscard]] SimTime now() const { return now_; }
@@ -188,12 +163,13 @@ class Scheduler {
   std::uint64_t RunUntil(SimTime deadline);
 
   // Runs events with timestamp strictly < `horizon`, leaving the clock at
-  // the last executed event (NOT advanced to the horizon) and — on the
-  // wheel backend — never letting the wheel's internal clock reach the
-  // horizon either. The sharded engine's window loop depends on both
-  // halves: events injected afterwards at times >= horizon must land in
-  // still-intact buckets and sort purely by their canonical keys. Returns
-  // the number executed.
+  // the last executed event (NOT advanced to the horizon) and never letting
+  // the wheel's internal clock reach the horizon either. The sharded
+  // engine's window loop depends on both halves: events injected afterwards
+  // at times >= horizon must land in still-intact buckets and sort purely
+  // by their canonical keys. Until the next drain, new events must be
+  // scheduled at >= horizon — skipped cancelled entries may have moved the
+  // wheel clock past now(). Returns the number executed.
   std::uint64_t RunBefore(SimTime horizon);
 
   // Earliest pending timestamp, or SimTime::Max() when nothing is pending.
@@ -208,86 +184,35 @@ class Scheduler {
   bool Step();
 
  private:
-  struct Entry {
-    SimTime at;
-    std::uint64_t k1;  // canonical key, major word (see header comment)
-    std::uint64_t k2;  // canonical key, minor word
-    SlotHandle slot;   // action storage; stale once run or cancelled
-    // Ordered as a min-heap on (at, k1, k2) via operator> in the comparator.
-    friend bool operator>(const Entry& a, const Entry& b) {
-      if (a.at != b.at) return a.at > b.at;
-      if (a.k1 != b.k1) return a.k1 > b.k1;
-      return a.k2 > b.k2;
-    }
-  };
+  using Wheel = TimerWheel<SlotHandle>;
 
-  using WheelEntry = TimerWheel<SlotHandle>::Entry;
-
-  // Links one pending entry into the owning tier. Inline: this sits inside
-  // every ScheduleAt/ScheduleKeyed instantiation.
+  // Links one pending entry into the wheel. Inline: this sits inside every
+  // ScheduleAt/ScheduleKeyed instantiation.
   void Enqueue(SimTime at, std::uint64_t k1, std::uint64_t k2,
                SlotHandle slot) {
-    if (use_wheel_ && wheel_.TryInsert(at.micros(), k1, k2, slot)) return;
-    // Far-future (beyond the wheel horizon), behind a wheel clock that ran
-    // ahead of a RunUntil deadline, or the heap backend: the binary heap.
-    heap_.push_back(Entry{at, k1, k2, slot});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+    DCRD_CHECK(at.micros() < Wheel::kHorizon)
+        << "event at " << at
+        << " is past the scheduler's range of 2^44 us (~203 days)";
+    wheel_.Insert(at.micros(), k1, k2, slot);
   }
-  // Runs `entry` (whose action must be live): advances the clock, renews
-  // the slot so outstanding handles go stale, invokes the action in place,
-  // and releases the slot unless the action re-armed itself.
+
+  // The one dispatch loop: executes up to `budget` live events strictly
+  // before `limit` in (at, k1, k2) order, skipping cancelled entries, then
+  // resets the clock of a wheel it emptied to now(). Returns the number
+  // executed.
+  std::uint64_t Drain(std::int64_t limit, std::uint64_t budget);
+
+  // Runs one popped live entry: advances the clock, renews the slot so
+  // outstanding handles go stale, invokes the action in place, and
+  // releases the slot unless the action re-armed itself.
   void Execute(SimTime at, SlotHandle slot);
-
-  // Wheel backend: stages the next live event (wheel tier, or a stranded
-  // heap entry that must bypass it) and returns a pointer to it; nullptr
-  // when nothing is pending — or, with a finite `limit`, when nothing
-  // strictly before `limit` is reachable without moving the wheel clock to
-  // or past it (RunBefore's horizon contract). Performs heap->wheel
-  // migration and wheel cascades, but never executes anything — callers
-  // consume the staged entry with ConsumeStaged() before dispatching it.
-  const WheelEntry* PrepareNext(std::int64_t limit = INT64_MAX);
-  // True when Run/RunUntil may pop-and-execute straight off the wheel,
-  // bypassing the staging slots (see scheduler.cc).
-  [[nodiscard]] bool WheelOnlyRegime() const;
-  void ConsumeStaged() {
-    if (bypass_valid_) {
-      bypass_valid_ = false;
-    } else {
-      staged_valid_ = false;
-    }
-  }
-  // Moves heap-tier entries whose time entered the wheel horizon into the
-  // wheel (dropping stale ones), preserving (at, k1, k2) order.
-  void MigrateHeap();
-
-  // Heap backend (and overflow-tier) helpers.
-  void SkipCancelled();
-  void CompactIfStale();
-  bool StepHeap();
 
   SimTime now_ = SimTime::Zero();
   std::uint64_t next_seq_ = 1;  // k2 counter for the engine origin
   std::uint64_t events_executed_ = 0;
-  std::size_t live_ = 0;        // pending (scheduled, not run/cancelled)
-  std::size_t tombstones_ = 0;  // stale entries still linked in the heap
-  const bool use_wheel_;
+  std::size_t live_ = 0;  // pending (scheduled, not run/cancelled)
 
-  // Near-horizon tier (wheel backend only) plus the staging slots backing
-  // PrepareNext's peek semantics: staged_ holds the next wheel-tier entry,
-  // bypass_ a stranded heap entry (scheduled behind the wheel clock after
-  // a RunUntil stopped short) that must dispatch first. Staged entries are
-  // re-validated against the slot map on every PrepareNext call, so a
-  // Cancel landing between peeks is honored.
-  TimerWheel<SlotHandle> wheel_;
-  WheelEntry staged_;
-  WheelEntry bypass_;
-  bool staged_valid_ = false;
-  bool bypass_valid_ = false;
-
-  // Far-future tier (and the entire queue for the heap backend): min-heap
-  // on (at, k1, k2) maintained with std::push_heap/pop_heap; a raw vector
-  // so compaction can filter it in place, capacity retained.
-  std::vector<Entry> heap_;
+  Wheel wheel_;
 
   // Action storage. A slot goes back on the free list the moment its event
   // runs or is cancelled (unless re-armed); the generation bump makes

@@ -31,10 +31,12 @@ TEST(TimerWheelTest, StartsEmptyAtTickZero) {
 
 TEST(TimerWheelTest, PopsInTickThenKeyOrder) {
   Wheel wheel;
-  // Shuffled ticks spanning all three levels: level 0 (< 2^11), level 1
-  // (< 2^22), level 2 (< 2^33).
-  const std::int64_t ticks[] = {7, 5'000'000, 3000, 1, 40'000'000'0, 2047,
-                                2048, 4'194'304};
+  // Shuffled ticks spanning all four levels: level 0 (< 2^11), level 1
+  // (< 2^22), level 2 (< 2^33), level 3 (< 2^44).
+  const std::int64_t ticks[] = {7,         5'000'000,    3000,
+                                1,         40'000'000'0, 2047,
+                                2048,      4'194'304,    Wheel::kHorizon - 1,
+                                std::int64_t{1} << 33};
   std::uint64_t seq = 1;
   for (const std::int64_t at : ticks) wheel.Insert(at, 0, seq++, 0);
 
@@ -88,13 +90,16 @@ TEST(TimerWheelTest, CascadePreservesOrderWithinBlock) {
 }
 
 TEST(TimerWheelTest, RejectsTicksBeyondHorizon) {
+  // The range is absolute: the last tick is legal wherever the clock is,
+  // one past it aborts.
   Wheel wheel;
-  const std::int64_t horizon = std::int64_t{1} << Wheel::kHorizonBits;
-  EXPECT_FALSE(wheel.Accepts(horizon));
-  EXPECT_FALSE(wheel.TryInsert(horizon, 0, 1, 0));
-  EXPECT_TRUE(wheel.Accepts(horizon - 1));
-  EXPECT_TRUE(wheel.TryInsert(horizon - 1, 0, 1, 0));
+  wheel.Insert(Wheel::kHorizon - 1, 0, 1, 0);
   EXPECT_EQ(wheel.size(), 1u);
+  EXPECT_DEATH(wheel.Insert(Wheel::kHorizon, 0, 2, 0),
+               "outside wheel range");
+  Wheel::Entry entry;
+  ASSERT_TRUE(wheel.PopNext(&entry));
+  EXPECT_EQ(entry.at, Wheel::kHorizon - 1);
 }
 
 TEST(TimerWheelTest, RejectsTicksBehindTheClock) {
@@ -103,31 +108,29 @@ TEST(TimerWheelTest, RejectsTicksBehindTheClock) {
   Wheel::Entry entry;
   ASSERT_TRUE(wheel.PopNext(&entry));
   EXPECT_EQ(wheel.current(), 100);
-  EXPECT_FALSE(wheel.TryInsert(99, 0, 2, 0));
-  EXPECT_TRUE(wheel.TryInsert(100, 0, 2, 0));  // the current tick stays legal
+  EXPECT_DEATH(wheel.Insert(99, 0, 2, 0), "outside wheel range");
+  wheel.Insert(100, 0, 2, 0);  // the current tick stays legal
+  EXPECT_EQ(wheel.size(), 1u);
 }
 
-TEST(TimerWheelTest, HorizonIsPrefixNotDistance) {
-  // The horizon is "same bit prefix above kHorizonBits", not "within 2^33
-  // ticks": just before a block boundary the acceptable window shrinks.
+TEST(TimerWheelTest, ResetClockRewindsAnEmptyWheel) {
+  // Stale entries drained the clock to 5000; resetting to 300 makes ticks
+  // in [300, 5000) insertable again and forgets the last yielded key, so
+  // the strict-order check accepts them.
   Wheel wheel;
-  const std::int64_t block = std::int64_t{1} << Wheel::kHorizonBits;
-  wheel.JumpTo(block - 1);
-  EXPECT_TRUE(wheel.Accepts(block - 1));
-  EXPECT_FALSE(wheel.Accepts(block));  // 1 tick ahead, different prefix
-}
-
-TEST(TimerWheelTest, JumpToSkipsAheadWhileEmpty) {
-  Wheel wheel;
-  const std::int64_t far = (std::int64_t{7} << Wheel::kHorizonBits) + 12345;
-  wheel.JumpTo(far);
-  EXPECT_EQ(wheel.current(), far);
-  wheel.Insert(far + 500, 0, 1, 42);
+  wheel.Insert(300, 0, 9, 0);
+  wheel.Insert(5000, 0, 10, 0);
   Wheel::Entry entry;
-  ASSERT_TRUE(wheel.PopNext(&entry));
-  EXPECT_EQ(entry.at, far + 500);
-  EXPECT_EQ(entry.payload, 42);
-  EXPECT_EQ(wheel.current(), far + 500);
+  while (wheel.PopNext(&entry)) {
+  }
+  EXPECT_EQ(wheel.current(), 5000);
+  wheel.ResetClock(300);
+  EXPECT_EQ(wheel.current(), 300);
+  wheel.Insert(300, 0, 1, 42);
+  wheel.Insert(2000, 0, 2, 43);
+  EXPECT_EQ(Drain(wheel),
+            (std::vector<std::pair<std::int64_t, std::uint64_t>>{{300, 1},
+                                                                 {2000, 2}}));
 }
 
 TEST(TimerWheelTest, SameTickReinsertDuringDrainYieldsAfterDetachedRun) {
@@ -164,7 +167,7 @@ TEST(TimerWheelTest, PopNextBeforeStopsShortOfTheLimit) {
   EXPECT_EQ(wheel.size(), 1u);
   // An injection below the refused tick must still be insertable and pop
   // first once the limit lifts.
-  ASSERT_TRUE(wheel.TryInsert(25, 0, 4, 4));
+  wheel.Insert(25, 0, 4, 4);
   ASSERT_TRUE(wheel.PopNextBefore(100, &entry));
   EXPECT_EQ(entry.at, 25);
   ASSERT_TRUE(wheel.PopNextBefore(100, &entry));
@@ -181,7 +184,7 @@ TEST(TimerWheelTest, PopNextBeforeRefusesCascadePastTheLimit) {
   Wheel::Entry entry;
   EXPECT_FALSE(wheel.PopNextBefore(3000, &entry));
   EXPECT_EQ(wheel.current(), 0);  // clock unmoved
-  ASSERT_TRUE(wheel.TryInsert(4500, 0, 2, 2));
+  wheel.Insert(4500, 0, 2, 2);
   ASSERT_TRUE(wheel.PopNext(&entry));
   EXPECT_EQ(entry.at, 4500);
   ASSERT_TRUE(wheel.PopNext(&entry));
@@ -225,15 +228,14 @@ TEST(TimerWheelTest, PoolRecyclesNodesAcrossGenerations) {
 
 TEST(TimerWheelDeathTest, InsertOutsideHorizonAborts) {
   Wheel wheel;
-  EXPECT_DEATH(
-      wheel.Insert(std::int64_t{1} << Wheel::kHorizonBits, 0, 1, 0),
-      "outside wheel horizon");
+  EXPECT_DEATH(wheel.Insert(INT64_MAX, 0, 1, 0), "outside wheel range");
+  EXPECT_DEATH(wheel.Insert(-1, 0, 1, 0), "outside wheel range");
 }
 
-TEST(TimerWheelDeathTest, JumpToOverLiveEntriesAborts) {
+TEST(TimerWheelDeathTest, ResetClockOverPendingEntriesAborts) {
   Wheel wheel;
   wheel.Insert(10, 0, 1, 0);
-  EXPECT_DEATH(wheel.JumpTo(1000), "JumpTo over");
+  EXPECT_DEATH(wheel.ResetClock(0), "ResetClock over");
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Randomized differential test: the heap-based Scheduler against a naive
-// reference implementation (sorted vector, linear scans). Any divergence in
-// execution order, clock values, or cancellation results is a bug in the
-// production scheduler.
-#include <algorithm>
+// Randomized differential test: the Scheduler against a naive reference
+// implementation (flat vector, linear scans). Any divergence in execution
+// order, clock values, or cancellation results is a bug in the production
+// scheduler.
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +16,8 @@ namespace {
 // Reference model: O(n) everything, obviously correct.
 class ReferenceScheduler {
  public:
+  [[nodiscard]] SimTime now() const { return now_; }
+
   std::uint64_t ScheduleAt(SimTime at, int payload) {
     entries_.push_back(Entry{at, next_seq_, payload, false});
     return next_seq_++;
@@ -29,13 +31,13 @@ class ReferenceScheduler {
     }
     return false;
   }
-  // Executes everything, returning payloads in execution order.
-  std::vector<int> Run(SimTime& now) {
-    std::vector<int> order;
+  // Executes every event at or before `deadline` in (at, seq) order,
+  // appending payloads to `order`; the clock ends at the deadline.
+  void RunUntil(SimTime deadline, std::vector<int>* order) {
     while (true) {
       Entry* best = nullptr;
       for (Entry& entry : entries_) {
-        if (entry.cancelled || entry.executed) continue;
+        if (entry.cancelled || entry.executed || entry.at > deadline) continue;
         if (best == nullptr || entry.at < best->at ||
             (entry.at == best->at && entry.seq < best->seq)) {
           best = &entry;
@@ -43,11 +45,12 @@ class ReferenceScheduler {
       }
       if (best == nullptr) break;
       best->executed = true;
-      now = best->at;
-      order.push_back(best->payload);
+      now_ = best->at;
+      order->push_back(best->payload);
     }
-    return order;
+    if (deadline != SimTime::Max() && now_ < deadline) now_ = deadline;
   }
+  void Run(std::vector<int>* order) { RunUntil(SimTime::Max(), order); }
 
  private:
   struct Entry {
@@ -59,30 +62,49 @@ class ReferenceScheduler {
   };
   std::vector<Entry> entries_;
   std::uint64_t next_seq_ = 0;
+  SimTime now_ = SimTime::Zero();
 };
+
+// A delay whose bit length is uniform in [0, 36], so same-tick collisions
+// and inserts into every wheel level (boundaries 2^11, 2^22, 2^33 us) and
+// their cascades all occur.
+SimDuration SpreadDelay(Rng& rng) {
+  const std::int64_t bits = rng.NextInRange(0, 36);
+  return SimDuration::Micros(
+      rng.NextInRange(0, (std::int64_t{1} << bits) - 1));
+}
 
 class SchedulerFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SchedulerFuzzTest, MatchesReferenceModel) {
+  // Schedules and cancels interleaved with RunUntil stops; each batch of
+  // schedules is made at the clock the previous stop left behind.
   Rng rng(GetParam());
   Scheduler scheduler;
   ReferenceScheduler reference;
 
   std::vector<int> production_order;
+  std::vector<int> reference_order;
   std::vector<EventHandle> handles;
   std::vector<std::uint64_t> reference_handles;
 
   const int operations = 400;
   for (int op = 0; op < operations; ++op) {
-    if (!handles.empty() && rng.NextBernoulli(0.3)) {
+    const double roll = rng.NextDouble();
+    if (!handles.empty() && roll < 0.3) {
       // Cancel a random prior event; results must agree.
       const std::size_t pick = rng.NextBounded(handles.size());
       EXPECT_EQ(scheduler.Cancel(handles[pick]),
                 reference.Cancel(reference_handles[pick]));
+    } else if (roll < 0.4) {
+      const SimTime deadline = scheduler.now() + SpreadDelay(rng);
+      scheduler.RunUntil(deadline);
+      reference.RunUntil(deadline, &reference_order);
+      ASSERT_EQ(production_order, reference_order) << "after op " << op;
+      EXPECT_EQ(scheduler.now(), reference.now());
     } else {
       const int payload = op;
-      const SimTime at =
-          SimTime::FromMicros(rng.NextInRange(0, 10'000));
+      const SimTime at = scheduler.now() + SpreadDelay(rng);
       handles.push_back(scheduler.ScheduleAt(
           at, [payload, &production_order] {
             production_order.push_back(payload);
@@ -92,13 +114,10 @@ TEST_P(SchedulerFuzzTest, MatchesReferenceModel) {
   }
 
   scheduler.Run();
-  SimTime reference_now = SimTime::Zero();
-  const std::vector<int> reference_order = reference.Run(reference_now);
+  reference.Run(&reference_order);
 
   EXPECT_EQ(production_order, reference_order);
-  if (!reference_order.empty()) {
-    EXPECT_EQ(scheduler.now(), reference_now);
-  }
+  EXPECT_EQ(scheduler.now(), reference.now());
   EXPECT_TRUE(scheduler.empty());
 }
 

@@ -1,5 +1,5 @@
 // Regression tests for the scheduler's zero-steady-state-allocation
-// property. The slot-map slab and the binary heap grow while the event
+// property. The slot-map slab and the wheel's node pool grow while the event
 // population climbs to its high-water mark (warm-up); after that, every
 // ScheduleAt/Cancel/Step cycle must run without touching the heap
 // allocator. A single allocation here is a lost property, not a slowdown —
@@ -17,7 +17,7 @@ using test::AllocProbe;
 TEST(SchedulerAllocTest, ScheduleRunCycleIsAllocationFreeAfterWarmup) {
   Scheduler scheduler;
   std::uint64_t fired = 0;
-  // Warm-up: grow the heap vector and the action slab to 256 concurrent
+  // Warm-up: grow the wheel pool and the action slab to 256 concurrent
   // events, then drain.
   for (int i = 0; i < 256; ++i) {
     scheduler.ScheduleAfter(SimDuration::Micros(i + 1), [&fired] { ++fired; });
@@ -65,7 +65,7 @@ TEST(SchedulerAllocTest, ScheduleCancelCycleIsAllocationFreeAfterWarmup) {
 }
 
 TEST(SchedulerAllocTest, WheelSteadyStateWithCascadesIsAllocationFree) {
-  // Delays spread across all three wheel levels: every round exercises
+  // Delays spread across wheel levels 0-2: every round exercises
   // level-1/2 inserts and the cascades that bring them down. Cascading
   // relinks pooled nodes — it must never touch the allocator.
   Scheduler scheduler;
