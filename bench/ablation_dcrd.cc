@@ -66,7 +66,6 @@ int main(int argc, char** argv) {
           config.dcrd_reroute_retry_cap = variant.reroute_cap;
           config.sim_time = scale.sim_time;
           config.seed = scale.seed + static_cast<std::uint64_t>(rep);
-          config.shards = scale.shards;
           return config;
         });
     std::cout << std::left << std::setw(22) << variant.label << std::right

@@ -1,13 +1,11 @@
 // Microbenchmark: continuous-telemetry sampler cost (obs/timeseries.h).
 //
-// The sampler's contract mirrors the shard profiler's: a run without
-// --timeseries pays one untaken null-check branch at setup — nothing per
-// event — and the enabled path is one scheduler event per interval doing
-// pure column writes into pre-reserved storage. These benches pin the
-// costs that matter: the per-sample snapshot against a registry of
-// production shape (the 1920-bucket histogram diff dominates), the
-// end-of-run 8-shard merge, and the JSON serialisation, so the perf gate
-// tracks them over time alongside the profiler's.
+// A run without --timeseries pays one untaken null-check branch at setup —
+// nothing per event — and the enabled path is one scheduler event per
+// interval doing pure column writes into pre-reserved storage. These
+// benches pin the costs that matter: the per-sample snapshot against a
+// registry of production shape (the 1920-bucket histogram diff dominates)
+// and the JSON serialisation, so the perf gate tracks them over time.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -30,7 +28,6 @@ using dcrd::SimDuration;
 using dcrd::SimTime;
 using dcrd::TimeSeriesConfig;
 using dcrd::TimeSeriesSampler;
-using dcrd::TimeSeriesStore;
 
 class NullStreambuf final : public std::streambuf {
  protected:
@@ -132,25 +129,6 @@ std::unique_ptr<TimeSeriesSampler> DrivenSampler(EngineShapedRegistry& rig,
   }
   return sampler;
 }
-
-// End-of-run cost: fold 8 shard stores of 300 samples each — the join-time
-// work a 5-minute sharded figure run pays once.
-void BM_TimeSeriesMerge8Shards(benchmark::State& state) {
-  std::vector<EngineShapedRegistry> rigs(8);
-  Scheduler scheduler;
-  std::vector<std::unique_ptr<TimeSeriesSampler>> samplers;
-  std::vector<const TimeSeriesStore*> stores;
-  for (auto& rig : rigs) {
-    samplers.push_back(DrivenSampler(rig, scheduler, 300));
-    stores.push_back(&samplers.back()->store());
-  }
-  for (auto _ : state) {
-    const TimeSeriesStore merged = dcrd::MergeTimeSeriesStores(stores);
-    benchmark::DoNotOptimize(merged.t_us.data());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TimeSeriesMerge8Shards);
 
 // Serialisation cost for a 300-sample store, SLO series included.
 void BM_TimeSeriesWriteJson(benchmark::State& state) {

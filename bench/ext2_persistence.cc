@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
             config.dcrd_persistence = persistence;
             config.sim_time = scale.sim_time;
             config.seed = scale.seed + static_cast<std::uint64_t>(rep);
-            config.shards = scale.shards;
             return config;
           });
       std::cout << std::left << std::setw(8) << pf << std::setw(14)

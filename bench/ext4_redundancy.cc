@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
           config.loss_rate = 1e-4;
           config.sim_time = scale.sim_time;
           config.seed = scale.seed + static_cast<std::uint64_t>(rep);
-          config.shards = scale.shards;
           return config;
         });
   };

@@ -7,12 +7,8 @@
 //   --seed S         base seed (rep r runs with seed S+r)
 //   --routers a,b    subset of DCRD,R-Tree,D-Tree,ORACLE,Multipath
 //   --jobs N         worker threads for the sweep pool (default: all cores;
-//                    1 = the historical serial path). Output is
-//                    bit-identical for any job count.
-//   --shards N       engine shards *per scenario* (default 1 = classic
-//                    single-thread engine; see DESIGN.md §12). Output is
-//                    bit-identical for any shard count; jobs x shards is
-//                    capped at hardware concurrency (note on stderr).
+//                    1 = the historical serial path). Each cell runs on
+//                    one thread. Output is bit-identical for any job count.
 //   --bench_json P   append wall-clock/throughput records to the JSON
 //                    array at P (see sim/bench_json.h)
 //   --trace          keep an in-memory flight recorder per cell (postmortem
@@ -21,26 +17,19 @@
 //                    P.<stem>.<cell>.jsonl (implies --trace); inspect with
 //                    tools/dcrd_trace
 //   --metrics_json P write each cell's metrics registry to
-//                    P.<stem>.<cell>.json (works at any --shards count;
-//                    per-shard registries merge at join)
+//                    P.<stem>.<cell>.json
 //   --timeseries P   sample each cell's metrics registry every simulated
 //                    second into a columnar time series — counter deltas,
 //                    gauge levels, histogram raw-bucket deltas, per-broker
 //                    health, windowed deadline-SLO series — written to
 //                    P.<stem>.<cell>.json ("dcrd-timeseries-v1"); render
-//                    with tools/dcrd_trace --timeseries. Works at any
-//                    --shards count
+//                    with tools/dcrd_trace --timeseries
 //   --delay_audit P  delay-provenance capture: per cell, stream the full
 //                    trace to P.trace.<stem>.<cell>.jsonl and the Theorem-1
 //                    model rows to P.model.<stem>.<cell>.jsonl (DCRD cells
 //                    only — other routers have no <d,r> model and note that
 //                    on stderr). Decompose/audit offline with
 //                    tools/dcrd_trace --decompose --audit
-//   --shard_profile P  write each cell's shard-execution profile (per-shard
-//                    busy/stall wall time, events, cross-shard traffic
-//                    matrix — DESIGN.md §13) to P.<stem>.<cell>.json;
-//                    render with tools/dcrd_trace --shards. Works at any
-//                    --shards count.
 //
 // Observability never touches stdout or any RNG stream, so the figure
 // tables stay byte-identical with or without it (determinism_check.sh
@@ -56,7 +45,6 @@
 // scripts/determinism_check.sh diffs byte-for-byte across job counts.
 #pragma once
 
-#include <algorithm>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -79,14 +67,12 @@ struct FigureScale {
                                      RouterKind::kMultipath};
   std::string csv_dir;  // when set (--csv DIR), sweeps also land as CSV
   int jobs = 1;         // resolved by ParseScale; 1 only until then
-  int shards = 1;       // engine shards per cell (--shards)
   std::string bench_json;  // when set (--bench_json PATH), append records
   bool trace = false;       // --trace: in-memory flight recorder per cell
   std::string trace_out;    // --trace_out: JSONL trace file prefix
   std::string metrics_json;  // --metrics_json: metrics file prefix
   std::string timeseries;    // --timeseries: time-series file prefix
   std::string delay_audit;   // --delay_audit: trace+model file prefix
-  std::string shard_profile;  // --shard_profile: exec-profile file prefix
 };
 
 inline std::vector<RouterKind> ParseRouters(const std::string& csv) {
@@ -120,20 +106,13 @@ inline FigureScale ParseScale(const Flags& flags) {
     scale.routers = ParseRouters(flags.GetString("routers", ""));
   }
   scale.csv_dir = flags.GetString("csv", "");
-  scale.shards =
-      std::max(1, static_cast<int>(flags.GetInt("shards", 1)));
-  // Compose the two parallelism layers: sweep cells x engine shards must
-  // not oversubscribe the machine (CapJobsForShards warns on stderr only).
-  scale.jobs = CapJobsForShards(
-      ResolveJobCount(static_cast<int>(flags.GetInt("jobs", 0))),
-      scale.shards);
+  scale.jobs = ResolveJobCount(static_cast<int>(flags.GetInt("jobs", 0)));
   scale.bench_json = flags.GetString("bench_json", "");
   scale.trace = flags.GetBool("trace", false);
   scale.trace_out = flags.GetString("trace_out", "");
   scale.metrics_json = flags.GetString("metrics_json", "");
   scale.timeseries = flags.GetString("timeseries", "");
   scale.delay_audit = flags.GetString("delay_audit", "");
-  scale.shard_profile = flags.GetString("shard_profile", "");
   return scale;
 }
 
@@ -141,7 +120,7 @@ inline FigureScale ParseScale(const Flags& flags) {
 inline bool ObservabilityRequested(const FigureScale& scale) {
   return scale.trace || !scale.trace_out.empty() ||
          !scale.metrics_json.empty() || !scale.timeseries.empty() ||
-         !scale.delay_audit.empty() || !scale.shard_profile.empty();
+         !scale.delay_audit.empty();
 }
 
 // Applies the scale's observability options to one cell's config. `cell`
@@ -172,10 +151,6 @@ inline void ApplyObservability(const FigureScale& scale,
         scale.delay_audit + ".trace." + stem + "." + cell + ".jsonl";
     config.delay_audit_out =
         scale.delay_audit + ".model." + stem + "." + cell + ".jsonl";
-  }
-  if (!scale.shard_profile.empty()) {
-    config.shard_profile_out =
-        scale.shard_profile + "." + stem + "." + cell + ".json";
   }
 }
 
@@ -251,7 +226,6 @@ inline RunSummary RunFigureReps(
 inline void ApplyScale(const FigureScale& scale, ScenarioConfig& config) {
   config.sim_time = scale.sim_time;
   config.seed = scale.seed;
-  config.shards = scale.shards;
 }
 
 inline void PrintHeader(const std::string& figure,
@@ -260,9 +234,8 @@ inline void PrintHeader(const std::string& figure,
             << "repetitions=" << scale.repetitions
             << " simulated=" << scale.sim_time.seconds() << "s"
             << " (use --paper for the 10x7200s paper scale)\n";
-  // stderr: stdout must stay byte-identical across --jobs and --shards
-  // values.
-  std::cerr << "jobs=" << scale.jobs << " shards=" << scale.shards << "\n";
+  // stderr: stdout must stay byte-identical across --jobs values.
+  std::cerr << "jobs=" << scale.jobs << "\n";
 }
 
 }  // namespace dcrd::figures

@@ -8,7 +8,6 @@
 #   scripts/check.sh --asan     # sanitized pass only
 #   scripts/check.sh --tsan     # ThreadSanitizer pass: builds build-tsan/
 #                               # and runs the SweepRunner + Flags suites
-#                               # plus the sharded-engine equivalence suite
 #                               # (the code that actually spawns threads)
 #
 # DCRD_CMAKE_ARGS adds extra -D arguments to every configure (CI uses it
@@ -57,15 +56,12 @@ if [[ "$run_asan" == 1 ]]; then
 fi
 
 if [[ "$run_tsan" == 1 ]]; then
-  echo "=== ThreadSanitizer pass (SweepRunner + Flags + sharded engine) ==="
+  echo "=== ThreadSanitizer pass (SweepRunner + Flags) ==="
   cmake -B build-tsan -S . "${extra_cmake_args[@]}" "-DDCRD_SANITIZE=thread"
   # Only the suites that actually spawn threads; keeps the nightly short.
-  # ShardedEngineTest includes the 20-seed chaos soak at 4 shards, so the
-  # barrier/horizon protocol and the exchange queues get a full TSan soak.
-  cmake --build build-tsan -j --target sim_test common_test \
-    sharded_engine_test
+  cmake --build build-tsan -j --target sim_test common_test
   ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-    -R 'SweepRunner|Flags|ShardedEngine'
+    -R 'SweepRunner|Flags'
 fi
 
 echo "=== check.sh: all requested passes green ==="

@@ -41,8 +41,8 @@ Flags Flags::Parse(int argc, char** argv) {
 void Flags::RecordQuery(const std::string& name) const {
   DCRD_CHECK(!sealed_)
       << "flag --" << name
-      << " queried after Seal(); read the whole configuration before shard "
-         "or worker threads start";
+      << " queried after Seal(); read the whole configuration before worker "
+         "threads start";
   const std::thread::id self = std::this_thread::get_id();
   if (query_thread_ == std::thread::id{}) query_thread_ = self;
   DCRD_CHECK(query_thread_ == self)
@@ -95,7 +95,7 @@ void Flags::ExitOnUnqueried() const {
   const std::vector<std::string> unqueried = UnqueriedFlags();
   if (unqueried.empty()) {
     // Configuration is complete and clean: seal, so a stray flag read
-    // after worker/shard threads exist aborts instead of racing.
+    // after worker threads exist aborts instead of racing.
     Seal();
     return;
   }

@@ -40,18 +40,18 @@ class Flags {
   [[nodiscard]] std::vector<std::string> UnqueriedFlags() const;
   // Exits with an error listing UnqueriedFlags() when it is non-empty.
   // Call after the last flag read; every experiment binary does. On a
-  // clean pass it also Seal()s the flags, so the sweep pool and engine
-  // shards that spin up next can never race a late flag read.
+  // clean pass it also Seal()s the flags, so the sweep pool that spins up
+  // next can never race a late flag read.
   void ExitOnUnqueried() const;
   // Flags whose names are not in `known` (explicit allow-list variant).
   [[nodiscard]] std::vector<std::string> UnknownFlags(
       const std::vector<std::string>& known) const;
 
   // Declares configuration reading complete. Call right before the first
-  // worker pool or engine shard spins up: any Has/Get* afterwards — even
-  // from the pinned thread — aborts, so a flag read can never race the
-  // shard workers (the sweep and figure binaries seal after their last
-  // read; RunScenario's shard threads then start against a sealed config).
+  // worker pool spins up: any Has/Get* afterwards — even from the pinned
+  // thread — aborts, so a flag read can never race the workers (the sweep
+  // and figure binaries seal after their last read; their --jobs pool then
+  // starts against a sealed config).
   void Seal() const { sealed_ = true; }
   [[nodiscard]] bool sealed() const { return sealed_; }
 

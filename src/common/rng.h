@@ -36,11 +36,12 @@ constexpr std::uint64_t MixU64(std::uint64_t x) {
 }
 
 // Keyed uniform draw in [0, 1): a pure function of (seed, a, b, salt) with
-// no stream state. The sharded engine addresses every loss/gray/jitter draw
-// by content (directed link + per-link counter, or copy id + transmission
+// no stream state. The network addresses every loss/gray/jitter draw by
+// content (directed link + per-link counter, or copy id + transmission
 // index) instead of consuming a shared sequential stream, so the value of a
-// draw cannot depend on the global interleaving of *other* transmissions —
-// which is what makes the sample path independent of the shard partition.
+// draw cannot depend on the global interleaving of *other* transmissions:
+// the sample path is fixed by what each link carried, and enabling one
+// process or traffic class never shifts another's draws.
 // Chained splitmix finalizers give full avalanche across all four words.
 constexpr double KeyedUnit(std::uint64_t seed, std::uint64_t a,
                            std::uint64_t b, std::uint64_t salt) {

@@ -22,9 +22,9 @@
 // pure function of the event's content, not of insertion order (see
 // event/scheduler.h). Entries of one exact tick must be yielded in
 // ascending key order. Buckets are appended FIFO, which keeps the common
-// case — keys arriving already ordered, because local scheduling assigns
-// monotone keys — free; PopNext sorts the detached level-0 run only when a
-// cross-shard injection landed out of order (same-tick runs are one to a
+// case — keys arriving already ordered, because most events are keyed at
+// their scheduling time — free; PopNext sorts the detached level-0 run only
+// when an entry landed behind a larger key (same-tick runs are one to a
 // handful of entries, so the occasional sort is a few compares on a scratch
 // index vector with retained capacity). PopNext enforces strict (tick, k1,
 // k2) monotonicity per yield — a violated contract fails loudly rather than
@@ -32,10 +32,9 @@
 //
 // Limit-bounded draining: PopNextBefore(limit) refuses to detach a level-0
 // bucket or cascade into a block at or past `limit`, so the clock stays
-// below it. The scheduler bounds every partial drain this way — RunUntil
-// at deadline + 1, the sharded engine's window loop at its synchronization
-// horizon — so a later insert at or past the limit never lands behind the
-// clock or into a bucket that is mid-yield.
+// below it. The scheduler's RunUntil drains to deadline + 1 this way, so a
+// later insert at the deadline never lands behind the clock or into a
+// bucket that is mid-yield.
 //
 // Memory: nodes live in fixed-size pooled slabs recycled through a free
 // list — slab growth never relocates live nodes (no vector-doubling copy),
@@ -126,10 +125,9 @@ class TimerWheel {
 
   // PopNext, refusing to advance into ticks >= `limit`: no bucket at or
   // past the limit is detached and no cascade enters a block starting at or
-  // past it, so entries there stay insertable-next-to (the sharded engine's
-  // cross-shard injections land at ticks >= the window horizon). Returns
-  // false when nothing strictly before `limit` is pending — the clock then
-  // rests strictly below `limit`.
+  // past it, so ticks from `limit` on stay insertable. Returns false when
+  // nothing strictly before `limit` is pending — the clock then rests
+  // strictly below `limit`.
   bool PopNextBefore(std::int64_t limit, Entry* out) {
     while (cursor_ == kNil) {
       if (size_ == 0) return false;
@@ -193,43 +191,6 @@ class TimerWheel {
     return true;
   }
 
-  // Earliest linked tick without mutating anything: no detach, no cascade,
-  // no clock movement. Stale (cancelled) entries are indistinguishable from
-  // live ones here, so the result is a conservative lower bound on the next
-  // live expiry — exactly what the sharded engine's window computation
-  // needs. Returns false when the wheel is empty.
-  bool PeekNextAt(std::int64_t* out) const {
-    if (size_ == 0) return false;
-    if (cursor_ != kNil) {
-      *out = NodeAt(cursor_).at;
-      return true;
-    }
-    const int slot0 = FindOccupied(0, static_cast<std::uint32_t>(
-                                          current_ & (kSlots - 1)));
-    if (slot0 >= 0) {
-      *out = (current_ & ~static_cast<std::int64_t>(kSlots - 1)) | slot0;
-      return true;
-    }
-    for (int level = 1; level < kLevels; ++level) {
-      const std::uint32_t slot = SlotOf(current_, level);
-      const int next = FindOccupied(level, slot + 1);
-      if (next < 0) continue;
-      // The earliest occupied bucket of the lowest non-empty level bounds
-      // every later bucket; the exact minimum still needs a walk because
-      // entries within a wide bucket are unordered.
-      std::int64_t best = INT64_MAX;
-      for (std::uint32_t node =
-               buckets_[level][static_cast<std::uint32_t>(next)].head;
-           node != kNil; node = NodeAt(node).next) {
-        if (NodeAt(node).at < best) best = NodeAt(node).at;
-      }
-      *out = best;
-      return true;
-    }
-    DCRD_CHECK(false) << "non-empty wheel with no reachable bucket";
-    return false;
-  }
-
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
@@ -275,12 +236,16 @@ class TimerWheel {
   }
 
   // Restores ascending (k1, k2) order over the just-detached level-0 run.
-  // Local scheduling appends monotone keys, so the single ordered-check
-  // pass almost always exits without sorting; only a cross-shard injection
-  // that landed between lower-keyed local entries pays the sort. Sorting
-  // an index vector (retained capacity) and relinking keeps the node pool
-  // untouched. Keys are unique — (k1, k2) encodes the event's origin and a
-  // per-origin counter — so plain sort suffices.
+  // Most events are keyed at their scheduling time, so appends arrive in
+  // key order and the single ordered-check pass usually exits without
+  // sorting. Not always: a hop ACK is keyed at its future landing instant
+  // (OverlayNetwork::ResolveAckAt), so an event scheduled *after* the ACK
+  // but before that instant carries a smaller key and can land in the same
+  // tick behind it. Such runs pay the sort — 2.7% of detached same-tick
+  // runs in a fig2 sweep at --reps 1 --seconds 120. Sorting an index vector
+  // (retained capacity) and relinking keeps the node pool untouched. Keys
+  // are unique — (k1, k2) encodes the event's origin and a per-origin
+  // counter — so plain sort suffices.
   void SortCursorRun() {
     bool ordered = true;
     for (std::uint32_t node = cursor_; node != kNil;) {

@@ -516,16 +516,13 @@ void DcrdRouter::OnBrokerRestart(NodeId node) {
     // Solver mode keeps the tables centrally, so model the state re-fetch
     // as one control round trip per neighbour (request up, snapshot back):
     // a fire-and-forget echo — the completion window below is timed
-    // separately. The echo is shard-safe; a neighbour on another shard
-    // resolves the snapshot leg on its own side.
+    // separately.
     for (const Neighbor& n : context_.network->graph().neighbors(node)) {
       context_.network->TransmitEcho(node, n.link, {});
     }
   }
 
-  // Resync bookkeeping replays on every shard; only the broker's owner
-  // records, so the multi-shard trace carries each resync exactly once.
-  if (context_.recorder != nullptr && context_.network->IsLocalNode(node)) {
+  if (context_.recorder != nullptr) {
     context_.recorder->Record(
         TraceEventKind::kResyncStart, 0, 0, node, NodeId(), LinkId(), 0,
         static_cast<std::uint16_t>(
@@ -542,8 +539,7 @@ void DcrdRouter::OnBrokerRestart(NodeId node) {
         resync_stats_.total_resync_time += took;
         resync_stats_.max_resync_time =
             std::max(resync_stats_.max_resync_time, took);
-        if (context_.recorder != nullptr &&
-            context_.network->IsLocalNode(node)) {
+        if (context_.recorder != nullptr) {
           // The copy field carries the resync duration in microseconds.
           context_.recorder->Record(
               TraceEventKind::kResyncDone, 0,

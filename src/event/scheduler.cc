@@ -88,14 +88,4 @@ std::uint64_t Scheduler::RunUntil(SimTime deadline) {
   return count;
 }
 
-std::uint64_t Scheduler::RunBefore(SimTime horizon) {
-  internal::ScopedSimClock clock_guard(&now_);
-  return Drain(horizon.micros(), UINT64_MAX);
-}
-
-SimTime Scheduler::NextEventTime() const {
-  std::int64_t at = 0;
-  return wheel_.PeekNextAt(&at) ? SimTime::FromMicros(at) : SimTime::Max();
-}
-
 }  // namespace dcrd

@@ -8,22 +8,24 @@
 // where `origin` identifies the entity that created the event (a broker id
 // for network arrivals; kEngineOrigin — the maximal value, sorting last —
 // for everything scheduled through the plain ScheduleAt/ScheduleAfter
-// path). Locally created events therefore keep their scheduling order; but
-// because the key does not depend on *global* insertion order, an event
-// injected from another engine shard sorts identically whether it was
-// created locally (1-shard run) or handed across a shard boundary — the
-// property the sharded engine's byte-identity gate rests on.
+// path). Events created at the same tick by the same origin therefore keep
+// their scheduling order, and the tie order among same-instant events from
+// different origins is fixed by content rather than by insertion order.
+// The network keys an arrival by its sender and the ACK of a data copy by
+// the copy's landing instant (see net/overlay_network.h), so ties resolve
+// as if the receiver had emitted each ACK when the copy arrived. The keys
+// thereby fix the sample path every figure was recorded on; a plain
+// insertion counter would reorder same-instant ties and change results.
 //
 // Queue: one four-level hierarchical timer wheel (common/timer_wheel.h)
 // over every time the canonical key can encode, [0, 2^44) us (~203
 // simulated days): O(1) insert, O(1) cancel, and dispatch that walks
 // same-tick bucket lists in place instead of paying an O(log n) heap pop
-// per event. Run, RunUntil, RunBefore and Step are one drain loop over the
-// wheel, kept sound by two invariants. A partial drain is bounded by a
-// limit (RunUntil: deadline + 1 us; RunBefore: the horizon), so the wheel
-// clock never passes a time the caller may schedule at next. And a drain
-// that empties the wheel resets its clock to now(): trailing cancelled
-// entries may have carried it further.
+// per event. Run, RunUntil and Step are one drain loop over the wheel, kept
+// sound by two invariants. A partial drain is bounded by a limit (RunUntil:
+// deadline + 1 us), so the wheel clock never passes a time the caller may
+// schedule at next. And a drain that empties the wheel resets its clock to
+// now(): trailing cancelled entries may have carried it further.
 //
 // Actions live in a generation-checked slot map — a dense slab recycled
 // through a free list — and are InlineAction callbacks with fixed inline
@@ -102,10 +104,9 @@ class Scheduler {
   }
 
   // Schedules `action` to run at absolute time `at` (must not be in the
-  // past) under an explicit canonical key (see the header comment). The
-  // sharded engine's network layer computes keys from event content so
-  // cross-shard injections sort identically to their 1-shard counterparts.
-  // Keys must be unique per (at, k1, k2) — dispatch enforces strict order.
+  // past) under an explicit canonical key (see the header comment); the
+  // network layer computes keys from event content. Keys must be unique
+  // per (at, k1, k2) — dispatch enforces strict order.
   // Templated so the callable is constructed directly in its slab slot
   // (InlineFunction::Assign) instead of riding through a temporary Action's
   // relocate.
@@ -161,24 +162,6 @@ class Scheduler {
   // even if the queue drained earlier (so periodic processes observe a
   // consistent end-of-simulation time). Returns the number executed.
   std::uint64_t RunUntil(SimTime deadline);
-
-  // Runs events with timestamp strictly < `horizon`, leaving the clock at
-  // the last executed event (NOT advanced to the horizon) and never letting
-  // the wheel's internal clock reach the horizon either. The sharded
-  // engine's window loop depends on both halves: events injected afterwards
-  // at times >= horizon must land in still-intact buckets and sort purely
-  // by their canonical keys. Until the next drain, new events must be
-  // scheduled at >= horizon — skipped cancelled entries may have moved the
-  // wheel clock past now(). Returns the number executed.
-  std::uint64_t RunBefore(SimTime horizon);
-
-  // Earliest pending timestamp, or SimTime::Max() when nothing is pending.
-  // Cancelled entries that went stale in place are indistinguishable here,
-  // so the result is a conservative lower bound on the next live event —
-  // sufficient for the sharded engine's window computation (a stale
-  // minimum just yields one conservative window; dispatch skips it and the
-  // bound then advances).
-  [[nodiscard]] SimTime NextEventTime() const;
 
   // Executes at most one event. Returns false if the queue is empty.
   bool Step();

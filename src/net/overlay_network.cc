@@ -121,10 +121,6 @@ Resolution OverlayNetwork::ResolveAt(NodeId from, LinkId link,
 
 Resolution OverlayNetwork::ResolveSend(NodeId from, LinkId link,
                                        TrafficClass cls, TraceContext trace) {
-  // Counters and draw addresses for a send belong to the sender's shard;
-  // a resolution for a foreign node would double-tally them.
-  DCRD_CHECK(IsLocalNode(from))
-      << "ResolveSend from " << from << " on a shard that does not own it";
   const EdgeSpec& edge = graph_.edge(link);
   const std::size_t didx =
       link.underlying() * 2 + (from == edge.a ? 0 : 1);
@@ -157,13 +153,8 @@ Resolution OverlayNetwork::ResolveAckAt(NodeId acker, LinkId link, SimTime t1,
 bool OverlayNetwork::Transmit(NodeId from, LinkId link, TrafficClass cls,
                               Scheduler::Action on_delivered,
                               TraceContext trace) {
-  // Replicated callers (broker-lifecycle hooks run on every shard) invoke
-  // this for nodes they do not own; the owning shard performs the send.
-  if (!IsLocalNode(from)) return false;
   const Resolution res = ResolveSend(from, link, cls, trace);
   if (!res.delivered) return false;
-  DCRD_CHECK(IsLocalNode(graph_.edge(link).OtherEnd(from)))
-      << "Transmit cannot cross shards — use the Resolution API";
   scheduler_.ScheduleKeyed(res.at, res.k1, res.k2, std::move(on_delivered));
   return true;
 }
@@ -171,9 +162,6 @@ bool OverlayNetwork::Transmit(NodeId from, LinkId link, TrafficClass cls,
 bool OverlayNetwork::TransmitEcho(NodeId from, LinkId link,
                                   Scheduler::Action on_echo,
                                   TraceContext trace) {
-  // Same ownership gate as Transmit: resync hooks replay on every shard,
-  // but only the owner of `from` sends (and tallies) the probe.
-  if (!IsLocalNode(from)) return false;
   const Resolution req = ResolveSend(from, link, TrafficClass::kControl,
                                      trace);
   if (!req.delivered) return false;
@@ -184,65 +172,26 @@ bool OverlayNetwork::TransmitEcho(NodeId from, LinkId link,
     *value = std::move(on_echo);
   }
   const NodeId to = graph_.edge(link).OtherEnd(from);
-  if (IsLocalNode(to)) {
-    scheduler_.ScheduleKeyed(req.at, req.k1, req.k2,
-                             [this, to, from, link, slot] {
-                               HandleEchoRequest(to, from, link, slot);
-                             });
-  } else {
-    XMsg& msg = ExportTo(to);
-    msg.kind = XMsgKind::kEchoRequest;
-    msg.at = req.at.micros();
-    msg.k1 = req.k1;
-    msg.k2 = req.k2;
-    msg.to = to;
-    msg.from = from;
-    msg.link = link;
-    msg.echo_slot = slot;
-  }
+  scheduler_.ScheduleKeyed(req.at, req.k1, req.k2,
+                           [this, to, link, slot] {
+                             HandleEchoRequest(to, link, slot);
+                           });
   return true;
 }
 
-void OverlayNetwork::HandleEchoRequest(NodeId at_node, NodeId origin,
-                                       LinkId link, SlotHandle origin_slot) {
+void OverlayNetwork::HandleEchoRequest(NodeId at_node, LinkId link,
+                                       SlotHandle origin_slot) {
   // The reply is ordinary control traffic resolved with the receiver's own
-  // counters at the moment the request lands — receiver-local state, so
-  // the outcome is identical whether the request arrived locally or over
-  // the exchange.
+  // counters at the moment the request lands.
   const Resolution reply =
       ResolveSend(at_node, link, TrafficClass::kControl, {});
   if (reply.delivered) {
-    if (IsLocalNode(origin)) {
-      scheduler_.ScheduleKeyed(
-          reply.at, reply.k1, reply.k2,
-          [this, origin_slot] { RunEcho(origin_slot); });
-    } else {
-      XMsg& msg = ExportTo(origin);
-      msg.kind = XMsgKind::kEchoReply;
-      msg.at = reply.at.micros();
-      msg.k1 = reply.k1;
-      msg.k2 = reply.k2;
-      msg.to = origin;
-      msg.from = at_node;
-      msg.link = link;
-      msg.echo_slot = origin_slot;
-    }
+    scheduler_.ScheduleKeyed(reply.at, reply.k1, reply.k2,
+                             [this, origin_slot] { RunEcho(origin_slot); });
     return;
   }
-  if (!origin_slot.valid()) return;
-  // Reply dropped: the completion never runs. Its slot lives in the origin
-  // network — release it there (directly, or via a barrier-time drop
-  // message; slot lifetimes are unobservable to the simulation).
-  if (IsLocalNode(origin)) {
-    DCRD_CHECK(echo_slots_.Release(origin_slot));
-  } else {
-    XMsg& msg = ExportTo(origin);
-    msg.kind = XMsgKind::kEchoDrop;
-    msg.to = origin;
-    msg.from = at_node;
-    msg.link = link;
-    msg.echo_slot = origin_slot;
-  }
+  // Reply dropped: the completion never runs; release its slot.
+  if (origin_slot.valid()) DCRD_CHECK(echo_slots_.Release(origin_slot));
 }
 
 void OverlayNetwork::RunEcho(SlotHandle slot) {
@@ -254,32 +203,6 @@ void OverlayNetwork::RunEcho(SlotHandle slot) {
   // decide whether its effect is still wanted.
   (*action)();
   echo_slots_.Release(slot);
-}
-
-void OverlayNetwork::AcceptRemote(XMsg& msg) {
-  switch (msg.kind) {
-    case XMsgKind::kData:
-      DCRD_CHECK(remote_data_sink_) << "no remote data sink registered";
-      remote_data_sink_(msg);
-      return;
-    case XMsgKind::kEchoRequest:
-      scheduler_.ScheduleKeyed(SimTime::FromMicros(msg.at), msg.k1, msg.k2,
-                               [this, to = msg.to, from = msg.from,
-                                link = msg.link, slot = msg.echo_slot] {
-                                 HandleEchoRequest(to, from, link, slot);
-                               });
-      return;
-    case XMsgKind::kEchoReply:
-      scheduler_.ScheduleKeyed(SimTime::FromMicros(msg.at), msg.k1, msg.k2,
-                               [this, slot = msg.echo_slot] {
-                                 RunEcho(slot);
-                               });
-      return;
-    case XMsgKind::kEchoDrop:
-      DCRD_CHECK(echo_slots_.Release(msg.echo_slot));
-      return;
-  }
-  DCRD_CHECK(false) << "unknown exchange message kind";
 }
 
 }  // namespace dcrd

@@ -14,13 +14,12 @@
 // pure function of (network seed, directed link + traffic class, a
 // per-(directed link, class) attempt counter — or, for ACK legs, the
 // copy's content key) via KeyedUnit/KeyedBernoulli (common/rng.h). No draw
-// depends on the global interleaving of other transmissions, so the sample
-// path — and with it every figure — is independent of how the sharded
-// engine partitions brokers across threads. For the same reason delivery
-// produces a *Resolution* (arrival time plus the canonical event key of
-// the arrival, see event/scheduler.h): callers schedule the arrival
-// locally or hand it across a shard boundary (shard_exchange.h), and the
-// receiving scheduler sorts it identically either way.
+// depends on the global interleaving of other transmissions: traffic on one
+// directed link and class never shifts the draws of another. Delivery
+// produces a *Resolution* (arrival time plus the canonical event key of the
+// arrival, see event/scheduler.h), so an arrival's place among
+// same-instant events is fixed by its content, not by when it was
+// scheduled.
 //
 // Optional per-link queuing: when `serialization` is non-zero every data
 // packet occupies its directed link for that long, so bursts build a FIFO
@@ -46,7 +45,6 @@
 #include "net/broker_lifecycle.h"
 #include "net/failure_schedule.h"
 #include "net/gray_failure.h"
-#include "net/shard_exchange.h"
 #include "obs/trace_record.h"
 
 namespace dcrd {
@@ -71,17 +69,6 @@ struct TrafficCounters {
     return delivered + dropped_failure + dropped_node_failure + dropped_loss +
            dropped_gray + dropped_crash;
   }
-
-  // Accumulates another shard's tally (the merged-summary path).
-  void Add(const TrafficCounters& other) {
-    attempted += other.attempted;
-    delivered += other.delivered;
-    dropped_failure += other.dropped_failure;
-    dropped_node_failure += other.dropped_node_failure;
-    dropped_loss += other.dropped_loss;
-    dropped_gray += other.dropped_gray;
-    dropped_crash += other.dropped_crash;
-  }
 };
 
 struct OverlayNetworkConfig {
@@ -100,9 +87,8 @@ struct OverlayNetworkConfig {
 
 // Outcome of one resolved transmission. When `delivered` is true, `at` is
 // the arrival instant and (k1, k2) the canonical key the arrival event
-// must be scheduled under — on this shard's scheduler or, after crossing
-// the exchange, on the receiver's. When false the attempt landed in a
-// drop bucket and the other fields are meaningless.
+// must be scheduled under. When false the attempt landed in a drop bucket
+// and the other fields are meaningless.
 struct Resolution {
   bool delivered = false;
   SimTime at;
@@ -161,20 +147,15 @@ class OverlayNetwork {
   // lands: every schedule lookup (link/node/crash/gray state) is evaluated
   // at the future arrival instant `t1`, and the loss/gray draws are keyed
   // by `ack_key` — the copy's content key — instead of an attempt counter.
-  // Both make the resolution computable at *send* time by the data
-  // sender's shard, which is what lets an ACK be precomputed locally and
-  // never cross a shard boundary (DESIGN.md §12). Counters tally on this
-  // (the data sender's) network. The returned key is (PackK1(t1, acker),
-  // ack_key).
+  // Both make the resolution computable at *send* time, so the data sender
+  // precomputes the ACK leg together with the data leg. The returned key is
+  // (PackK1(t1, acker), ack_key).
   Resolution ResolveAckAt(NodeId acker, LinkId link, SimTime t1,
                           std::uint64_t ack_key, TraceContext trace = {});
 
   // Attempts one transmission from `from` over `link` and, on success,
-  // schedules `on_delivered` on THIS shard's scheduler at the opposite
-  // endpoint's arrival instant — so the receiver must be shard-local
-  // (checked). ResolveSend + ScheduleKeyed fused: the right call for
-  // tests and for traffic that only runs single-shard (gossip). The
-  // return value (false = dropped, callback destroyed unrun) exists ONLY
+  // schedules `on_delivered` at the opposite endpoint's arrival instant.
+  // ResolveSend + ScheduleKeyed fused. The return value (false = dropped, callback destroyed unrun) exists ONLY
   // so callers can recycle resources referenced by the callback;
   // protocols must never branch on it — the paper's senders learn
   // outcomes through ACKs alone.
@@ -187,54 +168,10 @@ class OverlayNetwork {
   // leg drops, it is destroyed unrun (the usual silent-network contract).
   // Pass an empty callback for fire-and-forget round trips that only
   // exist to exercise the control channel (crash-recovery resync). Both
-  // the peer-death probe and the resync ping ride this; unlike Transmit
-  // it is shard-safe — either leg crosses the exchange when the peer is
-  // remote. Returns false when the request leg dropped at the sender.
+  // the peer-death probe and the resync ping ride this. Returns false when
+  // the request leg dropped at the sender.
   bool TransmitEcho(NodeId from, LinkId link, Scheduler::Action on_echo,
                     TraceContext trace = {});
-
-  // --- Sharded execution plumbing (sim/engine.cc §sharded execution) ---
-
-  // Attaches this network to shard `shard` of a sharded run. `map` and
-  // `exchange` must outlive the network; both nullptr (the default state)
-  // means an unsharded run where every node is local.
-  void ConfigureSharding(const ShardMap* map, int shard,
-                         ShardExchange* exchange) {
-    shard_map_ = map;
-    shard_ = shard;
-    exchange_ = exchange;
-  }
-
-  // True when `node` is simulated on this shard (always true unsharded).
-  [[nodiscard]] bool IsLocalNode(NodeId node) const {
-    return shard_map_ == nullptr || shard_map_->OwnerOf(node) == shard_;
-  }
-
-  // Shard wiring introspection for the engine's drain loop; exchange() is
-  // nullptr on unsharded runs.
-  [[nodiscard]] ShardExchange* exchange() { return exchange_; }
-  [[nodiscard]] int shard() const { return shard_; }
-
-  // A fresh exchange message bound for `to`'s owning shard. Caller fills
-  // it; the receiving shard drains it at the next window barrier.
-  [[nodiscard]] XMsg& ExportTo(NodeId to) {
-    DCRD_CHECK(exchange_ != nullptr && !IsLocalNode(to));
-    return exchange_->Append(shard_, shard_map_->OwnerOf(to));
-  }
-
-  // Receives the transport's handler for kData exchange messages (the
-  // network owns the echo kinds itself). Must be set before any remote
-  // data message is accepted.
-  using RemoteDataSink = InlineFunction<void(XMsg&)>;
-  void SetRemoteDataSink(RemoteDataSink sink) {
-    remote_data_sink_ = std::move(sink);
-  }
-
-  // Injects one drained exchange message: schedules the carried arrival
-  // under its canonical key (kData via the remote data sink), or releases
-  // a dropped reply's completion slot. Called only at window barriers,
-  // from this shard's thread.
-  void AcceptRemote(XMsg& msg);
 
   // Attaches the flight recorder that receives link-level drop events.
   // nullptr (the default) detaches. Must outlive the network.
@@ -271,12 +208,10 @@ class OverlayNetwork {
                        SimTime when, std::uint64_t draw_key,
                        const TraceContext& trace);
 
-  // Request leg landed at `at_node`: resolve the reply leg back to
-  // `origin` and dispatch it (locally or across the exchange).
-  // `origin_slot` is the completion's slot in the ORIGIN network's
+  // Request leg landed at `at_node`: resolve the reply leg back over
+  // `link` and schedule it. `origin_slot` is the completion's slot in
   // echo_slots_ (invalid for fire-and-forget echoes).
-  void HandleEchoRequest(NodeId at_node, NodeId origin, LinkId link,
-                         SlotHandle origin_slot);
+  void HandleEchoRequest(NodeId at_node, LinkId link, SlotHandle origin_slot);
   // Reply leg landed back at the origin: run and release the completion.
   void RunEcho(SlotHandle slot);
 
@@ -295,11 +230,6 @@ class OverlayNetwork {
   // Completion callbacks for in-flight echo round trips (probes, resync).
   SlotMap<Scheduler::Action> echo_slots_;
   FlightRecorder* recorder_ = nullptr;
-  // Shard wiring; all-null for unsharded runs.
-  const ShardMap* shard_map_ = nullptr;
-  int shard_ = 0;
-  ShardExchange* exchange_ = nullptr;
-  RemoteDataSink remote_data_sink_;
 };
 
 }  // namespace dcrd

@@ -9,15 +9,13 @@
 namespace dcrd {
 
 // One broker's instantaneous health. All zero for a broker with nothing in
-// flight — and, under sharded execution, on every shard that does not own
-// the broker, which is what makes per-broker columns sum-mergeable across
-// shards.
+// flight.
 struct BrokerHealth {
   std::uint64_t pending_copies = 0;  // in-flight copies this broker is sending
   std::uint64_t dedup_entries = 0;   // receiver-side dedup table size
   // Largest live adaptive RTO (us) over the broker's outgoing links; 0
   // until the estimator has a real sample (and always 0 in fixed-timer
-  // mode), so unfed estimators contribute nothing to the shard merge.
+  // mode).
   std::uint64_t rto_us = 0;
 };
 

@@ -44,24 +44,15 @@ void FlightRecorder::Flush() {
 void FlightRecorder::DumpPostmortem(std::ostream& os, std::size_t last_n,
                                     std::string_view reason) const {
   const std::size_t shown = last_n < size_ ? last_n : size_;
-  os << "=== flight recorder postmortem";
-  if (shard_labeled_) os << " [shard " << shard_ << "]";
-  os << ": " << reason << " ===\n"
-     << "recorded " << total_ << " events total";
-  if (shard_labeled_) os << " on shard " << shard_;
-  os << ", ring holds " << size_ << "/" << ring_.size();
-  if (overwritten_ > 0) {
-    os << " (" << overwritten_ << " overwritten";
-    if (shard_labeled_) os << " on shard " << shard_;
-    os << ")";
-  }
+  os << "=== flight recorder postmortem: " << reason << " ===\n"
+     << "recorded " << total_ << " events total, ring holds " << size_ << "/"
+     << ring_.size();
+  if (overwritten_ > 0) os << " (" << overwritten_ << " overwritten)";
   os << "; last " << shown << " shown\n";
   if (overwritten_ > 0) {
     os << "warning: this dump is LOSSY — " << overwritten_
-       << " older record(s) were overwritten in ";
-    os << (shard_labeled_ ? "this shard's ring" : "the ring");
-    os << "; rerun with a trace sink (trace_out) or a larger ring for full "
-          "history\n";
+       << " older record(s) were overwritten in the ring; rerun with a trace "
+          "sink (trace_out) or a larger ring for full history\n";
   }
   char line[kMaxTraceLineBytes];
   for (std::size_t i = size_ - shown; i < size_; ++i) {

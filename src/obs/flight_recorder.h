@@ -57,20 +57,9 @@ class FlightRecorder {
   // outlive the recorder or the next Flush.
   void set_sink(std::ostream* sink) { sink_ = sink; }
 
-  // Names the engine shard this recorder serves. Every subsequent record is
-  // stamped with it, and DumpPostmortem labels its header, so a lossy
-  // multi-shard postmortem names the shard whose ring overwrote. Unsharded
-  // recorders keep the default stamp 0 and an unlabeled header.
-  void set_shard(int shard) {
-    shard_ = static_cast<std::uint16_t>(shard);
-    shard_labeled_ = true;
-  }
-
   // Records one event at the scheduler's current sim time. The id wrappers
   // unwrap to their raw integers; pass default-constructed ids for fields
-  // that do not apply. Hot path: one branch when disabled. Each record is
-  // stamped with the recorder's shard and a running sequence number — the
-  // tie-break that keeps multi-file merges deterministic.
+  // that do not apply. Hot path: one branch when disabled.
   void Record(TraceEventKind kind, std::uint64_t packet, std::uint64_t copy,
               NodeId node, NodeId peer, LinkId link, std::uint8_t aux8 = 0,
               std::uint16_t aux16 = 0) {
@@ -82,11 +71,9 @@ class FlightRecorder {
     record.node = node.underlying();
     record.peer = peer.underlying();
     record.link = link.underlying();
-    record.seq = seq_++;
     record.kind = kind;
     record.aux8 = aux8;
     record.aux16 = aux16;
-    record.shard = shard_;
     Append(record);
   }
 
@@ -123,9 +110,6 @@ class FlightRecorder {
   std::size_t size_ = 0;
   std::uint64_t total_ = 0;
   std::uint64_t overwritten_ = 0;
-  std::uint32_t seq_ = 0;
-  std::uint16_t shard_ = 0;
-  bool shard_labeled_ = false;
 };
 
 }  // namespace dcrd

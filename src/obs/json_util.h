@@ -1,5 +1,5 @@
 // Minimal JSON reading/writing helpers shared by the observability file
-// formats (shard profiles, time series).
+// formats (time series).
 //
 // JsonCursor is a recursive-descent reader covering exactly the subset the
 // dcrd schemas emit — objects, arrays, numbers, strings, true/false/null —

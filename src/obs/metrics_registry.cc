@@ -55,19 +55,6 @@ std::uint64_t LogLinearHistogram::ValueAtQuantile(double q) const {
   return max_;
 }
 
-void LogLinearHistogram::MergeFrom(const LogLinearHistogram& other) {
-  for (int i = 0; i < kBucketCount; ++i) {
-    buckets_[static_cast<std::size_t>(i)] +=
-        other.buckets_[static_cast<std::size_t>(i)];
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  if (other.count_ > 0) {
-    if (other.min_ < min_) min_ = other.min_;
-    if (other.max_ > max_) max_ = other.max_;
-  }
-}
-
 HistogramSnapshot LogLinearHistogram::Snapshot() const {
   HistogramSnapshot snapshot;
   snapshot.count = count_;
@@ -105,32 +92,26 @@ void LogLinearHistogram::Clear() {
   max_ = 0;
 }
 
-std::uint64_t* MetricsRegistry::AddCounter(std::string name,
-                                           MergePolicy policy) {
+std::uint64_t* MetricsRegistry::AddCounter(std::string name) {
   Counter& counter = counters_.emplace_back();
   counter.name = std::move(name);
-  counter.policy = policy;
   return &counter.owned;
 }
 
 void MetricsRegistry::RegisterCounter(std::string name,
-                                      const std::uint64_t* source,
-                                      MergePolicy policy) {
+                                      const std::uint64_t* source) {
   DCRD_CHECK(source != nullptr);
   Counter& counter = counters_.emplace_back();
   counter.name = std::move(name);
   counter.source = source;
-  counter.policy = policy;
 }
 
 void MetricsRegistry::RegisterGauge(std::string name,
-                                    std::function<std::uint64_t()> sample,
-                                    MergePolicy policy) {
+                                    std::function<std::uint64_t()> sample) {
   DCRD_CHECK(sample != nullptr);
   Gauge& gauge = gauges_.emplace_back();
   gauge.name = std::move(name);
   gauge.sample = std::move(sample);
-  gauge.policy = policy;
 }
 
 LogLinearHistogram* MetricsRegistry::AddHistogram(std::string name) {
@@ -160,7 +141,6 @@ MetricsDoc MetricsRegistry::Collect() const {
   for (std::size_t i = 0; i < counters_.size(); ++i) {
     MetricsDoc::Series& series = doc.counters.emplace_back();
     series.name = counters_[i].name;
-    series.policy = counters_[i].policy;
     series.final_value = counters_[i].value();
     series.epochs.reserve(epochs_.size());
     for (const Epoch& epoch : epochs_) {
@@ -171,7 +151,6 @@ MetricsDoc MetricsRegistry::Collect() const {
   for (std::size_t i = 0; i < gauges_.size(); ++i) {
     MetricsDoc::Series& series = doc.gauges.emplace_back();
     series.name = gauges_[i].name;
-    series.policy = gauges_[i].policy;
     series.final_value = gauges_[i].sample();
     series.epochs.reserve(epochs_.size());
     for (const Epoch& epoch : epochs_) {
@@ -183,53 +162,6 @@ MetricsDoc MetricsRegistry::Collect() const {
     doc.histograms.push_back({histogram.name, histogram.histogram.Snapshot()});
   }
   return doc;
-}
-
-namespace {
-
-// Folds `from` into `into` per the series' merge policy. Replicated series
-// keep `into`'s (shard 0's) values untouched.
-void MergeSeries(MetricsDoc::Series& into, const MetricsDoc::Series& from) {
-  DCRD_CHECK(into.name == from.name && into.policy == from.policy &&
-             into.epochs.size() == from.epochs.size())
-      << "metric series disagree across shards: " << into.name;
-  if (into.policy == MergePolicy::kReplicated) return;
-  for (std::size_t e = 0; e < into.epochs.size(); ++e) {
-    into.epochs[e] += from.epochs[e];
-  }
-  into.final_value += from.final_value;
-}
-
-}  // namespace
-
-MetricsDoc MergeMetricsDocs(const std::vector<const MetricsDoc*>& docs) {
-  DCRD_CHECK(!docs.empty());
-  MetricsDoc merged = *docs.front();
-  for (std::size_t d = 1; d < docs.size(); ++d) {
-    const MetricsDoc& doc = *docs[d];
-    DCRD_CHECK(doc.epoch_t_us == merged.epoch_t_us)
-        << "epoch timestamps disagree across shards";
-    DCRD_CHECK(doc.counters.size() == merged.counters.size() &&
-               doc.gauges.size() == merged.gauges.size() &&
-               doc.histograms.size() == merged.histograms.size());
-    for (std::size_t i = 0; i < merged.counters.size(); ++i) {
-      MergeSeries(merged.counters[i], doc.counters[i]);
-    }
-    for (std::size_t i = 0; i < merged.gauges.size(); ++i) {
-      MergeSeries(merged.gauges[i], doc.gauges[i]);
-    }
-    for (std::size_t i = 0; i < merged.histograms.size(); ++i) {
-      DCRD_CHECK(merged.histograms[i].name == doc.histograms[i].name);
-      // Raw-bucket merge through a scratch histogram: AbsorbSnapshot maps
-      // buckets back by lo value, so the merged snapshot is exactly what
-      // one histogram fed every shard's samples would have produced.
-      LogLinearHistogram scratch;
-      scratch.AbsorbSnapshot(merged.histograms[i].snapshot);
-      scratch.AbsorbSnapshot(doc.histograms[i].snapshot);
-      merged.histograms[i].snapshot = scratch.Snapshot();
-    }
-  }
-  return merged;
 }
 
 namespace {
@@ -279,8 +211,8 @@ void WriteMetricsJson(std::ostream& os, const MetricsDoc& doc) {
   }
   os << "},\n  \"histograms\": {";
   for (std::size_t i = 0; i < doc.histograms.size(); ++i) {
-    // Rebuilt from the raw buckets so quantiles come out of the exact same
-    // code path whether the doc was collected live or merged across shards.
+    // Rebuilt from the raw buckets, so the quantiles are a function of the
+    // exported buckets alone.
     LogLinearHistogram h;
     h.AbsorbSnapshot(doc.histograms[i].snapshot);
     os << (i == 0 ? "\n" : ",\n") << "    ";

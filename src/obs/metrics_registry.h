@@ -99,11 +99,6 @@ class LogLinearHistogram {
   // exact values and wide buckets err by at most half a bucket (~1.6%).
   [[nodiscard]] std::uint64_t ValueAtQuantile(double q) const;
 
-  // Adds `other`'s contents into this histogram. Exact: bucket counts, sum
-  // and count add; min/max combine — merging per-rep histograms yields the
-  // same quantiles as recording every sample into one histogram.
-  void MergeFrom(const LogLinearHistogram& other);
-
   // Raw-bucket export/import (see HistogramSnapshot). AbsorbSnapshot maps
   // each bucket back by its lo value and adds its count; snapshots produced
   // by Snapshot()/WriteJson merge exactly.
@@ -120,28 +115,12 @@ class LogLinearHistogram {
   std::uint64_t max_ = 0;
 };
 
-// How one metric combines across engine shards when per-shard registries
-// are folded into a single document (DESIGN.md §14):
-//  * kSum — disjoint owner-only quantities (deliveries, traffic counters,
-//    in-flight copies). Non-owner shards contribute exactly 0, so the sum
-//    over shards is byte-identical to the 1-shard value.
-//  * kReplicated — quantities every shard computes identically from pure
-//    functions of config/seed/epoch (published pairs, link up/gray state).
-//    Shard 0 speaks for all; summing would count them N times.
-// Histograms are always kSum (deliveries and RTT samples land on the owner
-// shard only).
-enum class MergePolicy { kSum, kReplicated };
-
-// Shard-mergeable snapshot of a whole registry: names, policies, the
-// per-epoch counter/gauge series, final values, and raw-bucket histogram
-// snapshots. Produced by MetricsRegistry::Collect, folded with
-// MergeMetricsDocs, serialised by WriteMetricsJson — both the 1-shard and
-// the N-shard paths go through this type, so their output is identical by
-// construction.
+// Snapshot of a whole registry: names, the per-epoch counter/gauge series,
+// final values, and raw-bucket histogram snapshots. Produced by
+// MetricsRegistry::Collect, serialised by WriteMetricsJson.
 struct MetricsDoc {
   struct Series {
     std::string name;
-    MergePolicy policy = MergePolicy::kSum;
     std::vector<std::uint64_t> epochs;  // parallel to epoch_t_us
     std::uint64_t final_value = 0;
   };
@@ -154,12 +133,6 @@ struct MetricsDoc {
   std::vector<Series> gauges;
   std::vector<HistogramEntry> histograms;
 };
-
-// Folds per-shard docs into one (see MergePolicy). Every doc must have the
-// same metric names in the same order and the same epoch timestamps — true
-// by construction for shard replicas, checked by DCRD_CHECK otherwise.
-[[nodiscard]] MetricsDoc MergeMetricsDocs(
-    const std::vector<const MetricsDoc*>& docs);
 
 // Writes a doc in the registry's JSON format: per-epoch counter/gauge
 // series, final values, and each histogram's summary stats, quantiles, and
@@ -174,18 +147,15 @@ class MetricsRegistry {
 
   // Creates a registry-owned counter cell. The returned pointer is stable
   // for the registry's lifetime; increment it directly.
-  std::uint64_t* AddCounter(std::string name,
-                            MergePolicy policy = MergePolicy::kSum);
+  std::uint64_t* AddCounter(std::string name);
 
   // Registers an externally owned counter by const pointer. The source must
   // outlive the registry; it stays the single source of truth and is read
   // at snapshot / export time.
-  void RegisterCounter(std::string name, const std::uint64_t* source,
-                       MergePolicy policy = MergePolicy::kSum);
+  void RegisterCounter(std::string name, const std::uint64_t* source);
 
   // Registers a gauge sampled via `sample` at snapshot / export time.
-  void RegisterGauge(std::string name, std::function<std::uint64_t()> sample,
-                     MergePolicy policy = MergePolicy::kSum);
+  void RegisterGauge(std::string name, std::function<std::uint64_t()> sample);
 
   // Creates a registry-owned histogram. Stable pointer, record directly.
   LogLinearHistogram* AddHistogram(std::string name);
@@ -195,13 +165,10 @@ class MetricsRegistry {
   void SnapshotEpoch(SimTime t);
 
   // Read access for the time-series sampler (obs/timeseries.h): metric
-  // counts, names, policies, and live values, in registration order.
+  // counts, names, and live values, in registration order.
   [[nodiscard]] std::size_t counter_count() const { return counters_.size(); }
   [[nodiscard]] const std::string& counter_name(std::size_t i) const {
     return counters_[i].name;
-  }
-  [[nodiscard]] MergePolicy counter_policy(std::size_t i) const {
-    return counters_[i].policy;
   }
   [[nodiscard]] std::uint64_t counter_value(std::size_t i) const {
     return counters_[i].value();
@@ -209,9 +176,6 @@ class MetricsRegistry {
   [[nodiscard]] std::size_t gauge_count() const { return gauges_.size(); }
   [[nodiscard]] const std::string& gauge_name(std::size_t i) const {
     return gauges_[i].name;
-  }
-  [[nodiscard]] MergePolicy gauge_policy(std::size_t i) const {
-    return gauges_[i].policy;
   }
   [[nodiscard]] std::uint64_t gauge_value(std::size_t i) const {
     return gauges_[i].sample();
@@ -226,8 +190,8 @@ class MetricsRegistry {
     return histograms_[i].histogram;
   }
 
-  // Snapshots the registry into a shard-mergeable document (final values
-  // read now, like WriteJson's final sections).
+  // Snapshots the registry into a document (final values read now, like
+  // WriteJson's final sections).
   [[nodiscard]] MetricsDoc Collect() const;
 
   // Writes the whole registry as one JSON document: the per-epoch counter/
@@ -241,7 +205,6 @@ class MetricsRegistry {
     std::string name;
     std::uint64_t owned = 0;              // cell for AddCounter counters
     const std::uint64_t* source = nullptr;  // external for RegisterCounter
-    MergePolicy policy = MergePolicy::kSum;
     [[nodiscard]] std::uint64_t value() const {
       return source != nullptr ? *source : owned;
     }
@@ -249,7 +212,6 @@ class MetricsRegistry {
   struct Gauge {
     std::string name;
     std::function<std::uint64_t()> sample;
-    MergePolicy policy = MergePolicy::kSum;
   };
   struct Histogram {
     std::string name;

@@ -1,7 +1,6 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <ostream>
 #include <utility>
@@ -20,22 +19,6 @@ std::string FormatRatio(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6f", v);
   return std::string(buf);
-}
-
-const char* PolicyName(MergePolicy policy) {
-  return policy == MergePolicy::kReplicated ? "replicated" : "sum";
-}
-
-bool ParsePolicy(const std::string& s, MergePolicy* out) {
-  if (s == "sum") {
-    *out = MergePolicy::kSum;
-    return true;
-  }
-  if (s == "replicated") {
-    *out = MergePolicy::kReplicated;
-    return true;
-  }
-  return false;
 }
 
 // Index of a named counter/histogram in the store, or npos.
@@ -72,21 +55,17 @@ TimeSeriesSampler::TimeSeriesSampler(const MetricsRegistry& registry,
   store_.t_us.reserve(budget);
 
   store_.counter_names.reserve(registry.counter_count());
-  store_.counter_policies.reserve(registry.counter_count());
   store_.counter_deltas.resize(registry.counter_count());
   prev_counters_.assign(registry.counter_count(), 0);
   for (std::size_t i = 0; i < registry.counter_count(); ++i) {
     store_.counter_names.push_back(registry.counter_name(i));
-    store_.counter_policies.push_back(registry.counter_policy(i));
     store_.counter_deltas[i].reserve(budget);
   }
 
   store_.gauge_names.reserve(registry.gauge_count());
-  store_.gauge_policies.reserve(registry.gauge_count());
   store_.gauge_values.resize(registry.gauge_count());
   for (std::size_t i = 0; i < registry.gauge_count(); ++i) {
     store_.gauge_names.push_back(registry.gauge_name(i));
-    store_.gauge_policies.push_back(registry.gauge_policy(i));
     store_.gauge_values[i].reserve(budget);
   }
 
@@ -180,92 +159,6 @@ void TimeSeriesSampler::ScheduleNext() {
   });
 }
 
-namespace {
-
-void MergeColumn(std::vector<std::uint64_t>& into,
-                 const std::vector<std::uint64_t>& from, MergePolicy policy) {
-  DCRD_CHECK(into.size() == from.size());
-  if (policy == MergePolicy::kReplicated) return;  // shard 0 speaks for all
-  for (std::size_t i = 0; i < into.size(); ++i) into[i] += from[i];
-}
-
-// Merges per-sample bucket-delta runs across shards. Within one sample each
-// shard's run is ascending by bucket, so a per-sample scatter into a dense
-// scratch array and an ascending re-emit reproduces exactly what a single
-// shard observing all the traffic would have recorded.
-TimeSeriesStore::HistogramDeltas MergeHistogramDeltas(
-    const std::vector<const TimeSeriesStore::HistogramDeltas*>& parts,
-    std::size_t samples) {
-  TimeSeriesStore::HistogramDeltas out;
-  out.end_offset.reserve(samples);
-  out.count_delta.assign(samples, 0);
-  out.sum_delta.assign(samples, 0);
-  std::array<std::uint64_t, LogLinearHistogram::kBucketCount> scratch{};
-  std::vector<std::uint32_t> touched;
-  for (std::size_t s = 0; s < samples; ++s) {
-    touched.clear();
-    for (const TimeSeriesStore::HistogramDeltas* part : parts) {
-      DCRD_CHECK(part->end_offset.size() == samples);
-      const std::size_t begin = s == 0 ? 0 : part->end_offset[s - 1];
-      const std::size_t end = part->end_offset[s];
-      for (std::size_t k = begin; k < end; ++k) {
-        const std::uint32_t b = part->bucket[k];
-        if (scratch[b] == 0) touched.push_back(b);
-        scratch[b] += part->count[k];
-      }
-      out.count_delta[s] += part->count_delta[s];
-      out.sum_delta[s] += part->sum_delta[s];
-    }
-    std::sort(touched.begin(), touched.end());
-    for (const std::uint32_t b : touched) {
-      out.bucket.push_back(b);
-      out.count.push_back(scratch[b]);
-      scratch[b] = 0;
-    }
-    out.end_offset.push_back(out.bucket.size());
-  }
-  return out;
-}
-
-}  // namespace
-
-TimeSeriesStore MergeTimeSeriesStores(
-    const std::vector<const TimeSeriesStore*>& stores) {
-  DCRD_CHECK(!stores.empty());
-  TimeSeriesStore out = *stores.front();
-  for (std::size_t s = 1; s < stores.size(); ++s) {
-    const TimeSeriesStore& other = *stores[s];
-    DCRD_CHECK(other.interval_us == out.interval_us);
-    DCRD_CHECK(other.node_count == out.node_count);
-    DCRD_CHECK(other.t_us == out.t_us);
-    DCRD_CHECK(other.counter_names == out.counter_names);
-    DCRD_CHECK(other.gauge_names == out.gauge_names);
-    DCRD_CHECK(other.histogram_names == out.histogram_names);
-    for (std::size_t i = 0; i < out.counter_deltas.size(); ++i) {
-      MergeColumn(out.counter_deltas[i], other.counter_deltas[i],
-                  out.counter_policies[i]);
-    }
-    for (std::size_t i = 0; i < out.gauge_values.size(); ++i) {
-      MergeColumn(out.gauge_values[i], other.gauge_values[i],
-                  out.gauge_policies[i]);
-    }
-    MergeColumn(out.broker_pending, other.broker_pending, MergePolicy::kSum);
-    MergeColumn(out.broker_dedup, other.broker_dedup, MergePolicy::kSum);
-    MergeColumn(out.broker_rto_us, other.broker_rto_us, MergePolicy::kSum);
-  }
-  if (stores.size() > 1) {
-    for (std::size_t i = 0; i < out.histogram_deltas.size(); ++i) {
-      std::vector<const TimeSeriesStore::HistogramDeltas*> parts;
-      parts.reserve(stores.size());
-      for (const TimeSeriesStore* store : stores) {
-        parts.push_back(&store->histogram_deltas[i]);
-      }
-      out.histogram_deltas[i] = MergeHistogramDeltas(parts, out.samples());
-    }
-  }
-  return out;
-}
-
 std::vector<SloWindow> ComputeSloSeries(const TimeSeriesStore& store) {
   const std::size_t published =
       FindName(store.counter_names, "slo.pairs_published");
@@ -338,15 +231,13 @@ namespace {
 void WriteSeriesSection(
     std::ostream& os, const char* value_key,
     const std::vector<std::string>& names,
-    const std::vector<MergePolicy>& policies,
     const std::vector<std::vector<std::uint64_t>>& columns) {
   os << '{';
   for (std::size_t i = 0; i < names.size(); ++i) {
     if (i != 0) os << ',';
     os << "\n    ";
     WriteJsonEscaped(os, names[i]);
-    os << ":{\"policy\":\"" << PolicyName(policies[i]) << "\",\"" << value_key
-       << "\":";
+    os << ":{\"" << value_key << "\":";
     WriteU64Array(os, columns[i]);
     os << '}';
   }
@@ -366,10 +257,9 @@ void WriteTimeSeriesJson(std::ostream& os, const TimeSeriesStore& store) {
   WriteI64Array(os, store.t_us);
   os << ",\n  \"counters\":";
   WriteSeriesSection(os, "deltas", store.counter_names,
-                     store.counter_policies, store.counter_deltas);
+                     store.counter_deltas);
   os << ",\n  \"gauges\":";
-  WriteSeriesSection(os, "values", store.gauge_names, store.gauge_policies,
-                     store.gauge_values);
+  WriteSeriesSection(os, "values", store.gauge_names, store.gauge_values);
   os << ",\n  \"histograms\":{";
   for (std::size_t i = 0; i < store.histogram_names.size(); ++i) {
     if (i != 0) os << ',';
@@ -428,23 +318,14 @@ namespace {
 
 bool LoadSeriesSection(JsonCursor& cursor, const char* value_key,
                        std::vector<std::string>* names,
-                       std::vector<MergePolicy>* policies,
                        std::vector<std::vector<std::uint64_t>>* columns) {
   return cursor.ReadObject([&](const std::string& name) {
     names->push_back(name);
-    policies->push_back(MergePolicy::kSum);
     columns->emplace_back();
     return cursor.ReadObject([&](const std::string& key) {
-      if (key == "policy") {
-        std::string text;
-        if (!cursor.ReadString(&text)) return false;
-        if (!ParsePolicy(text, &policies->back())) {
-          cursor.Fail("unknown merge policy '" + text + "'");
-          return false;
-        }
-        return true;
-      }
       if (key == value_key) return cursor.ReadU64Array(&columns->back());
+      // Anything else — including the per-series "policy" tag older
+      // writers emitted — is skipped.
       return cursor.SkipValue();
     });
   });
@@ -477,11 +358,11 @@ bool LoadTimeSeriesJson(std::string_view text, TimeSeriesStore* out,
     }
     if (key == "counters") {
       return LoadSeriesSection(cursor, "deltas", &out->counter_names,
-                               &out->counter_policies, &out->counter_deltas);
+                               &out->counter_deltas);
     }
     if (key == "gauges") {
       return LoadSeriesSection(cursor, "values", &out->gauge_names,
-                               &out->gauge_policies, &out->gauge_values);
+                               &out->gauge_values);
     }
     if (key == "histograms") {
       return cursor.ReadObject([&](const std::string& name) {
@@ -563,8 +444,7 @@ void PrintTimeSeries(std::ostream& os, const TimeSeriesStore& store) {
   for (std::size_t i = 0; i < store.counter_names.size(); ++i) {
     std::uint64_t total = 0;
     for (const std::uint64_t d : store.counter_deltas[i]) total += d;
-    os << "  " << store.counter_names[i] << " = " << total << " ["
-       << PolicyName(store.counter_policies[i]) << "]\n";
+    os << "  " << store.counter_names[i] << " = " << total << "\n";
   }
 
   if (!store.gauge_names.empty()) {

@@ -1,5 +1,5 @@
 // Continuous telemetry: fixed-interval sim-time sampling of the metrics
-// registry into a columnar in-memory store (DESIGN.md §14).
+// registry into a columnar in-memory store (DESIGN.md §12).
 //
 // The sampler rides the scheduler like engine.cc's LinkStateSampler: a
 // chain-scheduled, strictly read-only event every `interval` of sim time.
@@ -10,19 +10,10 @@
 // tests/perf/timeseries_alloc_test.cc) and never writes to stdout or
 // touches RNG state, so enabling it leaves figure output byte-identical.
 //
-// Shard story: sharded runs construct one sampler per shard at the same
-// setup point (keeping engine-origin event sequence numbers replicated) and
-// fold the per-shard stores with MergeTimeSeriesStores at join, using the
-// same MergePolicy rules as the metrics registry — kSum series add
-// element-wise (non-owner shards contribute exactly 0), kReplicated series
-// take shard 0's column. Deltas make this exact: a sum of per-shard deltas
-// over the same window equals the 1-shard delta, so the merged series is
-// byte-identical to a 1-shard run's.
-//
 // The windowed deadline-SLO view (per-window delivery ratio, deadline
 // violation rate, delay quantiles) is a pure function over the stored
-// deltas, computed by ComputeSloSeries at export time from the merged
-// store — never during the run.
+// deltas, computed by ComputeSloSeries at export time — never during the
+// run.
 #pragma once
 
 #include <cstdint>
@@ -62,9 +53,7 @@ struct TimeSeriesStore {
 
   // Metric identities, copied from the registry in registration order.
   std::vector<std::string> counter_names;
-  std::vector<MergePolicy> counter_policies;
   std::vector<std::string> gauge_names;
-  std::vector<MergePolicy> gauge_policies;
   std::vector<std::string> histogram_names;
 
   std::vector<std::int64_t> t_us;  // sample times, ascending
@@ -84,7 +73,7 @@ struct TimeSeriesStore {
   std::vector<HistogramDeltas> histogram_deltas;  // parallel to names
 
   // Per-broker health columns, sample-major: sample s, broker b lives at
-  // [s * node_count + b]. Empty when node_count == 0. All kSum.
+  // [s * node_count + b]. Empty when node_count == 0.
   std::vector<std::uint64_t> broker_pending;
   std::vector<std::uint64_t> broker_dedup;
   std::vector<std::uint64_t> broker_rto_us;
@@ -110,7 +99,7 @@ class TimeSeriesSampler {
   void SampleNow();
 
   // Appends the tail sample covering (last sample, t] — the post-drain
-  // window up to global quiescence. No-op if t equals the last sample time
+  // window up to quiescence. No-op if t equals the last sample time
   // (t must not precede it). Call exactly once, after the run.
   void FinalizeAt(SimTime t);
 
@@ -138,14 +127,6 @@ class TimeSeriesSampler {
   std::vector<BrokerHealth> health_scratch_;
 };
 
-// Folds per-shard stores into one by MergePolicy (see file comment). Every
-// store must carry identical metric names/policies and sample times — true
-// by construction for shard replicas, DCRD_CHECKed otherwise. A single-
-// element merge is the identity; the 1-shard export path still goes
-// through it so both paths share one code path.
-[[nodiscard]] TimeSeriesStore MergeTimeSeriesStores(
-    const std::vector<const TimeSeriesStore*>& stores);
-
 // One window of the deadline-SLO view, derived from sample s >= 1 covering
 // (t_us[s-1], t_us[s]]. Pairs here are (message, matched subscriber) pairs;
 // "on time" means delivered within that subscriber's delay requirement.
@@ -163,7 +144,7 @@ struct SloWindow {
   std::uint64_t delay_p99_us = 0;
 };
 
-// Pure function of the (merged) store. Returns an empty vector when the
+// Pure function of the store. Returns an empty vector when the
 // slo.* counters are absent from the store.
 [[nodiscard]] std::vector<SloWindow> ComputeSloSeries(
     const TimeSeriesStore& store);
@@ -174,7 +155,9 @@ struct SloWindow {
 void WriteTimeSeriesJson(std::ostream& os, const TimeSeriesStore& store);
 
 // Parses a WriteTimeSeriesJson document. Returns false and sets *error on
-// malformed input. Offline tooling path (dcrd_trace); allocates freely.
+// malformed input. Unknown keys are skipped, so documents from older
+// writers that tagged each series with a "policy" still load. Offline
+// tooling path (dcrd_trace); allocates freely.
 bool LoadTimeSeriesJson(std::string_view text, TimeSeriesStore* out,
                         std::string* error);
 

@@ -14,7 +14,6 @@
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "obs/shard_profiler.h"
 #include "obs/timeseries.h"
 
 namespace dcrd {
@@ -72,14 +71,12 @@ int FormatTraceJsonl(const TraceRecord& r, char* buf, std::size_t cap) {
   const int n = std::snprintf(
       buf, cap,
       "{\"t\":%" PRId64 ",\"k\":\"%.*s\",\"pkt\":%lld,\"copy\":%llu,"
-      "\"node\":%lld,\"peer\":%lld,\"link\":%lld,\"aux\":%u,\"x\":%u,"
-      "\"seq\":%u,\"shard\":%u}\n",
+      "\"node\":%lld,\"peer\":%lld,\"link\":%lld,\"aux\":%u,\"x\":%u}\n",
       r.t_us, static_cast<int>(TraceEventName(r.kind).size()),
       TraceEventName(r.kind).data(), PacketField(r),
       static_cast<unsigned long long>(r.copy), IdField(r.node),
       IdField(r.peer), IdField(r.link), static_cast<unsigned>(r.aux8),
-      static_cast<unsigned>(r.aux16), static_cast<unsigned>(r.seq),
-      static_cast<unsigned>(r.shard));
+      static_cast<unsigned>(r.aux16));
   DCRD_CHECK(n > 0 && static_cast<std::size_t>(n) < cap);
   return n;
 }
@@ -115,13 +112,6 @@ bool ParseTraceJsonl(std::string_view line, TraceRecord* out) {
       link < 0 ? TraceRecord::kNoId : static_cast<std::uint32_t>(link);
   out->aux8 = static_cast<std::uint8_t>(aux);
   out->aux16 = static_cast<std::uint16_t>(x);
-  // seq/shard arrived with the sharded-tracing format revision; lines from
-  // older captures simply lack them and parse with the 0 defaults.
-  long long seq = 0, shard = 0;
-  FindInt(line, "\"seq\":", &seq);
-  FindInt(line, "\"shard\":", &shard);
-  out->seq = static_cast<std::uint32_t>(seq);
-  out->shard = static_cast<std::uint16_t>(shard);
   return true;
 }
 
@@ -142,61 +132,6 @@ bool ForEachTraceJsonl(std::istream& in,
     fn(record);
   }
   return true;
-}
-
-bool ForEachMergedTraceJsonl(
-    const std::vector<std::istream*>& ins,
-    const std::function<void(const TraceRecord&)>& fn, std::size_t* bad_file,
-    std::size_t* bad_line, std::string* bad_text) {
-  // One buffered head record per stream; exhausted streams drop out. K is
-  // a shard count (small), so a linear min scan beats a heap's bookkeeping.
-  struct Head {
-    std::size_t file;
-    std::size_t line_no = 0;
-    TraceRecord record;
-    bool live = false;
-  };
-  std::vector<Head> heads(ins.size());
-  std::string line;
-  const auto refill = [&](Head& head) -> bool {
-    std::istream& in = *ins[head.file];
-    head.live = false;
-    while (std::getline(in, line)) {
-      ++head.line_no;
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      if (!ParseTraceJsonl(line, &head.record)) {
-        if (bad_file != nullptr) *bad_file = head.file;
-        if (bad_line != nullptr) *bad_line = head.line_no;
-        if (bad_text != nullptr) *bad_text = line.substr(0, 120);
-        return false;
-      }
-      head.live = true;
-      return true;
-    }
-    return true;  // clean EOF
-  };
-  for (std::size_t i = 0; i < heads.size(); ++i) {
-    heads[i].file = i;
-    if (!refill(heads[i])) return false;
-  }
-  // (t_us, seq, shard) is the canonical merge key; the stream index only
-  // breaks ties between files that carry the same shard stamp (e.g. two
-  // unsharded captures), where no argument-order-free order exists.
-  const auto before = [](const TraceRecord& a, const TraceRecord& b) {
-    if (a.t_us != b.t_us) return a.t_us < b.t_us;
-    if (a.seq != b.seq) return a.seq < b.seq;
-    return a.shard < b.shard;
-  };
-  while (true) {
-    Head* best = nullptr;
-    for (Head& head : heads) {
-      if (!head.live) continue;
-      if (best == nullptr || before(head.record, best->record)) best = &head;
-    }
-    if (best == nullptr) return true;
-    fn(best->record);
-    if (!refill(*best)) return false;
-  }
 }
 
 std::vector<TraceRecord> ReadTraceJsonl(std::istream& in,
@@ -374,7 +309,6 @@ int FormatTraceHuman(const TraceRecord& r, char* buf, std::size_t cap) {
 
 void WriteChromeTrace(std::ostream& os,
                       const std::vector<TraceRecord>& records,
-                      const ShardProfile* profile,
                       const TimeSeriesStore* series) {
   // Time-sorted view; stable so same-instant events keep recording order.
   std::vector<std::size_t> order(records.size());
@@ -472,43 +406,6 @@ void WriteChromeTrace(std::ostream& os,
   // matching end (the nesting validation in the tests relies on it).
   for (const auto& [copy, info] : open) {
     emit(async_event('e', copy, info, last_ts));
-  }
-
-  // Shard-execution tracks (pid 1): one wall-clock timeline per shard, an
-  // alternating busy/stall complete span per round bucket. Wall time, not
-  // sim time — these spans answer "which shard straggled, who waited",
-  // while the pid-0 tracks answer "what did the simulation do".
-  if (profile != nullptr) {
-    emit("{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\","
-         "\"args\":{\"name\":\"dcrd-exec\"}}");
-    for (int s = 0; s < profile->shards; ++s) {
-      emit("{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(s) +
-           ",\"name\":\"thread_name\",\"args\":{\"name\":\"shard " +
-           std::to_string(s) + " exec\"}}");
-    }
-    const auto span = [](int shard, const char* name, std::int64_t ts_us,
-                         std::int64_t dur_us, const ShardProfile::Bucket& b) {
-      return std::string("{\"ph\":\"X\",\"cat\":\"exec\",\"name\":\"") + name +
-             "\",\"pid\":1,\"tid\":" + std::to_string(shard) +
-             ",\"ts\":" + std::to_string(ts_us) +
-             ",\"dur\":" + std::to_string(dur_us) +
-             ",\"args\":{\"rounds\":\"" + std::to_string(b.first_round) + "-" +
-             std::to_string(b.last_round) + "\",\"critical_shard\":" +
-             std::to_string(b.critical_shard) + "}}";
-    };
-    for (int s = 0; s < profile->shards; ++s) {
-      std::int64_t wall_us = 0;  // per-shard cumulative wall clock
-      for (const ShardProfile::Bucket& bucket : profile->buckets) {
-        const std::int64_t busy_us = static_cast<std::int64_t>(
-            bucket.busy_ns[static_cast<std::size_t>(s)] / 1000);
-        const std::int64_t stall_us = static_cast<std::int64_t>(
-            bucket.stall_ns[static_cast<std::size_t>(s)] / 1000);
-        emit(span(s, "busy", wall_us, busy_us, bucket));
-        wall_us += busy_us;
-        emit(span(s, "stall", wall_us, stall_us, bucket));
-        wall_us += stall_us;
-      }
-    }
   }
 
   // Telemetry counter tracks (pid 2): Perfetto/Chrome "C" events on the

@@ -41,7 +41,9 @@ int FormatTraceJsonl(const TraceRecord& record, char* buf, std::size_t cap);
 int FormatTraceHuman(const TraceRecord& record, char* buf, std::size_t cap);
 
 // Parses a FormatTraceJsonl line back into `out`. Returns false on a
-// malformed or unrecognised line (blank lines are malformed too).
+// malformed or unrecognised line (blank lines are malformed too). Keys the
+// format does not define are ignored, so lines from older captures that
+// also carry "seq" and "shard" still parse.
 bool ParseTraceJsonl(std::string_view line, TraceRecord* out);
 
 // Reads a whole JSONL stream, skipping blank lines; unparseable lines are
@@ -60,37 +62,16 @@ bool ForEachTraceJsonl(std::istream& in,
                        std::size_t* bad_line = nullptr,
                        std::string* bad_text = nullptr);
 
-// Deterministic K-way merge over several JSONL streams — the reader for a
-// sharded run's per-shard trace files. Each stream must be sorted by
-// (t_us, seq), which every FlightRecorder file is by construction (sim time
-// is monotone per shard, seq is the recorder's running count). Records are
-// delivered in (t_us, seq, shard) order; streams whose shard stamps differ
-// therefore merge identically regardless of argument order (same-shard ties
-// fall back to stream index). Memory is one buffered record per stream. On
-// a malformed line, returns false with the offending stream's index in
-// *bad_file plus the usual line/text diagnostics.
-bool ForEachMergedTraceJsonl(
-    const std::vector<std::istream*>& ins,
-    const std::function<void(const TraceRecord&)>& fn,
-    std::size_t* bad_file = nullptr, std::size_t* bad_line = nullptr,
-    std::string* bad_text = nullptr);
-
 // Writes the records as a Chrome trace_event JSON document ("traceEvents"
 // array). Records need not be sorted; the export sorts by time internally.
-// With a non-null `profile` (a shard-execution profile from the same run,
-// see obs/shard_profiler.h) the document gains a second process,
-// "dcrd-exec", with one wall-clock track per shard: alternating busy/stall
-// complete spans per round bucket, so a Perfetto timeline shows which shard
-// straggled and which shards waited at the barrier. With a non-null
-// `series` (a time-series store from the same run, obs/timeseries.h) it
-// gains a third process, "dcrd-telemetry", carrying Perfetto counter
-// tracks ("ph":"C") on the sim-time axis: per-window counter rates, gauge
-// levels, aggregate broker health, and the deadline-SLO series.
-struct ShardProfile;
+// With a non-null `series` (a time-series store from the same run,
+// obs/timeseries.h) the document gains a second process (pid 2),
+// "dcrd-telemetry", carrying Perfetto counter tracks ("ph":"C") on the
+// sim-time axis: per-window counter rates, gauge levels, aggregate broker
+// health, and the deadline-SLO series.
 struct TimeSeriesStore;
 void WriteChromeTrace(std::ostream& os,
                       const std::vector<TraceRecord>& records,
-                      const ShardProfile* profile = nullptr,
                       const TimeSeriesStore* series = nullptr);
 
 // Prints every event belonging to `packet_id` (publish, per-hop sends and

@@ -1,19 +1,12 @@
 // Fixed-size POD trace record: the unit the flight recorder stores.
 //
 // One record is one sim-time-stamped packet-lifecycle (or topology) event.
-// The layout is deliberately flat — six integers and four small fields,
-// 48 bytes, trivially copyable — so the recorder's ring buffer is a plain
+// The layout is deliberately flat — six integers and three small fields,
+// 40 bytes, trivially copyable — so the recorder's ring buffer is a plain
 // preallocated vector that is written by assignment and never touches the
 // heap on the record path. Identifiers are stored as raw integers (the
 // DenseId wrappers unwrap to uint32) with the id's own kInvalid sentinel
 // meaning "not applicable to this event kind".
-//
-// `seq` and `shard` are stamped by the recorder, not the record site: seq
-// is the recorder's running record count (ties at one sim instant resolve
-// in recording order), shard the engine shard the recorder serves. Together
-// they make a deterministic multi-file merge key — per-shard trace files
-// from one sharded run interleave as (t_us, seq, shard), independent of
-// file argument order (trace_export.h, ForEachMergedTraceJsonl).
 #pragma once
 
 #include <cstdint>
@@ -139,15 +132,13 @@ struct TraceRecord {
   std::uint32_t node = kNoId;            // acting broker (sender/receiver)
   std::uint32_t peer = kNoId;            // counterpart broker (kNoId = n/a)
   std::uint32_t link = kNoId;            // link involved (kNoId = n/a)
-  std::uint32_t seq = 0;                 // recorder-stamped record ordinal
   TraceEventKind kind = TraceEventKind::kPublish;
   std::uint8_t aux8 = 0;                 // drop reason / late-ack flag
   std::uint16_t aux16 = 0;               // tx index / group size / class
-  std::uint16_t shard = 0;               // recording shard (0 unsharded)
 };
 
 static_assert(std::is_trivially_copyable_v<TraceRecord>);
-static_assert(sizeof(TraceRecord) == 48, "keep the record cache-friendly");
+static_assert(sizeof(TraceRecord) == 40, "keep the record cache-friendly");
 
 // Per-transmission identity threaded from the transport into the network so
 // link-level drops can name the packet and copy they killed. Default

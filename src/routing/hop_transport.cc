@@ -74,40 +74,23 @@ void HopTransport::TransmitOnce(SlotHandle pending_slot, bool in_timer_event) {
   const Resolution res =
       network_.ResolveSend(from, link, TrafficClass::kData, trace);
   if (res.delivered) {
-    if (network_.IsLocalNode(to)) {
-      // The copy sent on the wire is snapshotted into the wire slab; the
-      // slab owns it so a later SendReliable cannot mutate a packet already
-      // in flight, and the callback capture stays two words.
-      const SlotHandle wire_slot = wire_.Acquire();
-      WireCopy& wire = *wire_.Get(wire_slot);
-      wire.packet = pending->packet;  // copy-assign: reuses buffer capacity
-      wire.copy_id = copy_id;
-      wire.tx_index = tx_index;
-      wire.to = to;
-      wire.from = from;
-      wire.link = link;
-      network_.scheduler().ScheduleKeyed(
-          res.at, res.k1, res.k2,
-          [this, wire_slot] { HandleDataArrival(wire_slot); });
-    } else {
-      // Receiver owned by another shard: the snapshot travels as an
-      // exchange message instead of a wire slot.
-      XMsg& msg = network_.ExportTo(to);
-      msg.kind = XMsgKind::kData;
-      msg.at = res.at.micros();
-      msg.k1 = res.k1;
-      msg.k2 = res.k2;
-      msg.to = to;
-      msg.from = from;
-      msg.link = link;
-      msg.copy_id = copy_id;
-      msg.tx_index = tx_index;
-      msg.packet = pending->packet;  // copy-assign into pooled storage
-    }
+    // The copy sent on the wire is snapshotted into the wire slab; the slab
+    // owns it so a later SendReliable cannot mutate a packet already in
+    // flight, and the callback capture stays two words.
+    const SlotHandle wire_slot = wire_.Acquire();
+    WireCopy& wire = *wire_.Get(wire_slot);
+    wire.packet = pending->packet;  // copy-assign: reuses buffer capacity
+    wire.copy_id = copy_id;
+    wire.tx_index = tx_index;
+    wire.to = to;
+    wire.from = from;
+    wire.link = link;
+    network_.scheduler().ScheduleKeyed(
+        res.at, res.k1, res.k2,
+        [this, wire_slot] { HandleDataArrival(wire_slot); });
     // The receiver will ACK the copy the instant it lands; that ACK's fate
     // is already decidable here (pure schedules + the copy's content key),
-    // so resolve it now and schedule HandleAckArrival locally — the whole
-    // round trip without anything crossing back over the exchange.
+    // so resolve it now and schedule HandleAckArrival with the data leg.
     const std::uint64_t ack_key =
         (copy_id << 4) | static_cast<std::uint64_t>(tx_index);
     const Resolution ack =
@@ -292,24 +275,6 @@ void HopTransport::HandleAckArrival(SlotHandle pending_slot,
   if (done) done(true);
 }
 
-void HopTransport::AcceptRemoteData(XMsg& msg) {
-  // Same staging as a local send's snapshot, minus the sender-side state
-  // (that stayed on the origin shard, where the precomputed ACK will find
-  // it). Copy-assignment circulates buffer capacity between the exchange
-  // slot and the wire slab — no allocation in steady state.
-  const SlotHandle wire_slot = wire_.Acquire();
-  WireCopy& wire = *wire_.Get(wire_slot);
-  wire.packet = msg.packet;
-  wire.copy_id = msg.copy_id;
-  wire.tx_index = msg.tx_index;
-  wire.to = msg.to;
-  wire.from = msg.from;
-  wire.link = msg.link;
-  network_.scheduler().ScheduleKeyed(
-      SimTime::FromMicros(msg.at), msg.k1, msg.k2,
-      [this, wire_slot] { HandleDataArrival(wire_slot); });
-}
-
 std::size_t HopTransport::OnBrokerCrash(NodeId node) {
   // 1. The crashed broker's retransmission state dies: release its pending
   // copies without invoking done — the protocol layer drops the matching
@@ -416,12 +381,10 @@ std::size_t HopTransport::FailFastPending(NodeId from, LinkId link) {
       sweep_scratch_.push_back(handle);
     }
   });
-  // Slot order reflects the whole transport's allocation history, which
-  // differs between shard counts (a shard's map only ever saw its local
-  // brokers' traffic). The done() callbacks below reroute — assigning new
-  // copy ids and RTO jitter in invocation order — so sweep in copy-id
-  // order, which is identical in every partition, to keep N-shard runs
-  // bit-identical to 1-shard runs.
+  // The done() callbacks below reroute, assigning new copy ids and RTO
+  // jitter in invocation order, so the sweep order is part of the sample
+  // path. Sweep in copy-id order (send order per broker) rather than slot
+  // order, which reflects the slab's whole allocation history.
   std::sort(sweep_scratch_.begin(), sweep_scratch_.end(),
             [this](SlotHandle a, SlotHandle b) {
               return pending_.Get(a)->copy_id < pending_.Get(b)->copy_id;
@@ -472,8 +435,7 @@ void HopTransport::SendProbe(NodeId from, LinkId link, std::uint32_t round) {
   ++stats_.peer_probes;
   // Control-class echo: the probe reaching the peer triggers a reply; the
   // reply reaching the prober revives the link. Either leg dying in a
-  // crashed/failed hop simply leaves the timer loop running. The echo
-  // round trip is shard-safe — the peer may live on another shard.
+  // crashed/failed hop simply leaves the timer loop running.
   network_.TransmitEcho(from, link, [this, from, link, round] {
     PeerState& s = peer_[DirectedIndex(from, link)];
     if (s.dead && s.round == round) NoteHopSuccess(from, link);
@@ -499,8 +461,7 @@ void HopTransport::SampleBrokerHealth(std::vector<BrokerHealth>& out) const {
       const EdgeSpec& edge = graph.edge(link);
       for (int dir = 0; dir < 2; ++dir) {
         const std::size_t didx = e * 2 + static_cast<std::size_t>(dir);
-        // Unfed estimators report 0 (never the seed): a broker whose links
-        // live on another shard then contributes nothing to the sum-merge.
+        // Unfed estimators report 0, never the seed.
         if (!rto_.HasSample(didx)) continue;
         const NodeId from = dir == 0 ? edge.a : edge.b;
         if (from.underlying() >= out.size()) continue;

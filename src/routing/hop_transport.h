@@ -11,16 +11,13 @@
 //  * Each SendReliable call allocates a copy id carried by every
 //    retransmission of that copy. Copy ids are allocated per sending
 //    broker ((broker+1) << 40 | broker-local counter) so the id a copy
-//    gets is independent of how sends from *other* brokers interleave —
-//    a shard-partition invariance the sharded engine requires.
+//    gets is independent of how sends from *other* brokers interleave.
 //  * The receiving side ACKs every arrival (including duplicates) but hands
 //    the packet to the protocol's arrival handler only once per copy id.
-//    The ACK leg itself is resolved at *send* time on the sender's shard
+//    The ACK leg itself is resolved at *send* time
 //    (OverlayNetwork::ResolveAckAt): its outcome is a pure function of
-//    schedules and the copy's content key, so the sender can precompute
-//    the HandleAckArrival instant locally and ACKs never cross a shard
-//    boundary. Data arrivals destined to a remote shard travel as kData
-//    exchange messages and re-enter through AcceptRemoteData.
+//    schedules and the copy's content key, so the sender precomputes the
+//    HandleAckArrival instant together with the data leg.
 //  * `done(acked)` fires exactly once: true as soon as the ACK returns,
 //    false after the m-th transmission's timeout expires. A data copy can
 //    have been delivered even when done(false) fires (ACK lost) — protocols
@@ -140,8 +137,6 @@ class HopTransport {
     if (config_.peer_death) {
       peer_.resize(network.graph().edge_count() * 2);
     }
-    network_.SetRemoteDataSink(
-        [this](XMsg& msg) { AcceptRemoteData(msg); });
   }
 
   HopTransport(const HopTransport&) = delete;
@@ -269,13 +264,9 @@ class HopTransport {
   void HandleDataArrival(SlotHandle wire_slot);
   void HandleAckArrival(SlotHandle pending_slot, std::uint64_t copy_id,
                         int tx_index);
-  // Re-enters a data copy that crossed the exchange from another shard:
-  // snapshots the payload into the wire slab and schedules the arrival
-  // under the canonical key the sending shard computed.
-  void AcceptRemoteData(XMsg& msg);
 
-  // Globally unique, partition-invariant copy id for a copy sent by
-  // `from`: broker id in the top bits, broker-local counter below.
+  // Globally unique copy id for a copy sent by `from`: broker id in the
+  // top bits, broker-local counter below.
   [[nodiscard]] std::uint64_t MakeCopyId(NodeId from) {
     std::uint64_t& seq = next_copy_seq_[from.underlying()];
     DCRD_CHECK(seq < (std::uint64_t{1} << 40))

@@ -98,14 +98,6 @@ class Router {
   // Injects a freshly published message at its publisher broker.
   virtual void Publish(const Message& message) = 0;
 
-  // Sharded runs: the publish event replays on every shard, but only the
-  // shard owning the publisher calls Publish; the others call this so the
-  // router can replicate any *deterministic* publish-time bookkeeping that
-  // downstream brokers read (the source-routed baselines cache the route
-  // set here — intermediate hops on other shards look it up on arrival).
-  // Must not send, deliver, or draw randomness. Default: nothing.
-  virtual void OnRemotePublish(const Message& message) { (void)message; }
-
   [[nodiscard]] virtual std::string_view name() const = 0;
 
   // Cumulative hop-transport counters (retransmissions, spurious

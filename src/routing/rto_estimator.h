@@ -45,11 +45,9 @@ struct RtoConfig {
 
 // Estimator state is kept per *directed* link — the transport's directed
 // index (2*link + direction). The two directions of one physical link are
-// driven by different senders, and under sharded execution by different
-// threads' replicas; directed state keeps each sender's estimate a pure
-// function of its own sample stream, which the shard-count byte-identity
-// gate requires (an undirected estimator would interleave the two
-// directions' samples in scheduler order).
+// driven by different senders; directed state keeps each sender's estimate
+// a pure function of its own sample stream (an undirected estimator would
+// interleave the two directions' samples in scheduler order).
 class RtoEstimator {
  public:
   explicit RtoEstimator(RtoConfig config = {}) : config_(config) {}

@@ -23,28 +23,17 @@ void SourceRoutedRouter::Rebuild(const MonitoredView& view) {
   RebuildRoutes();
 }
 
-const SourceRoutedRouter::CachedRoutes& SourceRoutedRouter::CacheRoutes(
-    const Message& message) {
+void SourceRoutedRouter::Publish(const Message& message) {
+  // Cache the routes: NextHop() reads them at every intermediate broker.
   PurgeStaleRoutes();
   CachedRoutes cached;
   cached.inserted = context_.network->scheduler().now();
   cached.routes = RoutesFor(message);
-  const auto [it, inserted] =
+  const auto [cache_it, inserted] =
       route_cache_.emplace(message.id.value, std::move(cached));
   DCRD_CHECK(inserted) << "duplicate message id " << message.id;
   cache_order_.push_back(message.id.value);
-  return it->second;
-}
-
-void SourceRoutedRouter::OnRemotePublish(const Message& message) {
-  // Routes are a pure function of the epoch view (trees, multipath) or of
-  // the failure schedules at `now` (ORACLE), so every shard computes the
-  // same cache entry the owning shard does — only the sends are skipped.
-  CacheRoutes(message);
-}
-
-void SourceRoutedRouter::Publish(const Message& message) {
-  const CachedRoutes& it_routes = CacheRoutes(message);
+  const CachedRoutes& it_routes = cache_it->second;
 
   // Group subscribers by (first hop, tag) and launch one copy per group.
   const NodeId origin = message.publisher;

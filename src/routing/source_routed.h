@@ -29,12 +29,6 @@ class SourceRoutedRouter : public Router {
 
   void Rebuild(const MonitoredView& view) final;
   void Publish(const Message& message) final;
-  // Replicates the route cache on shards that do not own the publisher:
-  // NextHop() reads it at every intermediate broker, so a packet crossing a
-  // shard boundary must find the same (deterministically recomputed) routes
-  // there. No copies are launched and no co-located delivery fires — the
-  // owning shard does both.
-  void OnRemotePublish(const Message& message) final;
   [[nodiscard]] TransportStats transport_stats() const final {
     return transport_.stats();
   }
@@ -74,9 +68,6 @@ class SourceRoutedRouter : public Router {
     std::vector<Route> routes;
   };
 
-  // Computes and caches RoutesFor(message); shared by Publish (which then
-  // launches copies) and OnRemotePublish (which stops here).
-  const CachedRoutes& CacheRoutes(const Message& message);
   void OnArrival(NodeId at, const Packet& packet);
   // Next hop for `subscriber` after node `at` on the tagged route of
   // `message`; invalid NodeId when unknown (purged cache / broken route).

@@ -181,34 +181,9 @@ bool SimInvariantChecker::CleanPathExists(NodeId publisher, NodeId subscriber,
   return false;
 }
 
-void SimInvariantChecker::AbsorbPeer(SimInvariantChecker& peer) {
-  for (const auto& [key, pair] : peer.pairs_) {
-    if (!pair.delivered) continue;
-    const auto it = pairs_.find(key);
-    DCRD_CHECK(it != pairs_.end())
-        << "peer shard delivered a pair this shard never saw published";
-    it->second.delivered = true;
-  }
-  for (auto& [message, brokers] : peer.touched_) {
-    touched_[message].merge(brokers);
-  }
-  violation_count_ += peer.violation_count_;
-  for (std::string& violation : peer.violations_) {
-    if (violations_.size() >= config_.max_recorded) break;
-    violations_.push_back(std::move(violation));
-  }
-  copies_observed_ += peer.copies_observed_;
-  crash_excused_duplicates_ += peer.crash_excused_duplicates_;
-}
-
 void SimInvariantChecker::CheckEndOfRun(const Router& router, SimTime end) {
-  const TransportStats stats = router.transport_stats();
-  CheckEndOfRun(stats.pending_copies, router.open_episodes(), end);
-}
-
-void SimInvariantChecker::CheckEndOfRun(std::uint64_t pending_copies,
-                                        std::size_t open_episodes,
-                                        SimTime end) {
+  const std::uint64_t pending_copies = router.transport_stats().pending_copies;
+  const std::size_t open_episodes = router.open_episodes();
   CheckEpoch();
   // 5. Quiescence.
   if (pending_copies != 0) {

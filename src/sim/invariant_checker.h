@@ -91,26 +91,12 @@ class SimInvariantChecker final : public DeliverySink,
   void OnPublished(const Message& message);
 
   // Engine hook at every monitoring epoch: conservation of transmissions.
-  // Sound per engine shard without any merge: ResolveSend tallies attempted
-  // and its terminal bucket on the sender's shard in one call.
   void CheckEpoch();
 
-  // Engine hook after the scheduler drains: quiescence + the delivery
-  // guarantee over all published pairs. The two counts are summed across
-  // shards by the sharded engine; `end` is the global quiescence time.
-  void CheckEndOfRun(std::uint64_t pending_copies, std::size_t open_episodes,
-                     SimTime end);
-  // Single-shard convenience: reads both counts from `router`.
+  // Engine hook after the scheduler drains: quiescence (no copy pending in
+  // `router`'s transport, no episode open) + the delivery guarantee over
+  // all published pairs. `end` is the quiescence time.
   void CheckEndOfRun(const Router& router, SimTime end);
-
-  // Sharded runs: folds a peer shard's observations into this checker
-  // before CheckEndOfRun. Publishes replay on every shard, so `pairs_` has
-  // identical keys everywhere; deliveries and copy arrivals happen only on
-  // the shard owning the receiving broker, so delivered flags are OR-ed,
-  // touched-broker sets unioned, and violation tallies summed (shard-index
-  // order keeps the merged violation list deterministic). The peer is left
-  // in a moved-from state — merge once, then discard it.
-  void AbsorbPeer(SimInvariantChecker& peer);
 
   [[nodiscard]] const std::vector<std::string>& violations() const {
     return violations_;

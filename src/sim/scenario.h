@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/sim_time.h"
 #include "dcrd/dr.h"
@@ -127,24 +127,11 @@ struct ScenarioConfig {
   bool check_delivery_guarantee = false;
   SimDuration guarantee_window = SimDuration::Seconds(5);
 
-  // --- sharded execution --------------------------------------------------
-  // Engine shards (worker threads) the scenario runs across; 1 = the
-  // classic single-threaded engine. The shard count can never change
-  // results — keyed randomness plus conservative lookahead synchronization
-  // keep N-shard runs bit-identical to 1-shard runs (DESIGN.md §12) — so,
-  // like the observability knobs, it is deliberately excluded from
-  // Describe(). Falls back to one shard with a stderr note for
-  // dcrd_distributed runs, when a capture that needs a global event order
-  // at run time is requested (delay_audit_out), or when the partition's
-  // lookahead is below one microsecond. Tracing, the shard profiler,
-  // metrics and the time-series sampler stay sharded: per-shard captures
-  // merge deterministically at join (DESIGN.md §13–§14).
-  int shards = 1;
-  // Test hook: explicit broker->shard owner map (size node_count, every
-  // value in [0, shards)). Empty = the BFS locality partitioner
-  // (graph/partition.h). Adversarial maps (round-robin) exist to prove the
-  // partition choice is result-neutral.
-  std::vector<int> shard_assignment;
+  // Read-only constants kept for perfbench/traced_run.cc, which checks
+  // that a config runs on one thread without a shard profile. A scenario
+  // always runs on one thread; neither value can be set.
+  static constexpr int shards = 1;
+  static constexpr std::string_view shard_profile_out{};
 
   // --- observability ------------------------------------------------------
   // None of these fields affect simulation results: the flight recorder and
@@ -157,22 +144,10 @@ struct ScenarioConfig {
   bool trace = false;
   std::size_t trace_ring_capacity = std::size_t{1} << 16;
   // When non-empty, stream the full trace to this file as JSONL (implies
-  // tracing). Readable by tools/dcrd_trace. Sharded runs write one file per
-  // shard — `.shardK` inserted before a trailing `.jsonl` (or appended) —
-  // and dcrd_trace merges them by (t_us, seq, shard).
+  // tracing). Readable by tools/dcrd_trace.
   std::string trace_out;
-  // When non-empty, write the shard-execution profile — per-shard busy vs
-  // barrier-stall wall time per horizon round, events executed, and the
-  // cross-shard traffic matrix — to this file as JSON at end of run
-  // ("dcrd-shard-profile-v1", obs/shard_profiler.h). Works at any shard
-  // count; a 1-shard run writes the degenerate all-busy profile. Rendered
-  // by tools/dcrd_trace --shards.
-  std::string shard_profile_out;
   // When non-empty, write the metrics registry (per-epoch counter/gauge
-  // series + histograms) to this file as JSON at end of run. Sharded runs
-  // keep one registry per shard and fold them at join (MergePolicy rules,
-  // obs/metrics_registry.h) — the merged document is byte-identical to a
-  // 1-shard run's.
+  // series + histograms) to this file as JSON at end of run.
   std::string metrics_json;
   // When non-empty, sample the metrics registry every timeseries_interval
   // of sim time into a columnar store (counter deltas, gauge levels,
@@ -180,7 +155,7 @@ struct ScenarioConfig {
   // file as JSON at end of run ("dcrd-timeseries-v1", obs/timeseries.h),
   // including the windowed deadline-SLO series. Rendered by
   // tools/dcrd_trace --timeseries. Implies a metrics registry even when
-  // metrics_json is empty; sharded runs merge per-shard stores at join.
+  // metrics_json is empty.
   std::string timeseries_out;
   SimDuration timeseries_interval = SimDuration::Seconds(1);
   // When non-empty and the router is DCRD, write the model's view — per

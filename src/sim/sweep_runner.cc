@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "common/logging.h"
 
 namespace dcrd {
 
@@ -25,28 +24,6 @@ int ResolveJobCount(int requested) {
   if (requested >= 1) return requested;
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware == 0 ? 1 : static_cast<int>(hardware);
-}
-
-int CapJobsForShards(int jobs, int shards, unsigned hardware_threads) {
-  if (jobs < 1) jobs = 1;
-  if (shards <= 1) return jobs;  // one layer only: --jobs stays literal
-  if (hardware_threads == 0) return jobs;  // unknown hardware: no cap
-  const long total = static_cast<long>(jobs) * static_cast<long>(shards);
-  if (total <= static_cast<long>(hardware_threads)) return jobs;
-  const int capped =
-      std::max(1, static_cast<int>(hardware_threads) / shards);
-  if (capped < jobs) {
-    DCRD_LOG(kWarn) << "capping --jobs " << jobs << " to " << capped
-                    << ": " << jobs << " x " << shards
-                    << " shards would oversubscribe "
-                    << hardware_threads << " hardware threads";
-  }
-  return std::min(jobs, capped);
-}
-
-int CapJobsForShards(int jobs, int shards) {
-  return CapJobsForShards(jobs, shards,
-                          std::thread::hardware_concurrency());
 }
 
 SweepRunner::SweepRunner(int jobs) : jobs_(jobs < 1 ? 1 : jobs) {}

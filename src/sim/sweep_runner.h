@@ -28,17 +28,6 @@ namespace dcrd {
 // "use every core" (std::thread::hardware_concurrency, at least 1).
 int ResolveJobCount(int requested);
 
-// Composes the two parallelism layers: with `shards` engine shards per cell
-// (sim/engine.cc §sharded execution) a sweep spawns jobs x shards threads,
-// so the job count is capped at hardware_threads / shards (at least 1) and
-// a note goes to *stderr* — stdout stays byte-identical, same contract as
-// the --jobs gate. `shards <= 1` leaves `jobs` untouched, preserving the
-// literal meaning of an explicit --jobs on the classic engine.
-int CapJobsForShards(int jobs, int shards, unsigned hardware_threads);
-
-// Same, against this machine's std::thread::hardware_concurrency().
-int CapJobsForShards(int jobs, int shards);
-
 // Wall-clock accounting for one pooled run; feeds the --bench_json emitter.
 // Timing is measurement only — it never influences scheduling or results.
 struct SweepRunStats {

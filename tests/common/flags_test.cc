@@ -128,16 +128,16 @@ TEST(FlagsTest, SealAfterFullReadIsQuiet) {
 }
 
 TEST(FlagsDeathTest, QueryAfterSealAborts) {
-  // The shard-worker contract: every flag is read before the first shard
+  // The worker-pool contract: every flag is read before the first worker
   // thread starts. A late read — even from the pinned thread — is a
   // programmer error, not a data race to get lucky on.
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  const Flags flags = ParseArgs({"--a=1", "--shards=4"});
+  const Flags flags = ParseArgs({"--a=1", "--jobs=4"});
   EXPECT_DEATH(
       {
         (void)flags.GetInt("a", 0);
-        (void)flags.GetInt("shards", 1);
-        flags.Seal();  // shard threads may start now...
+        (void)flags.GetInt("jobs", 1);
+        flags.Seal();  // worker threads may start now...
         (void)flags.GetInt("a", 0);  // ...so this must abort
       },
       "queried after Seal");

@@ -59,8 +59,10 @@ TEST(TimerWheelTest, SameTickYieldsKeyOrder) {
 }
 
 TEST(TimerWheelTest, SameTickOutOfOrderInsertsSortAtDetach) {
-  // A cross-shard injection appends with a key smaller than entries already
-  // linked in the bucket; the detach-time sort must restore (k1, k2) order.
+  // An entry keyed at a later instant than it was scheduled (a hop ACK is
+  // keyed at its landing instant) can sit in a bucket ahead of entries
+  // scheduled after it with smaller keys; the detach-time sort must
+  // restore (k1, k2) order.
   Wheel wheel;
   wheel.Insert(500, 7, 1, 10);
   wheel.Insert(500, 3, 2, 20);  // smaller k1, inserted later
@@ -189,25 +191,6 @@ TEST(TimerWheelTest, PopNextBeforeRefusesCascadePastTheLimit) {
   EXPECT_EQ(entry.at, 4500);
   ASSERT_TRUE(wheel.PopNext(&entry));
   EXPECT_EQ(entry.at, 5000);
-}
-
-TEST(TimerWheelTest, PeekNextAtDoesNotAdvanceTheClock) {
-  Wheel wheel;
-  std::int64_t at = 0;
-  EXPECT_FALSE(wheel.PeekNextAt(&at));
-  wheel.Insert(5000, 0, 1, 1);  // level 1
-  ASSERT_TRUE(wheel.PeekNextAt(&at));
-  EXPECT_EQ(at, 5000);
-  EXPECT_EQ(wheel.current(), 0);  // no cascade, no clock movement
-  wheel.Insert(70, 0, 2, 2);  // level 0: becomes the minimum
-  ASSERT_TRUE(wheel.PeekNextAt(&at));
-  EXPECT_EQ(at, 70);
-  // Peek mid-drain sees the detached cursor's head.
-  Wheel::Entry entry;
-  ASSERT_TRUE(wheel.PopNext(&entry));
-  wheel.Insert(70, 0, 3, 3);
-  ASSERT_TRUE(wheel.PeekNextAt(&at));
-  EXPECT_EQ(at, 70);
 }
 
 TEST(TimerWheelTest, PoolRecyclesNodesAcrossGenerations) {

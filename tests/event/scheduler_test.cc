@@ -217,47 +217,6 @@ TEST(SchedulerTest, RunEndingOnCancelledTimersAcceptsEarlierSchedules) {
   EXPECT_EQ(ran_at, SimTime::FromMicros(2000));
 }
 
-TEST(SchedulerTest, RunBeforeRunsOnlyEventsStrictlyBeforeTheHorizon) {
-  Scheduler scheduler;
-  std::vector<int> order;
-  scheduler.ScheduleAt(SimTime::FromMicros(10), [&] { order.push_back(1); });
-  const EventHandle cancelled = scheduler.ScheduleAt(
-      SimTime::FromMicros(20), [&] { order.push_back(2); });
-  scheduler.ScheduleAt(SimTime::FromMicros(30), [&] { order.push_back(3); });
-  ASSERT_TRUE(scheduler.Cancel(cancelled));
-  EXPECT_EQ(scheduler.RunBefore(SimTime::FromMicros(30)), 1u);
-  EXPECT_EQ(order, (std::vector<int>{1}));
-  // The clock rests at the last executed event — not at the skipped
-  // cancelled one, not at the horizon.
-  EXPECT_EQ(scheduler.now(), SimTime::FromMicros(10));
-  EXPECT_EQ(scheduler.pending_count(), 1u);
-
-  // An injection at the horizon whose key sorts before the entry already
-  // pending there runs first: the horizon's bucket was left intact.
-  scheduler.ScheduleKeyed(SimTime::FromMicros(30), Scheduler::PackK1(0, 7), 1,
-                          [&] { order.push_back(4); });
-  EXPECT_EQ(scheduler.RunBefore(SimTime::FromMicros(31)), 2u);
-  EXPECT_EQ(order, (std::vector<int>{1, 4, 3}));
-  EXPECT_EQ(scheduler.now(), SimTime::FromMicros(30));
-}
-
-TEST(SchedulerTest, NextEventTimeIsALowerBoundOnTheNextLiveEvent) {
-  Scheduler scheduler;
-  EXPECT_EQ(scheduler.NextEventTime(), SimTime::Max());
-  const EventHandle front =
-      scheduler.ScheduleAt(SimTime::FromMicros(50), [] {});
-  scheduler.ScheduleAt(SimTime::FromMicros(kRotation + 80), [] {});
-  EXPECT_EQ(scheduler.NextEventTime(), SimTime::FromMicros(50));
-  // A cancelled entry stays in its bucket until dispatch skips it, so the
-  // answer is a lower bound, never later than the next live event.
-  ASSERT_TRUE(scheduler.Cancel(front));
-  EXPECT_EQ(scheduler.NextEventTime(), SimTime::FromMicros(50));
-  EXPECT_EQ(scheduler.RunBefore(SimTime::FromMicros(100)), 0u);
-  EXPECT_EQ(scheduler.NextEventTime(), SimTime::FromMicros(kRotation + 80));
-  scheduler.Run();
-  EXPECT_EQ(scheduler.NextEventTime(), SimTime::Max());
-}
-
 TEST(SchedulerWheelTest, CancelAfterCascadePreventsExecution) {
   // The target is inserted into wheel level 1 (beyond one rotation). The
   // canceller fires inside the same level-1 block, i.e. *after* the block

@@ -105,51 +105,5 @@ TEST(FlightRecorderTest, PostmortemShowsNewestRecordsAndReason) {
   EXPECT_EQ(dump.find("m4 "), std::string::npos);
 }
 
-TEST(FlightRecorderTest, RecordsStampShardAndRunningSeq) {
-  Scheduler scheduler;
-  FlightRecorder recorder(scheduler, SmallRing(8));
-  recorder.set_enabled(true);
-  recorder.set_shard(3);
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    recorder.Record(TraceEventKind::kPublish, i, 0, NodeId(0), NodeId(),
-                    LinkId());
-  }
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(recorder.at(i).shard, 3u);
-    EXPECT_EQ(recorder.at(i).seq, static_cast<std::uint32_t>(i));
-  }
-}
-
-TEST(FlightRecorderTest, LossyShardedPostmortemNamesTheShard) {
-  Scheduler scheduler;
-  FlightRecorder recorder(scheduler, SmallRing(4));
-  recorder.set_enabled(true);
-  recorder.set_shard(2);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    recorder.Record(TraceEventKind::kPublish, i, 0, NodeId(0), NodeId(),
-                    LinkId());
-  }
-  std::ostringstream os;
-  recorder.DumpPostmortem(os, /*last_n=*/4, "overflow check");
-  const std::string dump = os.str();
-  // The header names the shard and its overwritten count, so a multi-shard
-  // postmortem attributes loss to the right ring.
-  EXPECT_NE(dump.find("[shard 2]"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("6 overwritten on shard 2"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("this shard's ring"), std::string::npos) << dump;
-
-  // An unsharded recorder keeps the unlabeled wording.
-  FlightRecorder plain(scheduler, SmallRing(2));
-  plain.set_enabled(true);
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    plain.Record(TraceEventKind::kPublish, i, 0, NodeId(0), NodeId(),
-                 LinkId());
-  }
-  std::ostringstream plain_os;
-  plain.DumpPostmortem(plain_os, /*last_n=*/2, "overflow check");
-  EXPECT_EQ(plain_os.str().find("shard"), std::string::npos)
-      << plain_os.str();
-}
-
 }  // namespace
 }  // namespace dcrd

@@ -1,6 +1,6 @@
 // Continuous telemetry: delta-sum conservation against the live registry,
-// window alignment at epoch edges, the closed-form deadline-SLO math, the
-// JSON round trip, and the shard merge algebra (identity and split-merge).
+// window alignment at epoch edges, the closed-form deadline-SLO math, and
+// the JSON round trip (including documents from older writers).
 #include "obs/timeseries.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "event/scheduler.h"
@@ -170,10 +171,8 @@ TEST(SloSeriesTest, ClosedFormWindowMath) {
   std::uint64_t pairs = 0;
   std::uint64_t delivered = 0;
   std::uint64_t on_time = 0;
-  rig.registry.RegisterCounter("slo.messages_published", &published,
-                               MergePolicy::kReplicated);
-  rig.registry.RegisterCounter("slo.pairs_published", &pairs,
-                               MergePolicy::kReplicated);
+  rig.registry.RegisterCounter("slo.messages_published", &published);
+  rig.registry.RegisterCounter("slo.pairs_published", &pairs);
   rig.registry.RegisterCounter("slo.pairs_delivered", &delivered);
   rig.registry.RegisterCounter("slo.pairs_on_time", &on_time);
   LogLinearHistogram* delay = rig.registry.AddHistogram("delivery.delay_us");
@@ -221,8 +220,7 @@ TimeSeriesStore BuildStore() {
   SamplerRig rig;
   std::uint64_t delivered = 0;
   std::uint64_t pairs = 0;
-  rig.registry.RegisterCounter("slo.pairs_published", &pairs,
-                               MergePolicy::kReplicated);
+  rig.registry.RegisterCounter("slo.pairs_published", &pairs);
   rig.registry.RegisterCounter("slo.pairs_delivered", &delivered);
   rig.registry.RegisterCounter("slo.pairs_on_time", &delivered);
   std::uint64_t level = 0;
@@ -272,54 +270,39 @@ TEST(TimeSeriesJsonTest, RejectsWrongSchema) {
   EXPECT_FALSE(error.empty());
 }
 
-TEST(TimeSeriesMergeTest, MergeOfOneIsIdentity) {
+// Documents written before the per-series "policy" tag was dropped carry
+// one on every counter and gauge. They must still load, and re-export as
+// the current format.
+TEST(TimeSeriesJsonTest, LoadsSeriesCarryingLegacyPolicyTags) {
   const TimeSeriesStore store = BuildStore();
-  const TimeSeriesStore merged = MergeTimeSeriesStores({&store});
-  std::ostringstream a;
-  std::ostringstream b;
-  WriteTimeSeriesJson(a, store);
-  WriteTimeSeriesJson(b, merged);
-  EXPECT_EQ(a.str(), b.str());
-}
+  std::ostringstream current;
+  WriteTimeSeriesJson(current, store);
 
-// The shard contract in miniature: split a workload across two registries
-// the way the sharded engine splits ownership — kSum series disjointly,
-// kReplicated series identically — and require the merge to be
-// byte-identical to the unsplit run.
-TEST(TimeSeriesMergeTest, SplitMergeEqualsUnsplit) {
-  const auto drive = [](std::uint64_t owner_mask) {
-    SamplerRig rig;
-    std::uint64_t pairs = 0;       // replicated: every shard sees all of it
-    std::uint64_t delivered = 0;   // summed: only owned work counts
-    rig.registry.RegisterCounter("slo.pairs_published", &pairs,
-                                 MergePolicy::kReplicated);
-    rig.registry.RegisterCounter("slo.pairs_delivered", &delivered);
-    LogLinearHistogram* delay = rig.registry.AddHistogram("delivery.delay_us");
-    TimeSeriesSampler sampler = rig.MakeSampler(SimTime::FromMicros(2000000));
-    for (int w = 0; w < 2; ++w) {
-      rig.scheduler.ScheduleAt(SimTime::FromMicros(w * 1000000 + 9), [&, w] {
-        pairs += 10;
-        for (int item = 0; item < 6; ++item) {
-          if (((owner_mask >> (item % 2)) & 1) == 0) continue;
-          delivered += 1;
-          delay->Record(50 * (item + 1) * (w + 1));
-        }
-      });
+  // Re-insert the legacy tag in front of every series' value array.
+  std::string legacy = current.str();
+  int tagged = 0;
+  const std::pair<std::string, std::string> tags[] = {
+      {"{\"deltas\":", "\"policy\":\"replicated\","},
+      {"{\"values\":", "\"policy\":\"sum\","}};
+  for (const auto& [key, policy] : tags) {
+    for (std::size_t pos = legacy.find(key); pos != std::string::npos;
+         pos = legacy.find(key, pos + policy.size() + key.size())) {
+      legacy.insert(pos + 1, policy);
+      ++tagged;
     }
-    rig.scheduler.Run();
-    return sampler.store();
-  };
+  }
+  ASSERT_EQ(tagged, 4);  // three counters and one gauge
+  ASSERT_NE(legacy.find("\"policy\":\"replicated\""), std::string::npos);
 
-  const TimeSeriesStore full = drive(0b11);
-  const TimeSeriesStore shard0 = drive(0b01);
-  const TimeSeriesStore shard1 = drive(0b10);
-  const TimeSeriesStore merged = MergeTimeSeriesStores({&shard0, &shard1});
-
-  std::ostringstream want;
-  std::ostringstream got;
-  WriteTimeSeriesJson(want, full);
-  WriteTimeSeriesJson(got, merged);
-  EXPECT_EQ(want.str(), got.str());
+  TimeSeriesStore loaded;
+  std::string error;
+  ASSERT_TRUE(LoadTimeSeriesJson(legacy, &loaded, &error)) << error;
+  EXPECT_EQ(loaded.counter_names, store.counter_names);
+  EXPECT_EQ(loaded.counter_deltas, store.counter_deltas);
+  EXPECT_EQ(loaded.gauge_values, store.gauge_values);
+  std::ostringstream rewritten;
+  WriteTimeSeriesJson(rewritten, loaded);
+  EXPECT_EQ(rewritten.str(), current.str());
 }
 
 TEST(TimeSeriesPrintTest, RendersShapeAndSloTable) {

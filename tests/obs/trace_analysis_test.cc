@@ -268,40 +268,34 @@ TEST(TraceExportTest, ForEachTraceJsonlStopsAtTheFirstMalformedLine) {
   EXPECT_NE(bad_text.find("no-such-kind"), std::string::npos);
 }
 
-// Merging per-rep histograms must reproduce the whole-run distribution
-// exactly — same buckets, therefore the same quantiles — both through
-// MergeFrom and through the raw-bucket snapshot round trip.
-TEST(LogLinearHistogramTest, MergedShardsMatchWholeRunExactly) {
+// Absorbing per-rep histogram snapshots must reproduce the whole-run
+// distribution exactly — same buckets, therefore the same quantiles.
+TEST(LogLinearHistogramTest, AbsorbedRepSnapshotsMatchWholeRunExactly) {
   LogLinearHistogram whole;
-  LogLinearHistogram shards[4];
+  LogLinearHistogram reps[4];
   std::uint64_t v = 9;
   for (int i = 0; i < 4000; ++i) {
     v = v * 1664525 + 1013904223;  // deterministic LCG spread
     const std::int64_t sample = static_cast<std::int64_t>(v % 5000000);
     whole.Record(sample);
-    shards[i % 4].Record(sample);
+    reps[i % 4].Record(sample);
   }
-
-  LogLinearHistogram merged;
-  for (const LogLinearHistogram& shard : shards) merged.MergeFrom(shard);
 
   LogLinearHistogram absorbed;
-  for (const LogLinearHistogram& shard : shards) {
-    absorbed.AbsorbSnapshot(shard.Snapshot());
+  for (const LogLinearHistogram& rep : reps) {
+    absorbed.AbsorbSnapshot(rep.Snapshot());
   }
 
-  for (const LogLinearHistogram* h : {&merged, &absorbed}) {
-    EXPECT_EQ(h->count(), whole.count());
-    EXPECT_EQ(h->sum(), whole.sum());
-    EXPECT_EQ(h->min(), whole.min());
-    EXPECT_EQ(h->max(), whole.max());
-    for (int b = 0; b < LogLinearHistogram::kBucketCount; ++b) {
-      ASSERT_EQ(h->CountAt(b), whole.CountAt(b)) << "bucket " << b;
-    }
-    for (const double q :
-         {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0}) {
-      EXPECT_EQ(h->ValueAtQuantile(q), whole.ValueAtQuantile(q)) << q;
-    }
+  EXPECT_EQ(absorbed.count(), whole.count());
+  EXPECT_EQ(absorbed.sum(), whole.sum());
+  EXPECT_EQ(absorbed.min(), whole.min());
+  EXPECT_EQ(absorbed.max(), whole.max());
+  for (int b = 0; b < LogLinearHistogram::kBucketCount; ++b) {
+    ASSERT_EQ(absorbed.CountAt(b), whole.CountAt(b)) << "bucket " << b;
+  }
+  for (const double q :
+       {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(absorbed.ValueAtQuantile(q), whole.ValueAtQuantile(q)) << q;
   }
 }
 

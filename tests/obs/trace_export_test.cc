@@ -1,6 +1,7 @@
-// Trace export: JSONL round trip, human rendering, and the Chrome
-// trace_event document — including per-broker-track event structure and the
-// begin/end pairing of copy lifetimes.
+// Trace export: JSONL round trip (including lines from older captures),
+// human rendering, and the Chrome trace_event document — including
+// per-broker-track event structure, the begin/end pairing of copy
+// lifetimes, and the telemetry counter tracks.
 #include "obs/trace_export.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/shard_profiler.h"
+#include "obs/timeseries.h"
 #include "obs/trace_record.h"
 
 namespace dcrd {
@@ -20,8 +21,7 @@ namespace {
 TraceRecord Make(TraceEventKind kind, std::int64_t t_us,
                  std::uint64_t packet, std::uint64_t copy, std::uint32_t node,
                  std::uint32_t peer, std::uint32_t link,
-                 std::uint8_t aux8 = 0, std::uint16_t aux16 = 0,
-                 std::uint32_t seq = 0, std::uint16_t shard = 0) {
+                 std::uint8_t aux8 = 0, std::uint16_t aux16 = 0) {
   TraceRecord record;
   record.t_us = t_us;
   record.packet = packet;
@@ -29,11 +29,9 @@ TraceRecord Make(TraceEventKind kind, std::int64_t t_us,
   record.node = node;
   record.peer = peer;
   record.link = link;
-  record.seq = seq;
   record.kind = kind;
   record.aux8 = aux8;
   record.aux16 = aux16;
-  record.shard = shard;
   return record;
 }
 
@@ -50,9 +48,7 @@ TEST(TraceExportTest, JsonlRoundTripsEveryKindAndSentinel) {
                            /*link=*/k % 5 == 0 ? TraceRecord::kNoId
                                                : static_cast<std::uint32_t>(k),
                            /*aux8=*/static_cast<std::uint8_t>(k),
-                           /*aux16=*/static_cast<std::uint16_t>(k * 11),
-                           /*seq=*/static_cast<std::uint32_t>(k * 13),
-                           /*shard=*/static_cast<std::uint16_t>(k % 5)));
+                           /*aux16=*/static_cast<std::uint16_t>(k * 11)));
   }
   char buf[kMaxTraceLineBytes];
   for (const TraceRecord& record : records) {
@@ -70,21 +66,29 @@ TEST(TraceExportTest, JsonlRoundTripsEveryKindAndSentinel) {
     EXPECT_EQ(parsed.kind, record.kind);
     EXPECT_EQ(parsed.aux8, record.aux8);
     EXPECT_EQ(parsed.aux16, record.aux16);
-    EXPECT_EQ(parsed.seq, record.seq);
-    EXPECT_EQ(parsed.shard, record.shard);
   }
 }
 
-TEST(TraceExportTest, ParseDefaultsSeqAndShardOnLegacyLines) {
-  // A line from a pre-shard-stamp capture — no seq/shard keys.
-  TraceRecord out;
+TEST(TraceExportTest, ParseIgnoresSeqAndShardOnLegacyLines) {
+  // Older captures stamped every line with "seq" and "shard"; such a line
+  // parses to the same record as its current-format twin.
+  TraceRecord legacy;
   ASSERT_TRUE(ParseTraceJsonl(
       "{\"t\":42,\"k\":\"publish\",\"pkt\":7,\"copy\":0,\"node\":2,"
-      "\"peer\":-1,\"link\":-1,\"aux\":0,\"x\":3}",
-      &out));
-  EXPECT_EQ(out.t_us, 42);
-  EXPECT_EQ(out.seq, 0u);
-  EXPECT_EQ(out.shard, 0u);
+      "\"peer\":-1,\"link\":-1,\"aux\":0,\"x\":3,\"seq\":7,\"shard\":3}",
+      &legacy));
+  EXPECT_EQ(legacy.t_us, 42);
+  EXPECT_EQ(legacy.kind, TraceEventKind::kPublish);
+  EXPECT_EQ(legacy.packet, 7u);
+  EXPECT_EQ(legacy.node, 2u);
+  EXPECT_EQ(legacy.peer, TraceRecord::kNoId);
+  EXPECT_EQ(legacy.aux16, 3u);
+
+  char buf[kMaxTraceLineBytes];
+  const int len = FormatTraceJsonl(legacy, buf, sizeof(buf));
+  EXPECT_EQ(std::string(buf, static_cast<std::size_t>(len)),
+            "{\"t\":42,\"k\":\"publish\",\"pkt\":7,\"copy\":0,\"node\":2,"
+            "\"peer\":-1,\"link\":-1,\"aux\":0,\"x\":3}\n");
 }
 
 TEST(TraceExportTest, ParseRejectsMalformedLines) {
@@ -220,161 +224,89 @@ TEST(TraceExportTest, ChromeTracePairsCopyLifetimesPerBrokerTrack) {
   }
 }
 
-// --- multi-file merge ------------------------------------------------------
-
-std::string Jsonl(const std::vector<TraceRecord>& records) {
-  std::string text;
+TEST(TraceExportTest, ForEachTraceJsonlReportsTheOffendingLineAcrossFormats) {
+  // A current-format line, a legacy line carrying seq/shard, then garbage:
+  // only the garbage is malformed, and the report names its line exactly.
   char buf[kMaxTraceLineBytes];
-  for (const TraceRecord& record : records) {
-    const int n = FormatTraceJsonl(record, buf, sizeof(buf));
-    text.append(buf, static_cast<std::size_t>(n));
-  }
-  return text;
-}
-
-std::vector<TraceRecord> Merge(const std::vector<std::string>& files) {
-  std::vector<std::istringstream> streams;
-  streams.reserve(files.size());
-  for (const std::string& file : files) streams.emplace_back(file);
-  std::vector<std::istream*> ins;
-  for (auto& stream : streams) ins.push_back(&stream);
-  std::vector<TraceRecord> merged;
-  EXPECT_TRUE(ForEachMergedTraceJsonl(
-      ins, [&](const TraceRecord& record) { merged.push_back(record); }));
-  return merged;
-}
-
-TEST(TraceExportTest, MergeOrdersByTimeSeqShardAcrossAdversarialFiles) {
-  // Two shards whose streams interleave adversarially: bursts at equal
-  // timestamps, one stream running far ahead, then the other catching up.
-  const auto rec = [](std::int64_t t, std::uint32_t seq, std::uint16_t shard) {
-    return Make(TraceEventKind::kPublish, t, 1, 0, 0, TraceRecord::kNoId,
-                TraceRecord::kNoId, 0, 0, seq, shard);
-  };
-  const std::string shard0 = Jsonl(
-      {rec(0, 0, 0), rec(10, 1, 0), rec(10, 2, 0), rec(300, 3, 0)});
-  const std::string shard1 = Jsonl(
-      {rec(0, 0, 1), rec(5, 1, 1), rec(10, 2, 1), rec(10, 3, 1),
-       rec(300, 4, 1)});
-
-  const std::vector<TraceRecord> merged = Merge({shard0, shard1});
-  ASSERT_EQ(merged.size(), 9u);
-  for (std::size_t i = 1; i < merged.size(); ++i) {
-    const TraceRecord& a = merged[i - 1];
-    const TraceRecord& b = merged[i];
-    const bool ordered =
-        a.t_us < b.t_us ||
-        (a.t_us == b.t_us &&
-         (a.seq < b.seq || (a.seq == b.seq && a.shard < b.shard)));
-    EXPECT_TRUE(ordered) << "position " << i;
-  }
-
-  // Argument order must not matter when shard stamps differ.
-  const std::vector<TraceRecord> reversed = Merge({shard1, shard0});
-  ASSERT_EQ(reversed.size(), merged.size());
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    EXPECT_EQ(merged[i].t_us, reversed[i].t_us) << i;
-    EXPECT_EQ(merged[i].seq, reversed[i].seq) << i;
-    EXPECT_EQ(merged[i].shard, reversed[i].shard) << i;
-  }
-}
-
-TEST(TraceExportTest, MergeOfOneFilePreservesFileOrder) {
-  // A single stream must pass through untouched even where its (t, seq)
-  // pairs would re-sort differently — merge never reorders within a file.
-  const auto rec = [](std::int64_t t, std::uint32_t seq) {
-    return Make(TraceEventKind::kAck, t, 2, 1, 3, 4, 5, 0, 0, seq, 0);
-  };
-  const std::vector<TraceRecord> original = {rec(50, 7), rec(50, 8),
-                                             rec(60, 2)};
-  const std::vector<TraceRecord> merged = Merge({Jsonl(original)});
-  ASSERT_EQ(merged.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(merged[i].seq, original[i].seq) << i;
-  }
-}
-
-TEST(TraceExportTest, MergeReportsTheOffendingFileAndLine) {
-  const std::string good = Jsonl({Make(TraceEventKind::kPublish, 0, 1, 0, 0,
-                                       TraceRecord::kNoId,
-                                       TraceRecord::kNoId)});
-  std::istringstream a(good);
-  std::istringstream b(good + "garbage\n");
-  std::vector<std::istream*> ins{&a, &b};
-  std::size_t bad_file = 99, bad_line = 0;
+  const int len = FormatTraceJsonl(
+      Make(TraceEventKind::kPublish, 0, 1, 0, 0, TraceRecord::kNoId,
+           TraceRecord::kNoId),
+      buf, sizeof(buf));
+  std::istringstream in(
+      std::string(buf, static_cast<std::size_t>(len)) +
+      "{\"t\":9,\"k\":\"deliver\",\"pkt\":1,\"copy\":0,\"node\":4,"
+      "\"peer\":0,\"link\":-1,\"aux\":0,\"x\":0,\"seq\":1,\"shard\":2}\n"
+      "garbage\n");
+  std::size_t seen = 0, bad_line = 0;
   std::string bad_text;
-  EXPECT_FALSE(ForEachMergedTraceJsonl(
-      ins, [](const TraceRecord&) {}, &bad_file, &bad_line, &bad_text));
-  EXPECT_EQ(bad_file, 1u);
-  EXPECT_EQ(bad_line, 2u);
+  EXPECT_FALSE(ForEachTraceJsonl(
+      in, [&](const TraceRecord&) { ++seen; }, &bad_line, &bad_text));
+  EXPECT_EQ(seen, 2u);
+  EXPECT_EQ(bad_line, 3u);
   EXPECT_EQ(bad_text, "garbage");
 }
 
-// --- Chrome exec tracks ----------------------------------------------------
+// --- Chrome telemetry tracks ------------------------------------------------
 
-TEST(TraceExportTest, ChromeTraceAddsPairedExecTracksFromProfile) {
+TEST(TraceExportTest, ChromeTraceAddsTelemetryCounterTracksFromTimeSeries) {
   std::vector<TraceRecord> records;
   records.push_back(Make(TraceEventKind::kPublish, 0, 5, 0, 0,
                          TraceRecord::kNoId, TraceRecord::kNoId));
 
-  ShardProfile profile;
-  profile.shards = 2;
-  profile.rounds = 4;
-  profile.lookahead_us = 10;
-  profile.shard_totals.assign(2, {});
-  profile.matrix.assign(4, {});
-  for (int b = 0; b < 2; ++b) {
-    ShardProfile::Bucket bucket;
-    bucket.first_round = static_cast<std::uint64_t>(b * 2);
-    bucket.last_round = bucket.first_round + 1;
-    bucket.busy_ns = {2'000'000, 1'000'000};
-    bucket.stall_ns = {500'000, 1'500'000};
-    bucket.critical_shard = 0;
-    profile.buckets.push_back(bucket);
-  }
+  // Two samples of a store carrying the SLO counters, one gauge and two
+  // brokers' health columns.
+  TimeSeriesStore series;
+  series.interval_us = 1000000;
+  series.node_count = 2;
+  series.t_us = {0, 1000000};
+  series.counter_names = {"slo.pairs_published", "slo.pairs_delivered",
+                          "slo.pairs_on_time"};
+  series.counter_deltas = {{0, 10}, {0, 8}, {0, 6}};
+  series.gauge_names = {"links.down"};
+  series.gauge_values = {{0, 3}};
+  series.broker_pending = {0, 0, 4, 5};
+  series.broker_dedup = {0, 0, 1, 2};
+  series.broker_rto_us = {0, 0, 700, 900};
 
   std::ostringstream os;
-  WriteChromeTrace(os, records, &profile);
+  WriteChromeTrace(os, records, &series);
   const std::string json = os.str();
 
-  EXPECT_NE(json.find("dcrd-exec"), std::string::npos);
-  EXPECT_NE(json.find("shard 0 exec"), std::string::npos);
-  EXPECT_NE(json.find("shard 1 exec"), std::string::npos);
-
-  // 2 shards x 2 buckets x (busy + stall): every busy span has its stall
-  // partner, and each shard's spans tile its wall clock without overlap.
-  std::size_t busy_count = 0, stall_count = 0;
-  for (std::size_t pos = 0;
-       (pos = json.find("\"name\":\"busy\"", pos)) != std::string::npos;
-       ++pos) {
-    ++busy_count;
-  }
-  for (std::size_t pos = 0;
-       (pos = json.find("\"name\":\"stall\"", pos)) != std::string::npos;
-       ++pos) {
-    ++stall_count;
-  }
-  EXPECT_EQ(busy_count, 4u);
-  EXPECT_EQ(stall_count, 4u);
-
-  std::map<std::int64_t, std::vector<const ChromeEvent*>> x_by_tid;
-  std::vector<ChromeEvent> events = ScanChrome(json);
-  for (const ChromeEvent& event : events) {
-    if (event.ph == 'X') x_by_tid[event.tid].push_back(&event);
-  }
-  ASSERT_EQ(x_by_tid.size(), 2u);
-  for (const auto& [tid, spans] : x_by_tid) {
-    ASSERT_EQ(spans.size(), 4u) << "shard " << tid;
-    for (std::size_t i = 1; i < spans.size(); ++i) {
-      EXPECT_GE(spans[i]->ts, spans[i - 1]->ts) << "shard " << tid;
+  EXPECT_NE(json.find("{\"ph\":\"M\",\"pid\":2,\"name\":\"process_name\","
+                      "\"args\":{\"name\":\"dcrd-telemetry\"}}"),
+            std::string::npos)
+      << json;
+  const auto count = [&json](const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t pos = json.find(needle); pos != std::string::npos;
+         pos = json.find(needle, pos + 1)) {
+      ++n;
     }
-    EXPECT_EQ(spans.front()->ts, 0) << "shard " << tid;
-  }
-  // Shard 0: 2ms busy + 0.5ms stall per bucket -> second bucket's busy span
-  // starts at 2500us of cumulative wall clock.
-  EXPECT_EQ(x_by_tid[0][2]->ts, 2500);
-  // Shard 1: 1ms busy + 1.5ms stall per bucket.
-  EXPECT_EQ(x_by_tid[1][2]->ts, 2500);
+    return n;
+  };
+  // Per sample: 3 counter rates + 1 gauge + 3 broker aggregates; plus 3
+  // SLO series over the one window.
+  EXPECT_EQ(count("\"ph\":\"C\",\"pid\":2,"), 2u * 7u + 3u);
+  EXPECT_NE(json.find("\"name\":\"slo.pairs_delivered/win\",\"ts\":1000000,"
+                      "\"args\":{\"value\":8}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"links.down\",\"ts\":1000000,"
+                      "\"args\":{\"value\":3}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"broker.pending_copies\",\"ts\":1000000,"
+                      "\"args\":{\"value\":9}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"broker.rto_us.max\",\"ts\":1000000,"
+                      "\"args\":{\"value\":900}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"slo.delivery_ratio\",\"ts\":1000000,"
+                      "\"args\":{\"value\":0.800000}"),
+            std::string::npos);
+
+  // Without a store, no telemetry process appears.
+  std::ostringstream plain;
+  WriteChromeTrace(plain, records);
+  EXPECT_EQ(plain.str().find("dcrd-telemetry"), std::string::npos);
 }
 
 TEST(TraceExportTest, PacketTimelineFiltersAndOrders) {

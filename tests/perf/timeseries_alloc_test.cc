@@ -1,5 +1,5 @@
 // Regression test for the time-series sampler's zero-steady-state-
-// allocation property (DESIGN.md §14). Construction reserves every column
+// allocation property (DESIGN.md §12). Construction reserves every column
 // against the sample budget; after that, each SampleNow() — counter deltas,
 // gauge reads, histogram bucket diffs, broker health — must run without
 // touching the heap allocator, or enabling --timeseries would perturb the

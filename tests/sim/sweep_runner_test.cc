@@ -24,26 +24,6 @@ TEST(SweepRunnerTest, ResolveJobCountDefaultsToHardware) {
   EXPECT_GE(ResolveJobCount(-3), 1);
 }
 
-TEST(SweepRunnerTest, CapJobsForShardsLeavesSingleLayerAlone) {
-  // One parallelism layer: an explicit --jobs stays literal, even when it
-  // alone oversubscribes (that has always been the operator's call).
-  EXPECT_EQ(CapJobsForShards(7, 1, /*hardware_threads=*/4), 7);
-  EXPECT_EQ(CapJobsForShards(7, 0, /*hardware_threads=*/4), 7);
-}
-
-TEST(SweepRunnerTest, CapJobsForShardsCapsTheProduct) {
-  // 8 jobs x 4 shards = 32 threads on 16 hardware threads: jobs drops to
-  // 16 / 4 = 4.
-  EXPECT_EQ(CapJobsForShards(8, 4, /*hardware_threads=*/16), 4);
-  // Fits: untouched.
-  EXPECT_EQ(CapJobsForShards(4, 4, /*hardware_threads=*/16), 4);
-  EXPECT_EQ(CapJobsForShards(2, 4, /*hardware_threads=*/32), 2);
-  // Shards alone exceed the machine: one job at a time, never zero.
-  EXPECT_EQ(CapJobsForShards(8, 32, /*hardware_threads=*/16), 1);
-  // Unknown hardware: no basis for a cap.
-  EXPECT_EQ(CapJobsForShards(8, 4, /*hardware_threads=*/0), 8);
-}
-
 TEST(SweepRunnerTest, RunsEveryCellExactlyOnce) {
   SweepRunner runner(4);
   std::vector<std::atomic<int>> hits(64);

@@ -1,15 +1,11 @@
 // dcrd_trace — query and analysis tool for flight-recorder JSONL traces.
 //
 // Usage:
-//   dcrd_trace [MODE...] TRACE.jsonl...
+//   dcrd_trace [MODE...] TRACE.jsonl
 //
 // Traces come from any figure/example binary run with --trace_out (one file
-// per sweep cell; a sharded cell writes one file per shard, tagged
-// `.shardK`). Multiple inputs — listed explicitly or as a shell-style
-// pattern like `trace.shard*.jsonl`, which the tool expands itself so
-// quoting survives CI scripts — are merged deterministically by
-// (t_us, seq, shard): the same total order regardless of argument order, so
-// every view below works unchanged on a multi-shard capture.
+// per sweep cell). Lines from older captures that also carry "seq" and
+// "shard" keys read the same as current ones.
 //
 //   --summary        per-kind event counts, time span, distinct
 //                    packets/brokers (default when no mode is given)
@@ -20,14 +16,7 @@
 //                    start/done, peer-death verdicts about it, and every
 //                    traffic event it took part in
 //   --chrome PATH    write a Chrome trace_event JSON file (open in Perfetto
-//                    or chrome://tracing; one track per broker). With
-//                    --shards, adds a "dcrd-exec" process: one wall-clock
-//                    track per shard showing busy/stall spans per round
-//                    bucket
-//   --shards PROF    render a --shard_profile JSON (per-shard busy/stall
-//                    totals, imbalance, critical-shard attribution, and the
-//                    cross-shard traffic matrix as a heat table). Works
-//                    standalone — no trace files needed
+//                    or chrome://tracing; one track per broker)
 //   --timeseries TS  render a --timeseries JSON capture (counter totals,
 //                    gauge ranges, the windowed deadline-SLO table). Works
 //                    standalone; with --chrome it adds "dcrd-telemetry"
@@ -41,11 +30,9 @@
 //                    charts; audit table when --audit is also given)
 //
 // Input is streamed line by line — a multi-gigabyte trace never lives in
-// memory twice, and the merge buffers one record per file. A malformed line
-// is a hard error (exit 1, with the file, line number, and offending text);
-// unknown flags exit 2.
-#include <glob.h>
-
+// memory twice. A malformed line is a hard error (exit 1, with the file,
+// line number, and offending text); unknown flags and more than one trace
+// file exit 2.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -56,7 +43,6 @@
 #include "obs/analysis/delay_decomposition.h"
 #include "obs/analysis/html_report.h"
 #include "obs/analysis/model_audit.h"
-#include "obs/shard_profiler.h"
 #include "obs/timeseries.h"
 #include "obs/trace_export.h"
 #include "obs/trace_record.h"
@@ -65,30 +51,9 @@ namespace {
 
 int Usage() {
   std::cerr << "usage: dcrd_trace [--summary | --packet ID | --broker ID | "
-               "--chrome OUT | --shards PROFILE.json | "
-               "--timeseries SERIES.json | --decompose | "
-               "--audit MODEL.jsonl | --report OUT.html] TRACE.jsonl...\n";
+               "--chrome OUT | --timeseries SERIES.json | --decompose | "
+               "--audit MODEL.jsonl | --report OUT.html] [TRACE.jsonl]\n";
   return 2;
-}
-
-// Expands shell-style patterns (a sharded cell's `trace.shard*.jsonl`) so a
-// quoted pattern works the same as an explicit list. GLOB_NOCHECK hands a
-// non-matching pattern back verbatim, so plain paths pass through — a
-// missing file still surfaces as "cannot open", not as silence.
-std::vector<std::string> ExpandGlobs(const std::vector<std::string>& args) {
-  std::vector<std::string> paths;
-  for (const std::string& arg : args) {
-    glob_t matches{};
-    if (::glob(arg.c_str(), GLOB_NOCHECK, nullptr, &matches) == 0) {
-      for (std::size_t i = 0; i < matches.gl_pathc; ++i) {
-        paths.emplace_back(matches.gl_pathv[i]);
-      }
-    } else {
-      paths.push_back(arg);
-    }
-    globfree(&matches);
-  }
-  return paths;
 }
 
 // Value-less mode flags (--summary, --decompose). Flags::Parse is greedy —
@@ -105,30 +70,19 @@ bool BoolMode(const dcrd::Flags& flags, const std::string& name,
   return true;
 }
 
-// Streams every trace file through `fn` as one deterministic
-// (t_us, seq, shard)-ordered merge; hard-fails on the first malformed line
-// with a message a human can act on. A single file passes through in file
-// order — identical to the pre-merge behaviour.
-bool StreamTraces(const std::vector<std::string>& files,
-                  const std::function<void(const dcrd::TraceRecord&)>& fn) {
-  std::vector<std::ifstream> streams;
-  streams.reserve(files.size());
-  std::vector<std::istream*> ins;
-  ins.reserve(files.size());
-  for (const std::string& path : files) {
-    streams.emplace_back(path);
-    if (!streams.back()) {
-      std::cerr << "dcrd_trace: cannot open " << path << "\n";
-      return false;
-    }
-    ins.push_back(&streams.back());
+// Streams the trace file through `fn` in file order; hard-fails on the
+// first malformed line with a message a human can act on.
+bool StreamTrace(const std::string& path,
+                 const std::function<void(const dcrd::TraceRecord&)>& fn) {
+  std::ifstream in(path);
+  if (!in) {
+    std::cerr << "dcrd_trace: cannot open " << path << "\n";
+    return false;
   }
-  std::size_t bad_file = 0;
   std::size_t bad_line = 0;
   std::string bad_text;
-  if (!dcrd::ForEachMergedTraceJsonl(ins, fn, &bad_file, &bad_line,
-                                     &bad_text)) {
-    std::cerr << "dcrd_trace: " << files[bad_file] << ":" << bad_line
+  if (!dcrd::ForEachTraceJsonl(in, fn, &bad_line, &bad_text)) {
+    std::cerr << "dcrd_trace: " << path << ":" << bad_line
               << ": malformed trace record: " << bad_text << "\n";
     return false;
   }
@@ -222,7 +176,6 @@ int main(int argc, char** argv) {
   const bool has_broker = flags.Has("broker");
   const std::int64_t broker = flags.GetInt("broker", -1);
   const std::string chrome_out = flags.GetString("chrome", "");
-  const std::string shards_profile = flags.GetString("shards", "");
   const std::string timeseries_in = flags.GetString("timeseries", "");
   const std::string audit_model = flags.GetString("audit", "");
   const std::string report_out = flags.GetString("report", "");
@@ -230,10 +183,11 @@ int main(int argc, char** argv) {
 
   files.insert(files.end(), flags.passthrough().begin(),
                flags.passthrough().end());
-  files = ExpandGlobs(files);
-  if (files.empty() && shards_profile.empty() && timeseries_in.empty()) {
+  if (files.size() > 1) {
+    std::cerr << "dcrd_trace: one trace file at a time\n";
     return Usage();
   }
+  if (files.empty() && timeseries_in.empty()) return Usage();
   if (has_packet && packet < 0) {
     std::cerr << "--packet needs a non-negative message id\n";
     return 2;
@@ -241,26 +195,6 @@ int main(int argc, char** argv) {
   if (has_broker && broker < 0) {
     std::cerr << "--broker needs a non-negative broker id\n";
     return 2;
-  }
-
-  // The shard-execution profile: printed on its own, and threaded into the
-  // Chrome export (per-shard busy/stall tracks) when both are requested.
-  dcrd::ShardProfile profile;
-  bool have_profile = false;
-  if (!shards_profile.empty()) {
-    std::ifstream in(shards_profile);
-    if (!in) {
-      std::cerr << "dcrd_trace: cannot open " << shards_profile << "\n";
-      return 1;
-    }
-    std::string error;
-    if (!dcrd::LoadShardProfileJson(in, &profile, &error)) {
-      std::cerr << "dcrd_trace: " << shards_profile
-                << ": malformed shard profile: " << error << "\n";
-      return 1;
-    }
-    have_profile = true;
-    dcrd::PrintShardProfile(std::cout, profile);
   }
 
   // The time-series capture: rendered as terminal tables on its own, and
@@ -296,10 +230,9 @@ int main(int argc, char** argv) {
   dcrd::TraceAnalyzer analyzer;
   dcrd::TraceSummaryAccumulator summary_acc;
   const bool want_summary =
-      summary ||
-      (!need_records && !need_analysis && !have_profile && !have_series);
+      summary || (!need_records && !need_analysis && !have_series);
   if (!files.empty() &&
-      !StreamTraces(files, [&](const dcrd::TraceRecord& record) {
+      !StreamTrace(files.front(), [&](const dcrd::TraceRecord& record) {
         if (need_records) records.push_back(record);
         if (need_analysis) analyzer.Add(record);
         if (want_summary) summary_acc.Add(record);
@@ -313,8 +246,7 @@ int main(int argc, char** argv) {
       std::cerr << "cannot write " << chrome_out << "\n";
       return 1;
     }
-    dcrd::WriteChromeTrace(out, records, have_profile ? &profile : nullptr,
-                           have_series ? &series : nullptr);
+    dcrd::WriteChromeTrace(out, records, have_series ? &series : nullptr);
     std::cerr << "wrote " << chrome_out << " (" << records.size()
               << " records)\n";
   }
@@ -376,10 +308,7 @@ int main(int argc, char** argv) {
         std::cerr << "cannot write " << report_out << "\n";
         return 1;
       }
-      std::string title = files.empty() ? timeseries_in : files.front();
-      if (files.size() > 1) {
-        title += " (+" + std::to_string(files.size() - 1) + " more)";
-      }
+      const std::string title = files.empty() ? timeseries_in : files.front();
       dcrd::WriteHtmlReport(out, result, have_audit ? &audit : nullptr, title,
                             have_series ? &series : nullptr);
       std::cerr << "wrote " << report_out << " (" << result.deliveries.size()
