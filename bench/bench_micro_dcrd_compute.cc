@@ -1,7 +1,9 @@
 // Microbenchmark: the DCRD <d,r> fixed point and sending-list build.
 //
 // This is the per-epoch cost that dominates large-N DCRD runs (Fig. 5):
-// one ComputeDestinationTables call per (topic, subscriber) pair.
+// one DrSolver per rebuild, one Solve per (topic, subscriber) pair.
+// BM_RebuildDestinations is that whole epoch and is the one the CI perf
+// gate reads (it reports items/s = destinations/s).
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -9,6 +11,8 @@
 #include "graph/topology.h"
 #include "net/failure_schedule.h"
 #include "net/link_monitor.h"
+#include "sim/scenario.h"
+#include "sim/workload.h"
 
 namespace {
 
@@ -45,6 +49,42 @@ void BM_ComputeDestinationTables(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ComputeDestinationTables)->Arg(20)->Arg(80)->Arg(160);
+
+void BM_RebuildDestinations(benchmark::State& state) {
+  // One monitoring epoch's destinations, solved the way DcrdRouter::Rebuild
+  // solves them: 10 topics, each broker subscribing with probability 0.4,
+  // deadlines 3x the shortest path (Sec. IV-A).
+  Fixture fixture(static_cast<std::size_t>(state.range(0)));
+  ScenarioConfig workload;
+  workload.topic_count = 10;
+  workload.subscriber_probability_min = 0.4;
+  workload.subscriber_probability_max = 0.4;
+  Rng rng(23);
+  const SubscriptionTable subs =
+      GenerateWorkload(fixture.graph, workload, rng);
+  const MonitoredView& view = fixture.monitor.view();
+  const DrComputationConfig config;
+  std::int64_t destinations = 0;
+  for (auto _ : state) {
+    DrSolver solver(fixture.graph, view, config);
+    for (std::size_t t = 0; t < subs.topic_count(); ++t) {
+      const TopicId topic(static_cast<TopicId::underlying_type>(t));
+      const std::vector<double> publisher_dist =
+          MonitoredDistancesFrom(fixture.graph, view, subs.publisher(topic));
+      for (const Subscription& sub : subs.subscriptions(topic)) {
+        benchmark::DoNotOptimize(solver.Solve(
+            sub.subscriber, static_cast<double>(sub.deadline.micros()),
+            publisher_dist));
+        ++destinations;
+      }
+    }
+  }
+  state.SetItemsProcessed(destinations);
+}
+BENCHMARK(BM_RebuildDestinations)
+    ->Arg(40)
+    ->Arg(100)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Theorem1SortAndCombine(benchmark::State& state) {
   // The inner loop of every sweep: sort candidates, fold Eq. 3.

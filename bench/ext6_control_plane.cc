@@ -76,12 +76,9 @@ int main(int argc, char** argv) {
               static_cast<dcrd::NodeId::underlying_type>(nodes - 1));
           const auto dist = dcrd::MonitoredDistancesFrom(
               graph, monitor.view(), publisher);
-          std::vector<double> budgets(nodes);
-          for (std::size_t i = 0; i < nodes; ++i) {
-            budgets[i] = 3.0 * dist[subscriber.underlying()] - dist[i];
-          }
-          budgets[subscriber.underlying()] =
-              std::max(budgets[subscriber.underlying()], 1.0);
+          // Deadline 3x the monitored shortest delay (Sec. IV-A).
+          const std::vector<double> budgets = dcrd::DeadlineBudgets(
+              3.0 * dist[subscriber.underlying()], dist, subscriber);
 
           dcrd::Scheduler scheduler;
           dcrd::OverlayNetwork network(graph, scheduler, failures, 0.0,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <ostream>
 
 #include "obs/flight_recorder.h"
@@ -51,24 +52,26 @@ void DcrdRouter::Rebuild(const MonitoredView& view) {
   tables_.assign(subs.topic_count(), {});
   gossip_.assign(subs.topic_count(), {});
   subscriber_index_.assign(subs.topic_count(), {});
+  // One solver per epoch: it shares the lifted links across every
+  // destination and each subscriber's sweep order and fallback fixed point
+  // across that subscriber's topics.
+  std::optional<DrSolver> solver;
+  if (!config_.use_distributed_computation) {
+    solver.emplace(graph, view, config_.computation);
+  }
   for (std::size_t t = 0; t < subs.topic_count(); ++t) {
     const TopicId topic(static_cast<TopicId::underlying_type>(t));
     const NodeId publisher = subs.publisher(topic);
     const std::vector<double> publisher_dist =
         MonitoredDistancesFrom(graph, view, publisher);
     for (const Subscription& sub : subs.subscriptions(topic)) {
+      const double deadline_us = static_cast<double>(sub.deadline.micros());
       if (config_.use_distributed_computation) {
         subscriber_index_[t].emplace(sub.subscriber, gossip_[t].size());
-        std::vector<double> budgets(graph.node_count());
-        for (std::size_t i = 0; i < graph.node_count(); ++i) {
-          budgets[i] =
-              static_cast<double>(sub.deadline.micros()) - publisher_dist[i];
-        }
-        budgets[sub.subscriber.underlying()] =
-            std::max(budgets[sub.subscriber.underlying()], 1.0);
         GossipTables gossip;
         gossip.constrained = std::make_shared<DistributedDrComputation>(
-            *context_.network, sub.subscriber, view, budgets,
+            *context_.network, sub.subscriber, view,
+            DeadlineBudgets(deadline_us, publisher_dist, sub.subscriber),
             config_.distributed);
         gossip.constrained->Start();
         if (config_.best_effort_fallback) {
@@ -81,10 +84,11 @@ void DcrdRouter::Rebuild(const MonitoredView& view) {
         gossip_[t].push_back(std::move(gossip));
       } else {
         subscriber_index_[t].emplace(sub.subscriber, tables_[t].size());
-        tables_[t].push_back(ComputeDestinationTables(
-            graph, view, sub.subscriber,
-            static_cast<double>(sub.deadline.micros()), publisher_dist,
-            config_.computation));
+        const DestinationTables& tables = tables_[t].emplace_back(
+            solver->Solve(sub.subscriber, deadline_us, publisher_dist));
+        ++solve_stats_.solves;
+        solve_stats_.sweeps += static_cast<std::uint64_t>(tables.sweeps_used);
+        if (!tables.converged) ++solve_stats_.unconverged;
       }
     }
   }

@@ -75,6 +75,14 @@ struct DcrdConfig {
       /*rebroadcast_gap=*/SimDuration::Millis(100)};
 };
 
+// Control-plane health of solver-mode rebuilds, cumulative over the run:
+// one solve per (topic, subscriber) destination per rebuild.
+struct SolveStats {
+  std::uint64_t solves = 0;       // destinations solved
+  std::uint64_t sweeps = 0;       // sum of their sweeps_used
+  std::uint64_t unconverged = 0;  // solves stopped by max_sweeps
+};
+
 class DcrdRouter final : public Router {
  public:
   DcrdRouter(RouterContext context, DcrdConfig config = {});
@@ -87,6 +95,9 @@ class DcrdRouter final : public Router {
   // this to assert sending-list structure.
   [[nodiscard]] const DestinationTables& TablesFor(TopicId topic,
                                                    NodeId subscriber) const;
+  // Sums of TablesFor's sweeps_used / converged over every rebuild so far;
+  // stays zero in distributed mode, which runs no solver.
+  [[nodiscard]] const SolveStats& solve_stats() const { return solve_stats_; }
 
   // Writes the model state the delay auditor needs, one JSONL row per
   // currently reachable (topic, subscriber) pair: the publisher node's
@@ -224,6 +235,7 @@ class DcrdRouter final : public Router {
       processed_;
   // Persistency-mode state: retry attempts per (node, message, subscriber).
   std::map<std::tuple<NodeId, std::uint64_t, NodeId>, int> persisted_;
+  SolveStats solve_stats_;
   std::uint64_t dropped_undeliverable_ = 0;
   std::uint64_t persisted_packets_ = 0;
   std::uint64_t persistence_retries_ = 0;

@@ -9,14 +9,21 @@ namespace {
 
 template <typename Less>
 void SortUsable(std::vector<ViaEntry>& entries, Less less) {
-  // Unreachable entries (r == 0 or infinite d) go to the back untouched;
-  // including them in the comparators would produce inf*0 = NaN and break
-  // strict weak ordering.
-  const auto usable_end = std::stable_partition(
-      entries.begin(), entries.end(), [](const ViaEntry& e) {
-        return e.r_via > 0.0 && e.d_via_us < kInfiniteDelay;
-      });
-  std::stable_sort(entries.begin(), usable_end, less);
+  // Unreachable entries (r == 0 or infinite d) go to the back in their
+  // original order; including them in the comparators would produce
+  // inf*0 = NaN and break strict weak ordering. Moving each usable entry
+  // down by one rotation keeps both groups in order without a buffer.
+  auto usable_end = entries.begin();
+  for (auto it = entries.begin(); it != entries.end(); ++it) {
+    if (it->r_via > 0.0 && it->d_via_us < kInfiniteDelay) {
+      std::rotate(usable_end, it, it + 1);
+      ++usable_end;
+    }
+  }
+  // Every comparator ends in the neighbour-id tie-break, and a list holds
+  // each neighbour once, so `less` is a strict total order: the in-place
+  // sort yields the one sorted sequence a stable sort would.
+  std::sort(entries.begin(), usable_end, less);
 }
 
 }  // namespace

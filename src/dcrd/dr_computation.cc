@@ -23,60 +23,86 @@ std::vector<double> MonitoredDistancesFrom(const Graph& graph,
   return distances;
 }
 
-namespace {
-
-// Builds X's eligible entries toward the subscriber from the current dr
-// estimates — neighbours with d_i < budget — lifted across the link with
-// the m-transmission model (Eq. 1 + Eq. 2) and sorted under the configured
-// ordering policy (Theorem 1 for DCRD proper).
-std::vector<ViaEntry> CollectEligible(const Graph& graph,
-                                      const MonitoredView& view,
-                                      const std::vector<DR>& dr, NodeId x,
-                                      double budget_us, int m,
-                                      OrderingPolicy ordering) {
-  std::vector<ViaEntry> eligible;
-  for (const Neighbor& nb : graph.neighbors(x)) {
-    const DR& dr_i = dr[nb.peer.underlying()];
-    if (!dr_i.reachable() || !(dr_i.d_us < budget_us)) continue;
-    const LinkModel single{static_cast<double>(view.alpha(nb.link).micros()),
-                           view.gamma(nb.link)};
-    const LinkModel lifted = MTransmissionModel(single, m);
-    if (lifted.gamma <= 0.0) continue;
-    eligible.push_back(LiftAcrossLink(nb.peer, nb.link, lifted, dr_i));
+std::vector<double> DeadlineBudgets(
+    double deadline_us, const std::vector<double>& publisher_dist_us,
+    NodeId subscriber) {
+  DCRD_CHECK(subscriber.underlying() < publisher_dist_us.size());
+  std::vector<double> budgets(publisher_dist_us.size());
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
+    budgets[i] = deadline_us - publisher_dist_us[i];
   }
-  SortByPolicy(eligible, ordering);
-  return eligible;
+  budgets[subscriber.underlying()] =
+      std::max(budgets[subscriber.underlying()], 1.0);
+  return budgets;
+}
+
+DrSolver::DrSolver(const Graph& graph, const MonitoredView& view,
+                   const DrComputationConfig& config)
+    : graph_(graph),
+      view_(view),
+      config_(config),
+      unbounded_(graph.node_count(), kInfiniteDelay),
+      subscribers_(graph.node_count()) {
+  // Eq. 1 once per link; both directions read the same lifted model.
+  std::vector<LinkModel> lifted(graph.edge_count());
+  for (std::size_t e = 0; e < lifted.size(); ++e) {
+    const LinkId link(static_cast<LinkId::underlying_type>(e));
+    lifted[e] = MTransmissionModel(
+        LinkModel{static_cast<double>(view.alpha(link).micros()),
+                  view.gamma(link)},
+        config.max_transmissions);
+  }
+  std::size_t max_degree = 0;
+  arc_begin_.reserve(graph.node_count() + 1);
+  for (std::size_t x = 0; x < graph.node_count(); ++x) {
+    arc_begin_.push_back(static_cast<std::uint32_t>(arcs_.size()));
+    const auto& neighbors =
+        graph.neighbors(NodeId(static_cast<NodeId::underlying_type>(x)));
+    for (const Neighbor& nb : neighbors) {
+      const LinkModel& model = lifted[nb.link.underlying()];
+      // A link that never delivers never enters a list.
+      if (model.gamma > 0.0) arcs_.push_back(Arc{nb.peer, nb.link, model});
+    }
+    max_degree = std::max(max_degree, neighbors.size());
+  }
+  arc_begin_.push_back(static_cast<std::uint32_t>(arcs_.size()));
+  dr_.reserve(graph.node_count());
+  eligible_.reserve(max_degree);
+}
+
+// X's eligible entries toward the subscriber from the current dr estimates
+// — neighbours with d_i < budget — lifted across the link (Eq. 2) and
+// sorted under the configured ordering policy (Theorem 1 for DCRD proper).
+void DrSolver::CollectEligible(const std::vector<DR>& dr, std::uint32_t x,
+                               double budget_us) {
+  eligible_.clear();
+  for (std::uint32_t a = arc_begin_[x]; a < arc_begin_[x + 1]; ++a) {
+    const Arc& arc = arcs_[a];
+    const DR& dr_i = dr[arc.peer.underlying()];
+    if (!dr_i.reachable() || !(dr_i.d_us < budget_us)) continue;
+    eligible_.push_back(LiftAcrossLink(arc.peer, arc.link, arc.lifted, dr_i));
+  }
+  SortByPolicy(eligible_, config_.ordering);
 }
 
 // Runs the synchronous Gauss–Seidel sweeps to the <d,r> fixed point under
-// per-node delay budgets (pass +infinity budgets for the unconstrained
-// fixed point). Returns the dr vector plus convergence bookkeeping.
-struct FixedPoint {
-  std::vector<DR> dr;
-  int sweeps_used = 0;
-  bool converged = false;
-};
+// per-node delay budgets (+infinity budgets give the unconstrained fixed
+// point).
+DrSolver::Convergence DrSolver::SolveFixedPoint(
+    NodeId subscriber, const std::vector<double>& budget_us,
+    const std::vector<std::uint32_t>& order, std::vector<DR>& dr) {
+  dr.assign(graph_.node_count(), DR{});
+  dr[subscriber.underlying()] = DR{0.0, 1.0};
 
-FixedPoint SolveFixedPoint(const Graph& graph, const MonitoredView& view,
-                           NodeId subscriber,
-                           const std::vector<double>& budget_us,
-                           const std::vector<std::uint32_t>& order,
-                           const DrComputationConfig& config) {
-  FixedPoint result;
-  result.dr.assign(graph.node_count(), DR{});
-  result.dr[subscriber.underlying()] = DR{0.0, 1.0};
-
-  for (; result.sweeps_used < config.max_sweeps && !result.converged;
+  Convergence result;
+  for (; result.sweeps_used < config_.max_sweeps && !result.converged;
        ++result.sweeps_used) {
     double max_delta = 0.0;
     for (std::uint32_t idx : order) {
-      const NodeId x(idx);
-      if (x == subscriber) continue;
-      const std::vector<ViaEntry> eligible =
-          CollectEligible(graph, view, result.dr, x, budget_us[idx],
-                          config.max_transmissions, config.ordering);
-      const DR updated = CombineOrdered(eligible);
-      const DR previous = result.dr[idx];
+      if (idx == subscriber.underlying()) continue;
+      CollectEligible(dr, idx, budget_us[idx]);
+      const DR updated = CombineOrdered(eligible_);
+      const DR previous = dr[idx];
       if (updated.reachable() != previous.reachable()) {
         max_delta = kInfiniteDelay;
       } else if (updated.reachable()) {
@@ -84,90 +110,91 @@ FixedPoint SolveFixedPoint(const Graph& graph, const MonitoredView& view,
         max_delta =
             std::max(max_delta, std::abs(updated.r - previous.r) * 1e6);
       }
-      result.dr[idx] = updated;
+      dr[idx] = updated;
     }
-    result.converged = max_delta <= config.tolerance_us;
+    result.converged = max_delta <= config_.tolerance_us;
   }
   return result;
 }
 
-}  // namespace
-
-DestinationTables ComputeDestinationTables(
-    const Graph& graph, const MonitoredView& view, NodeId subscriber,
-    double deadline_us, const std::vector<double>& publisher_dist_us,
-    const DrComputationConfig& config) {
-  const std::size_t n = graph.node_count();
-  DCRD_CHECK(subscriber.underlying() < n);
-  DCRD_CHECK(publisher_dist_us.size() == n);
-
-  DestinationTables tables;
-  tables.subscriber = subscriber;
-  tables.deadline_us = deadline_us;
-  tables.budget_us.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    tables.budget_us[i] = deadline_us - publisher_dist_us[i];
-  }
-  // The subscriber delivers to itself within any budget.
-  tables.budget_us[subscriber.underlying()] =
-      std::max(tables.budget_us[subscriber.underlying()], 1.0);
-
+const DrSolver::SubscriberState& DrSolver::PrepareSubscriber(
+    NodeId subscriber) {
+  SubscriberState& state = subscribers_[subscriber.underlying()];
+  if (state.ready) return state;
+  state.ready = true;
   // Sweep order: nodes by monitored distance to the subscriber, closest
   // first, so each sweep propagates information one "ring" further out.
   const std::vector<double> to_subscriber =
-      MonitoredDistancesFrom(graph, view, subscriber);
-  std::vector<std::uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0U);
-  std::stable_sort(order.begin(), order.end(),
+      MonitoredDistancesFrom(graph_, view_, subscriber);
+  state.order.resize(graph_.node_count());
+  std::iota(state.order.begin(), state.order.end(), 0U);
+  std::stable_sort(state.order.begin(), state.order.end(),
                    [&](std::uint32_t a, std::uint32_t b) {
                      return to_subscriber[a] < to_subscriber[b];
                    });
-
-  // Budget-constrained fixed point: the paper's <d,r> and sending lists.
-  const FixedPoint constrained =
-      SolveFixedPoint(graph, view, subscriber, tables.budget_us, order, config);
-  tables.sweeps_used = constrained.sweeps_used;
-  tables.converged = constrained.converged;
-
   // Unconstrained fixed point for the best-effort fallback lists. Budget
   // starvation makes a node advertise r = 0, which would otherwise make it
   // invisible to its neighbours' fallback lists too — the unconstrained
   // values restore "can this neighbour deliver at all, however late".
-  FixedPoint unconstrained;
-  if (config.build_fallback) {
-    const std::vector<double> no_budget(n, kInfiniteDelay);
-    unconstrained =
-        SolveFixedPoint(graph, view, subscriber, no_budget, order, config);
+  if (config_.build_fallback) {
+    SolveFixedPoint(subscriber, unbounded_, state.order, state.unconstrained);
   }
+  return state;
+}
 
-  // Final materialisation pass: sending lists from the converged values.
+DestinationTables DrSolver::Solve(
+    NodeId subscriber, double deadline_us,
+    const std::vector<double>& publisher_dist_us) {
+  const std::size_t n = graph_.node_count();
+  DCRD_CHECK(subscriber.underlying() < n);
+  DCRD_CHECK(publisher_dist_us.size() == n);
+  const SubscriberState& shared = PrepareSubscriber(subscriber);
+
+  DestinationTables tables;
+  tables.subscriber = subscriber;
+  tables.deadline_us = deadline_us;
+  tables.budget_us =
+      DeadlineBudgets(deadline_us, publisher_dist_us, subscriber);
+
+  // Budget-constrained fixed point: the paper's <d,r> and sending lists.
+  const Convergence constrained =
+      SolveFixedPoint(subscriber, tables.budget_us, shared.order, dr_);
+  tables.sweeps_used = constrained.sweeps_used;
+  tables.converged = constrained.converged;
+
+  // Final materialisation pass: sending lists from the converged values,
+  // each copied out of the scratch list at its exact size.
   tables.per_node.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const NodeId x(static_cast<NodeId::underlying_type>(i));
+  for (std::uint32_t i = 0; i < n; ++i) {
     NodeTables& node = tables.per_node[i];
-    if (x == subscriber) {
+    if (i == subscriber.underlying()) {
       node.dr = DR{0.0, 1.0};
       continue;
     }
-    node.dr = constrained.dr[i];
-    node.primary =
-        CollectEligible(graph, view, constrained.dr, x, tables.budget_us[i],
-                        config.max_transmissions, config.ordering);
-    if (config.build_fallback) {
-      std::vector<ViaEntry> fallback = CollectEligible(
-          graph, view, unconstrained.dr, x, kInfiniteDelay,
-          config.max_transmissions, config.ordering);
+    node.dr = dr_[i];
+    CollectEligible(dr_, i, tables.budget_us[i]);
+    node.primary.assign(eligible_.begin(), eligible_.end());
+    if (config_.build_fallback) {
+      CollectEligible(shared.unconstrained, i, kInfiniteDelay);
       // Drop neighbours the primary list already covers.
-      std::erase_if(fallback, [&](const ViaEntry& entry) {
+      std::erase_if(eligible_, [&](const ViaEntry& entry) {
         return std::any_of(node.primary.begin(), node.primary.end(),
                            [&](const ViaEntry& p) {
                              return p.neighbor == entry.neighbor;
                            });
       });
-      node.fallback = std::move(fallback);
+      node.fallback.assign(eligible_.begin(), eligible_.end());
     }
   }
   return tables;
+}
+
+DestinationTables ComputeDestinationTables(
+    const Graph& graph, const MonitoredView& view, NodeId subscriber,
+    double deadline_us, const std::vector<double>& publisher_dist_us,
+    const DrComputationConfig& config) {
+  return DrSolver(graph, view, config)
+      .Solve(subscriber, deadline_us, publisher_dist_us);
 }
 
 }  // namespace dcrd

@@ -430,11 +430,14 @@ Sim::Sim(const ScenarioConfig& config, const Graph& graph)
   context.recorder = recorder_.get();
   context.hop_rtt_histogram = rtt_histogram_;
   router_ = MakeRouter(config_, context);
-  // The delay auditor needs the model's sending lists, which only the DCRD
-  // router materialises. Pure read-side: snapshots go to the audit file
-  // only, after each rebuild, so routing never observes the auditor.
+  // Only the DCRD router materialises sending lists (the delay auditor's
+  // model) and runs the <d,r> solver (the registry's control-plane
+  // counters).
+  const auto* dcrd_router = dynamic_cast<const DcrdRouter*>(router_.get());
+  // Pure read-side: snapshots go to the audit file only, after each
+  // rebuild, so routing never observes the auditor.
   if (audit_file_.is_open()) {
-    audit_router_ = dynamic_cast<const DcrdRouter*>(router_.get());
+    audit_router_ = dcrd_router;
     if (audit_router_ == nullptr) {
       DCRD_LOG(kWarn) << "delay_audit_out requested but router "
                       << router_->name()
@@ -468,6 +471,12 @@ Sim::Sim(const ScenarioConfig& config, const Graph& graph)
       }
       return gray;
     });
+    if (dcrd_router != nullptr) {
+      const SolveStats& solves = dcrd_router->solve_stats();
+      registry_->RegisterCounter("dcrd.solves", &solves.solves);
+      registry_->RegisterCounter("dcrd.sweeps", &solves.sweeps);
+      registry_->RegisterCounter("dcrd.unconverged", &solves.unconverged);
+    }
   }
 
   // Bootstrap measurement + epoch rebuilds for the whole run. Churn, when

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "graph/topology.h"
 #include "routing/test_harness.h"
 
@@ -243,6 +244,44 @@ TEST(DcrdRouterTest, DuplicateFreshArrivalsSuppressed) {
     }
   }
   EXPECT_EQ(delivered_pairs, 300U);
+}
+
+TEST(DcrdRouterTest, SolveStatsSumTheTablesOfEveryRebuild) {
+  Rng rng(4);
+  RouterHarness h(RandomConnected(30, 5, rng), 0.08, 1e-3);
+  for (const std::uint32_t publisher : {0U, 7U, 19U}) {
+    const TopicId topic = h.subscriptions.AddTopic(NodeId(publisher));
+    for (std::uint32_t s = 1; s < 30; s += 3) {
+      h.subscriptions.AddSubscription(topic, NodeId((publisher + s) % 30),
+                                      SimDuration::Millis(120));
+    }
+  }
+  DcrdRouter router(h.Context());
+  SolveStats expected;
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    if (epoch > 0) {
+      h.monitor.MeasureAt(SimTime::Zero() + SimDuration::Seconds(300 * epoch));
+    }
+    router.Rebuild(h.monitor.view());
+    for (std::size_t t = 0; t < h.subscriptions.topic_count(); ++t) {
+      const TopicId topic(static_cast<TopicId::underlying_type>(t));
+      for (const Subscription& sub : h.subscriptions.subscriptions(topic)) {
+        const DestinationTables& tables =
+            router.TablesFor(topic, sub.subscriber);
+        ++expected.solves;
+        expected.sweeps += static_cast<std::uint64_t>(tables.sweeps_used);
+        if (!tables.converged) ++expected.unconverged;
+      }
+    }
+    EXPECT_EQ(router.solve_stats().solves, expected.solves) << epoch;
+    EXPECT_EQ(router.solve_stats().sweeps, expected.sweeps) << epoch;
+    EXPECT_EQ(router.solve_stats().unconverged, expected.unconverged)
+        << epoch;
+  }
+  EXPECT_EQ(expected.solves, 3U * 3U * 10U);
+  // The lossy, failure-prone overlay drives some solves into the sweep
+  // cap, so the unconverged count is exercised too.
+  EXPECT_GT(expected.unconverged, 0U);
 }
 
 }  // namespace

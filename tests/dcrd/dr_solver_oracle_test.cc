@@ -1,0 +1,393 @@
+// DrSolver against the solver it replaced, bit for bit.
+//
+// The `oracle` namespace below is the earlier per-destination solver,
+// copied verbatim but for the sort's name: every sweep re-lifts each link
+// through Eq. 1, builds a fresh list and orders it with a stable partition
+// plus a stable sort, and every destination re-runs its own sweep order
+// and unconstrained fixed point. DrSolver shares that work per rebuild and
+// per subscriber; these tests require the shared solve to reproduce every
+// double (memcmp), every list's neighbour and link order, the budgets and
+// the convergence bookkeeping on random overlays across the solver's whole
+// configuration space, including destinations that stop at the sweep cap.
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <numeric>
+#include <string>
+
+#include <gtest/gtest.h>
+
+#include "common/rng.h"
+#include "dcrd/dr_computation.h"
+#include "graph/topology.h"
+#include "net/failure_schedule.h"
+
+namespace dcrd {
+namespace {
+
+namespace oracle {
+
+template <typename Less>
+void SortUsable(std::vector<ViaEntry>& entries, Less less) {
+  const auto usable_end = std::stable_partition(
+      entries.begin(), entries.end(), [](const ViaEntry& e) {
+        return e.r_via > 0.0 && e.d_via_us < kInfiniteDelay;
+      });
+  std::stable_sort(entries.begin(), usable_end, less);
+}
+
+void StableSortByPolicy(std::vector<ViaEntry>& entries,
+                        OrderingPolicy policy) {
+  switch (policy) {
+    case OrderingPolicy::kTheorem1:
+      SortUsable(entries, [](const ViaEntry& a, const ViaEntry& b) {
+        const double lhs = a.d_via_us * b.r_via;
+        const double rhs = b.d_via_us * a.r_via;
+        if (lhs != rhs) return lhs < rhs;
+        return a.neighbor < b.neighbor;
+      });
+      return;
+    case OrderingPolicy::kDelayFirst:
+      SortUsable(entries, [](const ViaEntry& a, const ViaEntry& b) {
+        if (a.d_via_us != b.d_via_us) return a.d_via_us < b.d_via_us;
+        return a.neighbor < b.neighbor;
+      });
+      return;
+    case OrderingPolicy::kReliabilityFirst:
+      SortUsable(entries, [](const ViaEntry& a, const ViaEntry& b) {
+        if (a.r_via != b.r_via) return a.r_via > b.r_via;
+        return a.neighbor < b.neighbor;
+      });
+      return;
+  }
+}
+
+std::vector<ViaEntry> CollectEligible(const Graph& graph,
+                                      const MonitoredView& view,
+                                      const std::vector<DR>& dr, NodeId x,
+                                      double budget_us, int m,
+                                      OrderingPolicy ordering) {
+  std::vector<ViaEntry> eligible;
+  for (const Neighbor& nb : graph.neighbors(x)) {
+    const DR& dr_i = dr[nb.peer.underlying()];
+    if (!dr_i.reachable() || !(dr_i.d_us < budget_us)) continue;
+    const LinkModel single{static_cast<double>(view.alpha(nb.link).micros()),
+                           view.gamma(nb.link)};
+    const LinkModel lifted = MTransmissionModel(single, m);
+    if (lifted.gamma <= 0.0) continue;
+    eligible.push_back(LiftAcrossLink(nb.peer, nb.link, lifted, dr_i));
+  }
+  StableSortByPolicy(eligible, ordering);
+  return eligible;
+}
+
+struct FixedPoint {
+  std::vector<DR> dr;
+  int sweeps_used = 0;
+  bool converged = false;
+};
+
+FixedPoint SolveFixedPoint(const Graph& graph, const MonitoredView& view,
+                           NodeId subscriber,
+                           const std::vector<double>& budget_us,
+                           const std::vector<std::uint32_t>& order,
+                           const DrComputationConfig& config) {
+  FixedPoint result;
+  result.dr.assign(graph.node_count(), DR{});
+  result.dr[subscriber.underlying()] = DR{0.0, 1.0};
+
+  for (; result.sweeps_used < config.max_sweeps && !result.converged;
+       ++result.sweeps_used) {
+    double max_delta = 0.0;
+    for (std::uint32_t idx : order) {
+      const NodeId x(idx);
+      if (x == subscriber) continue;
+      const std::vector<ViaEntry> eligible =
+          CollectEligible(graph, view, result.dr, x, budget_us[idx],
+                          config.max_transmissions, config.ordering);
+      const DR updated = CombineOrdered(eligible);
+      const DR previous = result.dr[idx];
+      if (updated.reachable() != previous.reachable()) {
+        max_delta = kInfiniteDelay;
+      } else if (updated.reachable()) {
+        max_delta = std::max(max_delta, std::abs(updated.d_us - previous.d_us));
+        max_delta =
+            std::max(max_delta, std::abs(updated.r - previous.r) * 1e6);
+      }
+      result.dr[idx] = updated;
+    }
+    result.converged = max_delta <= config.tolerance_us;
+  }
+  return result;
+}
+
+DestinationTables ComputeDestinationTables(
+    const Graph& graph, const MonitoredView& view, NodeId subscriber,
+    double deadline_us, const std::vector<double>& publisher_dist_us,
+    const DrComputationConfig& config) {
+  const std::size_t n = graph.node_count();
+
+  DestinationTables tables;
+  tables.subscriber = subscriber;
+  tables.deadline_us = deadline_us;
+  tables.budget_us.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    tables.budget_us[i] = deadline_us - publisher_dist_us[i];
+  }
+  tables.budget_us[subscriber.underlying()] =
+      std::max(tables.budget_us[subscriber.underlying()], 1.0);
+
+  const std::vector<double> to_subscriber =
+      MonitoredDistancesFrom(graph, view, subscriber);
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0U);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return to_subscriber[a] < to_subscriber[b];
+                   });
+
+  const FixedPoint constrained =
+      SolveFixedPoint(graph, view, subscriber, tables.budget_us, order, config);
+  tables.sweeps_used = constrained.sweeps_used;
+  tables.converged = constrained.converged;
+
+  FixedPoint unconstrained;
+  if (config.build_fallback) {
+    const std::vector<double> no_budget(n, kInfiniteDelay);
+    unconstrained =
+        SolveFixedPoint(graph, view, subscriber, no_budget, order, config);
+  }
+
+  tables.per_node.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId x(static_cast<NodeId::underlying_type>(i));
+    NodeTables& node = tables.per_node[i];
+    if (x == subscriber) {
+      node.dr = DR{0.0, 1.0};
+      continue;
+    }
+    node.dr = constrained.dr[i];
+    node.primary =
+        CollectEligible(graph, view, constrained.dr, x, tables.budget_us[i],
+                        config.max_transmissions, config.ordering);
+    if (config.build_fallback) {
+      std::vector<ViaEntry> fallback = CollectEligible(
+          graph, view, unconstrained.dr, x, kInfiniteDelay,
+          config.max_transmissions, config.ordering);
+      std::erase_if(fallback, [&](const ViaEntry& entry) {
+        return std::any_of(node.primary.begin(), node.primary.end(),
+                           [&](const ViaEntry& p) {
+                             return p.neighbor == entry.neighbor;
+                           });
+      });
+      node.fallback = std::move(fallback);
+    }
+  }
+  return tables;
+}
+
+}  // namespace oracle
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Empty when `got` equals `want` bit for bit, else the first difference.
+std::string ListDiff(const char* which, const std::vector<ViaEntry>& want,
+                     const std::vector<ViaEntry>& got) {
+  if (want.size() != got.size()) {
+    return std::string(which) + " size " + std::to_string(got.size()) +
+           " != " + std::to_string(want.size());
+  }
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    if (want[k].neighbor != got[k].neighbor || want[k].link != got[k].link ||
+        !SameBits(want[k].d_via_us, got[k].d_via_us) ||
+        !SameBits(want[k].r_via, got[k].r_via)) {
+      return std::string(which) + " entry " + std::to_string(k);
+    }
+  }
+  return "";
+}
+
+std::string TablesDiff(const DestinationTables& want,
+                       const DestinationTables& got) {
+  if (want.subscriber != got.subscriber) return "subscriber";
+  if (!SameBits(want.deadline_us, got.deadline_us)) return "deadline";
+  if (want.sweeps_used != got.sweeps_used) {
+    return "sweeps_used " + std::to_string(got.sweeps_used) +
+           " != " + std::to_string(want.sweeps_used);
+  }
+  if (want.converged != got.converged) return "converged";
+  if (want.budget_us.size() != got.budget_us.size()) return "budget size";
+  for (std::size_t i = 0; i < want.budget_us.size(); ++i) {
+    if (!SameBits(want.budget_us[i], got.budget_us[i])) {
+      return "budget of node " + std::to_string(i);
+    }
+  }
+  if (want.per_node.size() != got.per_node.size()) return "per_node size";
+  for (std::size_t i = 0; i < want.per_node.size(); ++i) {
+    const NodeTables& w = want.per_node[i];
+    const NodeTables& g = got.per_node[i];
+    std::string diff;
+    if (!SameBits(w.dr.d_us, g.dr.d_us) || !SameBits(w.dr.r, g.dr.r)) {
+      diff = "dr";
+    } else {
+      diff = ListDiff("primary", w.primary, g.primary);
+      if (diff.empty()) diff = ListDiff("fallback", w.fallback, g.fallback);
+    }
+    if (!diff.empty()) return "node " + std::to_string(i) + ": " + diff;
+  }
+  return "";
+}
+
+// One random overlay's destinations, solved by one DrSolver per epoch and
+// configuration in the router's topic-major order, each checked against a
+// from-scratch oracle solve.
+struct OracleTally {
+  int destinations = 0;
+  int capped = 0;  // stopped unconverged at max_sweeps
+};
+
+void CheckOverlay(std::size_t nodes, std::size_t degree, double pf,
+                  std::uint64_t seed, OracleTally& tally) {
+  Rng rng(seed);
+  Rng topo_rng = rng.Fork("topology");
+  const Graph graph = RandomConnected(nodes, degree, topo_rng);
+  const FailureSchedule failures(rng.Fork("failures")(), pf);
+  LinkMonitorConfig monitor_config;
+  monitor_config.loss_rate = 1e-3;
+  LinkMonitor monitor(graph, failures, monitor_config, rng.Fork("probes"));
+
+  // Two topics sharing two subscribers, so each solver reuses every
+  // subscriber's sweep order and fallback fixed point across topics.
+  Rng pick = rng.Fork("destinations");
+  const auto node_at = [&](std::uint64_t draw) {
+    return NodeId(static_cast<NodeId::underlying_type>(draw));
+  };
+  const NodeId publishers[2] = {node_at(pick.NextBounded(nodes)),
+                                node_at(pick.NextBounded(nodes))};
+  const NodeId subscribers[2] = {node_at(pick.NextBounded(nodes)),
+                                 node_at(pick.NextBounded(nodes))};
+  const double qos_factors[3] = {1.5, 3.0, 6.0};
+
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    monitor.MeasureAt(SimTime::Zero() + SimDuration::Seconds(300 * epoch));
+    const MonitoredView& view = monitor.view();
+    std::vector<double> publisher_dist[2];
+    for (int t = 0; t < 2; ++t) {
+      publisher_dist[t] = MonitoredDistancesFrom(graph, view, publishers[t]);
+    }
+    for (int m = 1; m <= 3; ++m) {
+      for (const OrderingPolicy ordering :
+           {OrderingPolicy::kTheorem1, OrderingPolicy::kDelayFirst,
+            OrderingPolicy::kReliabilityFirst}) {
+        for (const bool fallback : {true, false}) {
+          DrComputationConfig config;
+          config.max_transmissions = m;
+          config.ordering = ordering;
+          config.build_fallback = fallback;
+          DrSolver solver(graph, view, config);
+          for (int t = 0; t < 2; ++t) {
+            for (int s = 0; s < 2; ++s) {
+              const NodeId subscriber = subscribers[s];
+              const double deadline_us =
+                  qos_factors[(epoch + t + s) % 3] *
+                  publisher_dist[t][subscriber.underlying()];
+              const DestinationTables got =
+                  solver.Solve(subscriber, deadline_us, publisher_dist[t]);
+              const DestinationTables want = oracle::ComputeDestinationTables(
+                  graph, view, subscriber, deadline_us, publisher_dist[t],
+                  config);
+              ASSERT_EQ(TablesDiff(want, got), "")
+                  << "N=" << nodes << " degree=" << degree << " pf=" << pf
+                  << " epoch=" << epoch << " m=" << m
+                  << " ordering=" << static_cast<int>(ordering)
+                  << " fallback=" << fallback << " topic=" << t
+                  << " subscriber=" << subscriber;
+              ++tally.destinations;
+              if (!got.converged && got.sweeps_used == config.max_sweeps) {
+                ++tally.capped;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DrSolverOracleTest, MatchesPerDestinationSolverBitForBit) {
+  OracleTally tally;
+  std::uint64_t seed = 1;
+  for (const std::size_t nodes : {20U, 40U, 100U}) {
+    for (const std::size_t degree : {4U, 5U, 8U}) {
+      for (const double pf : {0.0, 0.06, 0.1}) {
+        CheckOverlay(nodes, degree, pf, seed++, tally);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  // 27 overlays x 3 epochs x 18 configurations x 4 destinations.
+  EXPECT_EQ(tally.destinations, 27 * 3 * 18 * 4);
+  // The sweep cap path must be covered, not just converged solves.
+  EXPECT_GT(tally.capped, 0);
+}
+
+TEST(DrSolverOracleTest, ComputeDestinationTablesMatchesOracle) {
+  // The one-destination wrapper is the same solve.
+  Rng rng(77);
+  const Graph graph = RandomConnected(30, 5, rng);
+  const FailureSchedule failures(9, 0.06);
+  LinkMonitor monitor(graph, failures, LinkMonitorConfig{}, Rng(4));
+  monitor.MeasureAt(SimTime::Zero());
+  const auto dist = MonitoredDistancesFrom(graph, monitor.view(), NodeId(0));
+  const DrComputationConfig config;
+  for (std::uint32_t s = 0; s < 30; ++s) {
+    const NodeId subscriber(s);
+    const double deadline_us = 3.0 * dist[s];
+    EXPECT_EQ(TablesDiff(oracle::ComputeDestinationTables(
+                             graph, monitor.view(), subscriber, deadline_us,
+                             dist, config),
+                         ComputeDestinationTables(graph, monitor.view(),
+                                                  subscriber, deadline_us,
+                                                  dist, config)),
+              "")
+        << "subscriber " << s;
+  }
+}
+
+TEST(DrSolverOracleTest, SortByPolicyMatchesStableSort) {
+  // Lists past the in-place sort's small-range cutoff, with unusable
+  // entries scattered through them and ratio ties broken by neighbour id.
+  Rng rng(5);
+  for (int round = 0; round < 2000; ++round) {
+    const std::size_t size = 1 + rng.NextBounded(40);
+    std::vector<ViaEntry> entries;
+    std::vector<std::uint32_t> ids(size);
+    std::iota(ids.begin(), ids.end(), 0U);
+    rng.Shuffle(ids);
+    for (std::size_t k = 0; k < size; ++k) {
+      ViaEntry entry{NodeId(ids[k]),
+                     LinkId(static_cast<LinkId::underlying_type>(k)),
+                     static_cast<double>(1 + rng.NextBounded(8)) * 10'000.0,
+                     static_cast<double>(1 + rng.NextBounded(4)) * 0.25};
+      const std::uint64_t kind = rng.NextBounded(10);
+      if (kind == 0) entry.r_via = 0.0;
+      if (kind == 1) entry.d_via_us = kInfiniteDelay;
+      entries.push_back(entry);
+    }
+    for (const OrderingPolicy policy :
+         {OrderingPolicy::kTheorem1, OrderingPolicy::kDelayFirst,
+          OrderingPolicy::kReliabilityFirst}) {
+      std::vector<ViaEntry> want = entries;
+      std::vector<ViaEntry> got = entries;
+      oracle::StableSortByPolicy(want, policy);
+      SortByPolicy(got, policy);
+      ASSERT_EQ(ListDiff("sorted", want, got), "")
+          << "round " << round << " policy " << static_cast<int>(policy);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace dcrd

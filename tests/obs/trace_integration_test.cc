@@ -76,6 +76,31 @@ TEST(TraceIntegrationTest, TracedRunMatchesUntracedRunExactly) {
   EXPECT_EQ(traced_config.Describe(), StressedConfig().Describe());
 }
 
+TEST(TraceIntegrationTest, MetricsCarrySolverCountersForDcrdOnly) {
+  // The registry exports the DCRD router's control-plane counters; a
+  // baseline router runs no <d,r> solver and exports none.
+  const auto metrics_of = [](RouterKind router) {
+    TempFile metrics_file("solver_counters_metrics.json");
+    ScenarioConfig config = StressedConfig();
+    config.router = router;
+    config.metrics_json = metrics_file.path;
+    RunScenario(config);
+    std::ifstream in(metrics_file.path);
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+  };
+  const std::string dcrd = metrics_of(RouterKind::kDcrd);
+  for (const char* name : {"\"dcrd.solves\"", "\"dcrd.sweeps\"",
+                           "\"dcrd.unconverged\""}) {
+    EXPECT_NE(dcrd.find(name), std::string::npos) << name;
+  }
+  // Epoch 0 already holds the setup rebuild's solves.
+  EXPECT_EQ(dcrd.find("\"dcrd.solves\": 0,"), std::string::npos);
+  EXPECT_EQ(metrics_of(RouterKind::kRTree).find("\"dcrd."),
+            std::string::npos);
+}
+
 TEST(TraceIntegrationTest, TimelineReconstructsRetransmitsAndReroutes) {
   TempFile trace_file("trace_timeline.jsonl");
   ScenarioConfig config = StressedConfig();
