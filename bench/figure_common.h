@@ -16,7 +16,8 @@
 //   --trace_out P    stream each cell's full trace to
 //                    P.<stem>.<cell>.jsonl (implies --trace); inspect with
 //                    tools/dcrd_trace
-//   --metrics_json P write each cell's metrics registry to
+//   --metrics_json P write each cell's metrics registry at end of run
+//                    (counter/gauge values, histograms) to
 //                    P.<stem>.<cell>.json
 //   --timeseries P   sample each cell's metrics registry every simulated
 //                    second into a columnar time series — counter deltas,

@@ -2,7 +2,8 @@
 # Determinism gate: the parallel sweep pool must be bit-identical to the
 # serial path. Runs each figure binary at --jobs 1 and --jobs N and
 # byte-diffs stdout plus every CSV artifact; then checks that tracing,
-# telemetry and the delay audit leave those bytes unchanged.
+# telemetry and the delay audit leave those bytes unchanged, and that the
+# delay audit's trace and model files match across job counts too.
 #
 #   scripts/determinism_check.sh [build-dir]
 #
@@ -171,6 +172,24 @@ for binary_name in $binaries; do
     echo "determinism_check: $binary_name --delay_audit produced no model rows" >&2
     fail=1
   fi
+
+  # The audit's own files (per-cell traces and model rows): same file set
+  # and same bytes at --jobs 1 and --jobs N. Names differ only in the
+  # aud_j1/aud_jN prefix.
+  for tag in j1 jN; do
+    find "$workdir" -maxdepth 1 -name "aud_$tag.$binary_name.*" -printf '%f\n' |
+      sed "s/^aud_$tag\.//" | LC_ALL=C sort > "$audited.$tag.files"
+  done
+  if ! diff -u "$audited.j1.files" "$audited.jN.files"; then
+    echo "determinism_check: $binary_name --delay_audit file sets differ between --jobs 1 and --jobs $jobs" >&2
+    fail=1
+  fi
+  while IFS= read -r name; do
+    if ! cmp -s "$workdir/aud_j1.$name" "$workdir/aud_jN.$name"; then
+      echo "determinism_check: $binary_name --delay_audit file $name differs between --jobs 1 and --jobs $jobs" >&2
+      fail=1
+    fi
+  done < "$audited.j1.files"
 done
 
 if [[ "$fail" != 0 ]]; then

@@ -22,6 +22,9 @@ DcrdRouter::DcrdRouter(RouterContext context, DcrdConfig config)
   DCRD_CHECK(context_.subscriptions != nullptr);
   DCRD_CHECK(context_.sink != nullptr);
   config_.computation.max_transmissions = context_.max_transmissions;
+  // Fallback lists are only walked under best_effort_fallback; without it
+  // the solver skips the unconstrained fixed point and the lists.
+  config_.computation.build_fallback = config_.best_effort_fallback;
   config_.distributed.max_transmissions = context_.max_transmissions;
   config_.distributed.ordering = config_.computation.ordering;
   processed_.resize(context_.network->graph().node_count());

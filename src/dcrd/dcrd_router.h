@@ -41,6 +41,8 @@
 namespace dcrd {
 
 struct DcrdConfig {
+  // The router's constructor sets max_transmissions (from the context) and
+  // build_fallback (from best_effort_fallback).
   DrComputationConfig computation;
   // Walk the fallback list after the primary list is exhausted.
   bool best_effort_fallback = true;

@@ -128,6 +128,12 @@ void TraceAnalyzer::Add(const TraceRecord& r) {
     case TraceEventKind::kDrop:
     case TraceEventKind::kLinkDown:
     case TraceEventKind::kLinkUp:
+    case TraceEventKind::kBrokerDown:
+    case TraceEventKind::kBrokerUp:
+    case TraceEventKind::kPeerDead:
+    case TraceEventKind::kPeerAlive:
+    case TraceEventKind::kResyncStart:
+    case TraceEventKind::kResyncDone:
       break;  // not needed for delay attribution
   }
 }

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json_util.h"
 #include "obs/timeseries.h"
 
 namespace dcrd {
@@ -21,15 +22,6 @@ void JsonDouble(std::ostream& os, double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   os << buf;
-}
-
-void JsonEscaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) os << c;
-  }
-  os << '"';
 }
 
 // CDF as [value_us, cumulative_fraction] steps from the histogram's
@@ -58,11 +50,11 @@ void JsonData(std::ostream& os, const DecompositionResult& result,
               const AuditReport* audit, std::string_view title) {
   const LogLinearHistogram& total = result.total_histogram;
   os << "{\"title\":";
-  JsonEscaped(os, title);
+  WriteJsonEscaped(os, title);
   os << ",\"components\":[";
   for (int i = 0; i < kDelayComponentCount; ++i) {
     if (i > 0) os << ",";
-    JsonEscaped(os, DelayComponentName(i));
+    WriteJsonEscaped(os, DelayComponentName(i));
   }
   os << "],\"summary\":{\"deliveries\":" << total.count()
      << ",\"mean_us\":";

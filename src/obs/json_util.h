@@ -1,5 +1,6 @@
-// Minimal JSON reading/writing helpers shared by the observability file
-// formats (time series).
+// Minimal JSON reading/writing helpers shared by the file formats: the
+// time series, the metrics registry, the HTML report's data block and the
+// bench records.
 //
 // JsonCursor is a recursive-descent reader covering exactly the subset the
 // dcrd schemas emit — objects, arrays, numbers, strings, true/false/null —
@@ -219,13 +220,21 @@ inline void WriteI64Array(std::ostream& os,
   os << ']';
 }
 
-// Minimal JSON string escaping; names are code-chosen identifiers, but a
-// stray quote must not corrupt the document.
+// Writes `s` as a quoted JSON string: `"` and `\` are escaped, newline
+// and tab become \n and \t, and other control characters are dropped.
+// Names are code-chosen identifiers, but a stray quote or newline must not
+// corrupt the document.
 inline void WriteJsonEscaped(std::ostream& os, std::string_view s) {
   os << '"';
   for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
+    switch (c) {
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      case '\t': os << "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) >= 0x20) os << c;
+    }
   }
   os << '"';
 }

@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "common/logging.h"
+#include "obs/json_util.h"
 
 namespace dcrd {
 
@@ -55,33 +56,12 @@ std::uint64_t LogLinearHistogram::ValueAtQuantile(double q) const {
   return max_;
 }
 
-HistogramSnapshot LogLinearHistogram::Snapshot() const {
-  HistogramSnapshot snapshot;
-  snapshot.count = count_;
-  snapshot.sum = sum_;
-  snapshot.min = min_;
-  snapshot.max = max_;
-  for (int i = 0; i < kBucketCount; ++i) {
-    const std::uint64_t n = buckets_[static_cast<std::size_t>(i)];
-    if (n == 0) continue;
-    snapshot.buckets.push_back({BucketLo(i), BucketHi(i), n});
-  }
-  return snapshot;
-}
-
-void LogLinearHistogram::AbsorbSnapshot(const HistogramSnapshot& snapshot) {
-  for (const HistogramSnapshot::Bucket& bucket : snapshot.buckets) {
-    // A bucket's lo value lands in that same bucket, so BucketIndex(lo)
-    // recovers the index exactly.
-    buckets_[static_cast<std::size_t>(BucketIndex(bucket.lo))] +=
-        bucket.count;
-  }
-  count_ += snapshot.count;
-  sum_ += snapshot.sum;
-  if (snapshot.count > 0) {
-    if (snapshot.min < min_) min_ = snapshot.min;
-    if (snapshot.max > max_) max_ = snapshot.max;
-  }
+void LogLinearHistogram::AddToBucket(int index, std::uint64_t n) {
+  if (n == 0) return;
+  buckets_[static_cast<std::size_t>(index)] += n;
+  count_ += n;
+  min_ = std::min(min_, BucketLo(index));
+  max_ = std::max(max_, BucketHi(index));
 }
 
 void LogLinearHistogram::Clear() {
@@ -120,103 +100,24 @@ LogLinearHistogram* MetricsRegistry::AddHistogram(std::string name) {
   return &histogram.histogram;
 }
 
-void MetricsRegistry::SnapshotEpoch(SimTime t) {
-  Epoch& epoch = epochs_.emplace_back();
-  epoch.t_us = t.micros();
-  epoch.counters.reserve(counters_.size());
-  for (const Counter& counter : counters_) {
-    epoch.counters.push_back(counter.value());
-  }
-  epoch.gauges.reserve(gauges_.size());
-  for (const Gauge& gauge : gauges_) {
-    epoch.gauges.push_back(gauge.sample());
-  }
-}
-
-MetricsDoc MetricsRegistry::Collect() const {
-  MetricsDoc doc;
-  doc.epoch_t_us.reserve(epochs_.size());
-  for (const Epoch& epoch : epochs_) doc.epoch_t_us.push_back(epoch.t_us);
-  doc.counters.reserve(counters_.size());
+void MetricsRegistry::WriteJson(std::ostream& os) const {
+  os << "{\n  \"counters\": {";
   for (std::size_t i = 0; i < counters_.size(); ++i) {
-    MetricsDoc::Series& series = doc.counters.emplace_back();
-    series.name = counters_[i].name;
-    series.final_value = counters_[i].value();
-    series.epochs.reserve(epochs_.size());
-    for (const Epoch& epoch : epochs_) {
-      series.epochs.push_back(epoch.counters[i]);
-    }
-  }
-  doc.gauges.reserve(gauges_.size());
-  for (std::size_t i = 0; i < gauges_.size(); ++i) {
-    MetricsDoc::Series& series = doc.gauges.emplace_back();
-    series.name = gauges_[i].name;
-    series.final_value = gauges_[i].sample();
-    series.epochs.reserve(epochs_.size());
-    for (const Epoch& epoch : epochs_) {
-      series.epochs.push_back(epoch.gauges[i]);
-    }
-  }
-  doc.histograms.reserve(histograms_.size());
-  for (const Histogram& histogram : histograms_) {
-    doc.histograms.push_back({histogram.name, histogram.histogram.Snapshot()});
-  }
-  return doc;
-}
-
-namespace {
-
-// Minimal JSON string escaping; metric names are code-chosen identifiers,
-// but a stray quote must not corrupt the document.
-void WriteJsonString(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
-}  // namespace
-
-void WriteMetricsJson(std::ostream& os, const MetricsDoc& doc) {
-  os << "{\n  \"epochs\": [";
-  for (std::size_t e = 0; e < doc.epoch_t_us.size(); ++e) {
-    os << (e == 0 ? "\n" : ",\n") << "    {\"t_us\": " << doc.epoch_t_us[e]
-       << ", \"counters\": {";
-    for (std::size_t i = 0; i < doc.counters.size(); ++i) {
-      if (i > 0) os << ", ";
-      WriteJsonString(os, doc.counters[i].name);
-      os << ": " << doc.counters[i].epochs[e];
-    }
-    os << "}, \"gauges\": {";
-    for (std::size_t i = 0; i < doc.gauges.size(); ++i) {
-      if (i > 0) os << ", ";
-      WriteJsonString(os, doc.gauges[i].name);
-      os << ": " << doc.gauges[i].epochs[e];
-    }
-    os << "}}";
-  }
-  os << "\n  ],\n  \"counters\": {";
-  for (std::size_t i = 0; i < doc.counters.size(); ++i) {
     if (i > 0) os << ", ";
-    WriteJsonString(os, doc.counters[i].name);
-    os << ": " << doc.counters[i].final_value;
+    WriteJsonEscaped(os, counters_[i].name);
+    os << ": " << counters_[i].value();
   }
   os << "},\n  \"gauges\": {";
-  for (std::size_t i = 0; i < doc.gauges.size(); ++i) {
+  for (std::size_t i = 0; i < gauges_.size(); ++i) {
     if (i > 0) os << ", ";
-    WriteJsonString(os, doc.gauges[i].name);
-    os << ": " << doc.gauges[i].final_value;
+    WriteJsonEscaped(os, gauges_[i].name);
+    os << ": " << gauges_[i].sample();
   }
   os << "},\n  \"histograms\": {";
-  for (std::size_t i = 0; i < doc.histograms.size(); ++i) {
-    // Rebuilt from the raw buckets, so the quantiles are a function of the
-    // exported buckets alone.
-    LogLinearHistogram h;
-    h.AbsorbSnapshot(doc.histograms[i].snapshot);
+  for (std::size_t i = 0; i < histograms_.size(); ++i) {
+    const LogLinearHistogram& h = histograms_[i].histogram;
     os << (i == 0 ? "\n" : ",\n") << "    ";
-    WriteJsonString(os, doc.histograms[i].name);
+    WriteJsonEscaped(os, histograms_[i].name);
     os << ": {\"count\": " << h.count();
     if (h.count() > 0) {
       const double mean =
@@ -239,10 +140,6 @@ void WriteMetricsJson(std::ostream& os, const MetricsDoc& doc) {
     os << "]}";
   }
   os << "\n  }\n}\n";
-}
-
-void MetricsRegistry::WriteJson(std::ostream& os) const {
-  WriteMetricsJson(os, Collect());
 }
 
 }  // namespace dcrd

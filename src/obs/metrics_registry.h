@@ -1,9 +1,8 @@
 // Metrics registry: named counters, gauges, and log-linear histograms.
 //
 // The registry unifies the simulator's ad-hoc counters behind one named
-// namespace and snapshots them per monitoring epoch, so a run can be
-// post-processed from a single JSON document instead of scattered stdout
-// figures. Three metric kinds:
+// namespace, so a run can be post-processed from a single JSON document
+// instead of scattered stdout figures. Three metric kinds:
 //  * Counters — monotonically increasing uint64. Either owned by the
 //    registry (AddCounter) or registered by const pointer onto a counter
 //    that some subsystem already maintains (RegisterCounter); the latter
@@ -16,8 +15,9 @@
 //
 // Recording into a histogram is two array writes and a handful of integer
 // ops — no allocation, no floating point — so it is safe on the per-event
-// hot path. SnapshotEpoch and WriteJson allocate; they run per monitoring
-// epoch / at end of run only.
+// hot path. The registry itself holds no history: WriteJson exports the
+// end-of-run values, and the time-series sampler (obs/timeseries.h) is the
+// one sampled view of it during the run.
 #pragma once
 
 #include <array>
@@ -27,29 +27,8 @@
 #include <iosfwd>
 #include <limits>
 #include <string>
-#include <vector>
-
-#include "common/sim_time.h"
 
 namespace dcrd {
-
-// Raw-bucket view of a LogLinearHistogram: exactly the state WriteJson
-// exports per histogram ([lo, hi, count] triples plus the scalar summary).
-// A snapshot round-trips losslessly — AbsorbSnapshot rebuilds identical
-// bucket contents — so per-cell histograms from separate sweep reps can be
-// merged offline into whole-run distributions without re-running anything.
-struct HistogramSnapshot {
-  struct Bucket {
-    std::uint64_t lo = 0;   // BucketLo of the source bucket (its identity)
-    std::uint64_t hi = 0;   // BucketHi, carried for readers/validation
-    std::uint64_t count = 0;
-  };
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t max = 0;
-  std::vector<Bucket> buckets;  // non-empty buckets, ascending lo
-};
 
 // Log-linear ("HDR-style") histogram over non-negative integer values.
 //
@@ -99,11 +78,11 @@ class LogLinearHistogram {
   // exact values and wide buckets err by at most half a bucket (~1.6%).
   [[nodiscard]] std::uint64_t ValueAtQuantile(double q) const;
 
-  // Raw-bucket export/import (see HistogramSnapshot). AbsorbSnapshot maps
-  // each bucket back by its lo value and adds its count; snapshots produced
-  // by Snapshot()/WriteJson merge exactly.
-  [[nodiscard]] HistogramSnapshot Snapshot() const;
-  void AbsorbSnapshot(const HistogramSnapshot& snapshot);
+  // Adds `n` observations to bucket `index` without their exact values:
+  // count grows by n and min/max widen to the bucket's bounds (sum is left
+  // alone). Rebuilds a distribution from exported raw-bucket counts, as
+  // ComputeSloSeries does per window.
+  void AddToBucket(int index, std::uint64_t n);
 
   void Clear();
 
@@ -114,30 +93,6 @@ class LogLinearHistogram {
   std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t max_ = 0;
 };
-
-// Snapshot of a whole registry: names, the per-epoch counter/gauge series,
-// final values, and raw-bucket histogram snapshots. Produced by
-// MetricsRegistry::Collect, serialised by WriteMetricsJson.
-struct MetricsDoc {
-  struct Series {
-    std::string name;
-    std::vector<std::uint64_t> epochs;  // parallel to epoch_t_us
-    std::uint64_t final_value = 0;
-  };
-  struct HistogramEntry {
-    std::string name;
-    HistogramSnapshot snapshot;
-  };
-  std::vector<std::int64_t> epoch_t_us;
-  std::vector<Series> counters;
-  std::vector<Series> gauges;
-  std::vector<HistogramEntry> histograms;
-};
-
-// Writes a doc in the registry's JSON format: per-epoch counter/gauge
-// series, final values, and each histogram's summary stats, quantiles, and
-// non-empty buckets as [lo, hi, count] triples.
-void WriteMetricsJson(std::ostream& os, const MetricsDoc& doc);
 
 class MetricsRegistry {
  public:
@@ -151,18 +106,14 @@ class MetricsRegistry {
 
   // Registers an externally owned counter by const pointer. The source must
   // outlive the registry; it stays the single source of truth and is read
-  // at snapshot / export time.
+  // at sample / export time.
   void RegisterCounter(std::string name, const std::uint64_t* source);
 
-  // Registers a gauge sampled via `sample` at snapshot / export time.
+  // Registers a gauge sampled via `sample` at sample / export time.
   void RegisterGauge(std::string name, std::function<std::uint64_t()> sample);
 
   // Creates a registry-owned histogram. Stable pointer, record directly.
   LogLinearHistogram* AddHistogram(std::string name);
-
-  // Captures every counter and gauge value at sim time `t` into the epoch
-  // series exported by WriteJson.
-  void SnapshotEpoch(SimTime t);
 
   // Read access for the time-series sampler (obs/timeseries.h): metric
   // counts, names, and live values, in registration order.
@@ -190,14 +141,9 @@ class MetricsRegistry {
     return histograms_[i].histogram;
   }
 
-  // Snapshots the registry into a document (final values read now, like
-  // WriteJson's final sections).
-  [[nodiscard]] MetricsDoc Collect() const;
-
-  // Writes the whole registry as one JSON document: the per-epoch counter/
-  // gauge series, final values, and each histogram's summary stats,
-  // quantiles, and non-empty buckets as [lo, hi, count] triples.
-  // Equivalent to WriteMetricsJson(os, Collect()).
+  // Writes the whole registry as one JSON document, read from the live
+  // cells now: counter and gauge values, and each histogram's summary
+  // stats, quantiles, and non-empty buckets as [lo, hi, count] triples.
   void WriteJson(std::ostream& os) const;
 
  private:
@@ -217,17 +163,11 @@ class MetricsRegistry {
     std::string name;
     LogLinearHistogram histogram;
   };
-  struct Epoch {
-    std::int64_t t_us = 0;
-    std::vector<std::uint64_t> counters;  // parallel to counters_
-    std::vector<std::uint64_t> gauges;    // parallel to gauges_
-  };
 
   // deques: stable element addresses across Add*/Register* calls.
   std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;
   std::deque<Histogram> histograms_;
-  std::vector<Epoch> epochs_;
 };
 
 }  // namespace dcrd

@@ -69,9 +69,9 @@ TimeSeriesSampler::TimeSeriesSampler(const MetricsRegistry& registry,
     store_.gauge_values[i].reserve(budget);
   }
 
-  const std::size_t pool_reserve = config.histogram_pool_reserve != 0
-                                       ? config.histogram_pool_reserve
-                                       : budget * 48;
+  // Each histogram's delta pool, in (bucket, count) entries: room for 48
+  // non-empty bucket deltas per sample.
+  const std::size_t pool_reserve = budget * 48;
   store_.histogram_names.reserve(registry.histogram_count());
   store_.histogram_deltas.resize(registry.histogram_count());
   shadows_.resize(registry.histogram_count());
@@ -202,20 +202,11 @@ std::vector<SloWindow> ComputeSloSeries(const TimeSeriesStore& store) {
         // max are bucket bounds rather than exact observations, so wide-
         // bucket quantiles may clamp slightly differently than a live
         // histogram's — deterministic either way.
-        HistogramSnapshot snap;
-        snap.count = deltas.count_delta[s];
-        snap.sum = deltas.sum_delta[s];
-        snap.buckets.reserve(end - begin);
-        for (std::size_t k = begin; k < end; ++k) {
-          const int b = static_cast<int>(deltas.bucket[k]);
-          snap.buckets.push_back({LogLinearHistogram::BucketLo(b),
-                                  LogLinearHistogram::BucketHi(b),
-                                  deltas.count[k]});
-        }
-        snap.min = snap.buckets.front().lo;
-        snap.max = snap.buckets.back().hi;
         scratch.Clear();
-        scratch.AbsorbSnapshot(snap);
+        for (std::size_t k = begin; k < end; ++k) {
+          scratch.AddToBucket(static_cast<int>(deltas.bucket[k]),
+                              deltas.count[k]);
+        }
         w.delay_p50_us = scratch.ValueAtQuantile(0.50);
         w.delay_p90_us = scratch.ValueAtQuantile(0.90);
         w.delay_p99_us = scratch.ValueAtQuantile(0.99);
@@ -271,7 +262,7 @@ void WriteTimeSeriesJson(std::ostream& os, const TimeSeriesStore& store) {
     os << ",\"sum_deltas\":";
     WriteU64Array(os, deltas.sum_delta);
     // Per-sample arrays of [bucket_lo, count] pairs; bucket identity is the
-    // lo value (like HistogramSnapshot), not the internal index.
+    // lo value (like the metrics JSON's buckets), not the internal index.
     os << ",\"buckets\":[";
     for (std::size_t s = 0; s < store.samples(); ++s) {
       if (s != 0) os << ',';

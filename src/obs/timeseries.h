@@ -1,8 +1,11 @@
 // Continuous telemetry: fixed-interval sim-time sampling of the metrics
 // registry into a columnar in-memory store (DESIGN.md §12).
 //
-// The sampler rides the scheduler like engine.cc's LinkStateSampler: a
+// The sampler rides the scheduler like the engine's failure-epoch tick: a
 // chain-scheduled, strictly read-only event every `interval` of sim time.
+// It is the one sampled view of the registry; per-epoch control-plane
+// health (dcrd.solves, ...) reads off its counter deltas at the rebuild
+// instants.
 // Each sample snapshots counter DELTAS (since the previous sample), gauge
 // LEVELS, raw-bucket histogram deltas, and per-broker health gauges
 // (BrokerHealth) into columns that were fully reserved up front — the
@@ -37,9 +40,6 @@ struct TimeSeriesConfig {
   SimTime end = SimTime::FromMicros(0);
   // Brokers to sample via the health source; 0 disables broker columns.
   std::size_t node_count = 0;
-  // Reserve for each histogram's delta pool, in (bucket, count) entries.
-  // 0 picks a default proportional to the sample budget.
-  std::size_t histogram_pool_reserve = 0;
 };
 
 // Columnar store: one row per sample, one column per metric. Counters are

@@ -555,11 +555,4 @@ void TraceSummaryAccumulator::Print(std::ostream& os) const {
   }
 }
 
-void PrintTraceSummary(std::ostream& os,
-                       const std::vector<TraceRecord>& records) {
-  TraceSummaryAccumulator accumulator;
-  for (const TraceRecord& record : records) accumulator.Add(record);
-  accumulator.Print(os);
-}
-
 }  // namespace dcrd

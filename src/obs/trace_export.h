@@ -89,15 +89,11 @@ std::size_t PrintBrokerTimeline(std::ostream& os,
                                 const std::vector<TraceRecord>& records,
                                 std::uint32_t broker_id);
 
-// Prints per-kind event counts, the time span, and distinct packet/broker
-// counts — dcrd_trace's default view.
-void PrintTraceSummary(std::ostream& os,
-                       const std::vector<TraceRecord>& records);
-
-// Incremental form of PrintTraceSummary for streaming input: feed records
-// one at a time, print at the end. Also watches for evidence that the trace
-// is incomplete (a delivery whose publish record is missing — the signature
-// of a ring-overwritten / truncated capture) so lossy dumps are called out
+// Per-kind event counts, the time span, and distinct packet/broker counts —
+// dcrd_trace's default view — built from streaming input: feed records one
+// at a time, print at the end. Also watches for evidence that the trace is
+// incomplete (a delivery whose publish record is missing — the signature of
+// a ring-overwritten / truncated capture) so lossy dumps are called out
 // instead of silently summarised.
 class TraceSummaryAccumulator {
  public:

@@ -34,13 +34,10 @@ struct RouterContext {
   // Jacobson/Karels estimator (see rto_estimator.h). Off by default for
   // figure parity.
   bool adaptive_rto = false;
-  RtoConfig rto;
   // Peer-death detection knobs, forwarded to every HopTransport (see
   // hop_transport.h). Off by default for figure parity.
   bool peer_death = false;
   int peer_death_threshold = 2;
-  SimDuration probe_max_interval = SimDuration::Seconds(10);
-  double probe_jitter = 0.25;
   // Hooked through to every HopTransport; used by the invariant checker.
   TransportObserver* transport_observer = nullptr;
   // Optional observability hooks, forwarded to every HopTransport (and used
@@ -64,11 +61,8 @@ struct RouterContext {
   [[nodiscard]] HopTransportConfig MakeTransportConfig() const {
     HopTransportConfig config;
     config.adaptive_rto = adaptive_rto;
-    config.rto = rto;
     config.peer_death = peer_death;
     config.peer_death_threshold = peer_death_threshold;
-    config.probe_max_interval = probe_max_interval;
-    config.probe_jitter = probe_jitter;
     config.observer = transport_observer;
     config.recorder = recorder;
     config.rtt_histogram = hop_rtt_histogram;

@@ -7,26 +7,11 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "obs/json_util.h"
 
 namespace dcrd {
 
 namespace {
-
-std::string JsonEscape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-    }
-  }
-  return out;
-}
 
 std::string UtcNow() {
   const std::time_t now = std::time(nullptr);
@@ -67,9 +52,13 @@ BenchRecord MakeBenchRecord(const std::string& name,
 }
 
 void WriteBenchRecordJson(std::ostream& os, const BenchRecord& record) {
-  os << "{\"name\": \"" << JsonEscape(record.name) << "\", \"git\": \""
-     << JsonEscape(record.git) << "\", \"utc\": \"" << JsonEscape(record.utc)
-     << "\", \"jobs\": " << record.jobs << ", \"cells\": " << record.cells
+  os << "{\"name\": ";
+  WriteJsonEscaped(os, record.name);
+  os << ", \"git\": ";
+  WriteJsonEscaped(os, record.git);
+  os << ", \"utc\": ";
+  WriteJsonEscaped(os, record.utc);
+  os << ", \"jobs\": " << record.jobs << ", \"cells\": " << record.cells
      << ", \"wall_seconds\": " << record.wall_seconds
      << ", \"cells_per_second\": " << record.cells_per_second;
   if (!record.cell_seconds.empty()) {
@@ -84,8 +73,8 @@ void WriteBenchRecordJson(std::ostream& os, const BenchRecord& record) {
     os << ", \"rates\": {";
     for (std::size_t i = 0; i < record.rates.size(); ++i) {
       if (i != 0) os << ", ";
-      os << "\"" << JsonEscape(record.rates[i].first)
-         << "\": " << record.rates[i].second;
+      WriteJsonEscaped(os, record.rates[i].first);
+      os << ": " << record.rates[i].second;
     }
     os << "}";
   }

@@ -34,9 +34,6 @@ std::unique_ptr<Router> MakeRouter(const ScenarioConfig& config,
       dcrd_config.best_effort_fallback = config.dcrd_best_effort_fallback;
       dcrd_config.reroute_retry_cap = config.dcrd_reroute_retry_cap;
       dcrd_config.enable_persistence = config.dcrd_persistence;
-      dcrd_config.persistence_retry_interval = config.dcrd_persistence_retry;
-      dcrd_config.persistence_max_retries =
-          config.dcrd_persistence_max_retries;
       dcrd_config.computation.ordering = config.dcrd_ordering;
       dcrd_config.use_distributed_computation = config.dcrd_distributed;
       return std::make_unique<DcrdRouter>(context, dcrd_config);
@@ -85,68 +82,6 @@ class ObservedSink final : public DeliverySink {
   LogLinearHistogram* delay_histogram_;
 };
 
-// Samples every link's up/gray state at failure-epoch cadence and records
-// the *transitions* as trace events. The failure and gray processes are
-// counter-based pure functions of (seed, entity, epoch) — sampling them is
-// free of side effects, so the traced run stays bit-identical to the
-// untraced one. Chain-scheduled with a [this] capture (8 bytes, well inside
-// the scheduler's inline budget).
-class LinkStateSampler {
- public:
-  LinkStateSampler(const OverlayNetwork& network, Scheduler& scheduler,
-                   FlightRecorder& recorder, SimDuration epoch, SimTime end)
-      : network_(network),
-        scheduler_(scheduler),
-        recorder_(recorder),
-        epoch_(epoch),
-        end_(end),
-        link_up_(network.graph().edge_count(), true),
-        link_gray_(network.graph().edge_count(), false) {
-    Sample();  // t = 0 baseline; records nothing unless a link starts down
-    ScheduleNext();
-  }
-
- private:
-  void Sample() {
-    const SimTime now = scheduler_.now();
-    const Graph& graph = network_.graph();
-    for (std::size_t i = 0; i < graph.edge_count(); ++i) {
-      const LinkId link(static_cast<LinkId::underlying_type>(i));
-      const EdgeSpec& edge = graph.edge(link);
-      const bool up = network_.failures().IsUp(link, now);
-      if (up != link_up_[i]) {
-        link_up_[i] = up;
-        recorder_.Record(up ? TraceEventKind::kLinkUp
-                            : TraceEventKind::kLinkDown,
-                         TraceRecord::kNoPacket, 0, edge.a, edge.b, link);
-      }
-      const bool gray = network_.gray().Active(link, now);
-      if (gray != link_gray_[i]) {
-        link_gray_[i] = gray;
-        recorder_.Record(gray ? TraceEventKind::kGrayStart
-                              : TraceEventKind::kGrayEnd,
-                         TraceRecord::kNoPacket, 0, edge.a, edge.b, link);
-      }
-    }
-  }
-
-  void ScheduleNext() {
-    if (scheduler_.now() + epoch_ > end_) return;
-    scheduler_.ScheduleAfter(epoch_, [this] {
-      Sample();
-      ScheduleNext();
-    });
-  }
-
-  const OverlayNetwork& network_;
-  Scheduler& scheduler_;
-  FlightRecorder& recorder_;
-  const SimDuration epoch_;
-  const SimTime end_;
-  std::vector<bool> link_up_;
-  std::vector<bool> link_gray_;
-};
-
 // Registers the network's per-class TrafficCounters fields under
 // "net.<class>.<field>" names. By const pointer: the network stays the
 // single source of truth, the registry only reads at snapshot time.
@@ -171,81 +106,6 @@ void RegisterNetworkCounters(MetricsRegistry& registry,
   }
 }
 
-// Samples every broker's crash-schedule state at failure-epoch cadence and
-// drives the router's lifecycle hooks on transitions: up->down kills the
-// broker's volatile state (OnBrokerCrash), down->up triggers resync
-// (OnBrokerRestart). Unlike LinkStateSampler this is NOT observability —
-// the hooks mutate protocol state — so it runs whenever the crash process
-// is enabled, recorder or not. The schedule itself is a counter-based pure
-// function, so the sampler adds no RNG draws.
-class BrokerLifecycleSampler {
- public:
-  BrokerLifecycleSampler(const OverlayNetwork& network, Scheduler& scheduler,
-                         Router& router, FlightRecorder* recorder,
-                         SimDuration epoch, SimTime end)
-      : network_(network),
-        scheduler_(scheduler),
-        router_(router),
-        recorder_(recorder),
-        epoch_(epoch),
-        end_(end),
-        up_(network.graph().node_count(), true) {
-    Sample();  // t = 0 baseline; fires hooks for brokers that start down
-    ScheduleNext();
-  }
-
-  [[nodiscard]] std::uint64_t crashes() const { return crashes_; }
-  [[nodiscard]] std::uint64_t restarts() const { return restarts_; }
-
- private:
-  void Sample() {
-    const SimTime now = scheduler_.now();
-    const BrokerCrashSchedule& schedule = network_.crashes();
-    for (std::size_t i = 0; i < up_.size(); ++i) {
-      const NodeId node(static_cast<NodeId::underlying_type>(i));
-      const bool up = schedule.Up(node, now);
-      if (up == up_[i]) continue;
-      up_[i] = up;
-      if (!up) {
-        ++crashes_;
-        const std::size_t killed = router_.OnBrokerCrash(node);
-        if (recorder_ != nullptr) {
-          recorder_->Record(TraceEventKind::kBrokerDown,
-                            TraceRecord::kNoPacket, 0, node, NodeId(),
-                            LinkId(), 0,
-                            static_cast<std::uint16_t>(
-                                killed > 0xFFFF ? 0xFFFF : killed));
-        }
-      } else {
-        ++restarts_;
-        router_.OnBrokerRestart(node);
-        if (recorder_ != nullptr) {
-          recorder_->Record(TraceEventKind::kBrokerUp, TraceRecord::kNoPacket,
-                            0, node, NodeId(), LinkId());
-        }
-      }
-    }
-  }
-
-  void ScheduleNext() {
-    if (scheduler_.now() + epoch_ > end_) return;
-    scheduler_.ScheduleAfter(epoch_, [this] {
-      Sample();
-      ScheduleNext();
-    });
-  }
-
-  const OverlayNetwork& network_;
-  Scheduler& scheduler_;
-  Router& router_;
-  FlightRecorder* recorder_;
-  const SimDuration epoch_;
-  const SimTime end_;
-  std::vector<bool> up_;
-  std::uint64_t crashes_ = 0;
-  std::uint64_t restarts_ = 0;
-};
-
 // One scenario's complete simulation state — workload, scheduler, network,
 // monitor, router, metrics — built from (config, graph). The setup order
 // below fixes the engine-origin event keys, so it is part of the sample
@@ -263,6 +123,9 @@ class Sim {
  private:
   void OnPublish(const Message& message);
   void EpochTick();
+  void RecordRebuild();
+  void FailureEpochTick();
+  void ScheduleFailureEpochTick();
   RunSummary Summarize() const;
 
   static SubscriptionTable MakeWorkload(const Graph& graph,
@@ -335,8 +198,14 @@ class Sim {
   std::unique_ptr<Router> router_;
   const DcrdRouter* audit_router_ = nullptr;
   Rng churn_rng_;
-  std::unique_ptr<LinkStateSampler> link_sampler_;
-  std::unique_ptr<BrokerLifecycleSampler> lifecycle_sampler_;
+  // Failure-epoch tick state: the last sampled link up/gray state (tracing
+  // only) and broker up state (crashes only), so the tick acts on
+  // transitions.
+  std::vector<bool> link_up_;
+  std::vector<bool> link_gray_;
+  std::vector<bool> broker_up_;
+  std::uint64_t broker_crashes_ = 0;
+  std::uint64_t broker_restarts_ = 0;
   std::unique_ptr<TimeSeriesSampler> timeseries_;
   std::uint64_t next_message_id_ = 0;
   std::vector<std::unique_ptr<Publisher>> publishers_;
@@ -484,46 +353,23 @@ Sim::Sim(const ScenarioConfig& config, const Graph& graph)
   // so routers always see a consistent epoch snapshot.
   monitor_.MeasureAt(SimTime::Zero());
   router_->Rebuild(monitor_.view());
+  RecordRebuild();
   for (SimTime epoch = SimTime::Zero() + config_.monitor_interval;
        epoch <= end_; epoch += config_.monitor_interval) {
     scheduler_.ScheduleAt(epoch, [this] { EpochTick(); });
   }
-  if (observing || audit_router_ != nullptr) {
-    // Observability epochs ride their own events rather than widening the
-    // rebuild event. Scheduled after the rebuild loop, so at each epoch
-    // instant they run *after* the rebuild (same time, later seq) and the
-    // kRebuild record / snapshot / audit rows reflect the post-rebuild
-    // state.
-    if (recorder_ != nullptr) {
-      recorder_->Record(TraceEventKind::kRebuild, TraceRecord::kNoPacket, 0,
-                        NodeId(), NodeId(), LinkId());
-    }
-    if (registry_ != nullptr) registry_->SnapshotEpoch(SimTime::Zero());
-    if (audit_router_ != nullptr) {
-      audit_router_->WriteAuditSnapshot(audit_file_, SimTime::Zero());
-    }
-    for (SimTime epoch = SimTime::Zero() + config_.monitor_interval;
-         epoch <= end_; epoch += config_.monitor_interval) {
-      scheduler_.ScheduleAt(epoch, [this] {
-        if (recorder_ != nullptr) {
-          recorder_->Record(TraceEventKind::kRebuild, TraceRecord::kNoPacket,
-                            0, NodeId(), NodeId(), LinkId());
-        }
-        if (registry_ != nullptr) registry_->SnapshotEpoch(scheduler_.now());
-        if (audit_router_ != nullptr) {
-          audit_router_->WriteAuditSnapshot(audit_file_, scheduler_.now());
-        }
-      });
-    }
-  }
+  // One failure-epoch tick serves both the trace's link transitions and
+  // the broker crash lifecycle; it runs only when either is on.
   if (recorder_ != nullptr) {
-    link_sampler_ = std::make_unique<LinkStateSampler>(
-        network_, scheduler_, *recorder_, config_.failure_epoch, end_);
+    link_up_.assign(graph_.edge_count(), true);
+    link_gray_.assign(graph_.edge_count(), false);
   }
   if (network_.crashes().enabled()) {
-    lifecycle_sampler_ = std::make_unique<BrokerLifecycleSampler>(
-        network_, scheduler_, *router_, recorder_.get(),
-        config_.failure_epoch, end_);
+    broker_up_.assign(graph_.node_count(), true);
+  }
+  if (recorder_ != nullptr || network_.crashes().enabled()) {
+    FailureEpochTick();  // t = 0 baseline
+    ScheduleFailureEpochTick();
   }
   if (!config_.timeseries_out.empty()) {
     // Strictly read-only, so enabling it never changes results.
@@ -579,17 +425,100 @@ void Sim::EpochTick() {
   }
   monitor_.MeasureAt(scheduler_.now());
   router_->Rebuild(monitor_.view());
+  RecordRebuild();
 }
 
-// Opens `path` and writes the document; degrades to a warning (never an
+// Observability of one rebuild, written right after it so the kRebuild
+// record and the audit rows reflect the new tables. Read-only.
+void Sim::RecordRebuild() {
+  if (recorder_ != nullptr) {
+    recorder_->Record(TraceEventKind::kRebuild, TraceRecord::kNoPacket, 0,
+                      NodeId(), NodeId(), LinkId());
+  }
+  if (audit_router_ != nullptr) {
+    audit_router_->WriteAuditSnapshot(audit_file_, scheduler_.now());
+  }
+}
+
+// Samples the failure processes at failure-epoch cadence and acts on
+// transitions. With tracing on, link up/down and gray start/end become
+// trace records. With broker crashes on, an up->down transition kills the
+// broker's volatile state (OnBrokerCrash) and down->up triggers its resync
+// (OnBrokerRestart); that part is not observability — the hooks mutate
+// protocol state — so it runs recorder or not. Every schedule sampled here
+// is a counter-based pure function of (seed, entity, epoch): the tick draws
+// no RNG, and the link part leaves the run bit-identical to an untraced one.
+void Sim::FailureEpochTick() {
+  const SimTime now = scheduler_.now();
+  if (recorder_ != nullptr) {
+    for (std::size_t i = 0; i < graph_.edge_count(); ++i) {
+      const LinkId link(static_cast<LinkId::underlying_type>(i));
+      const EdgeSpec& edge = graph_.edge(link);
+      const bool up = network_.failures().IsUp(link, now);
+      if (up != link_up_[i]) {
+        link_up_[i] = up;
+        recorder_->Record(up ? TraceEventKind::kLinkUp
+                             : TraceEventKind::kLinkDown,
+                          TraceRecord::kNoPacket, 0, edge.a, edge.b, link);
+      }
+      const bool gray = network_.gray().Active(link, now);
+      if (gray != link_gray_[i]) {
+        link_gray_[i] = gray;
+        recorder_->Record(gray ? TraceEventKind::kGrayStart
+                               : TraceEventKind::kGrayEnd,
+                          TraceRecord::kNoPacket, 0, edge.a, edge.b, link);
+      }
+    }
+  }
+  if (network_.crashes().enabled()) {
+    const BrokerCrashSchedule& schedule = network_.crashes();
+    for (std::size_t i = 0; i < broker_up_.size(); ++i) {
+      const NodeId node(static_cast<NodeId::underlying_type>(i));
+      const bool up = schedule.Up(node, now);
+      if (up == broker_up_[i]) continue;
+      broker_up_[i] = up;
+      if (!up) {
+        ++broker_crashes_;
+        const std::size_t killed = router_->OnBrokerCrash(node);
+        if (recorder_ != nullptr) {
+          recorder_->Record(TraceEventKind::kBrokerDown,
+                            TraceRecord::kNoPacket, 0, node, NodeId(),
+                            LinkId(), 0,
+                            static_cast<std::uint16_t>(
+                                killed > 0xFFFF ? 0xFFFF : killed));
+        }
+      } else {
+        ++broker_restarts_;
+        router_->OnBrokerRestart(node);
+        if (recorder_ != nullptr) {
+          recorder_->Record(TraceEventKind::kBrokerUp, TraceRecord::kNoPacket,
+                            0, node, NodeId(), LinkId());
+        }
+      }
+    }
+  }
+}
+
+// Chain-scheduled with a [this] capture (8 bytes, well inside the
+// scheduler's inline budget).
+void Sim::ScheduleFailureEpochTick() {
+  if (scheduler_.now() + config_.failure_epoch > end_) return;
+  scheduler_.ScheduleAfter(config_.failure_epoch, [this] {
+    FailureEpochTick();
+    ScheduleFailureEpochTick();
+  });
+}
+
+// Opens `path` and writes the registry; degrades to a warning (never an
 // error — observability must not fail a run) when the file cannot open.
-void WriteMetricsFile(const std::string& path, const MetricsDoc& doc) {
+void WriteMetricsFile(const std::string& path,
+                      const MetricsRegistry& registry) {
   std::ofstream file(path, std::ios::trunc);
   if (!file) {
     DCRD_LOG(kWarn) << "cannot write metrics to " << path;
     return;
   }
-  WriteMetricsJson(file, doc);
+  registry.WriteJson(file);
 }
 
 void WriteTimeSeriesFile(const std::string& path,
@@ -618,11 +547,8 @@ RunSummary Sim::Run() {
     throw;
   }
 
-  if (registry_ != nullptr) {
-    registry_->SnapshotEpoch(scheduler_.now());
-    if (!config_.metrics_json.empty()) {
-      WriteMetricsFile(config_.metrics_json, registry_->Collect());
-    }
+  if (!config_.metrics_json.empty()) {
+    WriteMetricsFile(config_.metrics_json, *registry_);
   }
   if (timeseries_ != nullptr) {
     timeseries_->FinalizeAt(scheduler_.now());
@@ -648,10 +574,8 @@ RunSummary Sim::Summarize() const {
   summary.crash_copies_killed = transport.crash_copies_killed;
   summary.dropped_crash =
       data.dropped_crash + ack.dropped_crash + control.dropped_crash;
-  if (lifecycle_sampler_ != nullptr) {
-    summary.broker_crashes = lifecycle_sampler_->crashes();
-    summary.broker_restarts = lifecycle_sampler_->restarts();
-  }
+  summary.broker_crashes = broker_crashes_;
+  summary.broker_restarts = broker_restarts_;
   const ResyncStats resync = router_->resync_stats();
   summary.resyncs_started = resync.resyncs_started;
   summary.resyncs_completed = resync.resyncs_completed;

@@ -85,10 +85,9 @@ struct ScenarioConfig {
   double ack_delay_factor = 0.0;
   bool dcrd_best_effort_fallback = true;
   int dcrd_reroute_retry_cap = 20;
-  // Persistency mode (paper Section III); see DcrdConfig.
+  // Persistency mode (paper Section III), with DcrdConfig's retry interval
+  // and cap.
   bool dcrd_persistence = false;
-  SimDuration dcrd_persistence_retry = SimDuration::Seconds(1);
-  int dcrd_persistence_max_retries = 60;
   // Parallel routes per subscriber for the Multipath baseline (paper: 2).
   std::size_t multipath_path_count = 2;
   // Sending-list ordering (ablation; kTheorem1 is DCRD proper).
@@ -146,8 +145,9 @@ struct ScenarioConfig {
   // When non-empty, stream the full trace to this file as JSONL (implies
   // tracing). Readable by tools/dcrd_trace.
   std::string trace_out;
-  // When non-empty, write the metrics registry (per-epoch counter/gauge
-  // series + histograms) to this file as JSON at end of run.
+  // When non-empty, write the metrics registry's end-of-run values
+  // (counters, gauges, histograms) to this file as JSON. The per-epoch
+  // view of the same metrics is timeseries_out.
   std::string metrics_json;
   // When non-empty, sample the metrics registry every timeseries_interval
   // of sim time into a columnar store (counter deltas, gauge levels,

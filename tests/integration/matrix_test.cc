@@ -59,7 +59,9 @@ TEST_P(RouterMatrixTest, InvariantsHold) {
   // Every data transmission triggers at most one ACK.
   EXPECT_LE(summary.ack_transmissions, summary.data_transmissions);
   // With failures off, everything arrives.
-  if (c.pf == 0.0) EXPECT_GT(summary.delivery_ratio(), 0.99);
+  if (c.pf == 0.0) {
+    EXPECT_GT(summary.delivery_ratio(), 0.99);
+  }
 
   // Bit-level determinism per combination.
   const RunSummary again = RunScenario(config);

@@ -60,7 +60,9 @@ TEST(BrokerCrashScheduleTest, OutagesLastAtLeastMttrEpochs) {
       if (!schedule.Up(NodeId(node), t)) {
         ++run;
       } else {
-        if (run > 0) EXPECT_GE(run, 5) << "node " << node << " epoch " << epoch;
+        if (run > 0) {
+          EXPECT_GE(run, 5) << "node " << node << " epoch " << epoch;
+        }
         run = 0;
       }
     }

@@ -1,14 +1,16 @@
 // Metrics registry: log-linear histogram bucket math and quantiles (pinned
-// against sim/stats.h's scalar Quantile), counters, gauges, epoch series,
-// and the JSON export.
+// against sim/stats.h's scalar Quantile), counters, gauges, and the JSON
+// export with its string escaping.
 #include "obs/metrics_registry.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "obs/json_util.h"
 #include "sim/stats.h"
 
 namespace dcrd {
@@ -114,11 +116,9 @@ TEST(MetricsRegistryTest, OwnedAndExternalCountersAndGauges) {
   registry.RegisterGauge("test.gauge", [&gauge_value] { return gauge_value; });
 
   *owned += 2;
-  registry.SnapshotEpoch(SimTime::FromMicros(1000));
   *owned += 3;
   external = 11;
   gauge_value = 9;
-  registry.SnapshotEpoch(SimTime::FromMicros(2000));
 
   std::ostringstream os;
   registry.WriteJson(os);
@@ -126,8 +126,37 @@ TEST(MetricsRegistryTest, OwnedAndExternalCountersAndGauges) {
   EXPECT_NE(json.find("\"test.owned\": 5"), std::string::npos) << json;
   EXPECT_NE(json.find("\"test.external\": 11"), std::string::npos) << json;
   EXPECT_NE(json.find("\"test.gauge\": 9"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"t_us\": 1000"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"t_us\": 2000"), std::string::npos) << json;
+  // The registry keeps no history: the time series is its sampled view.
+  EXPECT_EQ(json.find("\"epochs\""), std::string::npos) << json;
+}
+
+// The export format byte for byte: counters, gauges, then histograms,
+// each read from the live cells at write time.
+TEST(MetricsRegistryTest, WriteJsonTextIsCountersGaugesThenHistograms) {
+  MetricsRegistry registry;
+  *registry.AddCounter("c.one") = 4;
+  std::uint64_t external = 6;
+  registry.RegisterCounter("c.two", &external);
+  registry.RegisterGauge("g", [] { return std::uint64_t{2}; });
+  LogLinearHistogram* h = registry.AddHistogram("h");
+  h->Record(3);
+  h->Record(101);
+  registry.AddHistogram("empty");
+  external = 7;
+
+  std::ostringstream os;
+  registry.WriteJson(os);
+  EXPECT_EQ(os.str(),
+            "{\n"
+            "  \"counters\": {\"c.one\": 4, \"c.two\": 7},\n"
+            "  \"gauges\": {\"g\": 2},\n"
+            "  \"histograms\": {\n"
+            "    \"h\": {\"count\": 2, \"min\": 3, \"max\": 101, "
+            "\"mean\": 52, \"p50\": 3, \"p90\": 100, \"p99\": 100, "
+            "\"p999\": 100, \"buckets\": [[3, 3, 1], [100, 101, 1]]},\n"
+            "    \"empty\": {\"count\": 0, \"buckets\": []}\n"
+            "  }\n"
+            "}\n");
 }
 
 TEST(MetricsRegistryTest, HistogramExportCarriesSummaryAndQuantiles) {
@@ -142,6 +171,12 @@ TEST(MetricsRegistryTest, HistogramExportCarriesSummaryAndQuantiles) {
   EXPECT_NE(json.find("\"min\": 1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"max\": 10"), std::string::npos) << json;
   EXPECT_NE(json.find("\"p50\": 5"), std::string::npos) << json;
+}
+
+TEST(JsonUtilTest, WriteJsonEscapedEscapesNewlineTabAndDropsOtherControls) {
+  std::ostringstream os;
+  WriteJsonEscaped(os, std::string("a\"b\\c\nd\te\x01\x1f" "f"));
+  EXPECT_EQ(os.str(), "\"a\\\"b\\\\c\\nd\\tef\"");
 }
 
 }  // namespace

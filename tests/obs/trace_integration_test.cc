@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,7 +16,10 @@
 #include "common/rng.h"
 #include "graph/topology.h"
 #include "net/overlay_network.h"
+#include "obs/analysis/model_audit.h"
 #include "obs/flight_recorder.h"
+#include "obs/json_util.h"
+#include "obs/timeseries.h"
 #include "obs/trace_export.h"
 #include "sim/engine.h"
 #include "sim/invariant_checker.h"
@@ -39,12 +43,67 @@ ScenarioConfig StressedConfig() {
   return config;
 }
 
+// The stressed config with broker crashes, peer-death detection and the
+// adaptive RTO: the failure-epoch tick then drives the crash lifecycle as
+// well as the trace's link records.
+ScenarioConfig CrashConfig() {
+  ScenarioConfig config = StressedConfig();
+  config.broker_mtbf = SimDuration::Seconds(30);
+  config.broker_mttr = SimDuration::Seconds(5);
+  config.peer_death_detection = true;
+  config.adaptive_rto = true;
+  return config;
+}
+
+// StressedConfig's rebuild instants at a 20 s monitor interval: the setup
+// rebuild at t = 0 and one per epoch through the 60 s end.
+const std::vector<std::int64_t> kRebuildsEvery20sUs = {0, 20'000'000,
+                                                       40'000'000, 60'000'000};
+
 struct TempFile {
   std::string path;
   explicit TempFile(const std::string& name)
       : path(std::string(::testing::TempDir()) + name) {}
   ~TempFile() { std::remove(path.c_str()); }
 };
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// Every result field of two runs of the same experiment; observability
+// bookkeeping (trace_records_overwritten) is not a result.
+void ExpectSameResults(const RunSummary& a, const RunSummary& b) {
+  EXPECT_EQ(a.expected_pairs, b.expected_pairs);
+  EXPECT_EQ(a.delivered_pairs, b.delivered_pairs);
+  EXPECT_EQ(a.qos_pairs, b.qos_pairs);
+  EXPECT_EQ(a.duplicate_deliveries, b.duplicate_deliveries);
+  EXPECT_EQ(a.data_transmissions, b.data_transmissions);
+  EXPECT_EQ(a.ack_transmissions, b.ack_transmissions);
+  EXPECT_EQ(a.control_transmissions, b.control_transmissions);
+  EXPECT_EQ(a.messages_published, b.messages_published);
+  EXPECT_EQ(a.retransmissions, b.retransmissions);
+  EXPECT_EQ(a.spurious_retransmissions, b.spurious_retransmissions);
+  EXPECT_EQ(a.rtt_samples, b.rtt_samples);
+  EXPECT_EQ(a.broker_crashes, b.broker_crashes);
+  EXPECT_EQ(a.broker_restarts, b.broker_restarts);
+  EXPECT_EQ(a.dropped_crash, b.dropped_crash);
+  EXPECT_EQ(a.crash_copies_killed, b.crash_copies_killed);
+  EXPECT_EQ(a.peer_deaths, b.peer_deaths);
+  EXPECT_EQ(a.peer_probes, b.peer_probes);
+  EXPECT_EQ(a.peer_revivals, b.peer_revivals);
+  EXPECT_EQ(a.resyncs_started, b.resyncs_started);
+  EXPECT_EQ(a.resyncs_completed, b.resyncs_completed);
+  EXPECT_EQ(a.total_resync_time_us, b.total_resync_time_us);
+  EXPECT_EQ(a.max_resync_time_us, b.max_resync_time_us);
+  EXPECT_EQ(a.crash_excused_duplicates, b.crash_excused_duplicates);
+  EXPECT_EQ(a.invariant_violation_count, b.invariant_violation_count);
+  EXPECT_EQ(a.lateness_ratios, b.lateness_ratios);
+  EXPECT_EQ(a.delay_ms_samples, b.delay_ms_samples);
+}
 
 TEST(TraceIntegrationTest, TracedRunMatchesUntracedRunExactly) {
   const RunSummary untraced = RunScenario(StressedConfig());
@@ -60,45 +119,141 @@ TEST(TraceIntegrationTest, TracedRunMatchesUntracedRunExactly) {
   traced_config.timeseries_interval = SimDuration::Millis(500);
   const RunSummary traced = RunScenario(traced_config);
 
-  EXPECT_EQ(traced.expected_pairs, untraced.expected_pairs);
-  EXPECT_EQ(traced.delivered_pairs, untraced.delivered_pairs);
-  EXPECT_EQ(traced.qos_pairs, untraced.qos_pairs);
-  EXPECT_EQ(traced.duplicate_deliveries, untraced.duplicate_deliveries);
-  EXPECT_EQ(traced.data_transmissions, untraced.data_transmissions);
-  EXPECT_EQ(traced.ack_transmissions, untraced.ack_transmissions);
-  EXPECT_EQ(traced.control_transmissions, untraced.control_transmissions);
-  EXPECT_EQ(traced.messages_published, untraced.messages_published);
-  EXPECT_EQ(traced.retransmissions, untraced.retransmissions);
-  EXPECT_EQ(traced.spurious_retransmissions,
-            untraced.spurious_retransmissions);
-  EXPECT_EQ(traced.delay_ms_samples, untraced.delay_ms_samples);
+  ExpectSameResults(traced, untraced);
   // Observability fields are not part of the experiment's identity.
   EXPECT_EQ(traced_config.Describe(), StressedConfig().Describe());
 }
 
+// With broker crashes on, one failure-epoch tick runs both the trace's link
+// records and the crash lifecycle; tracing must not move the lifecycle.
+TEST(TraceIntegrationTest, TracedCrashRunMatchesUntracedRunExactly) {
+  const RunSummary untraced = RunScenario(CrashConfig());
+  ASSERT_GT(untraced.broker_crashes, 0u);
+  ASSERT_GT(untraced.broker_restarts, 0u);
+  ASSERT_GT(untraced.resyncs_completed, 0u);
+  ASSERT_GT(untraced.crash_copies_killed, 0u);
+
+  TempFile trace_file("crash_eq.jsonl");
+  TempFile metrics_file("crash_eq_metrics.json");
+  TempFile series_file("crash_eq_series.json");
+  ScenarioConfig traced_config = CrashConfig();
+  traced_config.trace_out = trace_file.path;
+  traced_config.metrics_json = metrics_file.path;
+  traced_config.timeseries_out = series_file.path;
+  const RunSummary traced = RunScenario(traced_config);
+
+  ExpectSameResults(traced, untraced);
+  std::ifstream in(trace_file.path);
+  std::size_t crashes = 0;
+  for (const TraceRecord& record : ReadTraceJsonl(in)) {
+    if (record.kind == TraceEventKind::kBrokerDown) ++crashes;
+  }
+  EXPECT_EQ(crashes, untraced.broker_crashes);
+}
+
+// Each rebuild — the setup one at t = 0 and one per monitoring epoch —
+// writes exactly one kRebuild record and one set of audit model rows,
+// stamped with the rebuild's instant.
+TEST(TraceIntegrationTest, RebuildRecordsAndAuditRowsStampEveryEpoch) {
+  TempFile trace_file("rebuild_epochs.jsonl");
+  TempFile model_file("rebuild_epochs_model.jsonl");
+  ScenarioConfig config = StressedConfig();
+  config.monitor_interval = SimDuration::Seconds(20);
+  config.trace_out = trace_file.path;
+  config.delay_audit_out = model_file.path;
+  RunScenario(config);
+
+  std::ifstream trace_in(trace_file.path);
+  std::vector<std::int64_t> rebuilds_us;
+  for (const TraceRecord& record : ReadTraceJsonl(trace_in)) {
+    if (record.kind == TraceEventKind::kRebuild) {
+      rebuilds_us.push_back(record.t_us);
+    }
+  }
+  EXPECT_EQ(rebuilds_us, kRebuildsEvery20sUs);
+
+  std::ifstream model_in(model_file.path);
+  std::map<std::int64_t, std::size_t> rows_at;
+  ASSERT_TRUE(ForEachModelRow(
+      model_in, [&](const ModelRow& row) { ++rows_at[row.t_us]; }));
+  std::vector<std::int64_t> stamps_us;
+  for (const auto& [t_us, rows] : rows_at) {
+    stamps_us.push_back(t_us);
+    // No churn: every epoch audits the same destinations.
+    EXPECT_EQ(rows, rows_at.begin()->second) << "t_us " << t_us;
+  }
+  EXPECT_EQ(stamps_us, kRebuildsEvery20sUs);
+  EXPECT_GT(rows_at.begin()->second, 0u);
+}
+
 TEST(TraceIntegrationTest, MetricsCarrySolverCountersForDcrdOnly) {
   // The registry exports the DCRD router's control-plane counters; a
-  // baseline router runs no <d,r> solver and exports none.
-  const auto metrics_of = [](RouterKind router) {
+  // baseline router runs no <d,r> solver and exports none. The per-epoch
+  // view lives in the time series: dcrd.solves grows at the setup rebuild
+  // (t = 0) and at each rebuild instant, and nowhere else.
+  struct Telemetry {
+    std::string metrics;
+    TimeSeriesStore series;
+  };
+  const auto run = [](RouterKind router) {
     TempFile metrics_file("solver_counters_metrics.json");
+    TempFile series_file("solver_counters_series.json");
     ScenarioConfig config = StressedConfig();
     config.router = router;
+    config.monitor_interval = SimDuration::Seconds(20);
     config.metrics_json = metrics_file.path;
+    config.timeseries_out = series_file.path;
     RunScenario(config);
-    std::ifstream in(metrics_file.path);
-    std::stringstream text;
-    text << in.rdbuf();
-    return text.str();
+    Telemetry out;
+    out.metrics = ReadFile(metrics_file.path);
+    std::string error;
+    EXPECT_TRUE(
+        LoadTimeSeriesJson(ReadFile(series_file.path), &out.series, &error))
+        << error;
+    return out;
   };
-  const std::string dcrd = metrics_of(RouterKind::kDcrd);
-  for (const char* name : {"\"dcrd.solves\"", "\"dcrd.sweeps\"",
-                           "\"dcrd.unconverged\""}) {
-    EXPECT_NE(dcrd.find(name), std::string::npos) << name;
+
+  const Telemetry dcrd = run(RouterKind::kDcrd);
+  // The metrics document is the end-of-run registry: three sections, no
+  // per-epoch block.
+  std::vector<std::string> sections;
+  std::map<std::string, std::uint64_t> counters;
+  JsonCursor cursor;
+  cursor.text = dcrd.metrics;
+  ASSERT_TRUE(cursor.ReadObject([&](const std::string& key) {
+    sections.push_back(key);
+    if (key != "counters") return cursor.SkipValue();
+    return cursor.ReadObject([&](const std::string& name) {
+      return cursor.ReadU64(&counters[name]);
+    });
+  })) << cursor.error;
+  EXPECT_EQ(sections,
+            (std::vector<std::string>{"counters", "gauges", "histograms"}));
+  for (const char* name : {"dcrd.solves", "dcrd.sweeps", "dcrd.unconverged"}) {
+    EXPECT_EQ(counters.count(name), 1u) << name;
   }
-  // Epoch 0 already holds the setup rebuild's solves.
-  EXPECT_EQ(dcrd.find("\"dcrd.solves\": 0,"), std::string::npos);
-  EXPECT_EQ(metrics_of(RouterKind::kRTree).find("\"dcrd."),
-            std::string::npos);
+
+  const TimeSeriesStore& series = dcrd.series;
+  std::size_t solves = series.counter_names.size();
+  for (std::size_t i = 0; i < series.counter_names.size(); ++i) {
+    if (series.counter_names[i] == "dcrd.solves") solves = i;
+  }
+  ASSERT_LT(solves, series.counter_names.size());
+  std::vector<std::int64_t> solved_at_us;
+  std::uint64_t total = 0;
+  for (std::size_t s = 0; s < series.samples(); ++s) {
+    const std::uint64_t delta = series.counter_deltas[solves][s];
+    if (delta != 0) solved_at_us.push_back(series.t_us[s]);
+    total += delta;
+  }
+  EXPECT_EQ(solved_at_us, kRebuildsEvery20sUs);
+  EXPECT_EQ(counters["dcrd.solves"], total);
+
+  const Telemetry tree = run(RouterKind::kRTree);
+  EXPECT_EQ(tree.metrics.find("\"dcrd."), std::string::npos);
+  for (const std::string& name : tree.series.counter_names) {
+    EXPECT_NE(name.rfind("dcrd.", 0), 0u) << name;
+  }
 }
 
 TEST(TraceIntegrationTest, TimelineReconstructsRetransmitsAndReroutes) {
