@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 #include <optional>
 #include <ostream>
+#include <span>
 
 #include "obs/flight_recorder.h"
 
@@ -54,7 +56,8 @@ void DcrdRouter::Rebuild(const MonitoredView& view) {
   }
   tables_.assign(subs.topic_count(), {});
   gossip_.assign(subs.topic_count(), {});
-  subscriber_index_.assign(subs.topic_count(), {});
+  subscriber_index_.assign(subs.topic_count() * graph.node_count(),
+                           kNoSubscriber);
   // One solver per epoch: it shares the lifted links across every
   // destination and each subscriber's sweep order and fallback fixed point
   // across that subscriber's topics.
@@ -69,8 +72,11 @@ void DcrdRouter::Rebuild(const MonitoredView& view) {
         MonitoredDistancesFrom(graph, view, publisher);
     for (const Subscription& sub : subs.subscriptions(topic)) {
       const double deadline_us = static_cast<double>(sub.deadline.micros());
+      std::uint32_t& index =
+          subscriber_index_[t * graph.node_count() +
+                            sub.subscriber.underlying()];
       if (config_.use_distributed_computation) {
-        subscriber_index_[t].emplace(sub.subscriber, gossip_[t].size());
+        index = static_cast<std::uint32_t>(gossip_[t].size());
         GossipTables gossip;
         gossip.constrained = std::make_shared<DistributedDrComputation>(
             *context_.network, sub.subscriber, view,
@@ -86,7 +92,7 @@ void DcrdRouter::Rebuild(const MonitoredView& view) {
         }
         gossip_[t].push_back(std::move(gossip));
       } else {
-        subscriber_index_[t].emplace(sub.subscriber, tables_[t].size());
+        index = static_cast<std::uint32_t>(tables_[t].size());
         const DestinationTables& tables = tables_[t].emplace_back(
             solver->Solve(sub.subscriber, deadline_us, publisher_dist));
         ++solve_stats_.solves;
@@ -123,28 +129,34 @@ const std::vector<NodeTables>& DcrdRouter::GossipSnapshot(
   return gossip.snapshot;
 }
 
+std::uint32_t DcrdRouter::SubscriberIndex(TopicId topic,
+                                          NodeId subscriber) const {
+  const std::size_t slot =
+      topic.underlying() * context_.network->graph().node_count() +
+      subscriber.underlying();
+  return slot < subscriber_index_.size() ? subscriber_index_[slot]
+                                         : kNoSubscriber;
+}
+
 const NodeTables* DcrdRouter::GetNodeTables(TopicId topic, NodeId subscriber,
                                             NodeId node) const {
-  const auto& index = subscriber_index_[topic.underlying()];
-  const auto it = index.find(subscriber);
-  if (it == index.end()) return nullptr;
+  const std::uint32_t index = SubscriberIndex(topic, subscriber);
+  if (index == kNoSubscriber) return nullptr;
   if (config_.use_distributed_computation) {
     const std::vector<NodeTables>& snapshot =
-        GossipSnapshot(gossip_[topic.underlying()][it->second]);
+        GossipSnapshot(gossip_[topic.underlying()][index]);
     return &snapshot[node.underlying()];
   }
-  return &tables_[topic.underlying()][it->second]
-              .per_node[node.underlying()];
+  return &tables_[topic.underlying()][index].per_node[node.underlying()];
 }
 
 const DestinationTables* DcrdRouter::FindTables(TopicId topic,
                                                 NodeId subscriber) const {
   DCRD_CHECK(!config_.use_distributed_computation)
       << "solver tables are not materialised in distributed mode";
-  const auto& index = subscriber_index_[topic.underlying()];
-  const auto it = index.find(subscriber);
-  if (it == index.end()) return nullptr;
-  return &tables_[topic.underlying()][it->second];
+  const std::uint32_t index = SubscriberIndex(topic, subscriber);
+  if (index == kNoSubscriber) return nullptr;
+  return &tables_[topic.underlying()][index];
 }
 
 const DestinationTables& DcrdRouter::TablesFor(TopicId topic,
@@ -210,55 +222,69 @@ void DcrdRouter::WriteAuditSnapshot(std::ostream& os, SimTime now) const {
 
 void DcrdRouter::Publish(const Message& message) {
   const SubscriptionTable& subs = *context_.subscriptions;
-  std::vector<NodeId> destinations;
+  destinations_scratch_.clear();
   for (const Subscription& sub : subs.subscriptions(message.topic)) {
     if (sub.subscriber == message.publisher) {
       context_.sink->OnDelivered(message, sub.subscriber,
                                  context_.network->scheduler().now());
     } else {
-      destinations.push_back(sub.subscriber);
+      destinations_scratch_.push_back(sub.subscriber);
     }
   }
-  if (destinations.empty()) return;
-  Packet packet(message, std::move(destinations));
-  auto& processed =
-      processed_[message.publisher.underlying()][ProcessedKey(packet)];
-  processed.insert(packet.destinations().begin(),
-                   packet.destinations().end());
-  StartEpisode(message.publisher, std::move(packet));
+  if (destinations_scratch_.empty()) return;
+  SlotHandle handle;
+  Episode& episode = OpenEpisode(message.publisher, &handle);
+  episode.base.Assign(message, destinations_scratch_);
+  DenseIdSet& processed = processed_[message.publisher.underlying()];
+  for (NodeId subscriber : episode.base.destinations()) {
+    processed.Insert(ProcessedKey(episode.base, subscriber));
+  }
+  StartEpisode(handle, episode);
 }
 
 void DcrdRouter::OnArrival(NodeId at, const Packet& packet, NodeId /*from*/) {
   const bool rerouted_back = packet.OnRoutingPath(at);
-  auto& processed = processed_[at.underlying()][ProcessedKey(packet)];
+  DenseIdSet& processed = processed_[at.underlying()];
 
-  std::vector<NodeId> remaining;
+  destinations_scratch_.clear();
   for (NodeId subscriber : packet.destinations()) {
     // A fresh visit handles each (message, subscriber) responsibility only
     // once; a rerouted-back packet re-opens responsibilities this broker
     // already forwarded into the now-failed subtree.
-    if (!rerouted_back && processed.contains(subscriber)) continue;
-    processed.insert(subscriber);
+    const bool fresh = processed.Insert(ProcessedKey(packet, subscriber));
+    if (!rerouted_back && !fresh) continue;
     if (subscriber == at) {
       context_.sink->OnDelivered(packet.message(), subscriber,
                                  context_.network->scheduler().now());
     } else {
-      remaining.push_back(subscriber);
+      destinations_scratch_.push_back(subscriber);
     }
   }
-  if (remaining.empty()) return;
-  StartEpisode(at, packet.WithDestinations(std::move(remaining)));
+  if (destinations_scratch_.empty()) return;
+  SlotHandle handle;
+  Episode& episode = OpenEpisode(at, &handle);
+  episode.base.AssignNarrowed(packet, destinations_scratch_);
+  StartEpisode(handle, episode);
 }
 
-void DcrdRouter::StartEpisode(NodeId node, Packet packet) {
-  const std::uint64_t id = next_episode_id_++;
-  Episode episode;
-  episode.id = id;
-  episode.node = node;
-  episode.pending = packet.destinations();
-  episode.base = std::move(packet);
-  episodes_.emplace(id, std::move(episode));
-  ProcessEpisode(id);
+DcrdRouter::Episode& DcrdRouter::OpenEpisode(NodeId node,
+                                             SlotHandle* handle) {
+  Episode* episode = nullptr;
+  *handle = episodes_.Acquire(&episode);
+  episode->node = node;
+  return *episode;
+}
+
+void DcrdRouter::StartEpisode(SlotHandle handle, Episode& episode) {
+  const std::size_t n = episode.base.destinations().size();
+  episode.pending.resize(n);
+  std::iota(episode.pending.begin(), episode.pending.end(), 0U);
+  episode.copy.assign(n, 0);
+  episode.reroutes.assign(n, 0);
+  episode.tried.clear();
+  episode.launches = 0;
+  episode.in_flight = 0;
+  ProcessEpisode(handle);
 }
 
 NodeId DcrdRouter::UpstreamOf(const Episode& episode) const {
@@ -269,19 +295,20 @@ NodeId DcrdRouter::UpstreamOf(const Episode& episode) const {
   return path.empty() ? NodeId() : path.back();
 }
 
-NodeId DcrdRouter::SelectNextHop(const Episode& episode,
-                                 NodeId subscriber) const {
-  const NodeTables* tables_ptr = GetNodeTables(
-      episode.base.message().topic, subscriber, episode.node);
+Neighbor DcrdRouter::SelectNextHop(const Episode& episode,
+                                   std::uint32_t index,
+                                   NodeId upstream) const {
+  const NodeTables* tables_ptr =
+      GetNodeTables(episode.base.message().topic,
+                    episode.base.destinations()[index], episode.node);
   // The subscriber left (churn) while this packet was in flight: nowhere
   // to send — the caller drops the responsibility.
-  if (tables_ptr == nullptr) return NodeId();
-  const auto tried_it = episode.tried.find(subscriber);
+  if (tables_ptr == nullptr) return Neighbor{};
   const auto is_tried = [&](NodeId candidate) {
-    return tried_it != episode.tried.end() && tried_it->second.contains(candidate);
+    return std::find(episode.tried.begin(), episode.tried.end(),
+                     std::make_pair(index, candidate)) != episode.tried.end();
   };
 
-  NodeId choice;
   if (ResyncActive(episode.node)) {
     // Post-restart best-effort forwarding: this broker's <d,r> tables died
     // with its crash and gossip has not reconverged, so instead of a
@@ -293,123 +320,136 @@ NodeId DcrdRouter::SelectNextHop(const Episode& episode,
       if (episode.base.OnRoutingPath(n.peer)) continue;
       if (is_tried(n.peer)) continue;
       if (!transport_.PeerAlive(episode.node, n.link)) continue;
-      choice = n.peer;
-      break;
+      return n;
     }
   } else {
-    const NodeTables& node_tables = *tables_ptr;
     const auto scan = [&](const std::vector<ViaEntry>& list) {
       for (const ViaEntry& entry : list) {
         if (episode.base.OnRoutingPath(entry.neighbor)) continue;
         if (is_tried(entry.neighbor)) continue;
-        return entry.neighbor;
+        return Neighbor{entry.neighbor, entry.link};
       }
-      return NodeId();
+      return Neighbor{};
     };
-
-    choice = scan(node_tables.primary);
-    if (!choice.valid() && config_.best_effort_fallback) {
-      choice = scan(node_tables.fallback);
+    Neighbor choice = scan(tables_ptr->primary);
+    if (!choice.peer.valid() && config_.best_effort_fallback) {
+      choice = scan(tables_ptr->fallback);
     }
+    if (choice.peer.valid()) return choice;
   }
-  if (choice.valid()) return choice;
 
   // Sending list exhausted: reroute to the upstream node (Algorithm 2,
-  // lines 10-12), bounded by the retry cap.
-  const NodeId upstream = UpstreamOf(episode);
-  if (!upstream.valid()) return NodeId();  // publisher: drop
-  const auto attempts_it = episode.reroute_attempts.find(subscriber);
-  if (attempts_it != episode.reroute_attempts.end() &&
-      attempts_it->second >= config_.reroute_retry_cap) {
-    return NodeId();
+  // lines 10-12). The first reroute is always allowed, so a subscriber gets
+  // max(reroute_retry_cap, 1) of them per episode.
+  if (!upstream.valid()) return Neighbor{};  // publisher: drop
+  if (episode.reroutes[index] >= std::max(config_.reroute_retry_cap, 1)) {
+    return Neighbor{};
   }
-  return upstream;
+  return Neighbor{upstream, LinkId()};
 }
 
-void DcrdRouter::ProcessEpisode(std::uint64_t episode_id) {
-  auto it = episodes_.find(episode_id);
-  if (it == episodes_.end()) return;
-  Episode& episode = it->second;
+void DcrdRouter::ProcessEpisode(SlotHandle handle) {
+  Episode* found = episodes_.Get(handle);
+  if (found == nullptr) return;
+  Episode& episode = *found;
+  const std::vector<NodeId>& destinations = episode.base.destinations();
 
-  while (!episode.pending.empty()) {
-    // Decide the next hop for the first pending subscriber, then pull in
-    // every other pending subscriber that picks the same hop (Algorithm 2,
-    // lines 13-19).
-    const NodeId leader = episode.pending.front();
-    const NodeId next = SelectNextHop(episode, leader);
-    if (!next.valid()) {
-      HandleUndeliverable(episode.node, episode.base, leader);
-      episode.pending.erase(episode.pending.begin());
+  // Algorithm 2, lines 13-19: every pending subscriber picks its next hop,
+  // and subscribers sharing a hop share one copy. A pass can compute every
+  // choice up front: `tried` changes only in OnCopyResolved, reroute
+  // counts change only for the group being launched (which leaves
+  // `pending`), and SendReliable never calls back into the router.
+  const NodeId upstream = UpstreamOf(episode);
+  choices_scratch_.clear();
+  for (const std::uint32_t index : episode.pending) {
+    choices_scratch_.push_back(SelectNextHop(episode, index, upstream));
+  }
+  const std::size_t n = episode.pending.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const Neighbor hop = choices_scratch_[i];
+    if (!hop.peer.valid()) {
+      HandleUndeliverable(episode.node, episode.base,
+                          destinations[episode.pending[i]]);
       continue;
     }
-    std::vector<NodeId> group;
-    std::vector<NodeId> still_pending;
-    for (NodeId subscriber : episode.pending) {
-      if (subscriber == leader || SelectNextHop(episode, subscriber) == next) {
-        group.push_back(subscriber);
-      } else {
-        still_pending.push_back(subscriber);
-      }
+    // The group for this hop launched with its first member.
+    bool launched = false;
+    for (std::size_t k = 0; k < i && !launched; ++k) {
+      launched = choices_scratch_[k].peer == hop.peer;
     }
-    episode.pending = std::move(still_pending);
-
-    const bool is_reroute = next == UpstreamOf(episode);
-    if (is_reroute) {
-      for (NodeId subscriber : group) ++episode.reroute_attempts[subscriber];
+    if (launched) continue;
+    const bool is_reroute = hop.peer == upstream;
+    const std::uint32_t launch = ++episode.launches;
+    group_scratch_.clear();
+    for (std::size_t j = i; j < n; ++j) {
+      if (choices_scratch_[j].peer != hop.peer) continue;
+      const std::uint32_t index = episode.pending[j];
+      episode.copy[index] = launch;
+      if (is_reroute) ++episode.reroutes[index];
+      group_scratch_.push_back(destinations[index]);
     }
-
-    Packet copy = episode.base.WithDestinations(group);
-    copy.RecordOnPath(episode.node);
-    const auto link = context_.network->graph().FindEdge(episode.node, next);
-    DCRD_CHECK(link.has_value())
-        << "sending list refers to missing edge " << episode.node << "-"
-        << next;
-    if (is_reroute && context_.recorder != nullptr) {
-      context_.recorder->Record(
-          TraceEventKind::kReroute, episode.base.message().id.value, 0,
-          episode.node, next, *link, 0,
-          static_cast<std::uint16_t>(group.size()));
-    }
-    const SimDuration timeout = context_.AckTimeout(view_->alpha(*link));
-    ++episode.in_flight;
-    transport_.SendReliable(
-        episode.node, *link, std::move(copy), context_.max_transmissions,
-        timeout,
-        [this, episode_id, next, group](bool acked) mutable {
-          OnCopyResolved(episode_id, next, std::move(group), acked);
-        });
+    LaunchCopy(handle, episode, hop, is_reroute, launch);
   }
-  FinishEpisodeIfIdle(episode_id);
+  episode.pending.clear();
+  FinishEpisodeIfIdle(handle);
 }
 
-void DcrdRouter::OnCopyResolved(std::uint64_t episode_id, NodeId next_hop,
-                                std::vector<NodeId> subscribers, bool acked) {
-  auto it = episodes_.find(episode_id);
-  if (it == episodes_.end()) {
-    // Only a broker crash erases an episode with copies still unresolved
+void DcrdRouter::LaunchCopy(SlotHandle handle, Episode& episode, Neighbor hop,
+                            bool is_reroute, std::uint32_t launch) {
+  if (is_reroute) {
+    // Only the upstream hop comes without its link.
+    const auto link =
+        context_.network->graph().FindEdge(episode.node, hop.peer);
+    DCRD_CHECK(link.has_value())
+        << "upstream " << hop.peer << " is not adjacent to " << episode.node;
+    hop.link = *link;
+  }
+  send_scratch_.AssignNarrowed(episode.base, group_scratch_);
+  send_scratch_.RecordOnPath(episode.node);
+  if (is_reroute && context_.recorder != nullptr) {
+    context_.recorder->Record(
+        TraceEventKind::kReroute, episode.base.message().id.value, 0,
+        episode.node, hop.peer, hop.link, 0,
+        static_cast<std::uint16_t>(group_scratch_.size()));
+  }
+  const SimDuration timeout = context_.AckTimeout(view_->alpha(hop.link));
+  ++episode.in_flight;
+  transport_.SendReliable(episode.node, hop.link, std::move(send_scratch_),
+                          context_.max_transmissions, timeout,
+                          [this, handle, next = hop.peer, launch](bool acked) {
+                            OnCopyResolved(handle, next, launch, acked);
+                          });
+}
+
+void DcrdRouter::OnCopyResolved(SlotHandle handle, NodeId next_hop,
+                                std::uint32_t launch, bool acked) {
+  Episode* found = episodes_.Get(handle);
+  if (found == nullptr) {
+    // Only a broker crash releases an episode with copies still unresolved
     // (the crash kills the broker's own pendings without resolving them,
     // but a straggler resolution scheduled before the crash can still
     // land). Without crashes a vanished episode is a bookkeeping bug.
     DCRD_CHECK(context_.network->crashes().enabled())
-        << "copy resolved for vanished episode " << episode_id;
+        << "copy resolved for vanished episode in slot " << handle.slot;
     return;
   }
-  Episode& episode = it->second;
+  Episode& episode = *found;
   --episode.in_flight;
 
   if (!acked) {
     // Hop failed after m transmissions: mark tried (unless it was the
     // upstream reroute, which stays eligible under the retry cap) and put
-    // the subscribers back on the pending list.
+    // the group back on the pending list, ascending as it launched.
     const bool was_reroute = next_hop == UpstreamOf(episode);
-    for (NodeId subscriber : subscribers) {
-      if (!was_reroute) episode.tried[subscriber].insert(next_hop);
-      episode.pending.push_back(subscriber);
+    for (std::uint32_t index = 0; index < episode.copy.size(); ++index) {
+      if (episode.copy[index] != launch) continue;
+      if (!was_reroute) episode.tried.emplace_back(index, next_hop);
+      episode.pending.push_back(index);
     }
-    ProcessEpisode(episode_id);
+    ProcessEpisode(handle);
     return;
   }
-  FinishEpisodeIfIdle(episode_id);
+  FinishEpisodeIfIdle(handle);
 }
 
 void DcrdRouter::RecordUndeliverable(NodeId node, const Packet& base,
@@ -462,10 +502,13 @@ void DcrdRouter::HandleUndeliverable(NodeId node, const Packet& base,
         // explorable again, and a new persistence generation so the
         // processed-set dedup downstream does not mistake the retry for a
         // duplicate of the failed attempt.
-        Packet retry(message, {subscriber});
-        retry.set_flow_label(static_cast<std::uint8_t>(generation));
-        processed_[node.underlying()][ProcessedKey(retry)].insert(subscriber);
-        StartEpisode(node, std::move(retry));
+        SlotHandle handle;
+        Episode& episode = OpenEpisode(node, &handle);
+        episode.base.Assign(message, std::span<const NodeId>(&subscriber, 1));
+        episode.base.set_flow_label(static_cast<std::uint8_t>(generation));
+        processed_[node.underlying()].Insert(
+            ProcessedKey(episode.base, subscriber));
+        StartEpisode(handle, episode);
       });
 }
 
@@ -473,9 +516,13 @@ std::size_t DcrdRouter::OnBrokerCrash(NodeId node) {
   // Transport first: pendings at `node` are killed without resolution and
   // its dedup windows cleared, so nothing below ever hears from them again.
   const std::size_t killed = transport_.OnBrokerCrash(node);
-  // Open processing episodes at the broker die with it.
-  std::erase_if(episodes_,
-                [&](const auto& kv) { return kv.second.node == node; });
+  // Open processing episodes at the broker die with it, copy groups
+  // included.
+  sweep_scratch_.clear();
+  episodes_.ForEachLiveHandle([&](SlotHandle handle) {
+    if (episodes_.Get(handle)->node == node) sweep_scratch_.push_back(handle);
+  });
+  for (const SlotHandle handle : sweep_scratch_) episodes_.Release(handle);
   processed_[node.underlying()].clear();
   // Persistency-mode parked packets were volatile state too. (The armed
   // retry timers re-check the crash schedule when they fire.)
@@ -556,11 +603,11 @@ void DcrdRouter::OnBrokerRestart(NodeId node) {
       });
 }
 
-void DcrdRouter::FinishEpisodeIfIdle(std::uint64_t episode_id) {
-  const auto it = episodes_.find(episode_id);
-  if (it == episodes_.end()) return;
-  if (it->second.pending.empty() && it->second.in_flight == 0) {
-    episodes_.erase(it);
+void DcrdRouter::FinishEpisodeIfIdle(SlotHandle handle) {
+  const Episode* episode = episodes_.Get(handle);
+  if (episode == nullptr) return;
+  if (episode->pending.empty() && episode->in_flight == 0) {
+    episodes_.Release(handle);
   }
 }
 

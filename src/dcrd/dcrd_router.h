@@ -24,15 +24,16 @@
 //    still delivered (the paper's delivery-ratio metric counts them).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <memory>
-#include <set>
 #include <tuple>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "common/dense_map.h"
+#include "common/slot_map.h"
 #include "dcrd/distributed_dr.h"
 #include "dcrd/dr_computation.h"
 #include "routing/hop_transport.h"
@@ -46,10 +47,12 @@ struct DcrdConfig {
   DrComputationConfig computation;
   // Walk the fallback list after the primary list is exhausted.
   bool best_effort_fallback = true;
-  // A reroute hop to the upstream node is retried at most this many times
-  // per subscriber per episode before the packet is declared undeliverable
-  // (the upstream link itself may be failed; failures last ~1 s, so the cap
-  // only fires on pathological outages).
+  // Bounds the reroute hops to the upstream node one episode launches per
+  // subscriber before declaring it undeliverable: max(cap, 1) launches, so
+  // a subscriber always gets its first reroute and 0 behaves like 1 (the
+  // ablation's "no upstream retry" row is that single launch). The upstream
+  // link itself may be failed; failures last ~1 s, so the cap only fires on
+  // pathological outages.
   int reroute_retry_cap = 20;
   // The paper's persistency mode (Section III): instead of dropping a
   // packet whose every option is exhausted, the broker stores it and
@@ -129,7 +132,7 @@ class DcrdRouter final : public Router {
 
   // Fail-stop crash–recovery (see net/broker_lifecycle.h). A crash destroys
   // every piece of the broker's volatile state: transport pendings and
-  // dedup windows, open processing episodes, the per-node processed map and
+  // dedup windows, open processing episodes, the per-node processed set and
   // any packets parked by persistency mode. A restart opens a gossip-resync
   // window: in distributed mode the broker's <d,r> protocol state is reset
   // and re-announced with a fresh generation; in solver mode one control
@@ -143,40 +146,72 @@ class DcrdRouter final : public Router {
   }
 
  private:
+  // One processing episode (Algorithm 2's while-loop at one broker for one
+  // received packet). Pooled in a SlotMap: a released episode keeps its
+  // buffers for the next tenant, so opening one allocates nothing once the
+  // pool is warm. Per-subscriber state is indexed like base.destinations()
+  // (sorted, unique), so every buffer is bounded by the destination count
+  // except `tried`, which a subscriber grows at most once per neighbour.
   struct Episode {
-    std::uint64_t id = 0;
     NodeId node;
     Packet base;  // as received; the routing path does not yet include node
-    std::vector<NodeId> pending;  // subscribers awaiting a next-hop decision
-    int in_flight = 0;            // copies awaiting ACK or timeout
-    std::map<NodeId, std::set<NodeId>> tried;  // per-subscriber tried hops
-    std::map<NodeId, int> reroute_attempts;    // per-subscriber upstream retries
+    // Destinations awaiting a next-hop decision, ascending. A pass empties
+    // it and a failed copy refills it with its own group, so every group
+    // is ascending too.
+    std::vector<std::uint32_t> pending;
+    // Launch number of the copy currently carrying each destination. Launch
+    // numbers are unique within the episode, so a completion finds its
+    // group here and a crash that drops the callbacks unrun leaks nothing.
+    std::vector<std::uint32_t> copy;
+    std::vector<int> reroutes;  // upstream reroutes launched per destination
+    std::vector<std::pair<std::uint32_t, NodeId>> tried;  // silent hops
+    std::uint32_t launches = 0;
+    int in_flight = 0;  // copies awaiting ACK or timeout
   };
 
   void OnArrival(NodeId at, const Packet& packet, NodeId from);
-  void StartEpisode(NodeId node, Packet packet);
+  // Takes a pooled episode at `node`, still holding its previous tenant's
+  // state; the caller fills its base and then calls StartEpisode, which
+  // resets the bookkeeping from that base and runs the first pass.
+  Episode& OpenEpisode(NodeId node, SlotHandle* handle);
+  void StartEpisode(SlotHandle handle, Episode& episode);
   // Persistency mode: parks the (message, subscriber) at `node` and arms a
   // retry timer; gives up into dropped_undeliverable_ past the retry cap.
   void HandleUndeliverable(NodeId node, const Packet& base, NodeId subscriber);
   // Flight-recorder kDrop[undeliverable] hook, fired exactly where
   // dropped_undeliverable_ increments.
   void RecordUndeliverable(NodeId node, const Packet& base, NodeId subscriber);
-  // Dedup key for the per-node processed map: message id tagged with the
-  // persistence generation, so a stored-and-retried packet is not mistaken
-  // for a duplicate of its own failed first attempt.
-  [[nodiscard]] static std::uint64_t ProcessedKey(const Packet& packet) {
-    return (packet.message().id.value << 8) | packet.flow_label();
+  // Dedup key for one (message, subscriber) responsibility in a broker's
+  // processed set: message id and persistence generation (the flow label,
+  // so a stored-and-retried packet is not mistaken for a duplicate of its
+  // own failed first attempt) above the subscriber id. The checks keep the
+  // fields apart, so two pairs never share a key.
+  [[nodiscard]] static std::uint64_t ProcessedKey(const Packet& packet,
+                                                  NodeId subscriber) {
+    DCRD_CHECK(packet.message().id.value < (std::uint64_t{1} << 36))
+        << "message id " << packet.message().id << " overflows the key";
+    DCRD_CHECK(subscriber.underlying() < (1u << 20))
+        << "subscriber " << subscriber << " overflows the key";
+    return (packet.message().id.value << 28) |
+           (static_cast<std::uint64_t>(packet.flow_label()) << 20) |
+           subscriber.underlying();
   }
-  // Drives Algorithm 2's while-loop for one episode: groups pending
-  // subscribers by chosen next hop and launches the copies.
-  void ProcessEpisode(std::uint64_t episode_id);
-  void OnCopyResolved(std::uint64_t episode_id, NodeId next_hop,
-                      std::vector<NodeId> subscribers, bool acked);
-  // The first sending-list entry for `subscriber` that is neither on the
-  // routing path nor tried; falls back to the upstream node; invalid NodeId
-  // when the packet must be dropped.
-  [[nodiscard]] NodeId SelectNextHop(const Episode& episode,
-                                     NodeId subscriber) const;
+  // Drives Algorithm 2's while-loop for one episode in a single pass: one
+  // next-hop choice per pending subscriber, one copy per distinct hop in
+  // order of first appearance, undeliverable subscribers in pending order.
+  void ProcessEpisode(SlotHandle handle);
+  // Sends launch number `launch`, carrying group_scratch_, to `hop`.
+  void LaunchCopy(SlotHandle handle, Episode& episode, Neighbor hop,
+                  bool is_reroute, std::uint32_t launch);
+  void OnCopyResolved(SlotHandle handle, NodeId next_hop,
+                      std::uint32_t launch, bool acked);
+  // The first sending-list entry for destination `index` that is neither
+  // on the routing path nor tried, with the link the entry names; falls
+  // back to `upstream` under the reroute cap, leaving the link for the
+  // launch to look up; an invalid peer when the packet must be dropped.
+  [[nodiscard]] Neighbor SelectNextHop(const Episode& episode,
+                                       std::uint32_t index,
+                                       NodeId upstream) const;
   // Like TablesFor but returns nullptr when the subscriber is unknown —
   // e.g. it unsubscribed (churn) while this packet was in flight.
   [[nodiscard]] const DestinationTables* FindTables(TopicId topic,
@@ -187,8 +222,12 @@ class DcrdRouter final : public Router {
   [[nodiscard]] const NodeTables* GetNodeTables(TopicId topic,
                                                 NodeId subscriber,
                                                 NodeId node) const;
+  // Index of (topic, subscriber) into tables_[topic] / gossip_[topic], or
+  // kNoSubscriber.
+  [[nodiscard]] std::uint32_t SubscriberIndex(TopicId topic,
+                                              NodeId subscriber) const;
   [[nodiscard]] NodeId UpstreamOf(const Episode& episode) const;
-  void FinishEpisodeIfIdle(std::uint64_t episode_id);
+  void FinishEpisodeIfIdle(SlotHandle handle);
   // True while `node` is inside its post-restart resync window.
   [[nodiscard]] bool ResyncActive(NodeId node) const {
     return context_.network->scheduler().now() <
@@ -206,8 +245,10 @@ class DcrdRouter final : public Router {
 
   // tables_[topic][subscriber index within the topic's subscription list]
   std::vector<std::vector<DestinationTables>> tables_;
-  // (topic, subscriber node) -> index into tables_[topic] / gossip_[topic]
-  std::vector<std::unordered_map<NodeId, std::size_t>> subscriber_index_;
+  // Dense [topic][node] array: topic * node_count + node -> index into
+  // tables_[topic] / gossip_[topic], kNoSubscriber when not subscribed.
+  static constexpr std::uint32_t kNoSubscriber = ~std::uint32_t{0};
+  std::vector<std::uint32_t> subscriber_index_;
 
   // Distributed mode: one gossip pair per destination plus a lazily
   // refreshed snapshot cache (rebuilt only when the protocol's version
@@ -222,19 +263,27 @@ class DcrdRouter final : public Router {
       const GossipTables& gossip) const;
   std::vector<std::vector<GossipTables>> gossip_;
 
-  std::unordered_map<std::uint64_t, Episode> episodes_;
-  std::uint64_t next_episode_id_ = 1;
-  // Per-node duplicate suppression, keyed by (message, destination): a
+  SlotMap<Episode> episodes_;
+  // Per-node duplicate suppression, one ProcessedKey set per broker: a
   // broker processes each (message, subscriber) responsibility at most once
   // per epoch on a *fresh* visit. Keying by message alone would be wrong —
   // two copies of one message covering disjoint subscriber groups can
   // legitimately reconverge at a broker after failure-driven divergence,
   // and the second group must still be forwarded. Rerouted-back packets
   // bypass the check via routing-path membership (the broker must re-handle
-  // responsibilities its failed subtree returned). Cleared at monitoring
-  // epochs to bound memory.
-  std::vector<std::unordered_map<std::uint64_t, std::set<NodeId>>>
-      processed_;
+  // responsibilities its failed subtree returned). Cleared, capacity kept,
+  // at monitoring epochs to bound memory.
+  std::vector<DenseIdSet> processed_;
+  // Member scratch for the per-packet paths, capacity kept across calls:
+  // the subscribers an arrival or publish hands to a new episode, one
+  // choice per pending subscriber in a pass, the group and packet of the
+  // copy being launched (the transport hands back its slot's previous
+  // buffers), and crash sweeps.
+  std::vector<NodeId> destinations_scratch_;
+  std::vector<Neighbor> choices_scratch_;
+  std::vector<NodeId> group_scratch_;
+  Packet send_scratch_;
+  std::vector<SlotHandle> sweep_scratch_;
   // Persistency-mode state: retry attempts per (node, message, subscriber).
   std::map<std::tuple<NodeId, std::uint64_t, NodeId>, int> persisted_;
   SolveStats solve_stats_;

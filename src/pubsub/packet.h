@@ -9,6 +9,7 @@
 #pragma once
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -81,6 +82,28 @@ class Packet {
     out.destinations_ = std::move(dests);
     std::sort(out.destinations_.begin(), out.destinations_.end());
     return out;
+  }
+
+  // In-place forms of the constructor and of WithDestinations: they
+  // overwrite every field but keep this packet's buffer capacity, so a
+  // recycled packet (a pooled episode's base, a send scratch) takes new
+  // contents without allocating once its buffers are large enough.
+  // `destinations` must not alias this packet's own buffers.
+  void Assign(const Message& msg, std::span<const NodeId> destinations) {
+    message_ = msg;
+    destinations_.assign(destinations.begin(), destinations.end());
+    std::sort(destinations_.begin(), destinations_.end());
+    routing_path_.clear();
+    flow_label_ = 0;
+  }
+  void AssignNarrowed(const Packet& source,
+                      std::span<const NodeId> destinations) {
+    DCRD_CHECK(&source != this);
+    message_ = source.message_;
+    destinations_.assign(destinations.begin(), destinations.end());
+    std::sort(destinations_.begin(), destinations_.end());
+    routing_path_ = source.routing_path_;
+    flow_label_ = source.flow_label_;
   }
 
  private:

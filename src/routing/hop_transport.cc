@@ -8,7 +8,7 @@
 
 namespace dcrd {
 
-void HopTransport::SendReliable(NodeId from, LinkId link, Packet packet,
+void HopTransport::SendReliable(NodeId from, LinkId link, Packet&& packet,
                                 int max_tx, SimDuration ack_timeout,
                                 DoneCallback done) {
   DCRD_CHECK(max_tx >= 1);
@@ -19,9 +19,9 @@ void HopTransport::SendReliable(NodeId from, LinkId link, Packet packet,
   Pending& pending = *pending_.Get(slot);
   pending.from = from;
   pending.link = link;
-  // Move-assignment; the slot's previous packet buffers are released into
-  // `packet`'s husk, the slab keeps no stale heap state.
-  pending.packet = std::move(packet);
+  // Swap, not move-assign: the caller gets the slot's previous buffers
+  // back, where a move-assignment would free them.
+  std::swap(pending.packet, packet);
   pending.transmissions_left = max_tx;
   pending.ack_timeout = ack_timeout;
   pending.done = std::move(done);

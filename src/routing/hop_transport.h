@@ -146,8 +146,11 @@ class HopTransport {
   // transmissions. `ack_timeout` is the fixed per-transmission timer in
   // fixed mode and the estimator seed in adaptive mode. `done` may start
   // further sends; it is always invoked from a scheduler event (never
-  // re-entrantly).
-  void SendReliable(NodeId from, LinkId link, Packet packet, int max_tx,
+  // re-entrantly). The packet is swapped into a pooled slot, so `packet`
+  // comes back holding that slot's previous buffers (stale contents,
+  // warm capacity): a caller that sends from one scratch Packet recycles
+  // buffers instead of allocating fresh ones per copy.
+  void SendReliable(NodeId from, LinkId link, Packet&& packet, int max_tx,
                     SimDuration ack_timeout, DoneCallback done);
 
   // Ages receiver-side duplicate-suppression state to bound memory over

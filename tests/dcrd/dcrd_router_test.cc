@@ -4,11 +4,13 @@
 
 #include "common/rng.h"
 #include "graph/topology.h"
+#include "obs/flight_recorder.h"
 #include "routing/test_harness.h"
 
 namespace dcrd {
 namespace {
 
+using testing::RecordingSink;
 using testing::RouterHarness;
 
 Graph Diamond() {
@@ -146,6 +148,80 @@ TEST(DcrdRouterTest, DropsWhenPublisherExhaustsAllOptions) {
   EXPECT_FALSE(h.sink.Delivered(message.id, NodeId(1)));
   EXPECT_EQ(router.dropped_undeliverable(), 1U);
   EXPECT_TRUE(h.scheduler.empty());  // episode terminated cleanly
+}
+
+TEST(DcrdRouterTest, RerouteCapBoundsUpstreamLaunchesPerSubscriber) {
+  // Line 0-1-2, publisher 0, subscriber 2. The monitor measured a healthy
+  // overlay, so node 1's sending list for 2 names the 1-2 link; on the wire
+  // that link is dead throughout, and 0-1 carries the publish in second 0
+  // but is down in second 1, when node 1's list runs out and it reroutes
+  // back to 0. Every reroute copy is lost, so the cap alone decides how
+  // many node 1 launches: max(cap, 1).
+  Graph graph(3);
+  const LinkId link01 =
+      graph.AddEdge(NodeId(0), NodeId(1), SimDuration::Millis(1));
+  graph.AddEdge(NodeId(1), NodeId(2), SimDuration::Millis(10));
+  const std::vector<double> down_fraction = {0.5, 1.0};  // per link id
+  const SimTime second0 = SimTime::Zero();
+  const SimTime second1 = SimTime::FromMicros(1'000'000);
+  std::uint64_t seed = 0;
+  for (; seed < 1'000; ++seed) {
+    const FailureSchedule schedule(seed, down_fraction);
+    if (schedule.IsUp(link01, second0) && !schedule.IsUp(link01, second1)) {
+      break;
+    }
+  }
+  ASSERT_LT(seed, 1'000U);
+
+  for (const auto& [cap, launches] :
+       {std::pair{0, 1}, std::pair{1, 1}, std::pair{3, 3}}) {
+    Scheduler scheduler;
+    const FailureSchedule wire(seed, down_fraction);
+    const FailureSchedule measured(seed, 0.0);
+    OverlayNetwork network(graph, scheduler, wire, 0.0, Rng(seed));
+    LinkMonitor monitor(graph, measured, LinkMonitorConfig{}, Rng(seed + 1));
+    monitor.MeasureAt(SimTime::Zero());
+    SubscriptionTable subscriptions;
+    const TopicId topic = subscriptions.AddTopic(NodeId(0));
+    subscriptions.AddSubscription(topic, NodeId(2), SimDuration::Millis(500));
+    RecordingSink sink;
+    FlightRecorder recorder(scheduler);
+    recorder.set_enabled(true);
+    RouterContext context;
+    context.network = &network;
+    context.subscriptions = &subscriptions;
+    context.sink = &sink;
+    context.recorder = &recorder;
+    DcrdConfig config;
+    config.reroute_retry_cap = cap;
+    DcrdRouter router(context, config);
+    router.Rebuild(monitor.view());
+
+    // Publish 5 ms before the boundary: 0->1 lands in second 0, and node
+    // 1's 11 ms ACK timeout on 1->2 expires in second 1.
+    scheduler.RunUntil(SimTime::FromMicros(995'000));
+    Message message;
+    message.id = MessageId(0);
+    message.topic = topic;
+    message.publisher = NodeId(0);
+    message.publish_time = scheduler.now();
+    router.Publish(message);
+    scheduler.Run();
+
+    int reroutes = 0;
+    int sends_upstream = 0;
+    for (std::size_t i = 0; i < recorder.size(); ++i) {
+      const TraceRecord& record = recorder.at(i);
+      if (record.node != 1 || record.peer != 0) continue;
+      reroutes += record.kind == TraceEventKind::kReroute;
+      sends_upstream += record.kind == TraceEventKind::kHopSend;
+    }
+    EXPECT_EQ(reroutes, launches) << "cap " << cap;
+    EXPECT_EQ(sends_upstream, launches) << "cap " << cap;
+    EXPECT_FALSE(sink.Delivered(message.id, NodeId(2))) << "cap " << cap;
+    EXPECT_EQ(router.dropped_undeliverable(), 1U) << "cap " << cap;
+    EXPECT_EQ(router.open_episodes(), 0U) << "cap " << cap;
+  }
 }
 
 TEST(DcrdRouterTest, TablesExposedPerSubscriber) {

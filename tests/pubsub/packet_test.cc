@@ -85,6 +85,72 @@ TEST(PacketTest, WithDestinationsSortsNewSet) {
             (std::vector<NodeId>{NodeId(3), NodeId(9)}));
 }
 
+// Field-for-field equality: the message, the flow label, the routing path
+// and the (sorted) destinations.
+void ExpectSamePacket(const Packet& a, const Packet& b) {
+  EXPECT_EQ(a.message().id, b.message().id);
+  EXPECT_EQ(a.message().topic, b.message().topic);
+  EXPECT_EQ(a.message().publisher, b.message().publisher);
+  EXPECT_EQ(a.message().publish_time, b.message().publish_time);
+  EXPECT_EQ(a.flow_label(), b.flow_label());
+  EXPECT_EQ(a.routing_path(), b.routing_path());
+  EXPECT_EQ(a.destinations(), b.destinations());
+}
+
+TEST(PacketTest, AssignNarrowedEqualsWithDestinations) {
+  Packet source(TestMessage(), {NodeId(2), NodeId(9), NodeId(4), NodeId(7)});
+  source.RecordOnPath(NodeId(0));
+  source.RecordOnPath(NodeId(3));
+  source.set_flow_label(5);
+  const std::vector<NodeId> group = {NodeId(9), NodeId(2), NodeId(7)};
+
+  // A recycled packet: another message, a longer path, another label.
+  Message other = TestMessage();
+  other.id = MessageId(7);
+  other.topic = TopicId(3);
+  Packet recycled(other, {NodeId(1), NodeId(8)});
+  for (std::uint32_t v = 10; v < 15; ++v) recycled.RecordOnPath(NodeId(v));
+  recycled.set_flow_label(2);
+
+  recycled.AssignNarrowed(source, group);
+  ExpectSamePacket(recycled, source.WithDestinations(group));
+  EXPECT_EQ(recycled.destinations(),
+            (std::vector<NodeId>{NodeId(2), NodeId(7), NodeId(9)}));
+}
+
+TEST(PacketTest, AssignEqualsConstructor) {
+  Packet recycled(TestMessage(), {NodeId(1)});
+  recycled.RecordOnPath(NodeId(0));
+  recycled.set_flow_label(3);
+  Message other = TestMessage();
+  other.id = MessageId(8);
+  const std::vector<NodeId> destinations = {NodeId(6), NodeId(1), NodeId(4)};
+
+  recycled.Assign(other, destinations);
+  ExpectSamePacket(recycled, Packet(other, destinations));
+}
+
+TEST(PacketTest, InPlaceNarrowKeepsBuffersWithinCapacity) {
+  Packet source(TestMessage(), {NodeId(1), NodeId(2), NodeId(3)});
+  source.RecordOnPath(NodeId(0));
+  source.RecordOnPath(NodeId(4));
+  Packet scratch;
+  scratch.AssignNarrowed(source, source.destinations());  // sizes the buffers
+  const NodeId* destinations = scratch.destinations().data();
+  const NodeId* path = scratch.routing_path().data();
+
+  // Contents that fit the capacity never move the buffers: no allocation.
+  for (int round = 0; round < 3; ++round) {
+    scratch.AssignNarrowed(source, std::vector<NodeId>{NodeId(3), NodeId(1)});
+    EXPECT_EQ(scratch.destinations().data(), destinations);
+    EXPECT_EQ(scratch.routing_path().data(), path);
+    scratch.Assign(TestMessage(), source.destinations());
+    EXPECT_EQ(scratch.destinations().data(), destinations);
+    EXPECT_EQ(scratch.routing_path().data(), path);
+    EXPECT_TRUE(scratch.routing_path().empty());
+  }
+}
+
 TEST(PacketTest, FlowLabelDefaultsToZero) {
   const Packet packet(TestMessage(), {NodeId(1)});
   EXPECT_EQ(packet.flow_label(), 0);

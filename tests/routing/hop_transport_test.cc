@@ -333,5 +333,36 @@ TEST(HopTransportTest, ClearDedupStateKeepsPendingSendsAlive) {
   EXPECT_TRUE(acked);
 }
 
+TEST(HopTransportTest, SendReliableHandsBackTheRecycledSlotsBuffers) {
+  Fixture f;
+  OverlayNetwork network = f.MakeNetwork(0.0, 0.0);
+  std::vector<std::vector<NodeId>> arrived;
+  HopTransport transport(network,
+                         [&](NodeId, const Packet& packet, NodeId) {
+                           arrived.push_back(packet.destinations());
+                         });
+  Packet first(TestMessage(), {NodeId(1), NodeId(5)});
+  first.RecordOnPath(NodeId(0));
+  const NodeId* first_destinations = first.destinations().data();
+  const NodeId* first_path = first.routing_path().data();
+  transport.SendReliable(NodeId(0), f.link, std::move(first), 1,
+                         Fixture::Timeout(), nullptr);
+  f.scheduler.Run();  // ACKed: the slot is free again, buffers kept
+
+  Packet second(TestMessage(), {NodeId(1)});
+  transport.SendReliable(NodeId(0), f.link, std::move(second), 1,
+                         Fixture::Timeout(), nullptr);
+  // The second send recycled the first one's slot, and `second` now holds
+  // that slot's previous buffers, stale contents and all.
+  EXPECT_EQ(second.destinations().data(), first_destinations);
+  EXPECT_EQ(second.routing_path().data(), first_path);
+  EXPECT_EQ(second.destinations(), (std::vector<NodeId>{NodeId(1), NodeId(5)}));
+  EXPECT_EQ(second.routing_path(), std::vector<NodeId>{NodeId(0)});
+  // What went on the wire is the packet that was sent.
+  f.scheduler.Run();
+  ASSERT_EQ(arrived.size(), 2U);
+  EXPECT_EQ(arrived[1], std::vector<NodeId>{NodeId(1)});
+}
+
 }  // namespace
 }  // namespace dcrd
