@@ -21,15 +21,16 @@ namespace {
 // With --delay_audit, fig7 additionally decomposes its own per-cell traces
 // and emits per-component lateness CDFs as CSV (long format: one row per
 // CDF point). Files and stderr only — the stdout table must stay
-// byte-identical with and without the knob.
-void WriteComponentCdfs(const dcrd::figures::FigureScale& scale,
+// byte-identical with and without the knob. Returns false on a malformed
+// trace line: a truncated trace would otherwise yield a partial CDF.
+bool WriteComponentCdfs(const dcrd::figures::FigureScale& scale,
                         const std::vector<std::string>& stems) {
-  if (scale.delay_audit.empty()) return;
+  if (scale.delay_audit.empty()) return true;
   const std::string out_path = scale.delay_audit + ".fig7_components.csv";
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "cannot write " << out_path << "\n";
-    return;
+    return true;
   }
   out << "case,component,delay_us,fraction\n";
   for (const std::string& stem : stems) {
@@ -42,8 +43,15 @@ void WriteComponentCdfs(const dcrd::figures::FigureScale& scale,
         std::cerr << "missing trace " << path << " (skipped)\n";
         continue;
       }
-      dcrd::ForEachTraceJsonl(
-          in, [&](const dcrd::TraceRecord& r) { analyzer.Add(r); });
+      std::size_t bad_line = 0;
+      std::string bad_text;
+      if (!dcrd::ForEachTraceJsonl(
+              in, [&](const dcrd::TraceRecord& r) { analyzer.Add(r); },
+              &bad_line, &bad_text)) {
+        std::cerr << path << ":" << bad_line
+                  << ": malformed trace record: " << bad_text << "\n";
+        return false;
+      }
     }
     const dcrd::DecompositionResult result = analyzer.Decompose();
     const auto write_cdf = [&](std::string_view component,
@@ -68,6 +76,7 @@ void WriteComponentCdfs(const dcrd::figures::FigureScale& scale,
     write_cdf("total", result.total_histogram);
   }
   std::cerr << "wrote " << out_path << "\n";
+  return true;
 }
 
 }  // namespace
@@ -120,6 +129,5 @@ int main(int argc, char** argv) {
   std::cout << "(population sizes: full-mesh " << mesh.lateness_ratios.size()
             << ", degree-8 " << degree8.lateness_ratios.size()
             << " late deliveries)\n";
-  WriteComponentCdfs(scale, {"fig7_mesh", "fig7_degree8"});
-  return 0;
+  return WriteComponentCdfs(scale, {"fig7_mesh", "fig7_degree8"}) ? 0 : 1;
 }

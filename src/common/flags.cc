@@ -1,6 +1,7 @@
 #include "common/flags.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <string_view>
@@ -8,6 +9,28 @@
 #include "common/logging.h"
 
 namespace dcrd {
+
+namespace {
+
+// A malformed value ends the run the way an unknown flag does: one line
+// on stderr and exit status 2, before any work starts.
+[[noreturn]] void ExitOnBadValue(const std::string& name,
+                                 const std::string& value,
+                                 std::string_view expects) {
+  std::cerr << "error: --" << name << " expects " << expects << ", got '"
+            << value << "'\n";
+  std::exit(2);
+}
+
+// Parses the whole of `text` as a T; trailing characters are an error.
+template <typename T>
+bool ParseWhole(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc{} && ptr == end;
+}
+
+}  // namespace
 
 Flags Flags::Parse(int argc, char** argv) {
   Flags flags;
@@ -67,20 +90,33 @@ std::int64_t Flags::GetInt(const std::string& name,
                            std::int64_t fallback) const {
   RecordQuery(name);
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return fallback;
+  std::int64_t value = 0;
+  if (!ParseWhole(it->second, &value)) {
+    ExitOnBadValue(name, it->second, "a whole number");
+  }
+  return value;
 }
 
 double Flags::GetDouble(const std::string& name, double fallback) const {
   RecordQuery(name);
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return fallback;
+  double value = 0;
+  if (!ParseWhole(it->second, &value)) {
+    ExitOnBadValue(name, it->second, "a number");
+  }
+  return value;
 }
 
 bool Flags::GetBool(const std::string& name, bool fallback) const {
   RecordQuery(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return it->second != "false" && it->second != "0" && it->second != "no";
+  const std::string& value = it->second;
+  if (value == "true" || value == "1" || value == "yes") return true;
+  if (value == "false" || value == "0" || value == "no") return false;
+  ExitOnBadValue(name, value, "true, false, 1, 0, yes or no");
 }
 
 std::vector<std::string> Flags::UnqueriedFlags() const {

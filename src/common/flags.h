@@ -1,6 +1,9 @@
 // Tiny command-line flag parser for the experiment binaries and examples.
 //
-// Supports `--name=value`, `--name value`, and boolean `--name`. Every
+// Supports `--name=value`, `--name value`, and boolean `--name`. Values
+// parse strictly: GetInt takes only a whole number, GetDouble only a
+// number, GetBool only true/false/1/0/yes/no; anything else (`--reps abc`,
+// `--seconds 60s`) prints "error: --NAME expects ..." and exits 2. Every
 // Has/Get* call records the queried name, so after a binary has read its
 // whole configuration it calls ExitOnUnqueried() and any leftover flag — a
 // typo like --sedonds — aborts the run instead of silently running the

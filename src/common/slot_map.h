@@ -154,24 +154,12 @@ class SlotMap {
     }
   }
 
-  // Bumps a live handle's generation in place: every outstanding handle to
-  // the slot goes stale, but the slot stays live and its value is untouched
-  // — no free-list round trip, no value move. This is the cheap re-arm
-  // primitive: the scheduler renews a timer's slot instead of releasing and
-  // re-acquiring it when the same callback is armed again. Dies on a stale
-  // handle.
-  SlotHandle Renew(SlotHandle handle) {
-    DCRD_CHECK(Get(handle) != nullptr) << "renewing a stale handle";
-    Meta& meta = meta_[handle.slot];
-    ++meta.generation;
-    return SlotHandle{handle.slot, meta.generation};
-  }
-
-  // Renew + Get fused into one metadata access: stales every outstanding
-  // handle, stores the renewed handle in *renewed, and returns the value
-  // pointer. The scheduler's dispatch loop runs this once per event, where
-  // the separate Renew-then-Get round trips showed up in the event-queue
-  // bench. Dies on a stale handle.
+  // Renews a live handle and returns its value in one metadata access:
+  // bumps the generation in place, so every outstanding handle to the slot
+  // goes stale while the slot stays live and its value untouched, stores
+  // the renewed handle in *renewed, and returns the value pointer. The
+  // scheduler's dispatch loop runs this once per event, so a re-entrant
+  // Cancel cannot destroy the running callback. Dies on a stale handle.
   T* BeginDispatch(SlotHandle handle, SlotHandle* renewed) {
     DCRD_CHECK(handle.slot < meta_.size()) << "dispatching a null handle";
     Meta& meta = meta_[handle.slot];

@@ -131,8 +131,8 @@ class TimerWheel {
   bool PopNextBefore(std::int64_t limit, Entry* out) {
     while (cursor_ == kNil) {
       if (size_ == 0) return false;
-      // Level 0: the slot holding current() is still eligible (same-tick
-      // re-arms land there); higher levels exclude the clock's own slot,
+      // Level 0: the slot holding current() is still eligible (zero-delay
+      // schedules land there); higher levels exclude the clock's own slot,
       // which by the cascade invariant is already empty.
       const int slot0 = FindOccupied(0, static_cast<std::uint32_t>(
                                             current_ & (kSlots - 1)));

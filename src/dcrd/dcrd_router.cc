@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <numeric>
 #include <optional>
 #include <ostream>
 #include <span>
 
+#include "dcrd/model_row.h"
 #include "obs/flight_recorder.h"
 
 namespace dcrd {
@@ -167,20 +167,10 @@ const DestinationTables& DcrdRouter::TablesFor(TopicId topic,
   return *tables;
 }
 
-namespace {
-
-// Shortest round-trippable form of a double (%.17g): the auditor recomputes
-// d from the list entries and must see exactly the values routing used.
-void WriteAuditDouble(std::ostream& os, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
-}
-
-}  // namespace
-
 void DcrdRouter::WriteAuditSnapshot(std::ostream& os, SimTime now) const {
   const SubscriptionTable& subs = *context_.subscriptions;
+  ModelRow row;
+  row.t_us = now.micros();
   for (std::size_t t = 0; t < subs.topic_count(); ++t) {
     const TopicId topic(static_cast<TopicId::underlying_type>(t));
     const NodeId publisher = subs.publisher(topic);
@@ -195,27 +185,18 @@ void DcrdRouter::WriteAuditSnapshot(std::ostream& os, SimTime now) const {
       if (!tables->dr.reachable() || !std::isfinite(tables->dr.d_us)) {
         continue;
       }
-      os << "{\"t\":" << now.micros() << ",\"topic\":" << t
-         << ",\"pub\":" << publisher.underlying()
-         << ",\"sub\":" << sub.subscriber.underlying()
-         << ",\"deadline_us\":" << sub.deadline.micros() << ",\"d_us\":";
-      WriteAuditDouble(os, tables->dr.d_us);
-      os << ",\"r\":";
-      WriteAuditDouble(os, tables->dr.r);
-      os << ",\"list\":[";
-      bool first = true;
+      row.topic = topic.underlying();
+      row.pub = publisher.underlying();
+      row.sub = sub.subscriber.underlying();
+      row.deadline_us = sub.deadline.micros();
+      row.d_us = tables->dr.d_us;
+      row.r = tables->dr.r;
+      row.list.clear();
       for (const ViaEntry& entry : tables->primary) {
         if (!std::isfinite(entry.d_via_us) || entry.r_via <= 0.0) continue;
-        if (!first) os << ",";
-        first = false;
-        os << "[" << entry.neighbor.underlying() << ","
-           << entry.link.underlying() << ",";
-        WriteAuditDouble(os, entry.d_via_us);
-        os << ",";
-        WriteAuditDouble(os, entry.r_via);
-        os << "]";
+        row.list.push_back(entry);
       }
-      os << "]}\n";
+      WriteModelRow(os, row);
     }
   }
 }

@@ -4,17 +4,6 @@
 
 namespace dcrd {
 
-EventHandle Scheduler::RearmCurrentAt(SimTime at) {
-  DCRD_CHECK(in_dispatch_) << "RearmCurrent outside an event callback";
-  DCRD_CHECK(!rearmed_) << "event re-armed twice in one dispatch";
-  DCRD_CHECK(at >= now_) << "re-arming into the past: " << at << " < " << now_;
-  rearmed_ = true;
-  ++live_;
-  Enqueue(at, PackK1(now_.micros(), kEngineOrigin), next_seq_++,
-          running_slot_);
-  return EventHandle(running_slot_);
-}
-
 bool Scheduler::Cancel(EventHandle handle) {
   Action* action = actions_.Get(handle.handle_);
   if (action == nullptr) return false;  // ran, already cancelled, or empty
@@ -31,22 +20,18 @@ void Scheduler::Execute(SimTime at, SlotHandle slot) {
   DCRD_CHECK(at >= now_);
   // Renew before running: every outstanding handle (including the event's
   // own) goes stale, so a re-entrant Cancel cannot destroy the executing
-  // callback, and RearmCurrentAt can relink the very same slot. The action
-  // runs in place — chunked slab storage never relocates.
-  Action* action = actions_.BeginDispatch(slot, &running_slot_);
-  in_dispatch_ = true;
-  rearmed_ = false;
+  // callback. The action runs in place — chunked slab storage never
+  // relocates.
+  SlotHandle running;
+  Action* action = actions_.BeginDispatch(slot, &running);
   now_ = at;
   ++events_executed_;
   DCRD_CHECK(live_ > 0);
   --live_;
   (*action)();
-  in_dispatch_ = false;
-  if (!rearmed_) {
-    // Drop the capture (it may own resources); the slab slot is recycled.
-    *action = nullptr;
-    actions_.ReleaseLive(running_slot_);
-  }
+  // Drop the capture (it may own resources); the slab slot is recycled.
+  *action = nullptr;
+  actions_.ReleaseLive(running);
 }
 
 std::uint64_t Scheduler::Drain(std::int64_t limit, std::uint64_t budget) {

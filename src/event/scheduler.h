@@ -35,14 +35,10 @@
 // reads and a compare, and a stale handle (the event already ran, was
 // cancelled, or its slot now belongs to a newer event) is rejected by the
 // generation mismatch — no hash lookup anywhere. Cancelled entries go
-// stale in their wheel bucket and are skipped at dispatch.
-//
-// Re-arm path: a periodic-style timer — the RTO retransmit chain, the
-// peer-death probe loop — may call RearmCurrentAfter/At from inside its own
-// callback. The action is left in place in the slab (no move, no
-// release/acquire round trip); its slot's generation is bumped so every
-// older handle goes stale, and a fresh queue entry is linked. This is the
-// wheel idiom HopTransport's per-pending timer bookkeeping rides on.
+// stale in their wheel bucket and are skipped at dispatch. A periodic
+// timer (the RTO retransmit chain, the peer-death probe loop) simply
+// schedules its next firing from inside its callback: the slab recycles
+// slots, so a chain allocates nothing once warm.
 #pragma once
 
 #include <cstdint>
@@ -139,18 +135,6 @@ class Scheduler {
     return ScheduleAt(now_ + delay, std::forward<F>(action));
   }
 
-  // Re-arms the currently executing event's action without touching it:
-  // only legal from inside an event callback, at most once per dispatch.
-  // The action stays in its slab slot (the handle returned by the original
-  // ScheduleAt is already stale — the event fired); the returned handle
-  // cancels or re-arms the new arming. Equivalent to ScheduleAt(at, <same
-  // action>) for ordering purposes: the new entry takes the next sequence
-  // number at the point of the call.
-  EventHandle RearmCurrentAt(SimTime at);
-  EventHandle RearmCurrentAfter(SimDuration delay) {
-    return RearmCurrentAt(now_ + delay);
-  }
-
   // Cancels a pending event. Returns true if the event was still pending;
   // false if it already ran, was already cancelled, or the handle is empty.
   bool Cancel(EventHandle handle);
@@ -187,7 +171,7 @@ class Scheduler {
 
   // Runs one popped live entry: advances the clock, renews the slot so
   // outstanding handles go stale, invokes the action in place, and
-  // releases the slot unless the action re-armed itself.
+  // releases the slot.
   void Execute(SimTime at, SlotHandle slot);
 
   SimTime now_ = SimTime::Zero();
@@ -198,15 +182,9 @@ class Scheduler {
   Wheel wheel_;
 
   // Action storage. A slot goes back on the free list the moment its event
-  // runs or is cancelled (unless re-armed); the generation bump makes
-  // outstanding EventHandles to it stale.
+  // runs or is cancelled; the generation bump makes outstanding
+  // EventHandles to it stale.
   SlotMap<Action> actions_;
-
-  // Dispatch state for RearmCurrentAt: the renewed handle of the running
-  // event's slot, and whether the callback re-armed it.
-  SlotHandle running_slot_;
-  bool in_dispatch_ = false;
-  bool rearmed_ = false;
 };
 
 }  // namespace dcrd

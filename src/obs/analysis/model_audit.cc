@@ -1,171 +1,11 @@
 #include "obs/analysis/model_audit.h"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <cmath>
-#include <cstdlib>
-#include <istream>
-#include <limits>
+
+#include "dcrd/dr.h"
 
 namespace dcrd {
-
-namespace {
-
-// Minimal field extraction matched to WriteAuditSnapshot's output: flat
-// object of numeric fields plus one "list" array of [n, l, d, r] tuples.
-// Key lookup by `"key":` substring is unambiguous because every key is
-// distinct and values are numbers (no nested quotes).
-bool FindValue(std::string_view line, std::string_view key,
-               std::string_view* value) {
-  std::string needle;
-  needle.reserve(key.size() + 3);
-  needle.push_back('"');
-  needle.append(key);
-  needle.append("\":");
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string_view::npos) return false;
-  *value = line.substr(pos + needle.size());
-  return true;
-}
-
-bool ParseI64(std::string_view text, std::int64_t* out) {
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, *out);
-  return ec == std::errc() && ptr != begin;
-}
-
-bool ParseU32(std::string_view text, std::uint32_t* out) {
-  std::int64_t v = 0;
-  if (!ParseI64(text, &v) || v < 0 ||
-      v > std::numeric_limits<std::uint32_t>::max()) {
-    return false;
-  }
-  *out = static_cast<std::uint32_t>(v);
-  return true;
-}
-
-// std::from_chars<double> is present in the toolchain, but strtod keeps the
-// parser tolerant of the exact "%.17g" spellings (inf, exponents) without
-// locale surprises — the writer never emits locale-dependent text.
-bool ParseF64(std::string_view text, double* out, std::size_t* consumed) {
-  std::string buffer(text.substr(0, 64));
-  char* end = nullptr;
-  const double v = std::strtod(buffer.c_str(), &end);
-  if (end == buffer.c_str()) return false;
-  *out = v;
-  if (consumed != nullptr) {
-    *consumed = static_cast<std::size_t>(end - buffer.c_str());
-  }
-  return true;
-}
-
-template <typename T, bool (*Parse)(std::string_view, T*)>
-bool Field(std::string_view line, std::string_view key, T* out) {
-  std::string_view value;
-  return FindValue(line, key, &value) && Parse(value, out);
-}
-
-bool FieldF64(std::string_view line, std::string_view key, double* out) {
-  std::string_view value;
-  return FindValue(line, key, &value) && ParseF64(value, out, nullptr);
-}
-
-}  // namespace
-
-bool ParseModelRow(std::string_view line, ModelRow* out,
-                   std::string* error) {
-  *out = ModelRow{};
-  const auto fail = [error](const char* what) {
-    if (error != nullptr) *error = what;
-    return false;
-  };
-  if (!Field<std::int64_t, ParseI64>(line, "t", &out->t_us)) {
-    return fail("missing or malformed \"t\"");
-  }
-  if (!Field<std::uint32_t, ParseU32>(line, "topic", &out->topic)) {
-    return fail("missing or malformed \"topic\"");
-  }
-  if (!Field<std::uint32_t, ParseU32>(line, "pub", &out->pub)) {
-    return fail("missing or malformed \"pub\"");
-  }
-  if (!Field<std::uint32_t, ParseU32>(line, "sub", &out->sub)) {
-    return fail("missing or malformed \"sub\"");
-  }
-  if (!Field<std::int64_t, ParseI64>(line, "deadline_us",
-                                     &out->deadline_us)) {
-    return fail("missing or malformed \"deadline_us\"");
-  }
-  if (!FieldF64(line, "d_us", &out->d_us)) {
-    return fail("missing or malformed \"d_us\"");
-  }
-  if (!FieldF64(line, "r", &out->r)) {
-    return fail("missing or malformed \"r\"");
-  }
-  std::string_view list;
-  if (!FindValue(line, "list", &list) || list.empty() || list[0] != '[') {
-    return fail("missing or malformed \"list\"");
-  }
-  list.remove_prefix(1);  // outer '['
-  while (true) {
-    while (!list.empty() && (list[0] == ',' || list[0] == ' ')) {
-      list.remove_prefix(1);
-    }
-    if (list.empty()) return fail("unterminated \"list\"");
-    if (list[0] == ']') break;
-    if (list[0] != '[') return fail("malformed \"list\" entry");
-    list.remove_prefix(1);
-    ViaEntry entry;
-    std::uint32_t neighbor = 0;
-    std::uint32_t link = 0;
-    const auto take_number = [&list](auto parse) {
-      const std::size_t stop = list.find_first_of(",]");
-      if (stop == std::string_view::npos) return false;
-      if (!parse(list.substr(0, stop))) return false;
-      list.remove_prefix(stop + 1);  // swallow the delimiter
-      return true;
-    };
-    if (!take_number([&](std::string_view t) {
-          return ParseU32(t, &neighbor);
-        }) ||
-        !take_number([&](std::string_view t) { return ParseU32(t, &link); }) ||
-        !take_number([&](std::string_view t) {
-          return ParseF64(t, &entry.d_via_us, nullptr);
-        }) ||
-        !take_number([&](std::string_view t) {
-          return ParseF64(t, &entry.r_via, nullptr);
-        })) {
-      return fail("malformed \"list\" entry");
-    }
-    entry.neighbor = NodeId(neighbor);
-    entry.link = LinkId(link);
-    out->list.push_back(entry);
-  }
-  return true;
-}
-
-bool ForEachModelRow(std::istream& in,
-                     const std::function<void(const ModelRow&)>& fn,
-                     std::size_t* bad_line, std::string* bad_text) {
-  std::string line;
-  std::size_t line_number = 0;
-  ModelRow row;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    std::string error;
-    if (!ParseModelRow(line, &row, &error)) {
-      if (bad_line != nullptr) *bad_line = line_number;
-      if (bad_text != nullptr) {
-        *bad_text = error + ": " + line.substr(0, 120);
-      }
-      return false;
-    }
-    fn(row);
-  }
-  return true;
-}
 
 void ModelAuditor::AddModelRow(const ModelRow& row) {
   const std::size_t index = cells_.size();

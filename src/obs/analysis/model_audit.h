@@ -3,7 +3,9 @@
 // The engine's --delay_audit sink dumps one JSONL row per reachable
 // (topic, subscriber) pair at every monitoring epoch: the publisher's
 // expected <d, r> and the Theorem-1 sending list it was computed from,
-// exactly as routing used them (solver or distributed gossip alike).
+// exactly as routing used them (solver or distributed gossip alike). The
+// row format — ModelRow, its writer and its parser — lives with the router
+// that writes it, in dcrd/model_row.h.
 //
 // The auditor joins those rows against observed deliveries from the trace:
 // a delivery belongs to the model row with the same (topic, subscriber)
@@ -28,40 +30,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <iosfwd>
 #include <map>
-#include <string>
-#include <string_view>
 #include <vector>
 
-#include "dcrd/dr.h"
+#include "dcrd/model_row.h"
 
 namespace dcrd {
-
-// One --delay_audit JSONL row, parsed.
-struct ModelRow {
-  std::int64_t t_us = 0;  // epoch stamp: when these tables became active
-  std::uint32_t topic = 0;
-  std::uint32_t pub = 0;
-  std::uint32_t sub = 0;
-  std::int64_t deadline_us = 0;
-  double d_us = 0.0;
-  double r = 0.0;
-  std::vector<ViaEntry> list;  // publisher's primary sending list
-};
-
-// Parses one row. Returns false (with a human-readable reason in *error)
-// on any malformed input; never throws.
-bool ParseModelRow(std::string_view line, ModelRow* out, std::string* error);
-
-// Streams rows from `in`, invoking `fn` per row. Stops at the first
-// malformed line and returns false, reporting its 1-based number and a
-// truncated copy of the offending text. Blank lines are skipped.
-bool ForEachModelRow(std::istream& in,
-                     const std::function<void(const ModelRow&)>& fn,
-                     std::size_t* bad_line = nullptr,
-                     std::string* bad_text = nullptr);
 
 struct AuditConfig {
   // A cell is flagged when |observed mean - d| exceeds

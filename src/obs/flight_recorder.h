@@ -1,12 +1,13 @@
 // Per-engine ring-buffer flight recorder.
 //
 // The recorder keeps the last `ring_capacity` TraceRecords in a
-// preallocated ring. It is default-off: Record() is a single branch on
-// `enabled_` before any work, so instrumented hot paths pay one predictable
-// untaken branch when tracing is off (the <2% bench_micro_event_queue
-// budget). When enabled, recording is an assignment into the preallocated
-// ring — zero heap allocations in steady state, a property enforced by the
-// alloc-counter regression tests.
+// preallocated ring. Tracing is off when there is no recorder: the engine
+// builds one only when tracing is requested, and every instrumented site
+// checks its recorder pointer first, so an untraced hot path pays one
+// predictable untaken null test (the <2% bench_micro_event_queue budget).
+// Recording is an assignment into the preallocated ring — zero heap
+// allocations in steady state, a property enforced by the alloc-counter
+// regression tests.
 //
 // Two operating modes, chosen by whether a sink is attached:
 //  * Ring only (postmortem mode): when the ring fills, the oldest record is
@@ -49,9 +50,6 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
   // Attaches a JSONL sink: the ring flushes into it when full (and on
   // Flush()). Pass nullptr to return to ring-only mode. The stream must
   // outlive the recorder or the next Flush.
@@ -59,11 +57,11 @@ class FlightRecorder {
 
   // Records one event at the scheduler's current sim time. The id wrappers
   // unwrap to their raw integers; pass default-constructed ids for fields
-  // that do not apply. Hot path: one branch when disabled.
+  // that do not apply. Hot path: an assignment into the ring, no
+  // allocation.
   void Record(TraceEventKind kind, std::uint64_t packet, std::uint64_t copy,
               NodeId node, NodeId peer, LinkId link, std::uint8_t aux8 = 0,
               std::uint16_t aux16 = 0) {
-    if (!enabled_) return;
     TraceRecord record;
     record.t_us = scheduler_.now().micros();
     record.packet = packet;
@@ -103,7 +101,6 @@ class FlightRecorder {
   void Append(const TraceRecord& record);
 
   const Scheduler& scheduler_;
-  bool enabled_ = false;
   std::ostream* sink_ = nullptr;
   std::vector<TraceRecord> ring_;
   std::size_t start_ = 0;

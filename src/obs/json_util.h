@@ -1,16 +1,21 @@
 // Minimal JSON reading/writing helpers shared by the file formats: the
-// time series, the metrics registry, the HTML report's data block and the
-// bench records.
+// time series, the metrics registry, the HTML report's data block, the
+// bench records, and the trace and delay-audit JSONL lines.
 //
-// JsonCursor is a recursive-descent reader covering exactly the subset the
-// dcrd schemas emit — objects, arrays, numbers, strings, true/false/null —
-// with a SkipValue escape hatch for forward compatibility. Offline tooling
-// path only: it allocates freely and is never near the simulation hot loop.
+// JsonCursor is the one reader every file the tools read back goes
+// through: a strict recursive-descent parser covering exactly the subset
+// the dcrd schemas emit — objects, arrays, numbers, strings,
+// true/false/null — with a SkipValue escape hatch for keys a newer writer
+// added. Integers parse exactly into their target type; a sign on an
+// unsigned field, a fraction, an exponent or an out-of-range value is an
+// error, never a rounded or truncated number. Offline tooling path only:
+// it allocates freely and is never near the simulation hot loop.
 #pragma once
 
-#include <cctype>
+#include <array>
 #include <charconv>
 #include <cstdint>
+#include <istream>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -19,19 +24,26 @@
 namespace dcrd {
 
 struct JsonCursor {
+  JsonCursor() = default;
+  explicit JsonCursor(std::string_view input) : text(input) {}
+
   std::string_view text;
   std::size_t pos = 0;
   std::string error;
 
   [[nodiscard]] bool ok() const { return error.empty(); }
-  void Fail(const std::string& what) {
+  // Records the first failure (with its byte offset) and returns false, so
+  // readers can `return Fail(...)`.
+  bool Fail(std::string_view what) {
     if (error.empty()) {
-      error = what + " at byte " + std::to_string(pos);
+      error = std::string(what) + " at byte " + std::to_string(pos);
     }
+    return false;
   }
+  // JSON whitespace only: space, tab, CR, LF.
   void SkipWs() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
+    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t' ||
+                                 text[pos] == '\n' || text[pos] == '\r')) {
       ++pos;
     }
   }
@@ -45,8 +57,12 @@ struct JsonCursor {
       ++pos;
       return true;
     }
-    Fail(std::string("expected '") + c + "'");
-    return false;
+    return Fail(std::string("expected '") + c + "'");
+  }
+  // Succeeds when nothing but whitespace is left: one value per text.
+  bool ExpectEnd() {
+    SkipWs();
+    return pos == text.size() || Fail("trailing text");
   }
   bool ReadString(std::string* out) {
     if (!Expect('"')) return false;
@@ -66,10 +82,7 @@ struct JsonCursor {
       }
       out->push_back(c);
     }
-    if (pos >= text.size()) {
-      Fail("unterminated string");
-      return false;
-    }
+    if (pos >= text.size()) return Fail("unterminated string");
     ++pos;  // closing quote
     return true;
   }
@@ -78,72 +91,49 @@ struct JsonCursor {
     const char* begin = text.data() + pos;
     const char* end = text.data() + text.size();
     const auto result = std::from_chars(begin, end, *out);
-    if (result.ec != std::errc{}) {
-      Fail("expected number");
-      return false;
-    }
+    if (result.ec != std::errc{}) return Fail("expected number");
     pos = static_cast<std::size_t>(result.ptr - text.data());
     return true;
   }
-  bool ReadU64(std::uint64_t* out) {
-    double value = 0;
-    if (!ReadDouble(&value)) return false;
-    *out = value < 0 ? 0 : static_cast<std::uint64_t>(value);
+  // Reads an integer exactly into T. A sign on an unsigned T, a fraction,
+  // an exponent, or a value outside T's range is an error.
+  template <typename T>
+  bool ReadInt(T* out) {
+    SkipWs();
+    const char* begin = text.data() + pos;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(begin, end, *out);
+    if (ec == std::errc::result_out_of_range) {
+      return Fail("integer out of range");
+    }
+    if (ec != std::errc{} ||
+        (ptr != end && (*ptr == '.' || *ptr == 'e' || *ptr == 'E'))) {
+      return Fail("expected integer");
+    }
+    pos = static_cast<std::size_t>(ptr - text.data());
     return true;
   }
-  bool ReadI64(std::int64_t* out) {
-    double value = 0;
-    if (!ReadDouble(&value)) return false;
-    *out = static_cast<std::int64_t>(value);
-    return true;
-  }
+  bool ReadU64(std::uint64_t* out) { return ReadInt(out); }
+  bool ReadI64(std::int64_t* out) { return ReadInt(out); }
   // Skips any well-formed value — the forward-compatibility escape hatch
   // for keys a newer writer added.
   bool SkipValue() {
     SkipWs();
-    if (pos >= text.size()) {
-      Fail("unexpected end of input");
-      return false;
-    }
+    if (pos >= text.size()) return Fail("unexpected end of input");
     const char c = text[pos];
     if (c == '"') {
       std::string ignored;
       return ReadString(&ignored);
     }
-    if (c == '{' || c == '[') {
-      const char close = c == '{' ? '}' : ']';
-      ++pos;
-      SkipWs();
-      if (Peek(close)) {
-        ++pos;
+    if (c == '{') {
+      return ReadObject([this](const std::string&) { return SkipValue(); });
+    }
+    if (c == '[') return ReadArray([this] { return SkipValue(); });
+    for (const std::string_view literal : {"true", "false", "null"}) {
+      if (text.substr(pos, literal.size()) == literal) {
+        pos += literal.size();
         return true;
       }
-      while (ok()) {
-        if (c == '{') {
-          std::string key;
-          if (!ReadString(&key) || !Expect(':')) return false;
-        }
-        if (!SkipValue()) return false;
-        SkipWs();
-        if (Peek(',')) {
-          ++pos;
-          continue;
-        }
-        return Expect(close);
-      }
-      return false;
-    }
-    if (c == 't') {
-      pos += 4;
-      return true;
-    }
-    if (c == 'f') {
-      pos += 5;
-      return true;
-    }
-    if (c == 'n') {
-      pos += 4;
-      return true;
     }
     double ignored = 0;
     return ReadDouble(&ignored);
@@ -157,11 +147,10 @@ struct JsonCursor {
       ++pos;
       return true;
     }
+    std::string key;
     while (ok()) {
-      std::string key;
       if (!ReadString(&key) || !Expect(':')) return false;
       if (!fn(key)) return false;
-      SkipWs();
       if (Peek(',')) {
         ++pos;
         continue;
@@ -169,6 +158,31 @@ struct JsonCursor {
       return Expect('}');
     }
     return false;
+  }
+  // Reads a flat record: an object that must carry every key in `keys`.
+  // Calls fn(i) positioned at the value of keys[i]; fn must consume
+  // exactly the value. Members not in `keys` are skipped, so files from
+  // writers that emitted extra keys still load.
+  template <std::size_t N, typename Fn>
+  bool ReadRecord(const std::array<std::string_view, N>& keys, Fn&& fn) {
+    static_assert(N <= 64);
+    std::uint64_t seen = 0;
+    const bool read = ReadObject([&](const std::string& key) {
+      for (std::size_t i = 0; i < N; ++i) {
+        if (key == keys[i]) {
+          seen |= std::uint64_t{1} << i;
+          return fn(i);
+        }
+      }
+      return SkipValue();
+    });
+    if (!read) return false;
+    for (std::size_t i = 0; i < N; ++i) {
+      if ((seen >> i & 1) == 0) {
+        return Fail("missing \"" + std::string(keys[i]) + "\"");
+      }
+    }
+    return true;
   }
   // Iterates an array: calls fn() positioned at each element.
   template <typename Fn>
@@ -180,7 +194,6 @@ struct JsonCursor {
     }
     while (ok()) {
       if (!fn()) return false;
-      SkipWs();
       if (Peek(',')) {
         ++pos;
         continue;
@@ -199,6 +212,30 @@ struct JsonCursor {
     });
   }
 };
+
+// Streams a JSONL file: calls parse(line, &error) on every line that is
+// not whitespace-only. Stops at the first line `parse` rejects and returns
+// false, with the line's 1-based number in *bad_line and "<reason>: <first
+// 120 bytes of the line>" in *bad_text. Returns true when every line
+// parsed.
+template <typename Parse>
+bool ForEachJsonLine(std::istream& in, Parse&& parse, std::size_t* bad_line,
+                     std::string* bad_text) {
+  std::string line;
+  std::string error;
+  std::size_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    error.clear();
+    if (!parse(std::string_view(line), &error)) {
+      if (bad_line != nullptr) *bad_line = line_no;
+      if (bad_text != nullptr) *bad_text = error + ": " + line.substr(0, 120);
+      return false;
+    }
+  }
+  return true;
+}
 
 inline void WriteU64Array(std::ostream& os,
                           const std::vector<std::uint64_t>& values) {

@@ -326,8 +326,7 @@ bool LoadSeriesSection(JsonCursor& cursor, const char* value_key,
 
 bool LoadTimeSeriesJson(std::string_view text, TimeSeriesStore* out,
                         std::string* error) {
-  JsonCursor cursor;
-  cursor.text = text;
+  JsonCursor cursor(text);
   *out = TimeSeriesStore{};
   std::string schema;
   bool parsed = cursor.ReadObject([&](const std::string& key) {
@@ -405,7 +404,7 @@ bool LoadTimeSeriesJson(std::string_view text, TimeSeriesStore* out,
     }
     // "samples" and "slo" are derived; skip them (and unknown keys).
     return cursor.SkipValue();
-  });
+  }) && cursor.ExpectEnd();
   if (!parsed || !cursor.ok()) {
     if (error != nullptr) {
       *error = cursor.error.empty() ? "malformed time-series JSON"

@@ -154,10 +154,12 @@ struct SloWindow {
 // except SLO ratios printed with fixed %.6f formatting.
 void WriteTimeSeriesJson(std::ostream& os, const TimeSeriesStore& store);
 
-// Parses a WriteTimeSeriesJson document. Returns false and sets *error on
-// malformed input. Unknown keys are skipped, so documents from older
-// writers that tagged each series with a "policy" still load. Offline
-// tooling path (dcrd_trace); allocates freely.
+// Parses a WriteTimeSeriesJson document through the strict JsonCursor.
+// Returns false and sets *error on malformed input, including integers
+// that do not fit exactly and text after the document. Unknown keys are
+// skipped, so documents from older writers that tagged each series with a
+// "policy" still load. Offline tooling path (dcrd_trace); allocates
+// freely.
 bool LoadTimeSeriesJson(std::string_view text, TimeSeriesStore* out,
                         std::string* error);
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <istream>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <ostream>
@@ -14,6 +14,7 @@
 #include <unordered_map>
 
 #include "common/logging.h"
+#include "obs/json_util.h"
 #include "obs/timeseries.h"
 
 namespace dcrd {
@@ -31,28 +32,22 @@ long long IdField(std::uint32_t id) {
   return id == TraceRecord::kNoId ? -1LL : static_cast<long long>(id);
 }
 
-// Extracts the raw token after `key` (up to ',' or '}') from a JSONL line.
-bool FindRaw(std::string_view line, std::string_view key,
-             std::string_view* out) {
-  const auto pos = line.find(key);
-  if (pos == std::string_view::npos) return false;
-  const std::size_t begin = pos + key.size();
-  std::size_t end = begin;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  *out = line.substr(begin, end - begin);
+// Reads an id written as -1 when absent: -1 becomes `none`; any other
+// value must fit T.
+template <typename T>
+bool ReadOptionalId(JsonCursor& cursor, T none, T* out) {
+  std::int64_t value = 0;
+  if (!cursor.ReadI64(&value)) return false;
+  if (value == -1) {
+    *out = none;
+    return true;
+  }
+  if (value < 0 ||
+      static_cast<std::uint64_t>(value) > std::numeric_limits<T>::max()) {
+    return cursor.Fail("id out of range");
+  }
+  *out = static_cast<T>(value);
   return true;
-}
-
-bool ParseInt(std::string_view token, long long* out) {
-  const auto result =
-      std::from_chars(token.data(), token.data() + token.size(), *out);
-  return result.ec == std::errc() &&
-         result.ptr == token.data() + token.size();
-}
-
-bool FindInt(std::string_view line, std::string_view key, long long* out) {
-  std::string_view token;
-  return FindRaw(line, key, &token) && ParseInt(token, out);
 }
 
 const char* ClassName(std::uint16_t cls) {
@@ -81,73 +76,56 @@ int FormatTraceJsonl(const TraceRecord& r, char* buf, std::size_t cap) {
   return n;
 }
 
-bool ParseTraceJsonl(std::string_view line, TraceRecord* out) {
-  std::string_view kind_token;
-  if (!FindRaw(line, "\"k\":\"", &kind_token)) return false;
-  const auto quote = kind_token.find('"');
-  if (quote == std::string_view::npos) return false;
-  TraceEventKind kind;
-  if (!TraceEventFromName(kind_token.substr(0, quote), &kind)) return false;
-
-  long long t = 0, pkt = 0, copy = 0, node = 0, peer = 0, link = 0, aux = 0,
-            x = 0;
-  if (!FindInt(line, "\"t\":", &t) || !FindInt(line, "\"pkt\":", &pkt) ||
-      !FindInt(line, "\"copy\":", &copy) ||
-      !FindInt(line, "\"node\":", &node) ||
-      !FindInt(line, "\"peer\":", &peer) ||
-      !FindInt(line, "\"link\":", &link) ||
-      !FindInt(line, "\"aux\":", &aux) || !FindInt(line, "\"x\":", &x)) {
+bool ParseTraceJsonl(std::string_view line, TraceRecord* out,
+                     std::string* error) {
+  static constexpr std::array<std::string_view, 9> kKeys = {
+      "t", "k", "pkt", "copy", "node", "peer", "link", "aux", "x"};
+  JsonCursor cursor(line);
+  TraceRecord record;
+  std::string kind;
+  const bool parsed =
+      cursor.ReadRecord(kKeys, [&](std::size_t key) {
+        switch (key) {
+          case 0: return cursor.ReadI64(&record.t_us);
+          case 1:
+            return cursor.ReadString(&kind) &&
+                   (TraceEventFromName(kind, &record.kind) ||
+                    cursor.Fail("unknown event kind"));
+          case 2:
+            return ReadOptionalId(cursor, TraceRecord::kNoPacket,
+                                  &record.packet);
+          case 3: return cursor.ReadU64(&record.copy);
+          case 4:
+            return ReadOptionalId(cursor, TraceRecord::kNoId, &record.node);
+          case 5:
+            return ReadOptionalId(cursor, TraceRecord::kNoId, &record.peer);
+          case 6:
+            return ReadOptionalId(cursor, TraceRecord::kNoId, &record.link);
+          case 7: return cursor.ReadInt(&record.aux8);
+          default: return cursor.ReadInt(&record.aux16);
+        }
+      }) &&
+      cursor.ExpectEnd();
+  if (!parsed) {
+    if (error != nullptr) *error = cursor.error;
     return false;
   }
-  out->t_us = t;
-  out->kind = kind;
-  out->packet = pkt < 0 ? TraceRecord::kNoPacket
-                        : static_cast<std::uint64_t>(pkt);
-  out->copy = static_cast<std::uint64_t>(copy);
-  out->node =
-      node < 0 ? TraceRecord::kNoId : static_cast<std::uint32_t>(node);
-  out->peer =
-      peer < 0 ? TraceRecord::kNoId : static_cast<std::uint32_t>(peer);
-  out->link =
-      link < 0 ? TraceRecord::kNoId : static_cast<std::uint32_t>(link);
-  out->aux8 = static_cast<std::uint8_t>(aux);
-  out->aux16 = static_cast<std::uint16_t>(x);
+  *out = record;
   return true;
 }
 
 bool ForEachTraceJsonl(std::istream& in,
                        const std::function<void(const TraceRecord&)>& fn,
                        std::size_t* bad_line, std::string* bad_text) {
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    TraceRecord record;
-    if (!ParseTraceJsonl(line, &record)) {
-      if (bad_line != nullptr) *bad_line = line_no;
-      if (bad_text != nullptr) *bad_text = line.substr(0, 120);
-      return false;
-    }
-    fn(record);
-  }
-  return true;
-}
-
-std::vector<TraceRecord> ReadTraceJsonl(std::istream& in,
-                                        std::size_t* dropped_lines) {
-  std::vector<TraceRecord> records;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    TraceRecord record;
-    if (ParseTraceJsonl(line, &record)) {
-      records.push_back(record);
-    } else if (dropped_lines != nullptr) {
-      ++*dropped_lines;
-    }
-  }
-  return records;
+  TraceRecord record;
+  return ForEachJsonLine(
+      in,
+      [&](std::string_view line, std::string* error) {
+        if (!ParseTraceJsonl(line, &record, error)) return false;
+        fn(record);
+        return true;
+      },
+      bad_line, bad_text);
 }
 
 int FormatTraceHuman(const TraceRecord& r, char* buf, std::size_t cap) {
@@ -458,18 +436,24 @@ void WriteChromeTrace(std::ostream& os,
   os << "\n]}\n";
 }
 
-std::size_t PrintPacketTimeline(std::ostream& os,
-                                const std::vector<TraceRecord>& records,
-                                std::uint64_t packet_id) {
+namespace {
+
+// Prints the records `involves` selects, in time order (stable, so
+// same-instant records keep file order), under "<subject> — N events".
+// Returns the number printed.
+template <typename Pred>
+std::size_t PrintTimeline(std::ostream& os,
+                          const std::vector<TraceRecord>& records,
+                          std::string_view subject, Pred&& involves) {
   std::vector<std::size_t> matching;
   for (std::size_t i = 0; i < records.size(); ++i) {
-    if (records[i].packet == packet_id) matching.push_back(i);
+    if (involves(records[i])) matching.push_back(i);
   }
   std::stable_sort(matching.begin(), matching.end(),
                    [&](std::size_t a, std::size_t b) {
                      return records[a].t_us < records[b].t_us;
                    });
-  os << "packet m" << packet_id << " — " << matching.size() << " event"
+  os << subject << " — " << matching.size() << " event"
      << (matching.size() == 1 ? "" : "s") << "\n";
   char line[kMaxTraceLineBytes];
   for (const std::size_t i : matching) {
@@ -481,34 +465,29 @@ std::size_t PrintPacketTimeline(std::ostream& os,
   return matching.size();
 }
 
+}  // namespace
+
+std::size_t PrintPacketTimeline(std::ostream& os,
+                                const std::vector<TraceRecord>& records,
+                                std::uint64_t packet_id) {
+  return PrintTimeline(os, records, "packet m" + std::to_string(packet_id),
+                       [packet_id](const TraceRecord& r) {
+                         return r.packet == packet_id;
+                       });
+}
+
 std::size_t PrintBrokerTimeline(std::ostream& os,
                                 const std::vector<TraceRecord>& records,
                                 std::uint32_t broker_id) {
   // A record involves the broker when it is the acting node or the
   // counterpart peer. kTimerArmed repurposes `peer` to carry the timeout in
   // microseconds, so only its `node` field identifies a broker.
-  const auto involves = [broker_id](const TraceRecord& r) {
-    if (r.node == broker_id) return true;
-    return r.kind != TraceEventKind::kTimerArmed && r.peer == broker_id;
-  };
-  std::vector<std::size_t> matching;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    if (involves(records[i])) matching.push_back(i);
-  }
-  std::stable_sort(matching.begin(), matching.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return records[a].t_us < records[b].t_us;
-                   });
-  os << "broker n" << broker_id << " — " << matching.size() << " event"
-     << (matching.size() == 1 ? "" : "s") << "\n";
-  char line[kMaxTraceLineBytes];
-  for (const std::size_t i : matching) {
-    const int n = FormatTraceHuman(records[i], line, sizeof(line));
-    os << "  ";
-    os.write(line, n);
-    os << "\n";
-  }
-  return matching.size();
+  return PrintTimeline(os, records, "broker n" + std::to_string(broker_id),
+                       [broker_id](const TraceRecord& r) {
+                         if (r.node == broker_id) return true;
+                         return r.kind != TraceEventKind::kTimerArmed &&
+                                r.peer == broker_id;
+                       });
 }
 
 void TraceSummaryAccumulator::Add(const TraceRecord& r) {

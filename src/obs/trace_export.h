@@ -3,7 +3,8 @@
 // Three representations of a trace:
 //  * JSONL — one JSON object per line, the flight recorder's sink format.
 //    FormatTraceJsonl writes into a caller-provided buffer (no allocation;
-//    the recorder's flush path depends on that), ParseTraceJsonl inverts it.
+//    the recorder's flush path depends on that), ParseTraceJsonl inverts it
+//    and ForEachTraceJsonl streams a whole file through it.
 //  * Chrome trace_event JSON — loadable in Perfetto / chrome://tracing.
 //    One track (tid) per broker under a single "dcrd-sim" process. A copy's
 //    wire lifetime (first hop-send to ACK or budget exhaustion) becomes an
@@ -40,23 +41,22 @@ int FormatTraceJsonl(const TraceRecord& record, char* buf, std::size_t cap);
 // `buf`; returns the length. `cap` must be at least kMaxTraceLineBytes.
 int FormatTraceHuman(const TraceRecord& record, char* buf, std::size_t cap);
 
-// Parses a FormatTraceJsonl line back into `out`. Returns false on a
-// malformed or unrecognised line (blank lines are malformed too). Keys the
-// format does not define are ignored, so lines from older captures that
-// also carry "seq" and "shard" still parse.
-bool ParseTraceJsonl(std::string_view line, TraceRecord* out);
-
-// Reads a whole JSONL stream, skipping blank lines; unparseable lines are
-// counted into *dropped_lines when given, otherwise ignored silently.
-std::vector<TraceRecord> ReadTraceJsonl(std::istream& in,
-                                        std::size_t* dropped_lines = nullptr);
+// Parses a FormatTraceJsonl line back into `out` through the strict
+// JsonCursor (obs/json_util.h). All nine keys are required and each value
+// must fit its field exactly: a node of 5000000000, an aux of 300, a
+// fraction, or text after the closing brace is malformed (so is a blank
+// line). Keys the format does not define are skipped, so lines from older
+// captures that also carry "seq" and "shard" still parse. On failure
+// returns false with the parser's reason in *error when given.
+bool ParseTraceJsonl(std::string_view line, TraceRecord* out,
+                     std::string* error = nullptr);
 
 // Streaming reader: parses the JSONL stream one line at a time (bounded
 // memory — the whole trace is never materialised) and invokes `fn` per
-// record. Blank lines are skipped. Stops at the first malformed line,
-// returning false with the 1-based line number in *bad_line and the
-// offending text (truncated) in *bad_text when given. Returns true when the
-// whole stream parsed.
+// record. Whitespace-only lines are skipped. Stops at the first malformed
+// line, returning false with the 1-based line number in *bad_line and
+// "<reason>: <first 120 bytes of the line>" in *bad_text when given
+// (ForEachJsonLine). Returns true when the whole stream parsed.
 bool ForEachTraceJsonl(std::istream& in,
                        const std::function<void(const TraceRecord&)>& fn,
                        std::size_t* bad_line = nullptr,

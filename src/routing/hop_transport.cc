@@ -45,10 +45,10 @@ void HopTransport::SendReliable(NodeId from, LinkId link, Packet&& packet,
         SimDuration::Zero(), [this, slot] { HandleTimeout(slot); });
     return;
   }
-  TransmitOnce(slot, /*in_timer_event=*/false);
+  TransmitOnce(slot);
 }
 
-void HopTransport::TransmitOnce(SlotHandle pending_slot, bool in_timer_event) {
+void HopTransport::TransmitOnce(SlotHandle pending_slot) {
   Pending* pending = pending_.Get(pending_slot);
   DCRD_CHECK(pending != nullptr);
   DCRD_CHECK(pending->transmissions_left > 0);
@@ -122,21 +122,15 @@ void HopTransport::TransmitOnce(SlotHandle pending_slot, bool in_timer_event) {
                              config_.adaptive_rto ? 1 : 0,
                              static_cast<std::uint16_t>(tx_index));
   }
-  // Retransmissions ride the scheduler's re-arm path: the timeout action
-  // stays in its slab slot for the whole m-transmission chain.
-  pending->timer =
-      in_timer_event
-          ? network_.scheduler().RearmCurrentAfter(timeout)
-          : network_.scheduler().ScheduleAfter(timeout, [this, pending_slot] {
-              HandleTimeout(pending_slot);
-            });
+  pending->timer = network_.scheduler().ScheduleAfter(
+      timeout, [this, pending_slot] { HandleTimeout(pending_slot); });
 }
 
 void HopTransport::HandleTimeout(SlotHandle pending_slot) {
   Pending* pending = pending_.Get(pending_slot);
   if (pending == nullptr) return;  // ACK won the race
   if (pending->transmissions_left > 0) {
-    TransmitOnce(pending_slot, /*in_timer_event=*/true);
+    TransmitOnce(pending_slot);
     return;
   }
   // Budget exhausted. A badly late ACK may still straggle home — leave a
@@ -369,7 +363,7 @@ void HopTransport::DeclarePeerDead(NodeId from, LinkId link,
         network_.graph().edge(link).OtherEnd(from), link, 0,
         static_cast<std::uint16_t>(failed));
   }
-  ScheduleProbe(from, link, /*rearm=*/false);
+  ScheduleProbe(from, link);
 }
 
 std::size_t HopTransport::FailFastPending(NodeId from, LinkId link) {
@@ -413,17 +407,13 @@ std::size_t HopTransport::FailFastPending(NodeId from, LinkId link) {
   return failed;
 }
 
-void HopTransport::ScheduleProbe(NodeId from, LinkId link, bool rearm) {
+void HopTransport::ScheduleProbe(NodeId from, LinkId link) {
   const std::size_t didx = DirectedIndex(from, link);
   PeerState& state = peer_[didx];
   const std::uint32_t round = state.round;
-  // Whole dead periods re-arm one probe action in place; a fresh slot is
-  // only taken when a new death starts a chain.
-  state.probe_timer =
-      rearm ? network_.scheduler().RearmCurrentAfter(ProbeInterval(didx, state))
-            : network_.scheduler().ScheduleAfter(
-                  ProbeInterval(didx, state),
-                  [this, from, link, round] { SendProbe(from, link, round); });
+  state.probe_timer = network_.scheduler().ScheduleAfter(
+      ProbeInterval(didx, state),
+      [this, from, link, round] { SendProbe(from, link, round); });
 }
 
 void HopTransport::SendProbe(NodeId from, LinkId link, std::uint32_t round) {
@@ -440,7 +430,7 @@ void HopTransport::SendProbe(NodeId from, LinkId link, std::uint32_t round) {
     PeerState& s = peer_[DirectedIndex(from, link)];
     if (s.dead && s.round == round) NoteHopSuccess(from, link);
   });
-  ScheduleProbe(from, link, /*rearm=*/true);
+  ScheduleProbe(from, link);
 }
 
 void HopTransport::SampleBrokerHealth(std::vector<BrokerHealth>& out) const {

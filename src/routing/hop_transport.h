@@ -257,12 +257,9 @@ class HopTransport {
     EventHandle probe_timer;
   };
 
-  // `in_timer_event` == the call is running inside the copy's own timeout
-  // dispatch: the retransmission timer is then re-armed in place
-  // (RearmCurrentAfter) instead of released and re-scheduled — the capture
-  // is identical across the whole m-transmission chain, so the callback
-  // slot, not just its contents, is reused.
-  void TransmitOnce(SlotHandle pending_slot, bool in_timer_event);
+  // Sends one transmission of the pending copy and arms its ACK timeout;
+  // the timeout (HandleTimeout) calls back here while budget remains.
+  void TransmitOnce(SlotHandle pending_slot);
   void HandleTimeout(SlotHandle pending_slot);
   void HandleDataArrival(SlotHandle wire_slot);
   void HandleAckArrival(SlotHandle pending_slot, std::uint64_t copy_id,
@@ -288,11 +285,9 @@ class HopTransport {
   // Fails every pending copy on (from, link) fast: done(false) each, so
   // the protocol reroutes now instead of after m timeouts.
   std::size_t FailFastPending(NodeId from, LinkId link);
-  // `rearm` == running inside the probe timer's own dispatch; the probe
-  // chain then re-arms its slot in place. The reused capture's `round` is
-  // still current: SendProbe only reaches ScheduleProbe after checking
-  // round == state.round, and nothing bumps the round in between.
-  void ScheduleProbe(NodeId from, LinkId link, bool rearm);
+  // Arms the next probe of a dead (from, link), stamped with the current
+  // death round; SendProbe re-arms it while the peer stays dead.
+  void ScheduleProbe(NodeId from, LinkId link);
   void SendProbe(NodeId from, LinkId link, std::uint32_t round);
   [[nodiscard]] SimDuration ProbeInterval(std::size_t didx,
                                           const PeerState& state) const;

@@ -91,29 +91,25 @@ bool AppendBenchRecord(const std::string& path, const BenchRecord& record) {
       existing = buffer.str();
     }
   }
-  // Re-open the array: drop everything from the closing bracket on.
-  const auto closing = existing.find_last_of(']');
-  std::string prefix;
-  if (closing == std::string::npos) {
-    if (existing.find_first_not_of(" \t\r\n") != std::string::npos) {
-      DCRD_LOG(kWarn) << path
-                      << " is not a JSON array; bench record not written";
+  std::string prefix = "[\n  ";
+  if (existing.find_first_not_of(" \t\r\n") != std::string::npos) {
+    // Splice only into a file that is one JSON array and nothing else: an
+    // object that merely contains a ']' would come out unparseable.
+    JsonCursor cursor(existing);
+    if (!cursor.ReadArray([&] { return cursor.SkipValue(); }) ||
+        !cursor.ExpectEnd()) {
+      DCRD_LOG(kWarn) << path << " is not a JSON array (" << cursor.error
+                      << "); bench record not written";
       return false;
     }
-    prefix = "[\n  ";
-  } else {
-    prefix = existing.substr(0, closing);
-    while (!prefix.empty() &&
-           (prefix.back() == ' ' || prefix.back() == '\n' ||
-            prefix.back() == '\r' || prefix.back() == '\t')) {
+    // Re-open the array: drop everything from the closing bracket on.
+    prefix = existing.substr(0, existing.find_last_of(']'));
+    while (prefix.back() == ' ' || prefix.back() == '\n' ||
+           prefix.back() == '\r' || prefix.back() == '\t') {
       prefix.pop_back();
     }
     // ",\n" only when the array already holds a record.
-    if (prefix.empty()) {
-      prefix = "[\n  ";
-    } else {
-      prefix += prefix.back() == '[' ? "\n  " : ",\n  ";
-    }
+    prefix += prefix.back() == '[' ? "\n  " : ",\n  ";
   }
 
   std::ofstream out(path, std::ios::trunc);

@@ -46,7 +46,8 @@ void WriteBenchRecordJson(std::ostream& os, const BenchRecord& record);
 
 // Appends `record` to the JSON array in `path`, creating the file (as a
 // one-element array) when missing or empty. Returns false with a warning on
-// stderr when the file cannot be read/written or is not a JSON array.
+// stderr, leaving the file byte-for-byte unchanged, when it cannot be
+// read/written or is not exactly one JSON array (JsonCursor-checked).
 bool AppendBenchRecord(const std::string& path, const BenchRecord& record);
 
 }  // namespace dcrd

@@ -237,7 +237,6 @@ Sim::Sim(const ScenarioConfig& config, const Graph& graph)
     FlightRecorder::Config recorder_config;
     recorder_config.ring_capacity = config_.trace_ring_capacity;
     recorder_ = std::make_unique<FlightRecorder>(scheduler_, recorder_config);
-    recorder_->set_enabled(true);
     if (!config_.trace_out.empty()) {
       trace_file_.open(config_.trace_out, std::ios::trunc);
       if (trace_file_) {

@@ -155,5 +155,39 @@ TEST(FlagsDeathTest, CrossThreadQueryAborts) {
       "multiple threads");
 }
 
+// A malformed value exits 2 with "error: --NAME expects ..." instead of
+// running on a silently misread number or an unknown word taken as true.
+TEST(FlagsDeathTest, MalformedValuesExitTwo) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* value : {"abc", "60s", "1.5", "1e3", ""}) {
+    const Flags flags = ParseArgs({std::string("--reps=") + value});
+    EXPECT_EXIT((void)flags.GetInt("reps", 1), ::testing::ExitedWithCode(2),
+                "error: --reps expects a whole number")
+        << value;
+  }
+  for (const char* value : {"abc", "0.5x", ""}) {
+    const Flags flags = ParseArgs({std::string("--pf=") + value});
+    EXPECT_EXIT((void)flags.GetDouble("pf", 0), ::testing::ExitedWithCode(2),
+                "error: --pf expects a number")
+        << value;
+  }
+  for (const char* value : {"maybe", "TRUE", "2"}) {
+    const Flags flags = ParseArgs({std::string("--trace=") + value});
+    EXPECT_EXIT((void)flags.GetBool("trace", false),
+                ::testing::ExitedWithCode(2), "error: --trace expects true")
+        << value;
+  }
+}
+
+TEST(FlagsTest, StrictValuesStillAcceptWellFormedInput) {
+  const Flags flags =
+      ParseArgs({"--n=-42", "--p=1e-3", "--a=yes", "--b=1", "--c=true"});
+  EXPECT_EQ(flags.GetInt("n", 0), -42);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("p", 0), 1e-3);
+  EXPECT_TRUE(flags.GetBool("a", false));
+  EXPECT_TRUE(flags.GetBool("b", false));
+  EXPECT_TRUE(flags.GetBool("c", false));
+}
+
 }  // namespace
 }  // namespace dcrd

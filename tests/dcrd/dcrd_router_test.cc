@@ -186,7 +186,6 @@ TEST(DcrdRouterTest, RerouteCapBoundsUpstreamLaunchesPerSubscriber) {
     subscriptions.AddSubscription(topic, NodeId(2), SimDuration::Millis(500));
     RecordingSink sink;
     FlightRecorder recorder(scheduler);
-    recorder.set_enabled(true);
     RouterContext context;
     context.network = &network;
     context.subscriptions = &subscriptions;

@@ -238,35 +238,41 @@ TEST(SchedulerWheelTest, CancelAfterCascadePreventsExecution) {
 }
 
 TEST(SchedulerWheelTest, RearmIntoCurrentBucketFiresSameTick) {
-  // A zero-delay re-arm lands in the level-0 bucket PopNext is currently
-  // draining; it must fire in the same simulated instant, after everything
-  // scheduled before it.
+  // A timer that re-arms itself with zero delay — a plain ScheduleAfter
+  // from inside its own callback — lands in the level-0 bucket PopNext is
+  // currently draining; it must fire in the same simulated instant, after
+  // everything scheduled before it.
   Scheduler scheduler;
   std::vector<int> order;
-  scheduler.ScheduleAt(SimTime::FromMicros(10), [&] {
+  std::function<void()> fire = [&] {
     order.push_back(1);
     if (order.size() == 1) {
-      scheduler.RearmCurrentAfter(SimDuration::Micros(0));
+      scheduler.ScheduleAfter(SimDuration::Micros(0), [&] { fire(); });
     }
-  });
+  };
+  scheduler.ScheduleAt(SimTime::FromMicros(10), [&] { fire(); });
   scheduler.ScheduleAt(SimTime::FromMicros(10), [&] { order.push_back(2); });
   scheduler.Run();
-  // The re-armed copy takes a fresh seq at re-arm time, so it follows the
-  // same-tick event scheduled earlier.
+  // The re-armed firing takes a fresh seq when it is scheduled, so it
+  // follows the same-tick event scheduled earlier.
   EXPECT_EQ(order, (std::vector<int>{1, 2, 1}));
   EXPECT_EQ(scheduler.now(), SimTime::FromMicros(10));
 }
 
 TEST(SchedulerWheelTest, RearmAcrossRotationSurvivesCascade) {
-  // The RTO-chain shape: each firing re-arms beyond one rotation, so every
-  // arming inserts into level 1 and cascades before firing.
+  // The RTO-chain shape: each firing schedules the next one beyond one
+  // rotation, so every arming inserts into level 1 and cascades before
+  // firing.
   Scheduler scheduler;
   int fired = 0;
-  scheduler.ScheduleAfter(SimDuration::Micros(kRotation + 100), [&] {
+  std::function<void()> fire = [&] {
     if (++fired < 5) {
-      scheduler.RearmCurrentAfter(SimDuration::Micros(kRotation + 100));
+      scheduler.ScheduleAfter(SimDuration::Micros(kRotation + 100),
+                              [&] { fire(); });
     }
-  });
+  };
+  scheduler.ScheduleAfter(SimDuration::Micros(kRotation + 100),
+                          [&] { fire(); });
   scheduler.Run();
   EXPECT_EQ(fired, 5);
   EXPECT_EQ(scheduler.now(), SimTime::FromMicros(5 * (kRotation + 100)));

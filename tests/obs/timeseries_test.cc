@@ -270,6 +270,25 @@ TEST(TimeSeriesJsonTest, RejectsWrongSchema) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(TimeSeriesJsonTest, RejectsTrailingTextAndInexactIntegers) {
+  std::ostringstream os;
+  WriteTimeSeriesJson(os, BuildStore());
+  const std::string good = os.str();
+  TimeSeriesStore loaded;
+  std::string error;
+  ASSERT_TRUE(LoadTimeSeriesJson(good, &loaded, &error)) << error;
+
+  EXPECT_FALSE(LoadTimeSeriesJson(good + "{}", &loaded, &error));
+  EXPECT_NE(error.find("trailing text"), std::string::npos) << error;
+
+  // A fraction on an integer field used to be truncated silently.
+  std::string fraction = good;
+  fraction.insert(fraction.find(',', fraction.find("\"node_count\":")), ".5");
+  error.clear();
+  EXPECT_FALSE(LoadTimeSeriesJson(fraction, &loaded, &error));
+  EXPECT_FALSE(error.empty());
+}
+
 // Documents written before the per-series "policy" tag was dropped carry
 // one on every counter and gauge. They must still load, and re-export as
 // the current format.

@@ -36,9 +36,12 @@ struct TempFile {
 std::vector<TraceRecord> LoadTrace(const std::string& path) {
   std::ifstream in(path);
   EXPECT_TRUE(in.is_open()) << path;
-  std::size_t dropped = 0;
-  std::vector<TraceRecord> records = ReadTraceJsonl(in, &dropped);
-  EXPECT_EQ(dropped, 0u);
+  std::vector<TraceRecord> records;
+  std::string bad_text;
+  EXPECT_TRUE(ForEachTraceJsonl(
+      in, [&](const TraceRecord& record) { records.push_back(record); },
+      nullptr, &bad_text))
+      << bad_text;
   return records;
 }
 
@@ -222,14 +225,27 @@ TEST(ModelAuditTest, ParseModelRowRoundTripsAndRejectsMalformedRows) {
   EXPECT_DOUBLE_EQ(row.list[1].d_via_us, 45000.0);
   EXPECT_EQ(row.list[1].neighbor, NodeId(2));
 
-  for (const char* bad : {
-           "not json at all",
-           "{\"t\":1,\"topic\":0,\"pub\":0,\"sub\":1}",  // missing d_us
-           "{\"t\":1,\"topic\":0,\"pub\":0,\"sub\":1,\"deadline_us\":5,"
-           "\"d_us\":oops,\"r\":1,\"list\":[]}",
-           "{\"t\":1,\"topic\":0,\"pub\":0,\"sub\":1,\"deadline_us\":5,"
-           "\"d_us\":2,\"r\":1,\"list\":[[1,2]]}",  // short tuple
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string line = good;
+    line.replace(line.find(from), from.size(), to);
+    return line;
+  };
+  // "t":12abc, the fraction, the trailing comma in the list and the text
+  // after the row were accepted before the parser became strict.
+  for (const std::string& bad : {
+           std::string("not json at all"),
+           std::string("{\"t\":1,\"topic\":0,\"pub\":0,\"sub\":1}"),
+           with("30000.5,\"r\"", "oops,\"r\""),
+           with("[2,7,45000,1]", "[1,2]"),  // short tuple
+           with("\"t\":300000000", "\"t\":12abc"),
+           with("\"sub\":0", "\"sub\":-1"),
+           with("\"topic\":2", "\"topic\":4294967296"),
+           with("\"pub\":1", "\"pub\":1.5"),
+           with("[2,7,45000,1]", "[2,7,45000,1,9]"),
+           with("[2,7,45000,1]]", "[2,7,45000,1],]"),
+           good + " trailing",
        }) {
+    error.clear();
     EXPECT_FALSE(ParseModelRow(bad, &row, &error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;
   }
@@ -240,6 +256,7 @@ TEST(ModelAuditTest, ForEachModelRowReportsTheFirstMalformedLine) {
       "{\"t\":1,\"topic\":0,\"pub\":0,\"sub\":1,\"deadline_us\":5,"
       "\"d_us\":2,\"r\":1,\"list\":[]}\n"
       "\n"
+      " \t\r\n"
       "garbage line\n");
   std::size_t bad_line = 0;
   std::string bad_text;
@@ -247,8 +264,9 @@ TEST(ModelAuditTest, ForEachModelRowReportsTheFirstMalformedLine) {
   EXPECT_FALSE(ForEachModelRow(
       in, [&](const ModelRow&) { ++seen; }, &bad_line, &bad_text));
   EXPECT_EQ(seen, 1u);  // the good row was delivered before the stop
-  EXPECT_EQ(bad_line, 3u);
-  EXPECT_NE(bad_text.find("garbage"), std::string::npos);
+  EXPECT_EQ(bad_line, 4u);  // empty and whitespace-only lines are skipped
+  // The parser's reason, then the line.
+  EXPECT_EQ(bad_text, "expected '{' at byte 0: garbage line");
 }
 
 TEST(TraceExportTest, ForEachTraceJsonlStopsAtTheFirstMalformedLine) {
@@ -256,6 +274,7 @@ TEST(TraceExportTest, ForEachTraceJsonlStopsAtTheFirstMalformedLine) {
       "{\"t\":0,\"k\":\"publish\",\"pkt\":7,\"copy\":0,\"node\":1,"
       "\"peer\":-1,\"link\":-1,\"aux\":0,\"x\":3}\n"
       "\n"
+      " \t\r\n"
       "{\"t\":5,\"k\":\"no-such-kind\",\"pkt\":7,\"copy\":0,\"node\":1,"
       "\"peer\":-1,\"link\":-1,\"aux\":0,\"x\":0}\n");
   std::size_t bad_line = 0;
@@ -264,7 +283,9 @@ TEST(TraceExportTest, ForEachTraceJsonlStopsAtTheFirstMalformedLine) {
   EXPECT_FALSE(ForEachTraceJsonl(
       in, [&](const TraceRecord&) { ++seen; }, &bad_line, &bad_text));
   EXPECT_EQ(seen, 1u);
-  EXPECT_EQ(bad_line, 3u);
+  EXPECT_EQ(bad_line, 4u);  // empty and whitespace-only lines are skipped
+  // The parser's reason, then the line.
+  EXPECT_EQ(bad_text.rfind("unknown event kind", 0), 0u) << bad_text;
   EXPECT_NE(bad_text.find("no-such-kind"), std::string::npos);
 }
 
@@ -313,7 +334,6 @@ TEST(FlightRecorderTest, LossyPostmortemSaysSoAndCountsOverwrites) {
   FlightRecorder::Config small;
   small.ring_capacity = 8;
   FlightRecorder recorder(scheduler, small);
-  recorder.set_enabled(true);
   for (std::uint64_t i = 0; i < 20; ++i) {
     recorder.Record(TraceEventKind::kPublish, i, 0, NodeId(0), NodeId(),
                     LinkId());

@@ -50,6 +50,11 @@ TEST(TraceExportTest, JsonlRoundTripsEveryKindAndSentinel) {
                            /*aux8=*/static_cast<std::uint8_t>(k),
                            /*aux16=*/static_cast<std::uint16_t>(k * 11)));
   }
+  // Copy ids carry the sending broker in their top bits: a broker near 2^20
+  // gives ids near 2^60, far past a double's 2^53 exact range.
+  records.push_back(Make(TraceEventKind::kHopSend, 5, 3,
+                         ((std::uint64_t{1} << 20) - 1) << 40 | 7, 1, 2, 4,
+                         UINT8_MAX, UINT16_MAX));
   char buf[kMaxTraceLineBytes];
   for (const TraceRecord& record : records) {
     const int len = FormatTraceJsonl(record, buf, sizeof(buf));
@@ -92,26 +97,31 @@ TEST(TraceExportTest, ParseIgnoresSeqAndShardOnLegacyLines) {
 }
 
 TEST(TraceExportTest, ParseRejectsMalformedLines) {
+  const std::string good =
+      "{\"t\":1,\"k\":\"publish\",\"pkt\":1,\"copy\":0,\"node\":0,"
+      "\"peer\":-1,\"link\":-1,\"aux\":0,\"x\":0}";
   TraceRecord out;
-  EXPECT_FALSE(ParseTraceJsonl("", &out));
-  EXPECT_FALSE(ParseTraceJsonl("not json", &out));
-  EXPECT_FALSE(ParseTraceJsonl("{\"t\":1}", &out));
-  EXPECT_FALSE(ParseTraceJsonl(
-      "{\"t\":1,\"k\":\"no-such-kind\",\"pkt\":1,\"copy\":0,\"node\":0,"
-      "\"peer\":0,\"link\":0,\"aux\":0,\"x\":0}",
-      &out));
-}
-
-TEST(TraceExportTest, ReadJsonlSkipsBlankAndCountsBadLines) {
-  char buf[kMaxTraceLineBytes];
-  const TraceRecord record =
-      Make(TraceEventKind::kDeliver, 99, 5, 0, 2, 0, TraceRecord::kNoId);
-  FormatTraceJsonl(record, buf, sizeof(buf));
-  std::istringstream in(std::string(buf) + "\n\ngarbage\n" + buf);
-  std::size_t dropped = 0;
-  const std::vector<TraceRecord> parsed = ReadTraceJsonl(in, &dropped);
-  EXPECT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(dropped, 1u);
+  ASSERT_TRUE(ParseTraceJsonl(good, &out));
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string line = good;
+    line.replace(line.find(from), from.size(), to);
+    return line;
+  };
+  // From `good + " x"` on, each was accepted before the parser became
+  // strict: trailing text ignored, out-of-range values truncated or
+  // wrapped.
+  for (const std::string& bad :
+       {std::string(), std::string("not json"), std::string("{\"t\":1}"),
+        with("\"publish\"", "\"no-such-kind\""),
+        with("\"t\":1", "\"t\":1.5"), good + " x",
+        with("\"node\":0", "\"node\":5000000000"),
+        with("\"aux\":0", "\"aux\":300"), with("\"x\":0", "\"x\":65536"),
+        with("\"peer\":-1", "\"peer\":-2"),
+        with("\"copy\":0", "\"copy\":-1")}) {
+    std::string error;
+    EXPECT_FALSE(ParseTraceJsonl(bad, &out, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
 }
 
 TEST(TraceExportTest, HumanLinesNameKindPacketAndEndpoints) {
@@ -243,7 +253,8 @@ TEST(TraceExportTest, ForEachTraceJsonlReportsTheOffendingLineAcrossFormats) {
       in, [&](const TraceRecord&) { ++seen; }, &bad_line, &bad_text));
   EXPECT_EQ(seen, 2u);
   EXPECT_EQ(bad_line, 3u);
-  EXPECT_EQ(bad_text, "garbage");
+  // The parser's reason, then the line itself.
+  EXPECT_EQ(bad_text, "expected '{' at byte 0: garbage");
 }
 
 // --- Chrome telemetry tracks ------------------------------------------------

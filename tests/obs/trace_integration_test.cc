@@ -145,9 +145,9 @@ TEST(TraceIntegrationTest, TracedCrashRunMatchesUntracedRunExactly) {
   ExpectSameResults(traced, untraced);
   std::ifstream in(trace_file.path);
   std::size_t crashes = 0;
-  for (const TraceRecord& record : ReadTraceJsonl(in)) {
+  ASSERT_TRUE(ForEachTraceJsonl(in, [&](const TraceRecord& record) {
     if (record.kind == TraceEventKind::kBrokerDown) ++crashes;
-  }
+  }));
   EXPECT_EQ(crashes, untraced.broker_crashes);
 }
 
@@ -165,11 +165,11 @@ TEST(TraceIntegrationTest, RebuildRecordsAndAuditRowsStampEveryEpoch) {
 
   std::ifstream trace_in(trace_file.path);
   std::vector<std::int64_t> rebuilds_us;
-  for (const TraceRecord& record : ReadTraceJsonl(trace_in)) {
+  ASSERT_TRUE(ForEachTraceJsonl(trace_in, [&](const TraceRecord& record) {
     if (record.kind == TraceEventKind::kRebuild) {
       rebuilds_us.push_back(record.t_us);
     }
-  }
+  }));
   EXPECT_EQ(rebuilds_us, kRebuildsEvery20sUs);
 
   std::ifstream model_in(model_file.path);
@@ -264,9 +264,9 @@ TEST(TraceIntegrationTest, TimelineReconstructsRetransmitsAndReroutes) {
 
   std::ifstream in(trace_file.path);
   ASSERT_TRUE(in.is_open());
-  std::size_t dropped = 0;
-  const std::vector<TraceRecord> records = ReadTraceJsonl(in, &dropped);
-  EXPECT_EQ(dropped, 0u);
+  std::vector<TraceRecord> records;
+  ASSERT_TRUE(ForEachTraceJsonl(
+      in, [&](const TraceRecord& record) { records.push_back(record); }));
   ASSERT_FALSE(records.empty());
 
   std::uint64_t retransmitted = TraceRecord::kNoPacket;
@@ -311,7 +311,6 @@ TEST(TraceIntegrationTest, InvariantViolationDumpsPostmortemWithThePacket) {
   SimInvariantChecker checker(network, subscriptions, metrics);
 
   FlightRecorder recorder(scheduler);
-  recorder.set_enabled(true);
   checker.set_flight_recorder(&recorder);
 
   Message message;

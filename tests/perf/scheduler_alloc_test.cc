@@ -92,30 +92,38 @@ TEST(SchedulerAllocTest, WheelSteadyStateWithCascadesIsAllocationFree) {
   EXPECT_EQ(fired, 256u * 101u);
 }
 
-TEST(SchedulerAllocTest, RearmChainIsAllocationFreeAfterWarmup) {
-  // The HopTransport timer idiom: RearmCurrentAfter reuses the action slot
-  // and a recycled wheel node, so a periodic timer never allocates after
-  // its first arming.
-  Scheduler scheduler;
+// A timer that re-arms itself by scheduling its next firing from inside its
+// own callback, `limit` firings in all: the HopTransport retransmit and
+// probe chains.
+struct SelfRearmingTimer {
+  Scheduler& scheduler;
+  int limit;
   int fired = 0;
-  scheduler.ScheduleAfter(SimDuration::Micros(100), [&] {
-    if (++fired < 3) scheduler.RearmCurrentAfter(SimDuration::Micros(3000));
-  });
-  scheduler.Run();  // warm-up: slab slot + wheel node exist now
-  ASSERT_EQ(fired, 3);
+  void Fire() {
+    if (++fired < limit) {
+      scheduler.ScheduleAfter(SimDuration::Micros(3000), [this] { Fire(); });
+    }
+  }
+};
+
+TEST(SchedulerAllocTest, RearmChainIsAllocationFreeAfterWarmup) {
+  // Each firing schedules its successor while its own slot is still
+  // running; the slab recycles both slots and the wheel recycles its
+  // nodes, so a periodic timer never allocates once warm.
+  Scheduler scheduler;
+  SelfRearmingTimer warmup{scheduler, 3};
+  scheduler.ScheduleAfter(SimDuration::Micros(100), [&] { warmup.Fire(); });
+  scheduler.Run();  // warm-up: slab slots + wheel nodes exist now
+  ASSERT_EQ(warmup.fired, 3);
 
   AllocProbe probe;
-  fired = 0;
-  scheduler.ScheduleAfter(SimDuration::Micros(100), [&] {
-    if (++fired < 1000) {
-      scheduler.RearmCurrentAfter(SimDuration::Micros(3000));
-    }
-  });
+  SelfRearmingTimer timer{scheduler, 1000};
+  scheduler.ScheduleAfter(SimDuration::Micros(100), [&] { timer.Fire(); });
   scheduler.Run();
   const auto delta = probe.delta();
   EXPECT_EQ(delta.allocations, 0u)
       << "re-arm chain allocated " << delta.bytes << " bytes";
-  EXPECT_EQ(fired, 1000);
+  EXPECT_EQ(timer.fired, 1000);
 }
 
 TEST(SchedulerAllocTest, CaptureAtInlineBudgetStaysInline) {

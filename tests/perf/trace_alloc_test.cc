@@ -41,7 +41,6 @@ FlightRecorder::Config SmallRing() {
 TEST(TraceAllocTest, RecordAndRingWrapAreAllocationFree) {
   Scheduler scheduler;
   FlightRecorder recorder(scheduler, SmallRing());
-  recorder.set_enabled(true);
 
   AllocProbe probe;
   // 16x the ring capacity: wraps the ring many times over.
@@ -58,7 +57,6 @@ TEST(TraceAllocTest, RecordAndRingWrapAreAllocationFree) {
 TEST(TraceAllocTest, SinkFlushPathIsAllocationFree) {
   Scheduler scheduler;
   FlightRecorder recorder(scheduler, SmallRing());
-  recorder.set_enabled(true);
   NullStreambuf devnull;
   std::ostream sink(&devnull);
   recorder.set_sink(&sink);
@@ -97,7 +95,6 @@ TEST(TraceAllocTest, TracedTransportRoundTripIsAllocationFreeAfterWarmup) {
                          Rng(1));
 
   FlightRecorder recorder(scheduler, SmallRing());
-  recorder.set_enabled(true);
   NullStreambuf devnull;
   std::ostream sink(&devnull);
   recorder.set_sink(&sink);

@@ -91,13 +91,27 @@ TEST(BenchJsonTest, AppendCreatesArrayThenGrowsIt) {
 }
 
 TEST(BenchJsonTest, RefusesNonArrayFile) {
-  TempFile file;
-  {
-    std::ofstream out(file.path());
-    out << "not json at all";
+  // Only a file that is exactly one JSON array is spliced into. The object
+  // and the committed BENCH_data_plane.json (an object that ends in nested
+  // arrays) used to come out unclosed; "[1] x" and the two arrays lost
+  // their tail.
+  std::ifstream committed(DCRD_SOURCE_DIR "/BENCH_data_plane.json");
+  ASSERT_TRUE(committed.is_open());
+  std::ostringstream data_plane;
+  data_plane << committed.rdbuf();
+  ASSERT_EQ(data_plane.str().front(), '{');
+  for (const std::string& original :
+       {std::string("not json at all"), std::string("{\"a\": [1]}"),
+        std::string("[1] x"), std::string("[1]\n[2]\n"), data_plane.str()}) {
+    TempFile file;
+    {
+      std::ofstream out(file.path());
+      out << original;
+    }
+    EXPECT_FALSE(AppendBenchRecord(file.path(), SampleRecord("x")))
+        << original.substr(0, 40);
+    EXPECT_EQ(file.contents(), original);
   }
-  EXPECT_FALSE(AppendBenchRecord(file.path(), SampleRecord("x")));
-  EXPECT_EQ(file.contents(), "not json at all");
 }
 
 TEST(BenchJsonTest, MakeBenchRecordDerivesThroughput) {

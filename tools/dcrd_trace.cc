@@ -30,9 +30,11 @@
 //                    charts; audit table when --audit is also given)
 //
 // Input is streamed line by line — a multi-gigabyte trace never lives in
-// memory twice. A malformed line is a hard error (exit 1, with the file,
-// line number, and offending text); unknown flags and more than one trace
-// file exit 2.
+// memory twice. Trace lines and model rows are read strictly (every key
+// present, every value in its field's range, nothing after the object),
+// and a malformed line is a hard error (exit 1, with the file, line
+// number, the parser's reason and the offending text); unknown flags,
+// malformed flag values and more than one trace file exit 2.
 #include <fstream>
 #include <iostream>
 #include <sstream>
