@@ -76,21 +76,6 @@ struct FigureScale {
   std::string delay_audit;   // --delay_audit: trace+model file prefix
 };
 
-inline std::vector<RouterKind> ParseRouters(const std::string& csv) {
-  std::vector<RouterKind> routers;
-  std::stringstream stream(csv);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    if (token == "DCRD") routers.push_back(RouterKind::kDcrd);
-    else if (token == "R-Tree") routers.push_back(RouterKind::kRTree);
-    else if (token == "D-Tree") routers.push_back(RouterKind::kDTree);
-    else if (token == "ORACLE") routers.push_back(RouterKind::kOracle);
-    else if (token == "Multipath") routers.push_back(RouterKind::kMultipath);
-    else std::cerr << "unknown router '" << token << "' ignored\n";
-  }
-  return routers;
-}
-
 inline FigureScale ParseScale(const Flags& flags) {
   FigureScale scale;
   if (flags.GetBool("paper", false)) {
@@ -104,7 +89,7 @@ inline FigureScale ParseScale(const Flags& flags) {
   }
   scale.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
   if (flags.Has("routers")) {
-    scale.routers = ParseRouters(flags.GetString("routers", ""));
+    scale.routers = ParseRouters("routers", flags.GetString("routers", ""));
   }
   scale.csv_dir = flags.GetString("csv", "");
   scale.jobs = ResolveJobCount(static_cast<int>(flags.GetInt("jobs", 0)));

@@ -33,17 +33,6 @@ const std::vector<std::string> kKnownFlags = {
     "broker_mtbf", "broker_mttr",   "peer_death",  "peer_death_threshold",
 };
 
-dcrd::RouterKind ParseRouter(const std::string& name) {
-  if (name == "DCRD") return dcrd::RouterKind::kDcrd;
-  if (name == "R-Tree") return dcrd::RouterKind::kRTree;
-  if (name == "D-Tree") return dcrd::RouterKind::kDTree;
-  if (name == "ORACLE") return dcrd::RouterKind::kOracle;
-  if (name == "Multipath") return dcrd::RouterKind::kMultipath;
-  std::cerr << "unknown --router '" << name
-            << "' (DCRD, R-Tree, D-Tree, ORACLE, Multipath); using DCRD\n";
-  return dcrd::RouterKind::kDcrd;
-}
-
 void PrintSummary(const dcrd::ScenarioConfig& config,
                   const dcrd::RunSummary& summary, bool histogram) {
   std::cout << std::left << std::setw(12) << dcrd::RouterName(config.router)
@@ -89,9 +78,8 @@ int main(int argc, char** argv) {
 
   dcrd::ScenarioConfig config;
   config.node_count = static_cast<std::size_t>(flags.GetInt("nodes", 20));
-  config.topology = flags.GetString("topology", "degree") == "mesh"
-                        ? dcrd::TopologyKind::kFullMesh
-                        : dcrd::TopologyKind::kRandomDegree;
+  config.topology =
+      dcrd::ParseTopology("topology", flags.GetString("topology", "degree"));
   config.degree = static_cast<std::size_t>(flags.GetInt("degree", 8));
   config.failure_probability = flags.GetDouble("pf", 0.06);
   config.link_outage_epochs =
@@ -134,11 +122,14 @@ int main(int argc, char** argv) {
   config.topology_file = flags.GetString("load", "");
   config.dcrd_distributed = flags.GetBool("distributed", false);
   const std::string ordering = flags.GetString("ordering", "theorem1");
-  config.dcrd_ordering =
-      ordering == "delay" ? dcrd::OrderingPolicy::kDelayFirst
-      : ordering == "reliability"
-          ? dcrd::OrderingPolicy::kReliabilityFirst
-          : dcrd::OrderingPolicy::kTheorem1;
+  config.dcrd_ordering = dcrd::ParseOrdering("ordering", ordering);
+  // The <d,r> gossip runs the paper's Theorem-1 recursion only.
+  if (config.dcrd_distributed &&
+      config.dcrd_ordering != dcrd::OrderingPolicy::kTheorem1) {
+    std::cerr << "error: --distributed needs --ordering theorem1, got '"
+              << ordering << "'\n";
+    return 2;
+  }
   if (flags.Has("rate")) {
     config.publish_interval =
         dcrd::SimDuration::FromSecondsF(1.0 / flags.GetDouble("rate", 1.0));
@@ -150,7 +141,7 @@ int main(int argc, char** argv) {
                dcrd::RouterKind::kDTree, dcrd::RouterKind::kOracle,
                dcrd::RouterKind::kMultipath};
   } else {
-    routers = {ParseRouter(flags.GetString("router", "DCRD"))};
+    routers = {dcrd::ParseRouter("router", flags.GetString("router", "DCRD"))};
   }
 
   config.router = routers.front();

@@ -10,17 +10,14 @@
 
 namespace dcrd {
 
-namespace {
-
-// A malformed value ends the run the way an unknown flag does: one line
-// on stderr and exit status 2, before any work starts.
-[[noreturn]] void ExitOnBadValue(const std::string& name,
-                                 const std::string& value,
-                                 std::string_view expects) {
+void ExitOnBadFlagValue(const std::string& name, const std::string& value,
+                        std::string_view expects) {
   std::cerr << "error: --" << name << " expects " << expects << ", got '"
             << value << "'\n";
   std::exit(2);
 }
+
+namespace {
 
 // Parses the whole of `text` as a T; trailing characters are an error.
 template <typename T>
@@ -93,7 +90,7 @@ std::int64_t Flags::GetInt(const std::string& name,
   if (it == values_.end()) return fallback;
   std::int64_t value = 0;
   if (!ParseWhole(it->second, &value)) {
-    ExitOnBadValue(name, it->second, "a whole number");
+    ExitOnBadFlagValue(name, it->second, "a whole number");
   }
   return value;
 }
@@ -104,7 +101,7 @@ double Flags::GetDouble(const std::string& name, double fallback) const {
   if (it == values_.end()) return fallback;
   double value = 0;
   if (!ParseWhole(it->second, &value)) {
-    ExitOnBadValue(name, it->second, "a number");
+    ExitOnBadFlagValue(name, it->second, "a number");
   }
   return value;
 }
@@ -116,7 +113,7 @@ bool Flags::GetBool(const std::string& name, bool fallback) const {
   const std::string& value = it->second;
   if (value == "true" || value == "1" || value == "yes") return true;
   if (value == "false" || value == "0" || value == "no") return false;
-  ExitOnBadValue(name, value, "true, false, 1, 0, yes or no");
+  ExitOnBadFlagValue(name, value, "true, false, 1, 0, yes or no");
 }
 
 std::vector<std::string> Flags::UnqueriedFlags() const {

@@ -15,10 +15,19 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 namespace dcrd {
+
+// A malformed value ends the run the way an unknown flag does: one
+// "error: --NAME expects EXPECTS, got 'VALUE'" line on stderr and exit
+// status 2, before any work starts. Get* call it; so do the parsers of
+// named values (sim/scenario.h).
+[[noreturn]] void ExitOnBadFlagValue(const std::string& name,
+                                     const std::string& value,
+                                     std::string_view expects);
 
 class Flags {
  public:

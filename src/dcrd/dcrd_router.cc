@@ -28,7 +28,12 @@ DcrdRouter::DcrdRouter(RouterContext context, DcrdConfig config)
   // the solver skips the unconstrained fixed point and the lists.
   config_.computation.build_fallback = config_.best_effort_fallback;
   config_.distributed.max_transmissions = context_.max_transmissions;
-  config_.distributed.ordering = config_.computation.ordering;
+  // The gossip runs the paper's Theorem-1 recursion only. Another ordering
+  // can count to infinity, and unlike the solver the gossip has no sweep
+  // cap to stop it.
+  DCRD_CHECK(!config_.use_distributed_computation ||
+             config_.computation.ordering == OrderingPolicy::kTheorem1)
+      << "distributed mode needs the Theorem-1 ordering";
   processed_.resize(context_.network->graph().node_count());
   resync_until_.assign(context_.network->graph().node_count(), SimTime());
   resync_round_.assign(context_.network->graph().node_count(), 0);

@@ -70,14 +70,14 @@ struct DcrdConfig {
   // current — possibly still converging — state. With
   // best_effort_fallback a second, budget-free gossip per destination
   // feeds the fallback lists (doubling control traffic), mirroring the
-  // solver's unconstrained fixed point.
+  // solver's unconstrained fixed point. Needs computation.ordering to be
+  // kTheorem1.
   bool use_distributed_computation = false;
   // Router defaults damp gossip chatter (50 us threshold ~= sub-tenth-of-a-
   // percent d error) and repair one lost update per change burst.
   DistributedDrConfig distributed{
       /*max_transmissions=*/1, /*update_threshold_us=*/50.0,
-      /*ordering=*/OrderingPolicy::kTheorem1, /*rebroadcasts=*/1,
-      /*rebroadcast_gap=*/SimDuration::Millis(100)};
+      /*rebroadcasts=*/1, /*rebroadcast_gap=*/SimDuration::Millis(100)};
 };
 
 // Control-plane health of solver-mode rebuilds, cumulative over the run:

@@ -52,7 +52,7 @@ std::vector<ViaEntry> DistributedDrComputation::EligibleEntries(
     eligible.push_back(LiftAcrossLink(neighbors[i].peer, neighbors[i].link,
                                       lifted, heard));
   }
-  SortByPolicy(eligible, config_.ordering);
+  SortByTheorem1(eligible);
   return eligible;
 }
 

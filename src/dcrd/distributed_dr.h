@@ -17,9 +17,9 @@
 //
 // Protocol: every node caches the last <d,r> heard from each neighbour.
 // On an update it recomputes its own <d,r> (Eq. 2 + Eq. 3 over the cached
-// values, budget-filtered, policy-ordered) and, if the value moved by more
-// than `update_threshold_us` (or flipped reachability), broadcasts the new
-// value to all neighbours. Quiescence is natural: no change, no broadcast.
+// values, budget-filtered, Theorem-1-ordered) and, if the value moved by
+// more than `update_threshold_us` (or flipped reachability), broadcasts the
+// new value to all neighbours. Quiescence is natural: no change, no broadcast.
 // A lost update leaves a neighbour stale — with `rebroadcasts > 0` each
 // node re-announces its current value that many times at `rebroadcast_gap`
 // intervals after a change, the standard cheap anti-entropy.
@@ -37,7 +37,6 @@ namespace dcrd {
 struct DistributedDrConfig {
   int max_transmissions = 1;  // paper parameter m (for Eq. 1 lifting)
   double update_threshold_us = 0.5;
-  OrderingPolicy ordering = OrderingPolicy::kTheorem1;
   // Anti-entropy: extra announcements of the current value after a change.
   int rebroadcasts = 0;
   SimDuration rebroadcast_gap = SimDuration::Millis(100);

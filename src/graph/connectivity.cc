@@ -14,11 +14,10 @@ std::vector<bool> ReachableFrom(const Graph& graph, NodeId source,
     const NodeId node = frontier.front();
     frontier.pop_front();
     for (const Neighbor& nb : graph.neighbors(node)) {
+      if (seen[nb.peer.underlying()]) continue;
       if (admit && !admit(nb.link)) continue;
-      if (!seen[nb.peer.underlying()]) {
-        seen[nb.peer.underlying()] = true;
-        frontier.push_back(nb.peer);
-      }
+      seen[nb.peer.underlying()] = true;
+      frontier.push_back(nb.peer);
     }
   }
   return seen;

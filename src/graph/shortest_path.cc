@@ -28,13 +28,15 @@ std::vector<LinkId> PathTree::LinksTo(NodeId v) const {
 
 namespace {
 
-// Shared Dijkstra skeleton; Cost must be totally ordered and support the
-// relaxation `Extend(cost, edge_delay)`.
-template <typename Cost, typename ExtendFn, typename InitFn>
+// The one Dijkstra skeleton. Cost must be totally ordered; `extend(cost, w)`
+// relaxes across a link of delay w, and `admit(link, cost)` sees the cost at
+// the node the link leaves.
+template <typename Cost, typename AdmitFn, typename ExtendFn,
+          typename ToDurationFn>
 PathTree RunDijkstra(const Graph& graph, NodeId source,
-                     const LinkDelayFn& delay, const LinkFilterFn& admit,
-                     Cost zero, Cost infinity, ExtendFn extend,
-                     InitFn cost_to_duration) {
+                     const LinkDelayFn& delay, AdmitFn admit, Cost zero,
+                     Cost infinity, ExtendFn extend,
+                     ToDurationFn cost_to_duration) {
   const std::size_t n = graph.node_count();
   DCRD_CHECK(source.underlying() < n);
 
@@ -68,8 +70,8 @@ PathTree RunDijkstra(const Graph& graph, NodeId source,
     done[node.underlying()] = true;
 
     for (const Neighbor& nb : graph.neighbors(node)) {
-      if (admit && !admit(nb.link)) continue;
       if (done[nb.peer.underlying()]) continue;
+      if (!admit(nb.link, cost)) continue;
       const SimDuration w =
           delay ? delay(nb.link) : graph.edge(nb.link).delay;
       const Cost candidate = extend(cost, w);
@@ -90,13 +92,21 @@ PathTree RunDijkstra(const Graph& graph, NodeId source,
   return tree;
 }
 
+// A cost-blind admit over `filter`; a null filter admits every link.
+auto FilterAdmit(const LinkFilterFn& filter) {
+  return [&filter](LinkId link, const auto& /*cost*/) {
+    return !filter || filter(link);
+  };
+}
+
 }  // namespace
 
 PathTree ShortestDelayTree(const Graph& graph, NodeId source,
                            const LinkDelayFn& delay,
                            const LinkFilterFn& admit) {
   return RunDijkstra<SimDuration>(
-      graph, source, delay, admit, SimDuration::Zero(), SimDuration::Max(),
+      graph, source, delay, FilterAdmit(admit), SimDuration::Zero(),
+      SimDuration::Max(),
       [](SimDuration cost, SimDuration w) { return cost + w; },
       [](SimDuration cost) { return cost; });
 }
@@ -107,75 +117,23 @@ PathTree ShortestHopTree(const Graph& graph, NodeId source,
   const Cost zero{0, SimDuration::Zero()};
   const Cost infinity{UINT32_MAX, SimDuration::Max()};
   return RunDijkstra<Cost>(
-      graph, source, delay, admit, zero, infinity,
+      graph, source, delay, FilterAdmit(admit), zero, infinity,
       [](Cost cost, SimDuration w) {
         return Cost{cost.first + 1, cost.second + w};
       },
       [](Cost cost) { return cost.second; });
 }
 
-std::optional<TimedPath> TimeAwareShortestPath(const Graph& graph,
-                                               NodeId source, NodeId dest,
-                                               SimTime depart,
-                                               const LinkUpAtFn& up_at,
-                                               const LinkDelayFn& delay) {
-  const std::size_t n = graph.node_count();
-  DCRD_CHECK(source.underlying() < n && dest.underlying() < n);
-
-  std::vector<SimTime> arrival(n, SimTime::Max());
-  std::vector<NodeId> parent(n, NodeId());
-  std::vector<LinkId> parent_link(n, LinkId());
-
-  struct QueueEntry {
-    SimTime at;
-    NodeId node;
-    bool operator>(const QueueEntry& other) const {
-      if (at != other.at) return at > other.at;
-      return node > other.node;
-    }
-  };
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>>
-      queue;
-  arrival[source.underlying()] = depart;
-  queue.push({depart, source});
-  std::vector<bool> done(n, false);
-
-  while (!queue.empty()) {
-    const auto [at, node] = queue.top();
-    queue.pop();
-    if (done[node.underlying()]) continue;
-    done[node.underlying()] = true;
-    if (node == dest) break;
-
-    for (const Neighbor& nb : graph.neighbors(node)) {
-      if (done[nb.peer.underlying()]) continue;
-      // The link must be up at the instant the packet enters it. We do not
-      // model waiting at a node for a link to recover: the ORACLE, like the
-      // paper's, picks a path that works "as is" at traversal times.
-      if (!up_at(nb.link, at)) continue;
-      const SimDuration w = delay ? delay(nb.link) : graph.edge(nb.link).delay;
-      const SimTime t = at + w;
-      if (t < arrival[nb.peer.underlying()]) {
-        arrival[nb.peer.underlying()] = t;
-        parent[nb.peer.underlying()] = node;
-        parent_link[nb.peer.underlying()] = nb.link;
-        queue.push({t, nb.peer});
-      }
-    }
-  }
-
-  if (arrival[dest.underlying()] == SimTime::Max()) return std::nullopt;
-
-  TimedPath path;
-  path.arrival = arrival[dest.underlying()];
-  for (NodeId cur = dest; cur != source; cur = parent[cur.underlying()]) {
-    path.nodes.push_back(cur);
-    path.links.push_back(parent_link[cur.underlying()]);
-  }
-  path.nodes.push_back(source);
-  std::reverse(path.nodes.begin(), path.nodes.end());
-  std::reverse(path.links.begin(), path.links.end());
-  return path;
+PathTree TimeAwareShortestPathTree(const Graph& graph, NodeId source,
+                                   SimTime depart, const LinkUpAtFn& up_at) {
+  // The cost is the arrival instant, and a link is admitted only if it is
+  // up at the instant the packet enters it. We do not model waiting at a
+  // node for a link to recover: the ORACLE, like the paper's, picks a path
+  // that works "as is" at traversal times.
+  return RunDijkstra<SimTime>(
+      graph, source, /*delay=*/nullptr, up_at, depart, SimTime::Max(),
+      [](SimTime at, SimDuration w) { return at + w; },
+      [depart](SimTime at) { return at - depart; });
 }
 
 }  // namespace dcrd

@@ -1,20 +1,18 @@
-// Shortest-path machinery used by every router.
+// Shortest-path machinery used by every router: one Dijkstra skeleton,
+// three instantiations.
+//   * ShortestDelayTree  — Dijkstra on (possibly estimated) link delays;
+//                          D-Tree construction and deadline derivation.
+//   * ShortestHopTree    — lexicographic (hop count, delay) Dijkstra;
+//                          R-Tree ("most reliable tree") construction.
+//   * TimeAwareShortestPathTree — earliest arrival over the time-expanded
+//                          graph where a link may only be entered at instants
+//                          it is up; the ORACLE's omniscient routing tree.
 //
-// Three variants cover the paper's needs:
-//   * ShortestDelayTree      — Dijkstra on (possibly estimated) link delays;
-//                              D-Tree construction and deadline derivation.
-//   * ShortestHopTree        — lexicographic (hop count, delay) Dijkstra;
-//                              R-Tree ("most reliable tree") construction.
-//   * TimeAwareShortestPath  — Dijkstra over the time-expanded graph where a
-//                              link may only be entered at instants it is up;
-//                              the ORACLE router's omniscient path choice.
-//
-// All functions take an optional per-link cost override so routers can plan
+// The first two take an optional per-link cost override so routers can plan
 // on *monitored estimates* while the network itself uses ground truth.
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/ids.h"
@@ -64,20 +62,13 @@ PathTree ShortestHopTree(const Graph& graph, NodeId source,
 // will then occupy it for the link delay).
 using LinkUpAtFn = std::function<bool(LinkId, SimTime)>;
 
-struct TimedPath {
-  std::vector<NodeId> nodes;  // source..dest inclusive
-  std::vector<LinkId> links;
-  SimTime arrival;
-};
-
-// Earliest-arrival path from `source` (departing at `depart`) to `dest`
-// where every hop must be up at the moment it is entered. Returns nullopt
-// when no such path exists. This is the ORACLE's planning primitive: it
-// sees the ground-truth failure schedule including the future.
-std::optional<TimedPath> TimeAwareShortestPath(const Graph& graph,
-                                               NodeId source, NodeId dest,
-                                               SimTime depart,
-                                               const LinkUpAtFn& up_at,
-                                               const LinkDelayFn& delay = nullptr);
+// Earliest-arrival tree from `source`, departing at `depart`, over
+// ground-truth delays, where every hop must be up at the instant it is
+// entered: distance[v] is the arrival at v minus `depart`. This is the
+// ORACLE's planning primitive: it sees the ground-truth failure schedule
+// including the future. A node's parent is fixed when the search pops it,
+// so PathTo(v) is the path a search that stopped at v would return.
+PathTree TimeAwareShortestPathTree(const Graph& graph, NodeId source,
+                                   SimTime depart, const LinkUpAtFn& up_at);
 
 }  // namespace dcrd

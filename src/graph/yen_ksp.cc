@@ -8,16 +8,11 @@ namespace dcrd {
 
 namespace {
 
-WeightedPath MakePath(const Graph& graph, const PathTree& tree, NodeId dest,
-                      const LinkDelayFn& delay) {
-  WeightedPath path;
-  path.nodes = tree.PathTo(dest);
-  path.links = tree.LinksTo(dest);
-  path.total_delay = SimDuration::Zero();
-  for (LinkId link : path.links) {
-    path.total_delay += delay ? delay(link) : graph.edge(link).delay;
-  }
-  return path;
+// A tree's distance is the exact (integer-microsecond) sum of the delays
+// along its path, so it is the path's total.
+WeightedPath MakePath(const PathTree& tree, NodeId dest) {
+  return WeightedPath{tree.PathTo(dest), tree.LinksTo(dest),
+                      tree.distance[dest.underlying()]};
 }
 
 // Ordering for the candidate set: by delay, then lexicographic node ids so
@@ -39,16 +34,22 @@ std::vector<WeightedPath> YenKShortestPaths(const Graph& graph, NodeId source,
 
   const PathTree first_tree = ShortestDelayTree(graph, source, delay);
   if (!first_tree.Reachable(dest)) return result;
-  result.push_back(MakePath(graph, first_tree, dest, delay));
+  result.push_back(MakePath(first_tree, dest));
 
   std::set<WeightedPath, CandidateLess> candidates;
 
   while (result.size() < k) {
     const WeightedPath& previous = result.back();
-    // Each prefix of the previous path becomes a spur root.
+    // Each prefix of the previous path becomes a spur root; `root_delay` is
+    // the delay of the prefix's links.
+    SimDuration root_delay = SimDuration::Zero();
     for (std::size_t spur_index = 0; spur_index + 1 < previous.nodes.size();
          ++spur_index) {
       const NodeId spur_node = previous.nodes[spur_index];
+      if (spur_index > 0) {
+        const LinkId root_link = previous.links[spur_index - 1];
+        root_delay += delay ? delay(root_link) : graph.edge(root_link).delay;
+      }
 
       // Links to ban: the edge each already-found path with the same prefix
       // takes out of the spur node.
@@ -80,23 +81,14 @@ std::vector<WeightedPath> YenKShortestPaths(const Graph& graph, NodeId source,
           ShortestDelayTree(graph, spur_node, delay, admit);
       if (!spur_tree.Reachable(dest)) continue;
 
-      WeightedPath total;
-      total.nodes.assign(previous.nodes.begin(),
+      WeightedPath total = MakePath(spur_tree, dest);
+      total.nodes.insert(total.nodes.begin(), previous.nodes.begin(),
                          previous.nodes.begin() +
                              static_cast<std::ptrdiff_t>(spur_index));
-      total.links.assign(previous.links.begin(),
+      total.links.insert(total.links.begin(), previous.links.begin(),
                          previous.links.begin() +
                              static_cast<std::ptrdiff_t>(spur_index));
-      const std::vector<NodeId> spur_nodes = spur_tree.PathTo(dest);
-      const std::vector<LinkId> spur_links = spur_tree.LinksTo(dest);
-      total.nodes.insert(total.nodes.end(), spur_nodes.begin(),
-                         spur_nodes.end());
-      total.links.insert(total.links.end(), spur_links.begin(),
-                         spur_links.end());
-      total.total_delay = SimDuration::Zero();
-      for (LinkId link : total.links) {
-        total.total_delay += delay ? delay(link) : graph.edge(link).delay;
-      }
+      total.total_delay += root_delay;
       if (std::find(result.begin(), result.end(), total) == result.end()) {
         candidates.insert(std::move(total));
       }
@@ -107,16 +99,6 @@ std::vector<WeightedPath> YenKShortestPaths(const Graph& graph, NodeId source,
     candidates.erase(candidates.begin());
   }
   return result;
-}
-
-std::size_t SharedLinkCount(const WeightedPath& a, const WeightedPath& b) {
-  std::unordered_set<LinkId::underlying_type> links_a;
-  for (LinkId link : a.links) links_a.insert(link.underlying());
-  std::size_t shared = 0;
-  for (LinkId link : b.links) {
-    if (links_a.contains(link.underlying())) ++shared;
-  }
-  return shared;
 }
 
 }  // namespace dcrd

@@ -31,8 +31,4 @@ std::vector<WeightedPath> YenKShortestPaths(const Graph& graph, NodeId source,
                                             NodeId dest, std::size_t k,
                                             const LinkDelayFn& delay = nullptr);
 
-// Number of links shared between two paths (set intersection size); the
-// Multipath baseline minimises this overlap for its second path.
-std::size_t SharedLinkCount(const WeightedPath& a, const WeightedPath& b);
-
 }  // namespace dcrd

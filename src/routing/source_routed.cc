@@ -63,6 +63,17 @@ void SourceRoutedRouter::Publish(const Message& message) {
   }
 }
 
+std::vector<SourceRoutedRouter::Route> SourceRoutedRouter::RoutesAlong(
+    const PathTree& tree, TopicId topic) const {
+  std::vector<Route> routes;
+  for (const Subscription& sub :
+       context_.subscriptions->subscriptions(topic)) {
+    if (!tree.Reachable(sub.subscriber)) continue;
+    routes.push_back(Route{sub.subscriber, tree.PathTo(sub.subscriber), 0});
+  }
+  return routes;
+}
+
 NodeId SourceRoutedRouter::NextHop(const Message& message, NodeId at,
                                    NodeId subscriber, std::uint8_t tag) const {
   const auto it = route_cache_.find(message.id.value);

@@ -18,6 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "graph/shortest_path.h"
 #include "routing/hop_transport.h"
 #include "routing/router.h"
 
@@ -54,6 +55,10 @@ class SourceRoutedRouter : public Router {
   virtual void RebuildRoutes() {}
   // All routes for a freshly published message.
   virtual std::vector<Route> RoutesFor(const Message& message) = 0;
+  // One route per subscriber of `topic` that `tree` reaches, read off the
+  // tree; a subscriber it does not reach gets none.
+  [[nodiscard]] std::vector<Route> RoutesAlong(const PathTree& tree,
+                                               TopicId topic) const;
 
   [[nodiscard]] const MonitoredView& view() const {
     DCRD_CHECK(view_ != nullptr) << "Rebuild() not called yet";

@@ -20,14 +20,7 @@ void TreeRouter::RebuildRoutes() {
 
 std::vector<SourceRoutedRouter::Route> TreeRouter::RoutesFor(
     const Message& message) {
-  const SubscriptionTable& subs = *context().subscriptions;
-  const PathTree& tree = trees_[message.topic.underlying()];
-  std::vector<Route> routes;
-  for (const Subscription& sub : subs.subscriptions(message.topic)) {
-    if (!tree.Reachable(sub.subscriber)) continue;
-    routes.push_back(Route{sub.subscriber, tree.PathTo(sub.subscriber), 0});
-  }
-  return routes;
+  return RoutesAlong(trees_[message.topic.underlying()], message.topic);
 }
 
 }  // namespace dcrd

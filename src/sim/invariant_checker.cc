@@ -1,10 +1,10 @@
 #include "sim/invariant_checker.h"
 
 #include <algorithm>
-#include <deque>
 #include <iostream>
 #include <sstream>
 
+#include "graph/connectivity.h"
 #include "obs/flight_recorder.h"
 #include "pubsub/packet.h"
 
@@ -158,27 +158,16 @@ bool SimInvariantChecker::NodeClean(NodeId node, SimTime t0,
 bool SimInvariantChecker::CleanPathExists(NodeId publisher, NodeId subscriber,
                                           SimTime t0, SimTime end) const {
   const SimTime t1 = std::min(t0 + config_.guarantee_window, end);
+  if (!NodeClean(publisher, t0, t1)) return false;
+  // Every node reached from the clean publisher is clean, so admitting a
+  // link only when it and both its endpoints stay clean walks exactly the
+  // continuously-clean paths.
   const Graph& graph = network_.graph();
-  if (!NodeClean(publisher, t0, t1) || !NodeClean(subscriber, t0, t1)) {
-    return false;
-  }
-  // BFS over continuously-clean links and nodes.
-  std::vector<bool> visited(graph.node_count(), false);
-  std::deque<NodeId> frontier{publisher};
-  visited[publisher.underlying()] = true;
-  while (!frontier.empty()) {
-    const NodeId node = frontier.front();
-    frontier.pop_front();
-    for (const Neighbor& neighbor : graph.neighbors(node)) {
-      if (visited[neighbor.peer.underlying()]) continue;
-      if (!LinkClean(neighbor.link, t0, t1)) continue;
-      if (!NodeClean(neighbor.peer, t0, t1)) continue;
-      if (neighbor.peer == subscriber) return true;
-      visited[neighbor.peer.underlying()] = true;
-      frontier.push_back(neighbor.peer);
-    }
-  }
-  return false;
+  return ReachableFrom(graph, publisher, [&](LinkId link) {
+    const EdgeSpec& edge = graph.edge(link);
+    return LinkClean(link, t0, t1) && NodeClean(edge.a, t0, t1) &&
+           NodeClean(edge.b, t0, t1);
+  })[subscriber.underlying()];
 }
 
 void SimInvariantChecker::CheckEndOfRun(const Router& router, SimTime end) {

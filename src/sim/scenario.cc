@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/flags.h"
+
 namespace dcrd {
 
 const char* RouterName(RouterKind kind) {
@@ -13,6 +15,40 @@ const char* RouterName(RouterKind kind) {
     case RouterKind::kMultipath: return "Multipath";
   }
   return "?";
+}
+
+RouterKind ParseRouter(const std::string& flag, const std::string& name) {
+  for (const RouterKind kind :
+       {RouterKind::kDcrd, RouterKind::kRTree, RouterKind::kDTree,
+        RouterKind::kOracle, RouterKind::kMultipath}) {
+    if (name == RouterName(kind)) return kind;
+  }
+  ExitOnBadFlagValue(flag, name, "DCRD, R-Tree, D-Tree, ORACLE or Multipath");
+}
+
+std::vector<RouterKind> ParseRouters(const std::string& flag,
+                                     const std::string& names) {
+  std::vector<RouterKind> routers;
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = names.find(',', start);
+    routers.push_back(ParseRouter(flag, names.substr(start, comma - start)));
+    if (comma == std::string::npos) return routers;
+    start = comma + 1;
+  }
+}
+
+TopologyKind ParseTopology(const std::string& flag, const std::string& name) {
+  if (name == "degree") return TopologyKind::kRandomDegree;
+  if (name == "mesh") return TopologyKind::kFullMesh;
+  ExitOnBadFlagValue(flag, name, "degree or mesh");
+}
+
+OrderingPolicy ParseOrdering(const std::string& flag,
+                             const std::string& name) {
+  if (name == "theorem1") return OrderingPolicy::kTheorem1;
+  if (name == "delay") return OrderingPolicy::kDelayFirst;
+  if (name == "reliability") return OrderingPolicy::kReliabilityFirst;
+  ExitOnBadFlagValue(flag, name, "theorem1, delay or reliability");
 }
 
 std::string ScenarioConfig::Describe() const {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/sim_time.h"
 #include "dcrd/dr.h"
@@ -19,6 +20,20 @@ enum class TopologyKind {
 enum class RouterKind { kDcrd, kRTree, kDTree, kOracle, kMultipath };
 
 const char* RouterName(RouterKind kind);
+
+// Strict readers of the named flag values, `flag` being the flag's name.
+// Each accepts only the documented spellings; anything else, including an
+// empty value, exits 2 through ExitOnBadFlagValue as a malformed number
+// does.
+//   ParseRouter:   one RouterName() spelling.
+//   ParseRouters:  a comma-separated list of them ("DCRD,ORACLE").
+//   ParseTopology: "degree" or "mesh".
+//   ParseOrdering: "theorem1", "delay" or "reliability".
+RouterKind ParseRouter(const std::string& flag, const std::string& name);
+std::vector<RouterKind> ParseRouters(const std::string& flag,
+                                     const std::string& names);
+TopologyKind ParseTopology(const std::string& flag, const std::string& name);
+OrderingPolicy ParseOrdering(const std::string& flag, const std::string& name);
 
 struct ScenarioConfig {
   // --- topology -----------------------------------------------------------

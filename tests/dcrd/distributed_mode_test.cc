@@ -121,5 +121,20 @@ TEST(DistributedModeTest, SolverTableAccessorGuarded) {
                "not materialised in distributed mode");
 }
 
+TEST(DistributedModeTest, RejectsOrderingsOtherThanTheorem1) {
+  // The gossip runs the paper's Theorem-1 recursion only. Under another
+  // ordering a node can list a farther neighbour first and count to
+  // infinity, and the gossip has no sweep cap to stop it.
+  for (const OrderingPolicy ordering :
+       {OrderingPolicy::kDelayFirst, OrderingPolicy::kReliabilityFirst}) {
+    RouterHarness h(Line(4, SimDuration::Millis(10)), 0.0, 0.0);
+    DcrdConfig config;
+    config.use_distributed_computation = true;
+    config.computation.ordering = ordering;
+    EXPECT_DEATH({ DcrdRouter router(h.Context(), config); },
+                 "distributed mode needs the Theorem-1 ordering");
+  }
+}
+
 }  // namespace
 }  // namespace dcrd

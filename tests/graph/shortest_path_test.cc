@@ -1,9 +1,14 @@
 #include "graph/shortest_path.h"
 
+#include <algorithm>
+#include <optional>
+#include <queue>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "graph/topology.h"
+#include "net/failure_schedule.h"
 
 namespace dcrd {
 namespace {
@@ -140,12 +145,14 @@ TEST(ShortestPathTest, MatchesBruteForceOnRandomGraphs) {
 TEST(TimeAwareShortestPathTest, NoFailuresMatchesPlainDijkstra) {
   const Graph graph = Diamond();
   const auto always_up = [](LinkId, SimTime) { return true; };
-  const auto path = TimeAwareShortestPath(graph, NodeId(0), NodeId(3),
-                                          SimTime::Zero(), always_up);
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(path->nodes,
+  const PathTree tree =
+      TimeAwareShortestPathTree(graph, NodeId(0), SimTime::Zero(), always_up);
+  EXPECT_EQ(tree.PathTo(NodeId(3)),
             (std::vector<NodeId>{NodeId(0), NodeId(2), NodeId(1), NodeId(3)}));
-  EXPECT_EQ(path->arrival, SimTime::Zero() + SimDuration::Millis(4));
+  EXPECT_EQ(tree.distance[3], SimDuration::Millis(4));
+  const PathTree plain = ShortestDelayTree(graph, NodeId(0));
+  EXPECT_EQ(tree.parent, plain.parent);
+  EXPECT_EQ(tree.distance, plain.distance);
 }
 
 TEST(TimeAwareShortestPathTest, AvoidsLinkFailedAtEntryTime) {
@@ -155,10 +162,10 @@ TEST(TimeAwareShortestPathTest, AvoidsLinkFailedAtEntryTime) {
   const auto up_at = [&](LinkId link, SimTime t) {
     return !(link == link02 && t < SimTime::FromMicros(500));
   };
-  const auto path = TimeAwareShortestPath(graph, NodeId(0), NodeId(1),
-                                          SimTime::Zero(), up_at);
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(path->nodes, (std::vector<NodeId>{NodeId(0), NodeId(1)}));
+  const PathTree tree =
+      TimeAwareShortestPathTree(graph, NodeId(0), SimTime::Zero(), up_at);
+  EXPECT_EQ(tree.PathTo(NodeId(1)),
+            (std::vector<NodeId>{NodeId(0), NodeId(1)}));
 }
 
 TEST(TimeAwareShortestPathTest, AvoidsLinkThatWillFailMidFlight) {
@@ -169,29 +176,156 @@ TEST(TimeAwareShortestPathTest, AvoidsLinkThatWillFailMidFlight) {
     return !(link == link21 && t >= SimTime::FromMicros(900) &&
              t <= SimTime::FromMicros(1100));
   };
-  const auto path = TimeAwareShortestPath(graph, NodeId(0), NodeId(1),
-                                          SimTime::Zero(), up_at);
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(path->nodes, (std::vector<NodeId>{NodeId(0), NodeId(1)}));
+  const PathTree tree =
+      TimeAwareShortestPathTree(graph, NodeId(0), SimTime::Zero(), up_at);
+  EXPECT_EQ(tree.PathTo(NodeId(1)),
+            (std::vector<NodeId>{NodeId(0), NodeId(1)}));
 }
 
 TEST(TimeAwareShortestPathTest, ReturnsNulloptWhenCut) {
+  // A cut destination is unreachable in the tree.
   Graph graph(2);
   graph.AddEdge(NodeId(0), NodeId(1), SimDuration::Millis(1));
   const auto never_up = [](LinkId, SimTime) { return false; };
-  EXPECT_FALSE(TimeAwareShortestPath(graph, NodeId(0), NodeId(1),
-                                     SimTime::Zero(), never_up)
-                   .has_value());
+  const PathTree tree =
+      TimeAwareShortestPathTree(graph, NodeId(0), SimTime::Zero(), never_up);
+  EXPECT_FALSE(tree.Reachable(NodeId(1)));
+  EXPECT_TRUE(tree.PathTo(NodeId(1)).empty());
 }
 
 TEST(TimeAwareShortestPathTest, DepartureTimeShiftsArrival) {
+  // Links are tested at absolute entry instants, and distance is the
+  // arrival minus the departure.
   const Graph graph = Diamond();
-  const auto always_up = [](LinkId, SimTime) { return true; };
   const SimTime depart = SimTime::FromMicros(5'000'000);
-  const auto path = TimeAwareShortestPath(graph, NodeId(0), NodeId(3),
-                                          depart, always_up);
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(path->arrival, depart + SimDuration::Millis(4));
+  SimTime first_entry = SimTime::Max();
+  const auto up_at = [&](LinkId, SimTime t) {
+    first_entry = std::min(first_entry, t);
+    return true;
+  };
+  const PathTree tree =
+      TimeAwareShortestPathTree(graph, NodeId(0), depart, up_at);
+  EXPECT_EQ(first_entry, depart);
+  EXPECT_EQ(tree.distance[3], SimDuration::Millis(4));
+}
+
+// The per-destination, early-exit earliest-arrival search the ORACLE ran
+// before it planned one tree per message: the reference the tree must
+// reproduce destination by destination.
+struct ReferencePath {
+  std::vector<NodeId> nodes;  // source..dest inclusive
+  SimTime arrival;
+};
+
+std::optional<ReferencePath> ReferenceTimeAwarePath(const Graph& graph,
+                                                    NodeId source, NodeId dest,
+                                                    SimTime depart,
+                                                    const LinkUpAtFn& up_at) {
+  const std::size_t n = graph.node_count();
+  std::vector<SimTime> arrival(n, SimTime::Max());
+  std::vector<NodeId> parent(n, NodeId());
+  struct QueueEntry {
+    SimTime at;
+    NodeId node;
+    bool operator>(const QueueEntry& other) const {
+      if (at != other.at) return at > other.at;
+      return node > other.node;
+    }
+  };
+  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>>
+      queue;
+  arrival[source.underlying()] = depart;
+  queue.push({depart, source});
+  std::vector<bool> done(n, false);
+  while (!queue.empty()) {
+    const auto [at, node] = queue.top();
+    queue.pop();
+    if (done[node.underlying()]) continue;
+    done[node.underlying()] = true;
+    if (node == dest) break;
+    for (const Neighbor& nb : graph.neighbors(node)) {
+      if (done[nb.peer.underlying()]) continue;
+      if (!up_at(nb.link, at)) continue;
+      const SimTime t = at + graph.edge(nb.link).delay;
+      if (t < arrival[nb.peer.underlying()]) {
+        arrival[nb.peer.underlying()] = t;
+        parent[nb.peer.underlying()] = node;
+        queue.push({t, nb.peer});
+      }
+    }
+  }
+  if (arrival[dest.underlying()] == SimTime::Max()) return std::nullopt;
+  ReferencePath path{{}, arrival[dest.underlying()]};
+  for (NodeId cur = dest; cur != source; cur = parent[cur.underlying()]) {
+    path.nodes.push_back(cur);
+  }
+  path.nodes.push_back(source);
+  std::reverse(path.nodes.begin(), path.nodes.end());
+  return path;
+}
+
+TEST(TimeAwareShortestPathTreeTest, MatchesPerDestinationSearch) {
+  // The paper's 10-50 ms delays make equal arrivals rare, so odd seeds use
+  // equal 10 ms delays, where they are common: tie-breaks must match too.
+  const DelayRange ranges[] = {
+      {}, {SimDuration::Millis(10), SimDuration::Millis(10)}};
+  for (const std::size_t nodes : {10, 40, 160}) {
+    for (const std::size_t degree : {3, 5, 8}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        for (const int outage_epochs : {1, 3}) {
+          Rng rng(seed);
+          const Graph graph =
+              RandomConnected(nodes, degree, rng, ranges[seed % 2]);
+          const FailureSchedule failures(seed, 0.1, SimDuration::Seconds(1),
+                                         outage_epochs);
+          const NodeFailureSchedule node_failures(seed + 100, 0.05);
+          // The ORACLE's admissibility test.
+          const LinkUpAtFn up_at = [&](LinkId link, SimTime t) {
+            const EdgeSpec& edge = graph.edge(link);
+            return failures.IsUp(link, t) && node_failures.IsUp(edge.a, t) &&
+                   node_failures.IsUp(edge.b, t);
+          };
+          const NodeId source(static_cast<NodeId::underlying_type>(seed));
+          // Plus one departure at which every link out of the source is
+          // down, so the tree reaches the source alone.
+          SimTime cut = SimTime::FromMicros(250'000);
+          const auto source_cut = [&](SimTime t) {
+            for (const Neighbor& nb : graph.neighbors(source)) {
+              if (up_at(nb.link, t)) return false;
+            }
+            return true;
+          };
+          for (int epoch = 0; epoch < 1000 && !source_cut(cut); ++epoch) {
+            cut += SimDuration::Seconds(1);
+          }
+          ASSERT_TRUE(source_cut(cut));
+          for (const SimTime depart :
+               {SimTime::Zero(), SimTime::FromMicros(500'000),
+                SimTime::FromMicros(7'000'000),
+                SimTime::FromMicros(61'250'000), cut}) {
+            const PathTree tree =
+                TimeAwareShortestPathTree(graph, source, depart, up_at);
+            for (std::size_t v = 0; v < nodes; ++v) {
+              const NodeId dest(static_cast<NodeId::underlying_type>(v));
+              const auto reference =
+                  ReferenceTimeAwarePath(graph, source, dest, depart, up_at);
+              SCOPED_TRACE(testing::Message()
+                           << "n=" << nodes << " degree=" << degree
+                           << " seed=" << seed << " outage=" << outage_epochs
+                           << " depart=" << depart.micros() << " dest=" << v);
+              ASSERT_EQ(tree.Reachable(dest), reference.has_value());
+              if (depart == cut) {
+                EXPECT_EQ(tree.Reachable(dest), dest == source);
+              }
+              if (!reference.has_value()) continue;
+              EXPECT_EQ(tree.PathTo(dest), reference->nodes);
+              EXPECT_EQ(tree.distance[v], reference->arrival - depart);
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -110,27 +110,5 @@ TEST(YenTest, RespectsDelayOverride) {
             (std::vector<NodeId>{NodeId(0), NodeId(2), NodeId(3)}));
 }
 
-TEST(SharedLinkCountTest, CountsIntersection) {
-  const Graph graph = TwoRoutes();
-  const auto paths = YenKShortestPaths(graph, NodeId(0), NodeId(3), 3);
-  ASSERT_GE(paths.size(), 3U);
-  EXPECT_EQ(SharedLinkCount(paths[0], paths[0]), paths[0].links.size());
-  EXPECT_EQ(SharedLinkCount(paths[0], paths[1]), 0U);
-  EXPECT_EQ(SharedLinkCount(paths[0], paths[2]), 0U);
-}
-
-TEST(SharedLinkCountTest, PartialOverlap) {
-  // 0-1-2 and 0-1-3 share the 0-1 link.
-  Graph graph(4);
-  graph.AddEdge(NodeId(0), NodeId(1), SimDuration::Millis(1));
-  graph.AddEdge(NodeId(1), NodeId(2), SimDuration::Millis(1));
-  graph.AddEdge(NodeId(1), NodeId(3), SimDuration::Millis(1));
-  const auto to2 = YenKShortestPaths(graph, NodeId(0), NodeId(2), 1);
-  const auto to3 = YenKShortestPaths(graph, NodeId(0), NodeId(3), 1);
-  ASSERT_EQ(to2.size(), 1U);
-  ASSERT_EQ(to3.size(), 1U);
-  EXPECT_EQ(SharedLinkCount(to2[0], to3[0]), 1U);
-}
-
 }  // namespace
 }  // namespace dcrd

@@ -1,5 +1,8 @@
 #include "sim/invariant_checker.h"
 
+#include <optional>
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "graph/topology.h"
@@ -169,6 +172,57 @@ TEST(InvariantCheckerTest, NoGuaranteeViolationWhenPathNeverClean) {
   FakeRouter router;
   checker.CheckEndOfRun(router, SimTime::Zero() + SimDuration::Seconds(60));
   EXPECT_EQ(checker.violation_count(), 0U);
+}
+
+// A node-failure schedule whose first epoch (10 s, so it spans the whole
+// 5 s guarantee window) has exactly `down` of nodes 0..3 down: the first
+// seed that draws that set.
+std::optional<NodeFailureSchedule> DownThroughWindow(
+    const std::set<NodeId>& down) {
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    const NodeFailureSchedule schedule(seed, 0.5, SimDuration::Seconds(10));
+    bool match = true;
+    for (NodeId::underlying_type v = 0; v < 4; ++v) {
+      match = match && schedule.IsUp(NodeId(v), SimTime::Zero()) !=
+                           down.contains(NodeId(v));
+    }
+    if (match) return schedule;
+  }
+  return std::nullopt;
+}
+
+TEST(InvariantCheckerTest, GuaranteeNeedsACleanRelay) {
+  // Diamond: publisher 0 reaches subscriber 3 through relay 1 or relay 2.
+  // With relay 1 down for the whole window the path through relay 2 is
+  // still clean, so a never-delivered pair is a violation; with both
+  // relays down no clean path exists.
+  Graph graph(4);
+  graph.AddEdge(NodeId(0), NodeId(1), SimDuration::Millis(10));
+  graph.AddEdge(NodeId(0), NodeId(2), SimDuration::Millis(10));
+  graph.AddEdge(NodeId(1), NodeId(3), SimDuration::Millis(10));
+  graph.AddEdge(NodeId(2), NodeId(3), SimDuration::Millis(10));
+  SubscriptionTable subscriptions;
+  subscriptions.AddTopic(NodeId(0));
+  subscriptions.AddSubscription(TopicId(0), NodeId(3),
+                                SimDuration::Millis(100));
+  MetricsCollector metrics(subscriptions);
+  InvariantCheckerConfig config;
+  config.check_delivery_guarantee = true;
+  const std::pair<std::set<NodeId>, std::size_t> cases[] = {
+      {{NodeId(1)}, 1U}, {{NodeId(1), NodeId(2)}, 0U}};
+  for (const auto& [down, violations] : cases) {
+    const auto node_failures = DownThroughWindow(down);
+    ASSERT_TRUE(node_failures.has_value());
+    Scheduler scheduler;
+    OverlayNetwork network(graph, scheduler, FailureSchedule(1, 0.0),
+                           OverlayNetworkConfig{}, Rng(1), *node_failures);
+    SimInvariantChecker checker(network, subscriptions, metrics, config);
+    checker.OnPublished(TestMessage());
+    FakeRouter router;
+    checker.CheckEndOfRun(router, SimTime::Zero() + SimDuration::Seconds(60));
+    EXPECT_EQ(checker.violation_count(), violations)
+        << down.size() << " relay(s) down";
+  }
 }
 
 TEST(InvariantCheckerTest, DeliveriesForwardToWrappedSink) {
