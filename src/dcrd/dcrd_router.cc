@@ -35,6 +35,7 @@ DcrdRouter::DcrdRouter(RouterContext context, DcrdConfig config)
              config_.computation.ordering == OrderingPolicy::kTheorem1)
       << "distributed mode needs the Theorem-1 ordering";
   processed_.resize(context_.network->graph().node_count());
+  path_stamp_.assign(context_.network->graph().node_count(), 0);
   resync_until_.assign(context_.network->graph().node_count(), SimTime());
   resync_round_.assign(context_.network->graph().node_count(), 0);
 }
@@ -303,7 +304,7 @@ Neighbor DcrdRouter::SelectNextHop(const Episode& episode,
     // the usual upstream backstop below. Delivery never waits for resync.
     for (const Neighbor& n :
          context_.network->graph().neighbors(episode.node)) {
-      if (episode.base.OnRoutingPath(n.peer)) continue;
+      if (OnStampedPath(n.peer)) continue;
       if (is_tried(n.peer)) continue;
       if (!transport_.PeerAlive(episode.node, n.link)) continue;
       return n;
@@ -311,7 +312,7 @@ Neighbor DcrdRouter::SelectNextHop(const Episode& episode,
   } else {
     const auto scan = [&](const std::vector<ViaEntry>& list) {
       for (const ViaEntry& entry : list) {
-        if (episode.base.OnRoutingPath(entry.neighbor)) continue;
+        if (OnStampedPath(entry.neighbor)) continue;
         if (is_tried(entry.neighbor)) continue;
         return Neighbor{entry.neighbor, entry.link};
       }
@@ -334,6 +335,17 @@ Neighbor DcrdRouter::SelectNextHop(const Episode& episode,
   return Neighbor{upstream, LinkId()};
 }
 
+void DcrdRouter::StampRoutingPath(const Packet& packet) {
+  if (++path_pass_ == 0) {
+    // The pass counter wrapped: clear every stamp so none matches again.
+    std::fill(path_stamp_.begin(), path_stamp_.end(), 0);
+    path_pass_ = 1;
+  }
+  for (const NodeId node : packet.routing_path()) {
+    path_stamp_[node.underlying()] = path_pass_;
+  }
+}
+
 void DcrdRouter::ProcessEpisode(SlotHandle handle) {
   Episode* found = episodes_.Get(handle);
   if (found == nullptr) return;
@@ -346,6 +358,7 @@ void DcrdRouter::ProcessEpisode(SlotHandle handle) {
   // counts change only for the group being launched (which leaves
   // `pending`), and SendReliable never calls back into the router.
   const NodeId upstream = UpstreamOf(episode);
+  StampRoutingPath(episode.base);
   choices_scratch_.clear();
   for (const std::uint32_t index : episode.pending) {
     choices_scratch_.push_back(SelectNextHop(episode, index, upstream));

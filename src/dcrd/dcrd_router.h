@@ -209,9 +209,16 @@ class DcrdRouter final : public Router {
   // on the routing path nor tried, with the link the entry names; falls
   // back to `upstream` under the reroute cap, leaving the link for the
   // launch to look up; an invalid peer when the packet must be dropped.
+  // Reads the routing path through the stamp, so only ProcessEpisode's
+  // pass may call it.
   [[nodiscard]] Neighbor SelectNextHop(const Episode& episode,
                                        std::uint32_t index,
                                        NodeId upstream) const;
+  // Stamps `packet`'s routing path for one pass's membership tests.
+  void StampRoutingPath(const Packet& packet);
+  [[nodiscard]] bool OnStampedPath(NodeId node) const {
+    return path_stamp_[node.underlying()] == path_pass_;
+  }
   // Like TablesFor but returns nullptr when the subscriber is unknown —
   // e.g. it unsubscribed (churn) while this packet was in flight.
   [[nodiscard]] const DestinationTables* FindTables(TopicId topic,
@@ -284,6 +291,12 @@ class DcrdRouter final : public Router {
   std::vector<NodeId> group_scratch_;
   Packet send_scratch_;
   std::vector<SlotHandle> sweep_scratch_;
+  // Routing-path membership for the pass in progress, one entry per
+  // broker: a broker is on the episode's path iff its entry equals
+  // path_pass_. A pass stamps the path once instead of scanning it per
+  // candidate hop.
+  std::vector<std::uint32_t> path_stamp_;
+  std::uint32_t path_pass_ = 0;
   // Persistency-mode state: retry attempts per (node, message, subscriber).
   std::map<std::tuple<NodeId, std::uint64_t, NodeId>, int> persisted_;
   SolveStats solve_stats_;

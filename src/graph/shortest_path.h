@@ -1,5 +1,5 @@
-// Shortest-path machinery used by every router: one Dijkstra skeleton,
-// three instantiations.
+// Shortest-path machinery used by every router: one Dijkstra skeleton
+// (RunDijkstra), three instantiations, and Yen's spur searches over it.
 //   * ShortestDelayTree  — Dijkstra on (possibly estimated) link delays;
 //                          D-Tree construction and deadline derivation.
 //   * ShortestHopTree    — lexicographic (hop count, delay) Dijkstra;
@@ -13,6 +13,7 @@
 #pragma once
 
 #include <functional>
+#include <queue>
 #include <vector>
 
 #include "common/ids.h"
@@ -43,8 +44,90 @@ struct PathTree {
 
 // Per-link planning delay. Defaults to the graph's ground-truth delay.
 using LinkDelayFn = std::function<SimDuration(LinkId)>;
-// Link admissibility filter (e.g. "exclude these Yen spur edges").
+// Link admissibility filter.
 using LinkFilterFn = std::function<bool(LinkId)>;
+
+// The one Dijkstra skeleton; every shortest-path search instantiates it.
+// Cost must be totally ordered: `delay(link)` is a link's planning delay,
+// `extend(cost, w)` relaxes across a link of delay w, and `admit(link,
+// cost)` sees the cost at the node the link leaves. Equal costs pop in
+// node-id order, so the tree is deterministic.
+//
+// With a valid `stop` the search returns right after popping it. Then only
+// `stop` and the nodes popped before it hold their final distance, parent,
+// parent_link and hops; other entries may be tentative. PathTo(stop) and
+// distance[stop] equal the full tree's: a node's parent is fixed when it is
+// popped, and the pops before stop's happen in the same order either way.
+// An unreachable `stop` runs the search to completion.
+template <typename Cost, typename DelayFn, typename AdmitFn,
+          typename ExtendFn, typename ToDurationFn>
+PathTree RunDijkstra(const Graph& graph, NodeId source, DelayFn delay,
+                     AdmitFn admit, Cost zero, Cost infinity, ExtendFn extend,
+                     ToDurationFn cost_to_duration, NodeId stop = NodeId()) {
+  const std::size_t n = graph.node_count();
+  DCRD_CHECK(source.underlying() < n);
+
+  std::vector<Cost> best(n, infinity);
+  PathTree tree;
+  tree.source = source;
+  tree.distance.assign(n, SimDuration::Max());
+  tree.parent.assign(n, NodeId());
+  tree.parent_link.assign(n, LinkId());
+  tree.hops.assign(n, 0);
+
+  struct QueueEntry {
+    Cost cost;
+    NodeId node;
+    bool operator>(const QueueEntry& other) const {
+      if (cost != other.cost) return cost > other.cost;
+      return node > other.node;  // deterministic tie-break
+    }
+  };
+  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>>
+      queue;
+
+  best[source.underlying()] = zero;
+  queue.push({zero, source});
+  std::vector<bool> done(n, false);
+
+  while (!queue.empty()) {
+    const auto [cost, node] = queue.top();
+    queue.pop();
+    if (done[node.underlying()]) continue;
+    done[node.underlying()] = true;
+    if (node == stop) break;
+
+    for (const Neighbor& nb : graph.neighbors(node)) {
+      if (done[nb.peer.underlying()]) continue;
+      if (!admit(nb.link, cost)) continue;
+      const Cost candidate = extend(cost, delay(nb.link));
+      if (candidate < best[nb.peer.underlying()]) {
+        best[nb.peer.underlying()] = candidate;
+        tree.parent[nb.peer.underlying()] = node;
+        tree.parent_link[nb.peer.underlying()] = nb.link;
+        tree.hops[nb.peer.underlying()] = tree.hops[node.underlying()] + 1;
+        queue.push({candidate, nb.peer});
+      }
+    }
+  }
+
+  for (std::size_t i = 0; i < n; ++i) {
+    if (best[i] != infinity) tree.distance[i] = cost_to_duration(best[i]);
+  }
+  tree.distance[source.underlying()] = SimDuration::Zero();
+  return tree;
+}
+
+// RunDijkstra minimising total delay, over any delay and admit functors
+// (`admit(link, cost)`); ShortestDelayTree is this over std::functions.
+template <typename DelayFn, typename AdmitFn>
+PathTree RunDelayDijkstra(const Graph& graph, NodeId source, DelayFn delay,
+                          AdmitFn admit, NodeId stop = NodeId()) {
+  return RunDijkstra<SimDuration>(
+      graph, source, delay, admit, SimDuration::Zero(), SimDuration::Max(),
+      [](SimDuration cost, SimDuration w) { return cost + w; },
+      [](SimDuration cost) { return cost; }, stop);
+}
 
 // Dijkstra minimising total delay. Deterministic: ties broken by node id.
 PathTree ShortestDelayTree(const Graph& graph, NodeId source,

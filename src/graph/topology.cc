@@ -45,28 +45,58 @@ Graph RandomConnected(std::size_t node_count, std::size_t target_degree,
   // below-target nodes without an existing edge. The candidate pool shrinks
   // monotonically, so this terminates; a small residue of nodes may end one
   // below target when the last below-target nodes are already adjacent.
+  //
+  // The pairs are ranked row-major over the ascending open list: row i
+  // pairs open[i] with each later open node it is not adjacent to. Each
+  // row's pair count is its later open nodes minus its later open
+  // neighbours, so the draw walks to its pair without listing them all.
   std::vector<std::uint32_t> open;  // nodes with degree < target
-  for (std::uint32_t v = 0; v < node_count; ++v) {
-    if (graph.degree(NodeId(v)) < target_degree) open.push_back(v);
-  }
-  while (open.size() >= 2) {
-    // Collect eligible pairs among open nodes; choose uniformly.
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> eligible;
-    for (std::size_t i = 0; i < open.size(); ++i) {
-      for (std::size_t j = i + 1; j < open.size(); ++j) {
-        if (!graph.HasEdge(NodeId(open[i]), NodeId(open[j]))) {
-          eligible.emplace_back(open[i], open[j]);
-        }
-      }
-    }
-    if (eligible.empty()) break;
-    const auto [a, b] =
-        eligible[rng.NextBounded(eligible.size())];
-    graph.AddEdge(NodeId(a), NodeId(b), DrawLinkDelay(rng, range));
+  std::vector<std::ptrdiff_t> position(node_count);  // index in open, or -1
+  std::vector<std::uint64_t> row_pairs;
+  std::vector<char> adjacent(node_count, 0);
+  const auto refresh_open = [&] {
     open.clear();
     for (std::uint32_t v = 0; v < node_count; ++v) {
-      if (graph.degree(NodeId(v)) < target_degree) open.push_back(v);
+      position[v] = -1;
+      if (graph.degree(NodeId(v)) < target_degree) {
+        position[v] = static_cast<std::ptrdiff_t>(open.size());
+        open.push_back(v);
+      }
     }
+  };
+  refresh_open();
+  while (open.size() >= 2) {
+    row_pairs.assign(open.size(), 0);
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < open.size(); ++i) {
+      std::uint64_t later_neighbours = 0;
+      for (const Neighbor& nb : graph.neighbors(NodeId(open[i]))) {
+        if (position[nb.peer.underlying()] > static_cast<std::ptrdiff_t>(i)) {
+          ++later_neighbours;
+        }
+      }
+      row_pairs[i] = open.size() - i - 1 - later_neighbours;
+      total += row_pairs[i];
+    }
+    if (total == 0) break;
+    std::uint64_t pick = rng.NextBounded(total);
+    std::size_t row = 0;
+    while (pick >= row_pairs[row]) pick -= row_pairs[row++];
+    const NodeId a(open[row]);
+    for (const Neighbor& nb : graph.neighbors(a)) {
+      adjacent[nb.peer.underlying()] = 1;
+    }
+    std::size_t column = row + 1;
+    for (;; ++column) {
+      if (adjacent[open[column]]) continue;
+      if (pick == 0) break;
+      --pick;
+    }
+    for (const Neighbor& nb : graph.neighbors(a)) {
+      adjacent[nb.peer.underlying()] = 0;
+    }
+    graph.AddEdge(a, NodeId(open[column]), DrawLinkDelay(rng, range));
+    refresh_open();
   }
 
   DCRD_CHECK(IsConnected(graph));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_set>
 
 namespace dcrd {
 
@@ -32,7 +31,31 @@ std::vector<WeightedPath> YenKShortestPaths(const Graph& graph, NodeId source,
   std::vector<WeightedPath> result;
   if (k == 0) return result;
 
-  const PathTree first_tree = ShortestDelayTree(graph, source, delay);
+  // Every link's planning delay, read once: `delay` is a pure function of
+  // the link, and the spur searches relax each link many times.
+  std::vector<SimDuration> link_delay(graph.edge_count());
+  for (std::size_t i = 0; i < link_delay.size(); ++i) {
+    const LinkId link(static_cast<LinkId::underlying_type>(i));
+    link_delay[i] = delay ? delay(link) : graph.edge(link).delay;
+  }
+  const auto delay_of = [&link_delay](LinkId link) {
+    return link_delay[link.underlying()];
+  };
+
+  // A spur search's bans, set before it and cleared after it; none are
+  // set outside one.
+  std::vector<char> banned_link(graph.edge_count(), 0);
+  std::vector<char> banned_node(graph.node_count(), 0);
+  const auto admit = [&](LinkId link, SimDuration /*cost*/) {
+    if (banned_link[link.underlying()]) return false;
+    const EdgeSpec& edge = graph.edge(link);
+    return !banned_node[edge.a.underlying()] &&
+           !banned_node[edge.b.underlying()];
+  };
+
+  // Every search stops once it pops `dest`: only dest's path is read.
+  const PathTree first_tree =
+      RunDelayDijkstra(graph, source, delay_of, admit, dest);
   if (!first_tree.Reachable(dest)) return result;
   result.push_back(MakePath(first_tree, dest));
 
@@ -47,38 +70,36 @@ std::vector<WeightedPath> YenKShortestPaths(const Graph& graph, NodeId source,
          ++spur_index) {
       const NodeId spur_node = previous.nodes[spur_index];
       if (spur_index > 0) {
-        const LinkId root_link = previous.links[spur_index - 1];
-        root_delay += delay ? delay(root_link) : graph.edge(root_link).delay;
+        root_delay += delay_of(previous.links[spur_index - 1]);
       }
 
       // Links to ban: the edge each already-found path with the same prefix
       // takes out of the spur node.
-      std::unordered_set<LinkId::underlying_type> banned_links;
       for (const WeightedPath& found : result) {
         if (found.nodes.size() > spur_index &&
             std::equal(previous.nodes.begin(),
                        previous.nodes.begin() +
                            static_cast<std::ptrdiff_t>(spur_index + 1),
                        found.nodes.begin())) {
-          banned_links.insert(found.links[spur_index].underlying());
+          banned_link[found.links[spur_index].underlying()] = 1;
         }
       }
       // Nodes on the root path (except the spur node) must not reappear —
       // this is what keeps paths loopless.
-      std::unordered_set<NodeId::underlying_type> banned_nodes;
       for (std::size_t i = 0; i < spur_index; ++i) {
-        banned_nodes.insert(previous.nodes[i].underlying());
+        banned_node[previous.nodes[i].underlying()] = 1;
       }
 
-      const auto admit = [&](LinkId link) {
-        if (banned_links.contains(link.underlying())) return false;
-        const EdgeSpec& edge = graph.edge(link);
-        return !banned_nodes.contains(edge.a.underlying()) &&
-               !banned_nodes.contains(edge.b.underlying());
-      };
-
       const PathTree spur_tree =
-          ShortestDelayTree(graph, spur_node, delay, admit);
+          RunDelayDijkstra(graph, spur_node, delay_of, admit, dest);
+
+      // Every banned link leaves the spur node.
+      for (const Neighbor& nb : graph.neighbors(spur_node)) {
+        banned_link[nb.link.underlying()] = 0;
+      }
+      for (std::size_t i = 0; i < spur_index; ++i) {
+        banned_node[previous.nodes[i].underlying()] = 0;
+      }
       if (!spur_tree.Reachable(dest)) continue;
 
       WeightedPath total = MakePath(spur_tree, dest);

@@ -26,7 +26,8 @@ struct WeightedPath {
 // Up to `k` loopless source->dest paths in nondecreasing delay order (fewer
 // if the graph does not contain k distinct paths). Deterministic for a given
 // graph. `delay` overrides ground-truth link delays when planning on
-// monitored estimates.
+// monitored estimates; it is read once per link per call, so it must be a
+// pure function of the link.
 std::vector<WeightedPath> YenKShortestPaths(const Graph& graph, NodeId source,
                                             NodeId dest, std::size_t k,
                                             const LinkDelayFn& delay = nullptr);

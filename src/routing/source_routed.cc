@@ -1,7 +1,7 @@
 #include "routing/source_routed.h"
 
 #include <algorithm>
-#include <map>
+#include <tuple>
 
 namespace dcrd {
 
@@ -37,7 +37,7 @@ void SourceRoutedRouter::Publish(const Message& message) {
 
   // Group subscribers by (first hop, tag) and launch one copy per group.
   const NodeId origin = message.publisher;
-  std::map<std::pair<NodeId, std::uint8_t>, std::vector<NodeId>> groups;
+  hops_scratch_.clear();
   for (const Route& route : it_routes.routes) {
     if (route.nodes.size() < 2) {
       // Subscriber co-located with the publisher: immediate delivery.
@@ -46,18 +46,41 @@ void SourceRoutedRouter::Publish(const Message& message) {
       continue;
     }
     DCRD_CHECK(route.nodes.front() == origin);
-    groups[{route.nodes[1], route.tag}].push_back(route.subscriber);
+    hops_scratch_.push_back(Hop{route.nodes[1], route.tag, route.subscriber});
   }
-  for (auto& [key, subscribers] : groups) {
-    const auto [next, tag] = key;
-    Packet packet(message, std::move(subscribers));
-    packet.set_flow_label(tag);
-    packet.RecordOnPath(origin);
-    const auto link = graph().FindEdge(origin, next);
-    DCRD_CHECK(link.has_value()) << "route uses missing edge " << origin
-                                 << "-" << next;
+  SendGroups(origin, message, /*arrived=*/nullptr);
+}
+
+void SourceRoutedRouter::SendGroups(NodeId at, const Message& message,
+                                    const Packet* arrived) {
+  // Sorting whole hops keeps each group's subscribers ascending, the order
+  // a packet stores its destinations in.
+  std::sort(hops_scratch_.begin(), hops_scratch_.end(),
+            [](const Hop& a, const Hop& b) {
+              return std::tie(a.next, a.tag, a.subscriber) <
+                     std::tie(b.next, b.tag, b.subscriber);
+            });
+  for (std::size_t begin = 0; begin < hops_scratch_.size();) {
+    const NodeId next = hops_scratch_[begin].next;
+    const std::uint8_t tag = hops_scratch_[begin].tag;
+    group_scratch_.clear();
+    for (; begin < hops_scratch_.size() && hops_scratch_[begin].next == next &&
+           hops_scratch_[begin].tag == tag;
+         ++begin) {
+      group_scratch_.push_back(hops_scratch_[begin].subscriber);
+    }
+    if (arrived == nullptr) {
+      send_scratch_.Assign(message, group_scratch_);
+      send_scratch_.set_flow_label(tag);
+    } else {
+      send_scratch_.AssignNarrowed(*arrived, group_scratch_);
+    }
+    send_scratch_.RecordOnPath(at);
+    const auto link = graph().FindEdge(at, next);
+    DCRD_CHECK(link.has_value())
+        << "route uses missing edge " << at << "-" << next;
     const SimDuration timeout = context_.AckTimeout(view().alpha(*link));
-    transport_.SendReliable(origin, *link, std::move(packet),
+    transport_.SendReliable(at, *link, std::move(send_scratch_),
                             context_.max_transmissions, timeout,
                             /*done=*/nullptr);
   }
@@ -90,37 +113,19 @@ NodeId SourceRoutedRouter::NextHop(const Message& message, NodeId at,
 }
 
 void SourceRoutedRouter::OnArrival(NodeId at, const Packet& packet) {
-  std::vector<NodeId> remaining;
+  hops_scratch_.clear();
   for (NodeId subscriber : packet.destinations()) {
     if (subscriber == at) {
       context_.sink->OnDelivered(packet.message(), subscriber,
                                  context_.network->scheduler().now());
-    } else {
-      remaining.push_back(subscriber);
+      continue;
     }
-  }
-  if (!remaining.empty()) ForwardGroups(at, packet, remaining);
-}
-
-void SourceRoutedRouter::ForwardGroups(NodeId at, const Packet& packet,
-                                       const std::vector<NodeId>& remaining) {
-  std::map<NodeId, std::vector<NodeId>> groups;
-  for (NodeId subscriber : remaining) {
     const NodeId next =
         NextHop(packet.message(), at, subscriber, packet.flow_label());
     if (!next.valid()) continue;  // purged route: abandon, as on a real node
-    groups[next].push_back(subscriber);
+    hops_scratch_.push_back(Hop{next, packet.flow_label(), subscriber});
   }
-  for (auto& [next, subscribers] : groups) {
-    Packet copy = packet.WithDestinations(std::move(subscribers));
-    copy.RecordOnPath(at);
-    const auto link = graph().FindEdge(at, next);
-    DCRD_CHECK(link.has_value());
-    const SimDuration timeout = context_.AckTimeout(view().alpha(*link));
-    transport_.SendReliable(at, *link, std::move(copy),
-                            context_.max_transmissions, timeout,
-                            /*done=*/nullptr);
-  }
+  SendGroups(at, packet.message(), &packet);
 }
 
 void SourceRoutedRouter::PurgeStaleRoutes() {

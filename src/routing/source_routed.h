@@ -73,13 +73,24 @@ class SourceRoutedRouter : public Router {
     std::vector<Route> routes;
   };
 
+  // One subscriber's next hop out of the current broker; subscribers that
+  // share (next, tag) share a copy.
+  struct Hop {
+    NodeId next;
+    std::uint8_t tag = 0;
+    NodeId subscriber;
+  };
+
   void OnArrival(NodeId at, const Packet& packet);
   // Next hop for `subscriber` after node `at` on the tagged route of
   // `message`; invalid NodeId when unknown (purged cache / broken route).
   [[nodiscard]] NodeId NextHop(const Message& message, NodeId at,
                                NodeId subscriber, std::uint8_t tag) const;
-  void ForwardGroups(NodeId at, const Packet& packet,
-                     const std::vector<NodeId>& remaining);
+  // Sends one copy from `at` per (next, tag) group of hops_scratch_, in
+  // ascending (next, tag) order. With `arrived` null a copy is a fresh
+  // packet of `message` carrying its group's tag; otherwise it is
+  // *arrived narrowed to the group.
+  void SendGroups(NodeId at, const Message& message, const Packet* arrived);
   void PurgeStaleRoutes();
 
   RouterContext context_;
@@ -87,6 +98,12 @@ class SourceRoutedRouter : public Router {
   HopTransport transport_;
   std::unordered_map<std::uint64_t, CachedRoutes> route_cache_;
   std::deque<std::uint64_t> cache_order_;
+  // Member scratch for the per-hop paths, capacity kept across calls: the
+  // hops being grouped, one group's subscribers, and the copy being sent
+  // (the transport hands back its slot's previous buffers).
+  std::vector<Hop> hops_scratch_;
+  std::vector<NodeId> group_scratch_;
+  Packet send_scratch_;
   // Routes older than this are unreachable in practice (deadlines are tens
   // to hundreds of ms); purging keeps multi-hour runs at constant memory.
   SimDuration cache_ttl_ = SimDuration::Seconds(120);

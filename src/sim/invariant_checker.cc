@@ -87,11 +87,11 @@ void SimInvariantChecker::OnCopyArrival(std::uint64_t copy_id, NodeId at,
   // violation.
   if (handed_up) {
     const SimTime now = network_.scheduler().now();
-    const auto [it, inserted] = handed_up_.try_emplace(copy_id, HandUp{at, now});
+    const auto [last, inserted] = handed_up_.TryEmplace(copy_id);
     if (!inserted) {
       const BrokerCrashSchedule& crashes = network_.crashes();
-      const bool excused = crashes.enabled() && at == it->second.node &&
-                           crashes.DownDuring(at, it->second.time, now);
+      const bool excused = crashes.enabled() && at == last->node &&
+                           crashes.DownDuring(at, last->time, now);
       if (excused) {
         ++crash_excused_duplicates_;
       } else {
@@ -101,8 +101,8 @@ void SimInvariantChecker::OnCopyArrival(std::uint64_t copy_id, NodeId at,
            << ") with no broker crash to explain it";
         Record(os.str());
       }
-      it->second = HandUp{at, now};
     }
+    *last = HandUp{at, now};
   }
 }
 

@@ -46,6 +46,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/dense_map.h"
 #include "net/overlay_network.h"
 #include "pubsub/publisher.h"
 #include "pubsub/subscriptions.h"
@@ -147,7 +148,7 @@ class SimInvariantChecker final : public DeliverySink,
     NodeId node;
     SimTime time;
   };
-  std::unordered_map<std::uint64_t, HandUp> handed_up_;
+  DenseIdMap<HandUp> handed_up_;
   // (message id << 16 | subscriber) -> pair record. Subscriber ids are
   // dense and << 2^16 in every scenario; checked at insert.
   std::unordered_map<std::uint64_t, PublishedPair> pairs_;

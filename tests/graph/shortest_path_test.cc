@@ -142,6 +142,51 @@ TEST(ShortestPathTest, MatchesBruteForceOnRandomGraphs) {
   }
 }
 
+TEST(RunDijkstraTest, StopNodeMatchesFullTree) {
+  // Odd seeds use equal 10 ms delays, where equal costs are common, so the
+  // tie-breaks up to the stop node must match too.
+  const DelayRange ranges[] = {
+      {}, {SimDuration::Millis(10), SimDuration::Millis(10)}};
+  for (const std::size_t nodes : {10, 40, 160}) {
+    for (const std::size_t degree : {3, 5, 8}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Rng rng(seed);
+        const Graph graph =
+            RandomConnected(nodes, degree, rng, ranges[seed % 2]);
+        // Random bans, tested the way Yen's spur searches test theirs.
+        std::vector<char> banned_link(graph.edge_count());
+        std::vector<char> banned_node(nodes);
+        for (char& ban : banned_link) ban = rng.NextBernoulli(0.2) ? 1 : 0;
+        for (char& ban : banned_node) ban = rng.NextBernoulli(0.1) ? 1 : 0;
+        const auto admit = [&](LinkId link, SimDuration /*cost*/) {
+          if (banned_link[link.underlying()]) return false;
+          const EdgeSpec& edge = graph.edge(link);
+          return !banned_node[edge.a.underlying()] &&
+                 !banned_node[edge.b.underlying()];
+        };
+        const auto delay = [&graph](LinkId link) {
+          return graph.edge(link).delay;
+        };
+        const NodeId source(static_cast<NodeId::underlying_type>(seed));
+        const PathTree full = RunDelayDijkstra(graph, source, delay, admit);
+        for (std::size_t v = 0; v < nodes; ++v) {
+          const NodeId stop(static_cast<NodeId::underlying_type>(v));
+          const PathTree stopped =
+              RunDelayDijkstra(graph, source, delay, admit, stop);
+          SCOPED_TRACE(testing::Message() << "n=" << nodes << " degree="
+                                          << degree << " seed=" << seed
+                                          << " stop=" << v);
+          ASSERT_EQ(stopped.Reachable(stop), full.Reachable(stop));
+          EXPECT_EQ(stopped.PathTo(stop), full.PathTo(stop));
+          EXPECT_EQ(stopped.LinksTo(stop), full.LinksTo(stop));
+          EXPECT_EQ(stopped.distance[v], full.distance[v]);
+          EXPECT_EQ(stopped.hops[v], full.hops[v]);
+        }
+      }
+    }
+  }
+}
+
 TEST(TimeAwareShortestPathTest, NoFailuresMatchesPlainDijkstra) {
   const Graph graph = Diamond();
   const auto always_up = [](LinkId, SimTime) { return true; };

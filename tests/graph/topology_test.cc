@@ -1,11 +1,53 @@
 #include "graph/topology.h"
 
+#include <numeric>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "graph/connectivity.h"
 
 namespace dcrd {
 namespace {
+
+// RandomConnected as it was before it counted eligible pairs per row: each
+// added edge lists every eligible open pair and draws one. The reference
+// the counting generator must reproduce edge for edge and draw for draw.
+Graph ReferenceRandomConnected(std::size_t node_count,
+                               std::size_t target_degree, Rng& rng) {
+  const DelayRange range;
+  Graph graph(node_count);
+  std::vector<std::uint32_t> order(node_count);
+  std::iota(order.begin(), order.end(), 0U);
+  rng.Shuffle(order);
+  for (std::size_t i = 0; i < node_count; ++i) {
+    graph.AddEdge(NodeId(order[i]), NodeId(order[(i + 1) % node_count]),
+                  DrawLinkDelay(rng, range));
+  }
+  std::vector<std::uint32_t> open;
+  for (std::uint32_t v = 0; v < node_count; ++v) {
+    if (graph.degree(NodeId(v)) < target_degree) open.push_back(v);
+  }
+  while (open.size() >= 2) {
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> eligible;
+    for (std::size_t i = 0; i < open.size(); ++i) {
+      for (std::size_t j = i + 1; j < open.size(); ++j) {
+        if (!graph.HasEdge(NodeId(open[i]), NodeId(open[j]))) {
+          eligible.emplace_back(open[i], open[j]);
+        }
+      }
+    }
+    if (eligible.empty()) break;
+    const auto [a, b] = eligible[rng.NextBounded(eligible.size())];
+    graph.AddEdge(NodeId(a), NodeId(b), DrawLinkDelay(rng, range));
+    open.clear();
+    for (std::uint32_t v = 0; v < node_count; ++v) {
+      if (graph.degree(NodeId(v)) < target_degree) open.push_back(v);
+    }
+  }
+  return graph;
+}
 
 TEST(FullMeshTest, EveryPairConnected) {
   Rng rng(1);
@@ -94,6 +136,31 @@ TEST(RandomConnectedTest, LargeNetworkSizes) {
     const Graph graph = RandomConnected(n, 8, rng);
     EXPECT_TRUE(IsConnected(graph));
     EXPECT_EQ(graph.node_count(), n);
+  }
+}
+
+TEST(RandomConnectedTest, MatchesEnumeratingReference) {
+  for (const std::size_t nodes : {10, 20, 40, 100, 160, 400}) {
+    for (const std::size_t degree : {3, 5, 8}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(testing::Message() << "n=" << nodes << " degree="
+                                        << degree << " seed=" << seed);
+        Rng rng(seed), reference_rng(seed);
+        const Graph graph = RandomConnected(nodes, degree, rng);
+        const Graph reference =
+            ReferenceRandomConnected(nodes, degree, reference_rng);
+        ASSERT_EQ(graph.edge_count(), reference.edge_count());
+        for (std::size_t e = 0; e < graph.edge_count(); ++e) {
+          const EdgeSpec& got = graph.edges()[e];
+          const EdgeSpec& want = reference.edges()[e];
+          EXPECT_EQ(got.a, want.a) << "edge " << e;
+          EXPECT_EQ(got.b, want.b) << "edge " << e;
+          EXPECT_EQ(got.delay, want.delay) << "edge " << e;
+        }
+        // Both consumed the same draws.
+        EXPECT_EQ(rng(), reference_rng());
+      }
+    }
   }
 }
 

@@ -103,6 +103,82 @@ TEST(InvariantCheckerTest, DoubleHandUpOfOneCopyIsAViolation) {
   EXPECT_NE(checker.violations()[0].find("twice"), std::string::npos);
 }
 
+// Three instants around a crash of `node`: up at t0, down in the next
+// epoch, up again at t1 and through that epoch to t2. The first such
+// window among the schedule's epoch starts from zero.
+struct CrashWindow {
+  SimTime t0, t1, t2;
+};
+
+std::optional<CrashWindow> FindCrashWindow(const BrokerCrashSchedule& crashes,
+                                           NodeId node) {
+  const SimDuration epoch = crashes.epoch();
+  const auto start = [&](int e) { return SimTime::Zero() + epoch * e; };
+  for (int e = 0; e < 10'000; ++e) {
+    if (!crashes.Up(node, start(e)) || crashes.Up(node, start(e + 1))) {
+      continue;
+    }
+    for (int r = e + 2; r < e + 1'000; ++r) {
+      if (!crashes.Up(node, start(r))) continue;
+      return CrashWindow{start(e), start(r),
+                         start(r) + SimDuration::Micros(epoch.micros() / 2)};
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(InvariantCheckerTest, CrashExcusesARepeatHandUpAtTheSameNodeOnly) {
+  Graph graph = Line(3, SimDuration::Millis(10));
+  Scheduler scheduler;
+  const BrokerCrashSchedule crashes(7, SimDuration::Seconds(30),
+                                    SimDuration::Seconds(5));
+  OverlayNetwork network(graph, scheduler, FailureSchedule(1, 0.0),
+                         OverlayNetworkConfig{}, Rng(1),
+                         NodeFailureSchedule(), GrayFailureSchedule(),
+                         crashes);
+  SubscriptionTable subscriptions;
+  subscriptions.AddTopic(NodeId(0));
+  subscriptions.AddSubscription(TopicId(0), NodeId(2),
+                                SimDuration::Millis(100));
+  MetricsCollector metrics(subscriptions);
+  SimInvariantChecker checker(network, subscriptions, metrics);
+  const NodeId crashed(1);
+  const auto window = FindCrashWindow(crashes, crashed);
+  ASSERT_TRUE(window.has_value());
+  ASSERT_TRUE(crashes.DownDuring(crashed, window->t0, window->t1));
+  ASSERT_FALSE(crashes.DownDuring(crashed, window->t1, window->t2));
+
+  Packet packet(TestMessage(), {NodeId(2)});
+  packet.RecordOnPath(NodeId(0));
+  scheduler.RunUntil(window->t0);
+  checker.OnCopyArrival(5, crashed, NodeId(0), packet, /*handed_up=*/true);
+  checker.OnCopyArrival(6, crashed, NodeId(0), packet, /*handed_up=*/true);
+  EXPECT_EQ(checker.violation_count(), 0U);
+
+  // Copy 5 again at the broker that crashed in between: its dedup window
+  // died with the crash, so the repeat is excused.
+  scheduler.RunUntil(window->t1);
+  checker.OnCopyArrival(5, crashed, NodeId(0), packet, /*handed_up=*/true);
+  EXPECT_EQ(checker.crash_excused_duplicates(), 1U);
+  EXPECT_EQ(checker.violation_count(), 0U);
+
+  // Copy 6 again at another broker: that crash explains nothing there.
+  checker.OnCopyArrival(6, NodeId(2), crashed, packet, /*handed_up=*/true);
+  EXPECT_EQ(checker.crash_excused_duplicates(), 1U);
+  EXPECT_EQ(checker.violation_count(), 1U);
+
+  // A third hand-up of copy 5 is judged against the second one (t1), not
+  // the first: the broker stayed up since t1, so this is a violation.
+  scheduler.RunUntil(window->t2);
+  checker.OnCopyArrival(5, crashed, NodeId(0), packet, /*handed_up=*/true);
+  EXPECT_EQ(checker.crash_excused_duplicates(), 1U);
+  EXPECT_EQ(checker.violation_count(), 2U);
+  ASSERT_EQ(checker.violations().size(), 2U);
+  for (const std::string& violation : checker.violations()) {
+    EXPECT_NE(violation.find("handed up twice"), std::string::npos);
+  }
+}
+
 TEST(InvariantCheckerTest, ConservationHoldsAfterRealTraffic) {
   Fixture f;
   SimInvariantChecker checker(f.network, f.subscriptions, f.metrics);
