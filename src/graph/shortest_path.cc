@@ -27,12 +27,8 @@ std::vector<LinkId> PathTree::LinksTo(NodeId v) const {
 
 namespace {
 
-// A cost-blind admit over `filter`; a null filter admits every link.
-auto FilterAdmit(const LinkFilterFn& filter) {
-  return [&filter](LinkId link, const auto& /*cost*/) {
-    return !filter || filter(link);
-  };
-}
+// Admits every link.
+constexpr auto kAdmitAll = [](LinkId, const auto& /*cost*/) { return true; };
 
 // `delay` when set, else the graph's ground-truth delay.
 auto PlanningDelay(const Graph& graph, const LinkDelayFn& delay) {
@@ -44,20 +40,18 @@ auto PlanningDelay(const Graph& graph, const LinkDelayFn& delay) {
 }  // namespace
 
 PathTree ShortestDelayTree(const Graph& graph, NodeId source,
-                           const LinkDelayFn& delay,
-                           const LinkFilterFn& admit) {
+                           const LinkDelayFn& delay) {
   return RunDelayDijkstra(graph, source, PlanningDelay(graph, delay),
-                          FilterAdmit(admit));
+                          kAdmitAll);
 }
 
 PathTree ShortestHopTree(const Graph& graph, NodeId source,
-                         const LinkDelayFn& delay, const LinkFilterFn& admit) {
+                         const LinkDelayFn& delay) {
   using Cost = std::pair<std::uint32_t, SimDuration>;  // (hops, delay)
   const Cost zero{0, SimDuration::Zero()};
   const Cost infinity{UINT32_MAX, SimDuration::Max()};
   return RunDijkstra<Cost>(
-      graph, source, PlanningDelay(graph, delay), FilterAdmit(admit), zero,
-      infinity,
+      graph, source, PlanningDelay(graph, delay), kAdmitAll, zero, infinity,
       [](Cost cost, SimDuration w) {
         return Cost{cost.first + 1, cost.second + w};
       },

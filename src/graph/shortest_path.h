@@ -44,7 +44,7 @@ struct PathTree {
 
 // Per-link planning delay. Defaults to the graph's ground-truth delay.
 using LinkDelayFn = std::function<SimDuration(LinkId)>;
-// Link admissibility filter.
+// Link admissibility filter (connectivity.h).
 using LinkFilterFn = std::function<bool(LinkId)>;
 
 // The one Dijkstra skeleton; every shortest-path search instantiates it.
@@ -119,7 +119,7 @@ PathTree RunDijkstra(const Graph& graph, NodeId source, DelayFn delay,
 }
 
 // RunDijkstra minimising total delay, over any delay and admit functors
-// (`admit(link, cost)`); ShortestDelayTree is this over std::functions.
+// (`admit(link, cost)`); ShortestDelayTree is this over every link.
 template <typename DelayFn, typename AdmitFn>
 PathTree RunDelayDijkstra(const Graph& graph, NodeId source, DelayFn delay,
                           AdmitFn admit, NodeId stop = NodeId()) {
@@ -131,15 +131,13 @@ PathTree RunDelayDijkstra(const Graph& graph, NodeId source, DelayFn delay,
 
 // Dijkstra minimising total delay. Deterministic: ties broken by node id.
 PathTree ShortestDelayTree(const Graph& graph, NodeId source,
-                           const LinkDelayFn& delay = nullptr,
-                           const LinkFilterFn& admit = nullptr);
+                           const LinkDelayFn& delay = nullptr);
 
 // Dijkstra minimising (hop count, then delay) lexicographically. Produces
 // the paper's R-Tree: minimum-hop paths, delay as the deterministic
 // tie-break.
 PathTree ShortestHopTree(const Graph& graph, NodeId source,
-                         const LinkDelayFn& delay = nullptr,
-                         const LinkFilterFn& admit = nullptr);
+                         const LinkDelayFn& delay = nullptr);
 
 // Whether a link can be *entered* at absolute time `t` (the transmission
 // will then occupy it for the link delay).

@@ -75,20 +75,11 @@ class Packet {
     return *(it - 1);
   }
 
-  // Derives the packet a broker actually sends: same message and path,
-  // destination set narrowed to the subscribers the chosen next hop covers.
-  [[nodiscard]] Packet WithDestinations(std::vector<NodeId> dests) const {
-    Packet out = *this;
-    out.destinations_ = std::move(dests);
-    std::sort(out.destinations_.begin(), out.destinations_.end());
-    return out;
-  }
-
-  // In-place forms of the constructor and of WithDestinations: they
-  // overwrite every field but keep this packet's buffer capacity, so a
-  // recycled packet (a pooled episode's base, a send scratch) takes new
-  // contents without allocating once its buffers are large enough.
-  // `destinations` must not alias this packet's own buffers.
+  // In-place builders that overwrite every field but keep this packet's
+  // buffer capacity, so a recycled packet (a pooled episode's base, a send
+  // scratch) takes new contents without allocating once its buffers are
+  // large enough. `destinations` must not alias this packet's own buffers.
+  // Assign is the constructor's in-place form.
   void Assign(const Message& msg, std::span<const NodeId> destinations) {
     message_ = msg;
     destinations_.assign(destinations.begin(), destinations.end());
@@ -96,6 +87,9 @@ class Packet {
     routing_path_.clear();
     flow_label_ = 0;
   }
+  // AssignNarrowed derives the packet a broker actually sends: `source`'s
+  // message, path and flow label, its destination set narrowed to the
+  // subscribers the chosen next hop covers.
   void AssignNarrowed(const Packet& source,
                       std::span<const NodeId> destinations) {
     DCRD_CHECK(&source != this);

@@ -28,6 +28,7 @@ void HopTransport::SendReliable(NodeId from, LinkId link, Packet&& packet,
   pending.timer = EventHandle{};
   pending.copy_id = MakeCopyId(from);
   pending.transmissions_made = 0;
+  pending.ack_scheduled = false;
   if (config_.recorder != nullptr) {
     config_.recorder->Record(TraceEventKind::kEnqueue,
                              pending.packet.message().id.value,
@@ -73,6 +74,8 @@ void HopTransport::TransmitOnce(SlotHandle pending_slot) {
   const TraceContext trace{packet_id, copy_id};
   const Resolution res =
       network_.ResolveSend(from, link, TrafficClass::kData, trace);
+  // Landing instant of this transmission's ACK; Max() while none is due.
+  SimTime ack_at = SimTime::Max();
   if (res.delivered) {
     // The copy sent on the wire is snapshotted into the wire slab; the slab
     // owns it so a later SendReliable cannot mutate a packet already in
@@ -100,6 +103,8 @@ void HopTransport::TransmitOnce(SlotHandle pending_slot) {
           ack.at, ack.k1, ack.k2, [this, pending_slot, copy_id, tx_index] {
             HandleAckArrival(pending_slot, copy_id, tx_index);
           });
+      ack_at = ack.at;
+      pending->ack_scheduled = true;
     }
   }
   const SimDuration timeout =
@@ -122,8 +127,17 @@ void HopTransport::TransmitOnce(SlotHandle pending_slot) {
                              config_.adaptive_rto ? 1 : 0,
                              static_cast<std::uint16_t>(tx_index));
   }
-  pending->timer = network_.scheduler().ScheduleAfter(
-      timeout, [this, pending_slot] { HandleTimeout(pending_slot); });
+  // An ACK landing strictly before `expiry` closes the copy before the
+  // timer could fire (whatever closes it sooner cancels the timer too), so
+  // such a timer is never armed. On an equal tick the event keys decide
+  // the order, so a tie keeps the timer.
+  const SimTime expiry = network_.scheduler().now() + timeout;
+  pending->timer =
+      ack_at < expiry
+          ? EventHandle{}
+          : network_.scheduler().ScheduleAt(expiry, [this, pending_slot] {
+              HandleTimeout(pending_slot);
+            });
 }
 
 void HopTransport::HandleTimeout(SlotHandle pending_slot) {
@@ -136,12 +150,15 @@ void HopTransport::HandleTimeout(SlotHandle pending_slot) {
   // Budget exhausted. A badly late ACK may still straggle home — leave a
   // tombstone so it can feed the RTO estimator and have the copy's
   // retransmissions classified as spurious instead of silently dropping
-  // the accounting on the floor.
-  Expired& expired = *expired_.TryEmplace(pending->copy_id).first;
-  expired.from = pending->from;
-  expired.link = pending->link;
-  expired.transmissions_made = pending->transmissions_made;
-  expired.tx_times = pending->tx_times;
+  // the accounting on the floor. A copy none of whose ACKs was scheduled
+  // (a fail-fast, or every ACK lost) is never looked up: no tombstone.
+  if (pending->ack_scheduled) {
+    Expired& expired = *expired_.TryEmplace(pending->copy_id).first;
+    expired.from = pending->from;
+    expired.link = pending->link;
+    expired.transmissions_made = pending->transmissions_made;
+    expired.tx_times = pending->tx_times;
+  }
   if (config_.recorder != nullptr) {
     config_.recorder->Record(
         TraceEventKind::kBudgetExhausted, pending->packet.message().id.value,

@@ -22,25 +22,39 @@
 //    false after the m-th transmission's timeout expires. A data copy can
 //    have been delivered even when done(false) fires (ACK lost) — protocols
 //    must tolerate duplicates, exactly as over a real network.
+//  * Because each ACK's fate and landing instant are known at send time,
+//    a retransmission timer exists only while the ACK can lose the race:
+//    a transmission whose ACK lands strictly before its timeout arms no
+//    timer (the copy is closed before the timer would fire — by that ACK,
+//    an earlier one, a crash or a fail-fast — so it could only be
+//    cancelled; on an equal tick the event keys decide, so a tie keeps
+//    it). Likewise a give-up leaves an ACK tombstone only when one of the
+//    copy's ACKs was scheduled. Both rules are exact: every event that
+//    runs, and every tombstone lookup that hits, is the same as when every
+//    timer is armed and every give-up writes a tombstone.
 //
-// Timer modes:
-//  * Fixed (default, paper parity): every transmission of a copy arms the
-//    caller-supplied `ack_timeout` (2*alpha_hat-style), bit-identical to
-//    the paper's model.
-//  * Adaptive (config.adaptive_rto): timers come from a per-link
+// Timer modes — the timeout a transmission runs under:
+//  * Fixed (default, paper parity): every transmission of a copy runs
+//    under the caller-supplied `ack_timeout` (2*alpha_hat-style),
+//    bit-identical to the paper's model.
+//  * Adaptive (config.adaptive_rto): timeouts come from a per-link
 //    Jacobson/Karels RTO estimator fed by observed ACK round-trips and
 //    seeded from `ack_timeout` until the first sample, with exponential
 //    backoff plus deterministic jitter across the m retransmissions (see
 //    rto_estimator.h). ACKs identify the transmission they answer, so the
 //    transport also counts *spurious* retransmissions — copies retransmitted
 //    although an earlier transmission's ACK was merely late.
+//  In both modes the timeout is computed, and a kTimerArmed trace record
+//  carries it, for every transmission, whether or not a wheel entry is
+//  armed behind it.
 //
 // Storage layout (the hot part): per-copy sender state lives in a pooled
 // slab (slot_map.h) whose handles ride inside the scheduler/network
 // callbacks, in-flight wire payloads live in a second slab so callback
 // captures stay within the inline budget, and the receiver-side dedup
-// generations plus ACK tombstones are open-addressing tables
-// (dense_map.h). A send/ACK round trip therefore performs zero heap
+// generations plus the ACK tombstones of given-up copies with an ACK still
+// in flight are open-addressing tables (dense_map.h). A send/ACK round
+// trip, and a fail-fast send to a dead peer, therefore perform zero heap
 // allocations once the slabs have reached the run's in-flight high-water
 // mark — a property enforced by the allocation-counter regression tests.
 #pragma once
@@ -207,6 +221,11 @@ class HopTransport {
   void SampleBrokerHealth(std::vector<BrokerHealth>& out) const;
 
  private:
+  // Sender state of one copy, from SendReliable until its ACK, give-up,
+  // fail-fast or the sender's crash. `timer` is the current transmission's
+  // retransmission timer, empty when that transmission's ACK beats it (or
+  // the copy fails fast); `ack_scheduled` says whether any transmission's
+  // ACK was scheduled, i.e. whether a give-up needs a tombstone.
   struct Pending {
     NodeId from;
     LinkId link;
@@ -217,14 +236,17 @@ class HopTransport {
     EventHandle timer;
     std::uint64_t copy_id = 0;
     int transmissions_made = 0;
+    bool ack_scheduled = false;
     // Send instant per transmission index; fixed-size so the slab entry
     // never regrows.
     std::array<SimTime, kMaxTransmissionBudget> tx_times{};
   };
 
-  // Accounting stub left behind when a copy's send budget expires before
-  // its ACK returns; lets the straggling ACK still be classified. `from`
-  // is kept because the RTO estimator is keyed per directed link.
+  // Accounting stub left behind when a copy's send budget expires while
+  // one of its ACKs is still in flight; lets the straggling ACK still be
+  // classified. A copy with no ACK scheduled leaves none, since nothing
+  // would ever look it up. `from` is kept because the RTO estimator is
+  // keyed per directed link.
   struct Expired {
     NodeId from;
     LinkId link;
@@ -257,8 +279,9 @@ class HopTransport {
     EventHandle probe_timer;
   };
 
-  // Sends one transmission of the pending copy and arms its ACK timeout;
-  // the timeout (HandleTimeout) calls back here while budget remains.
+  // Sends one transmission of the pending copy and, unless its ACK is
+  // due first, arms its ACK timeout; the timeout (HandleTimeout) calls
+  // back here while budget remains.
   void TransmitOnce(SlotHandle pending_slot);
   void HandleTimeout(SlotHandle pending_slot);
   void HandleDataArrival(SlotHandle wire_slot);

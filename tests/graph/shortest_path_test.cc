@@ -105,8 +105,9 @@ TEST(ShortestPathTest, DelayOverrideChangesRouting) {
 TEST(ShortestPathTest, LinkFilterExcludesEdges) {
   const Graph graph = Diamond();
   const auto link02 = graph.FindEdge(NodeId(0), NodeId(2));
-  const LinkFilterFn admit = [&](LinkId link) { return link != *link02; };
-  const PathTree tree = ShortestDelayTree(graph, NodeId(0), nullptr, admit);
+  const PathTree tree = RunDelayDijkstra(
+      graph, NodeId(0), [&](LinkId link) { return graph.edge(link).delay; },
+      [&](LinkId link, SimDuration) { return link != *link02; });
   EXPECT_EQ(tree.PathTo(NodeId(1)),
             (std::vector<NodeId>{NodeId(0), NodeId(1)}));
   EXPECT_EQ(tree.PathTo(NodeId(2)),

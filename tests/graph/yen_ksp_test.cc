@@ -66,15 +66,19 @@ std::vector<WeightedPath> ReferenceYen(const Graph& graph, NodeId source,
         banned_nodes.insert(previous.nodes[i].underlying());
       }
 
-      const auto admit = [&](LinkId link) {
+      const auto admit = [&](LinkId link, SimDuration) {
         if (banned_links.contains(link.underlying())) return false;
         const EdgeSpec& edge = graph.edge(link);
         return !banned_nodes.contains(edge.a.underlying()) &&
                !banned_nodes.contains(edge.b.underlying());
       };
 
-      const PathTree spur_tree =
-          ShortestDelayTree(graph, spur_node, delay, admit);
+      const PathTree spur_tree = RunDelayDijkstra(
+          graph, spur_node,
+          [&](LinkId link) {
+            return delay ? delay(link) : graph.edge(link).delay;
+          },
+          admit);
       if (!spur_tree.Reachable(dest)) continue;
 
       WeightedPath total = ReferenceMakePath(spur_tree, dest);

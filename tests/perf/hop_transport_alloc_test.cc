@@ -1,10 +1,11 @@
 // Regression tests for the transport's zero-steady-state-allocation
 // property. After the pending/wire slabs and the dedup tables reach the
 // run's high-water mark, a complete send/ACK round trip — including
-// retransmissions, timeout timers, and dedup bookkeeping — must not touch
-// the heap allocator. Packets in the measured region carry empty
-// destination/path vectors so caller-side buffers cannot mask a transport
-// allocation. Everything is seeded, so the test is deterministic.
+// retransmissions, timeout timers, and dedup bookkeeping — and a send that
+// fails fast on a dead peer must not touch the heap allocator. Packets in
+// the measured region carry empty destination/path vectors so caller-side
+// buffers cannot mask a transport allocation. Everything is seeded, so the
+// test is deterministic.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -112,6 +113,47 @@ TEST(HopTransportAllocTest, LossyRetransmissionPathIsAllocationFreeToo) {
       << "lossy round trip allocated " << delta.bytes << " bytes";
   EXPECT_GT(acks, 0u);
   EXPECT_GT(arrivals, 0u);
+  EXPECT_EQ(transport.pending_count(), 0u);
+}
+
+TEST(HopTransportAllocTest, FastFailsOnADeadPeerAreAllocationFree) {
+  // Over a permanently-down link, peer-death detection declares the peer
+  // dead after two give-ups, and every later send fails fast without a
+  // transmission. Such a copy has no ACK in flight, so it leaves no
+  // tombstone: with no dedup-epoch rotation in between, a stream of them
+  // must not grow any table. The probe loop never drains, so each round
+  // runs to a deadline.
+  Fixture f;
+  OverlayNetwork network(f.graph, f.scheduler, FailureSchedule(1, 1.0), 0.0,
+                         Rng(1));
+  HopTransportConfig config;
+  config.peer_death = true;
+  HopTransport transport(network, [](NodeId, const Packet&, NodeId) {},
+                         config);
+  std::uint64_t id = 0;
+  std::uint64_t failures = 0;
+  const auto round = [&] {
+    for (int i = 0; i < 64; ++i) {
+      transport.SendReliable(NodeId(0), f.link, EmptyPacket(++id),
+                             /*max_tx=*/1, SimDuration::Millis(25),
+                             [&failures](bool ok) { failures += ok ? 0 : 1; });
+    }
+    f.scheduler.RunUntil(f.scheduler.now() + SimDuration::Millis(50));
+  };
+  // Warm-up: the first round's copies time out, which declares the peer
+  // dead; the next rounds fail fast and bring the slabs and the wheel to
+  // the round's high-water mark.
+  for (int r = 0; r < 3; ++r) round();
+  ASSERT_FALSE(transport.PeerAlive(NodeId(0), f.link));
+
+  AllocProbe probe;
+  for (int r = 0; r < 100; ++r) round();
+  const auto delta = probe.delta();
+  EXPECT_EQ(delta.allocations, 0u)
+      << "fast-failing sends allocated " << delta.bytes << " bytes";
+  EXPECT_EQ(failures, 64u * 103u);
+  EXPECT_EQ(network.counters(TrafficClass::kData).attempted, 64u);
+  EXPECT_EQ(transport.stats().peer_deaths, 1u);
   EXPECT_EQ(transport.pending_count(), 0u);
 }
 

@@ -65,11 +65,12 @@ TEST(PacketTest, UpstreamUsesFirstOccurrenceAfterRevisit) {
   EXPECT_EQ(packet.routing_path().back(), NodeId(0));
 }
 
-TEST(PacketTest, WithDestinationsKeepsMessageAndPath) {
+TEST(PacketTest, AssignNarrowedKeepsMessageAndPath) {
   Packet packet(TestMessage(), {NodeId(5), NodeId(6)});
   packet.RecordOnPath(NodeId(0));
   packet.set_flow_label(1);
-  const Packet narrowed = packet.WithDestinations({NodeId(6)});
+  Packet narrowed;
+  narrowed.AssignNarrowed(packet, std::vector<NodeId>{NodeId(6)});
   EXPECT_EQ(narrowed.destinations(), (std::vector<NodeId>{NodeId(6)}));
   EXPECT_EQ(narrowed.message().id, MessageId(42));
   EXPECT_EQ(narrowed.routing_path(), packet.routing_path());
@@ -78,9 +79,10 @@ TEST(PacketTest, WithDestinationsKeepsMessageAndPath) {
   EXPECT_EQ(packet.destinations().size(), 2U);
 }
 
-TEST(PacketTest, WithDestinationsSortsNewSet) {
+TEST(PacketTest, AssignNarrowedSortsNewSet) {
   const Packet packet(TestMessage(), {NodeId(1)});
-  const Packet widened = packet.WithDestinations({NodeId(9), NodeId(3)});
+  Packet widened;
+  widened.AssignNarrowed(packet, std::vector<NodeId>{NodeId(9), NodeId(3)});
   EXPECT_EQ(widened.destinations(),
             (std::vector<NodeId>{NodeId(3), NodeId(9)}));
 }
@@ -97,12 +99,18 @@ void ExpectSamePacket(const Packet& a, const Packet& b) {
   EXPECT_EQ(a.destinations(), b.destinations());
 }
 
-TEST(PacketTest, AssignNarrowedEqualsWithDestinations) {
+TEST(PacketTest, AssignNarrowedEqualsConstructedPacket) {
   Packet source(TestMessage(), {NodeId(2), NodeId(9), NodeId(4), NodeId(7)});
   source.RecordOnPath(NodeId(0));
   source.RecordOnPath(NodeId(3));
   source.set_flow_label(5);
   const std::vector<NodeId> group = {NodeId(9), NodeId(2), NodeId(7)};
+  // The same packet built from scratch: the group as its destinations, the
+  // source's path and label.
+  Packet expected(TestMessage(), group);
+  expected.RecordOnPath(NodeId(0));
+  expected.RecordOnPath(NodeId(3));
+  expected.set_flow_label(5);
 
   // A recycled packet: another message, a longer path, another label.
   Message other = TestMessage();
@@ -113,7 +121,7 @@ TEST(PacketTest, AssignNarrowedEqualsWithDestinations) {
   recycled.set_flow_label(2);
 
   recycled.AssignNarrowed(source, group);
-  ExpectSamePacket(recycled, source.WithDestinations(group));
+  ExpectSamePacket(recycled, expected);
   EXPECT_EQ(recycled.destinations(),
             (std::vector<NodeId>{NodeId(2), NodeId(7), NodeId(9)}));
 }

@@ -269,6 +269,57 @@ TEST(HopTransportTest, LateAckCountsSpuriousRetransmission) {
   EXPECT_EQ(stats.pending_copies, 0U);
 }
 
+TEST(HopTransportTest, TimelyAckArmsNoTimer) {
+  // The ACK of every send is resolved with its data leg; on a 20 ms round
+  // trip (ack_delay_factor 1) a 25 ms timeout can only ever be cancelled,
+  // so the send leaves the data leg and the ACK in the queue and no timer.
+  Fixture f;
+  OverlayNetwork network(f.graph, f.scheduler, FailureSchedule(1, 0.0), 0.0,
+                         Rng(1), /*ack_delay_factor=*/1.0);
+  HopTransport transport(network, [](NodeId, const Packet&, NodeId) {});
+  bool acked = false;
+  transport.SendReliable(NodeId(0), f.link, Packet(TestMessage(), {NodeId(1)}),
+                         /*max_tx=*/2, SimDuration::Millis(25),
+                         [&](bool ok) { acked = ok; });
+  EXPECT_EQ(f.scheduler.pending_count(), 2U);
+  f.scheduler.Run();
+  EXPECT_TRUE(acked);
+  EXPECT_EQ(transport.stats().transmissions, 1U);
+
+  // A timeout the ACK can lose to (15 ms), or tie with (20 ms: the event
+  // keys decide, and the timer's sorts first), still arms the timer.
+  for (const int timeout_ms : {15, 20}) {
+    transport.SendReliable(NodeId(0), f.link,
+                           Packet(TestMessage(), {NodeId(1)}),
+                           /*max_tx=*/1, SimDuration::Millis(timeout_ms),
+                           nullptr);
+    EXPECT_EQ(f.scheduler.pending_count(), 3U) << timeout_ms << " ms";
+    f.scheduler.Run();
+  }
+}
+
+TEST(HopTransportTest, AckAfterExpiryStillFeedsTheEstimator) {
+  // One transmission under a 15 ms timeout on a 20 ms round trip: the copy
+  // gives up with its ACK still in flight, and the tombstone it leaves lets
+  // that ACK count as a round-trip sample when it lands.
+  Fixture f;
+  OverlayNetwork network(f.graph, f.scheduler, FailureSchedule(1, 0.0), 0.0,
+                         Rng(1), /*ack_delay_factor=*/1.0);
+  HopTransport transport(network, [](NodeId, const Packet&, NodeId) {});
+  bool done_called = false;
+  bool done_value = true;
+  transport.SendReliable(NodeId(0), f.link, Packet(TestMessage(), {NodeId(1)}),
+                         /*max_tx=*/1, SimDuration::Millis(15), [&](bool ok) {
+                           done_called = true;
+                           done_value = ok;
+                         });
+  f.scheduler.Run();
+  EXPECT_TRUE(done_called);
+  EXPECT_FALSE(done_value);
+  EXPECT_EQ(transport.stats().rtt_samples, 1U);
+  EXPECT_EQ(transport.stats().pending_copies, 0U);
+}
+
 TEST(HopTransportTest, AdaptiveRtoStopsSpuriousRetransmissionsAfterLearning) {
   // Same late-timer situation, adaptive mode: the first copy pays one
   // spurious retransmission, but the RTT sample raises the link's RTO so
