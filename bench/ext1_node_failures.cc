@@ -19,6 +19,7 @@
 int main(int argc, char** argv) {
   const dcrd::Flags flags = dcrd::Flags::Parse(argc, argv);
   const auto scale = dcrd::figures::ParseScale(flags);
+  const std::string csv_dir = flags.GetString("csv", "");
   dcrd::figures::PrintHeader(
       "Ext.1: node failures, 20 nodes, degree 8, link Pf=0.02", scale);
 
@@ -41,6 +42,6 @@ int main(int argc, char** argv) {
       });
 
   dcrd::PrintStandardPanels(std::cout, sweep);
-  dcrd::figures::MaybeSaveCsv(scale, "ext1_node_failures", sweep);
+  dcrd::figures::MaybeSaveCsv(csv_dir, "ext1_node_failures", sweep);
   return 0;
 }

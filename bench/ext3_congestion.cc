@@ -22,6 +22,7 @@
 int main(int argc, char** argv) {
   const dcrd::Flags flags = dcrd::Flags::Parse(argc, argv);
   const auto scale = dcrd::figures::ParseScale(flags);
+  const std::string csv_dir = flags.GetString("csv", "");
   dcrd::figures::PrintHeader(
       "Ext.3: congestion, 20 nodes, degree 5, per-packet link occupancy "
       "10 ms, publish rate swept",
@@ -47,6 +48,6 @@ int main(int argc, char** argv) {
       });
 
   dcrd::PrintStandardPanels(std::cout, sweep);
-  dcrd::figures::MaybeSaveCsv(scale, "ext3_congestion", sweep);
+  dcrd::figures::MaybeSaveCsv(csv_dir, "ext3_congestion", sweep);
   return 0;
 }

@@ -19,6 +19,7 @@
 int main(int argc, char** argv) {
   const dcrd::Flags flags = dcrd::Flags::Parse(argc, argv);
   const auto scale = dcrd::figures::ParseScale(flags);
+  const std::string csv_dir = flags.GetString("csv", "");
   flags.ExitOnUnqueried();
   dcrd::figures::PrintHeader(
       "Ext.5: subscription churn, 20 nodes, degree 8, Pf=0.04, epoch 30s",
@@ -41,6 +42,6 @@ int main(int argc, char** argv) {
       });
 
   dcrd::PrintStandardPanels(std::cout, sweep);
-  dcrd::figures::MaybeSaveCsv(scale, "ext5_churn", sweep);
+  dcrd::figures::MaybeSaveCsv(csv_dir, "ext5_churn", sweep);
   return 0;
 }

@@ -58,6 +58,7 @@ double RetxRate(const dcrd::RunSummary& summary) {
 int main(int argc, char** argv) {
   const dcrd::Flags flags = dcrd::Flags::Parse(argc, argv);
   const auto scale = dcrd::figures::ParseScale(flags);
+  const std::string csv_dir = flags.GetString("csv", "");
   dcrd::figures::PrintHeader(
       "Ext.7: gray failures, 20 nodes, degree 5, link Pf=0.05, m=3", scale);
 
@@ -87,7 +88,7 @@ int main(int argc, char** argv) {
   dcrd::PrintTable(std::cout, sweep, "p99 delay (ms)", P99DelayMs);
   dcrd::PrintTable(std::cout, sweep, "spurious retx per data tx",
                    SpuriousRate);
-  dcrd::figures::MaybeSaveCsv(scale, "ext7_gray_failures", sweep);
+  dcrd::figures::MaybeSaveCsv(csv_dir, "ext7_gray_failures", sweep);
 
   // Panel set 2: DCRD fixed timer vs adaptive RTO under pure delay
   // inflation. No binary outages, no packet loss, no gray loss: nothing is
@@ -127,7 +128,7 @@ int main(int argc, char** argv) {
                 adaptive.delivery_ratio(), P99DelayMs(adaptive),
                 RetxRate(adaptive), SpuriousRate(adaptive));
   }
-  dcrd::figures::MaybeSaveCsv(scale, "ext7_rto_fixed", fixed_sweep);
-  dcrd::figures::MaybeSaveCsv(scale, "ext7_rto_adaptive", adaptive_sweep);
+  dcrd::figures::MaybeSaveCsv(csv_dir, "ext7_rto_fixed", fixed_sweep);
+  dcrd::figures::MaybeSaveCsv(csv_dir, "ext7_rto_adaptive", adaptive_sweep);
   return 0;
 }

@@ -46,6 +46,7 @@ double P99DelayMs(const dcrd::RunSummary& summary) {
 int main(int argc, char** argv) {
   const dcrd::Flags flags = dcrd::Flags::Parse(argc, argv);
   const auto scale = dcrd::figures::ParseScale(flags);
+  const std::string csv_dir = flags.GetString("csv", "");
   dcrd::figures::PrintHeader(
       "Ext.8: broker crash-recovery, 20 nodes, degree 5, MTTR=5s, m=3",
       scale);
@@ -85,7 +86,7 @@ int main(int argc, char** argv) {
   dcrd::PrintTable(std::cout, sweep, "p99 delay (ms)", P99DelayMs);
   dcrd::PrintTable(std::cout, sweep, "mean resync (ms)",
                    [](const dcrd::RunSummary& s) { return s.mean_resync_ms(); });
-  dcrd::figures::MaybeSaveCsv(scale, "ext8_broker_churn", sweep);
+  dcrd::figures::MaybeSaveCsv(csv_dir, "ext8_broker_churn", sweep);
 
   // DCRD crash anatomy: what each MTBF point cost in crashes, killed
   // copies, peer-death verdicts, and crash-excused duplicates.

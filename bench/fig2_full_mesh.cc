@@ -16,6 +16,7 @@
 int main(int argc, char** argv) {
   const dcrd::Flags flags = dcrd::Flags::Parse(argc, argv);
   const auto scale = dcrd::figures::ParseScale(flags);
+  const std::string csv_dir = flags.GetString("csv", "");
   // --m overrides the retransmission budget (paper default 1) so hop
   // retransmissions appear in traces. A full mesh never exhausts a
   // 19-entry sending list, so upstream reroutes cannot occur there;
@@ -46,6 +47,6 @@ int main(int argc, char** argv) {
       });
 
   dcrd::PrintStandardPanels(std::cout, sweep);
-  dcrd::figures::MaybeSaveCsv(scale, "fig2_full_mesh", sweep);
+  dcrd::figures::MaybeSaveCsv(csv_dir, "fig2_full_mesh", sweep);
   return 0;
 }

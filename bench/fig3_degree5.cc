@@ -12,6 +12,7 @@
 int main(int argc, char** argv) {
   const dcrd::Flags flags = dcrd::Flags::Parse(argc, argv);
   const auto scale = dcrd::figures::ParseScale(flags);
+  const std::string csv_dir = flags.GetString("csv", "");
   flags.ExitOnUnqueried();
   dcrd::figures::PrintHeader("Figure 3: 20-node overlay, degree 5", scale);
 
@@ -31,6 +32,6 @@ int main(int argc, char** argv) {
       });
 
   dcrd::PrintStandardPanels(std::cout, sweep);
-  dcrd::figures::MaybeSaveCsv(scale, "fig3_degree5", sweep);
+  dcrd::figures::MaybeSaveCsv(csv_dir, "fig3_degree5", sweep);
   return 0;
 }

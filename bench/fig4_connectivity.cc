@@ -13,6 +13,7 @@
 int main(int argc, char** argv) {
   const dcrd::Flags flags = dcrd::Flags::Parse(argc, argv);
   const auto scale = dcrd::figures::ParseScale(flags);
+  const std::string csv_dir = flags.GetString("csv", "");
   flags.ExitOnUnqueried();
   dcrd::figures::PrintHeader(
       "Figure 4: 20-node overlay, degree swept, Pf=0.06", scale);
@@ -33,6 +34,6 @@ int main(int argc, char** argv) {
       });
 
   dcrd::PrintStandardPanels(std::cout, sweep);
-  dcrd::figures::MaybeSaveCsv(scale, "fig4_connectivity", sweep);
+  dcrd::figures::MaybeSaveCsv(csv_dir, "fig4_connectivity", sweep);
   return 0;
 }

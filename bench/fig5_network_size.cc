@@ -16,6 +16,7 @@
 int main(int argc, char** argv) {
   const dcrd::Flags flags = dcrd::Flags::Parse(argc, argv);
   auto scale = dcrd::figures::ParseScale(flags);
+  const std::string csv_dir = flags.GetString("csv", "");
   if (!flags.Has("seconds") && !flags.GetBool("paper", false)) {
     scale.sim_time = dcrd::SimDuration::Seconds(300);  // N=160 is heavy
   }
@@ -39,6 +40,6 @@ int main(int argc, char** argv) {
       });
 
   dcrd::PrintStandardPanels(std::cout, sweep);
-  dcrd::figures::MaybeSaveCsv(scale, "fig5_network_size", sweep);
+  dcrd::figures::MaybeSaveCsv(csv_dir, "fig5_network_size", sweep);
   return 0;
 }

@@ -16,6 +16,7 @@
 int main(int argc, char** argv) {
   const dcrd::Flags flags = dcrd::Flags::Parse(argc, argv);
   const auto scale = dcrd::figures::ParseScale(flags);
+  const std::string csv_dir = flags.GetString("csv", "");
   flags.ExitOnUnqueried();
   dcrd::figures::PrintHeader(
       "Figure 6: QoS requirement factor, 20 nodes, degree 8, Pf=0.06",
@@ -39,6 +40,6 @@ int main(int argc, char** argv) {
 
   dcrd::PrintTable(std::cout, sweep, "QoS Delivery Ratio",
                    [](const dcrd::RunSummary& s) { return s.qos_ratio(); });
-  dcrd::figures::MaybeSaveCsv(scale, "fig6_qos_requirement", sweep);
+  dcrd::figures::MaybeSaveCsv(csv_dir, "fig6_qos_requirement", sweep);
   return 0;
 }

@@ -32,6 +32,10 @@
 //                    on stderr). Decompose/audit offline with
 //                    tools/dcrd_trace --decompose --audit
 //
+// The binaries that save their sweeps as CSV (MaybeSaveCsv) also read
+// `--csv DIR` themselves; the rest reject it as an unknown flag rather
+// than ignore it.
+//
 // Observability never touches stdout or any RNG stream, so the figure
 // tables stay byte-identical with or without it (determinism_check.sh
 // verifies). Per-cell file names keep parallel sweep workers from writing
@@ -66,7 +70,6 @@ struct FigureScale {
   std::vector<RouterKind> routers = {RouterKind::kDcrd, RouterKind::kRTree,
                                      RouterKind::kDTree, RouterKind::kOracle,
                                      RouterKind::kMultipath};
-  std::string csv_dir;  // when set (--csv DIR), sweeps also land as CSV
   int jobs = 1;         // resolved by ParseScale; 1 only until then
   std::string bench_json;  // when set (--bench_json PATH), append records
   bool trace = false;       // --trace: in-memory flight recorder per cell
@@ -91,7 +94,6 @@ inline FigureScale ParseScale(const Flags& flags) {
   if (flags.Has("routers")) {
     scale.routers = ParseRouters("routers", flags.GetString("routers", ""));
   }
-  scale.csv_dir = flags.GetString("csv", "");
   scale.jobs = ResolveJobCount(static_cast<int>(flags.GetInt("jobs", 0)));
   scale.bench_json = flags.GetString("bench_json", "");
   scale.trace = flags.GetBool("trace", false);
@@ -140,10 +142,11 @@ inline void ApplyObservability(const FigureScale& scale,
   }
 }
 
-inline void MaybeSaveCsv(const FigureScale& scale, const std::string& stem,
+// Saves `sweep` as <csv_dir>/<stem>.csv when `csv_dir` (--csv) is set.
+inline void MaybeSaveCsv(const std::string& csv_dir, const std::string& stem,
                          const SweepResult& sweep) {
-  if (scale.csv_dir.empty()) return;
-  const std::string path = SaveSweepCsv(scale.csv_dir, stem, sweep);
+  if (csv_dir.empty()) return;
+  const std::string path = SaveSweepCsv(csv_dir, stem, sweep);
   if (!path.empty()) std::cerr << "wrote " << path << "\n";
 }
 

@@ -8,6 +8,7 @@
 // has nowhere to go.
 //
 //   ./deadline_explorer [--nodes 12] [--degree 4] [--qos 3.0] [--pf 0.06]
+#include <algorithm>
 #include <iomanip>
 #include <iostream>
 
@@ -56,16 +57,18 @@ int main(int argc, char** argv) {
   const std::vector<double> publisher_dist =
       dcrd::MonitoredDistancesFrom(graph, monitor.view(), publisher);
   dcrd::DrComputationConfig computation;
-  const dcrd::DestinationTables tables = dcrd::ComputeDestinationTables(
-      graph, monitor.view(), subscriber, deadline_us, publisher_dist,
-      computation);
+  dcrd::DrSolver solver(graph, monitor.view(), computation);
+  const dcrd::DestinationTables tables =
+      solver.Solve(subscriber, deadline_us, publisher_dist);
+  const std::vector<double> budgets =
+      dcrd::DeadlineBudgets(deadline_us, publisher_dist, subscriber);
 
   std::cout << "<d,r> converged in " << tables.sweeps_used << " sweeps\n\n";
   for (std::size_t v = 0; v < nodes; ++v) {
     const dcrd::NodeId node(static_cast<dcrd::NodeId::underlying_type>(v));
-    const dcrd::NodeTables& nt = tables.per_node[v];
+    const dcrd::NodeTables nt = tables.per_node[v];
     std::cout << node << "  budget D_XS=" << std::setprecision(4)
-              << tables.budget_us[v] / 1000.0 << "ms  d="
+              << budgets[v] / 1000.0 << "ms  d="
               << (nt.dr.reachable() ? nt.dr.d_us / 1000.0 : -1.0)
               << "ms r=" << nt.dr.r << "\n";
     if (node == subscriber) {
@@ -73,16 +76,27 @@ int main(int argc, char** argv) {
       continue;
     }
     std::cout << "    sending list:";
-    for (const dcrd::ViaEntry& entry : nt.primary) {
+    for (const dcrd::Neighbor& hop : nt.primary) {
+      const dcrd::ViaEntry entry =
+          dcrd::ViaEntryOf(tables.per_node.primary_table(), hop,
+                           monitor.view(), computation.max_transmissions);
       std::cout << "  " << entry.neighbor << "(d/r="
                 << entry.d_via_us / entry.r_via / 1000.0 << ")";
     }
     if (nt.primary.empty()) std::cout << "  <empty>";
-    if (!nt.fallback.empty()) {
-      std::cout << "  | fallback:";
-      for (const dcrd::ViaEntry& entry : nt.fallback) {
-        std::cout << "  " << entry.neighbor;
+    // The fallback walk passes over the primary neighbours; list the rest.
+    std::vector<dcrd::NodeId> fallback;
+    for (const dcrd::Neighbor& hop : nt.fallback) {
+      if (std::none_of(nt.primary.begin(), nt.primary.end(),
+                       [&](const dcrd::Neighbor& p) {
+                         return p.peer == hop.peer;
+                       })) {
+        fallback.push_back(hop.peer);
       }
+    }
+    if (!fallback.empty()) {
+      std::cout << "  | fallback:";
+      for (const dcrd::NodeId peer : fallback) std::cout << "  " << peer;
     }
     std::cout << "\n";
   }

@@ -10,11 +10,18 @@
 # Release build of `git archive HEAD`, made before committing); BUILD is the
 # build tree under test (default: build). Runs, in both:
 #   * fig2-fig8, ext1-ext8 and ablation_dcrd at --reps 1 --seconds 120
-#     --jobs 4: stdout and every --csv file (ext6 writes stdout only);
+#     --jobs 4: stdout, and every --csv file of the ten binaries that write
+#     CSVs (fig7, fig8, ext2, ext4, ext6 and ablation_dcrd write stdout
+#     only and reject --csv);
 #   * fig2 (all five routers) and ext8 with --trace_out, --metrics_json and
 #     --timeseries: stdout and every per-cell file;
+#   * fig2 with --delay_audit: stdout and every per-cell trace and model-row
+#     file (DCRD's rows recompute their list values from the tables);
 #   * dcrdsim --all on a 30-broker overlay with broker crashes, peer-death
-#     detection, the invariant checker and subscription churn: stdout.
+#     detection, the invariant checker and subscription churn: stdout;
+#   * dcrdsim DCRD in distributed (gossip) mode on that overlay for 60
+#     simulated seconds with broker crashes, peer-death detection and the
+#     invariant checker: stdout.
 # Exits 0 when everything matches, 1 naming the first file that differs
 # (the outputs are kept for inspection), 2 on bad usage or a missing
 # binary. A change that deliberately moves figure bytes fails this gate by
@@ -35,10 +42,16 @@ figures="fig2_full_mesh fig3_degree5 fig4_connectivity fig5_network_size
          ext1_node_failures ext2_persistence ext3_congestion ext4_redundancy
          ext5_churn ext6_control_plane ext7_gray_failures ext8_broker_churn
          ablation_dcrd"
+csv_writers="fig2_full_mesh fig3_degree5 fig4_connectivity fig5_network_size
+             fig6_qos_requirement ext1_node_failures ext3_congestion
+             ext5_churn ext7_gray_failures ext8_broker_churn"
 scale=(--reps 1 --seconds 120 --jobs 4)
 dcrdsim_args=(--all --nodes 30 --degree 5 --pf 0.06 --seconds 120
               --broker_mtbf 30 --peer_death --check_invariants --churn 0.2
               --monitor_s 20)
+distributed_args=(--router DCRD --distributed --nodes 30 --degree 5 --pf 0.06
+                  --seconds 60 --broker_mtbf 30 --peer_death
+                  --check_invariants --monitor_s 20)
 
 for dir in "$parent_build" "$build"; do
   for name in $figures; do
@@ -108,11 +121,11 @@ fail_kept() {
 
 for name in $figures; do
   for side in parent change; do
-    if [[ "$name" == ext6_control_plane ]]; then
-      run "$side" "$name" "bench/$name" "${scale[@]}"
-    else
+    if [[ " $(echo $csv_writers) " == *" $name "* ]]; then
       run "$side" "$name" "bench/$name" "${scale[@]}" \
         --csv "$workdir/$side/$name"
+    else
+      run "$side" "$name" "bench/$name" "${scale[@]}"
     fi
   done
   compare "$name"
@@ -128,9 +141,21 @@ for name in fig2_full_mesh ext8_broker_churn; do
   compare "$step"
 done
 
+step=fig2_full_mesh.audited
+for side in parent change; do
+  run "$side" "$step" bench/fig2_full_mesh "${scale[@]}" \
+    --delay_audit "$workdir/$side/$step/aud"
+done
+compare "$step"
+
 for side in parent change; do
   run "$side" dcrdsim examples/dcrdsim "${dcrdsim_args[@]}"
 done
 compare dcrdsim
+
+for side in parent change; do
+  run "$side" dcrdsim.distributed examples/dcrdsim "${distributed_args[@]}"
+done
+compare dcrdsim.distributed
 
 echo "parity_check: passed; every output is byte-identical to $parent_build"

@@ -65,17 +65,19 @@ void DcrdRouter::Rebuild(const MonitoredView& view) {
   subscriber_index_.assign(subs.topic_count() * graph.node_count(),
                            kNoSubscriber);
   // One solver per epoch: it shares the lifted links across every
-  // destination and each subscriber's sweep order and fallback fixed point
-  // across that subscriber's topics.
-  std::optional<DrSolver> solver;
+  // destination and each subscriber's sweep order and unconstrained solve
+  // across that subscriber's topics, and keeps the tables until the next
+  // rebuild replaces it.
+  solver_.reset();
   if (!config_.use_distributed_computation) {
-    solver.emplace(graph, view, config_.computation);
+    solver_.emplace(graph, view, config_.computation);
   }
   for (std::size_t t = 0; t < subs.topic_count(); ++t) {
     const TopicId topic(static_cast<TopicId::underlying_type>(t));
     const NodeId publisher = subs.publisher(topic);
     const std::vector<double> publisher_dist =
         MonitoredDistancesFrom(graph, view, publisher);
+    if (solver_) tables_[t].reserve(subs.subscriptions(topic).size());
     for (const Subscription& sub : subs.subscriptions(topic)) {
       const double deadline_us = static_cast<double>(sub.deadline.micros());
       std::uint32_t& index =
@@ -100,7 +102,7 @@ void DcrdRouter::Rebuild(const MonitoredView& view) {
       } else {
         index = static_cast<std::uint32_t>(tables_[t].size());
         const DestinationTables& tables = tables_[t].emplace_back(
-            solver->Solve(sub.subscriber, deadline_us, publisher_dist));
+            solver_->Solve(sub.subscriber, deadline_us, publisher_dist));
         ++solve_stats_.solves;
         solve_stats_.sweeps += static_cast<std::uint64_t>(tables.sweeps_used);
         if (!tables.converged) ++solve_stats_.unconverged;
@@ -109,30 +111,20 @@ void DcrdRouter::Rebuild(const MonitoredView& view) {
   }
 }
 
-const std::vector<NodeTables>& DcrdRouter::GossipSnapshot(
-    const GossipTables& gossip) const {
+PerNodeTables DcrdRouter::GossipSnapshot(const GossipTables& gossip) const {
   const std::uint64_t version =
       gossip.constrained->version() +
       (gossip.unconstrained ? gossip.unconstrained->version() : 0);
-  if (version == gossip.snapshot_version) return gossip.snapshot;
-  gossip.snapshot = gossip.constrained->Snapshot();
-  if (gossip.unconstrained) {
-    const std::vector<NodeTables> free_tables =
-        gossip.unconstrained->Snapshot();
-    for (std::size_t v = 0; v < gossip.snapshot.size(); ++v) {
-      std::vector<ViaEntry> fallback = free_tables[v].primary;
-      const auto& primary = gossip.snapshot[v].primary;
-      std::erase_if(fallback, [&](const ViaEntry& entry) {
-        return std::any_of(primary.begin(), primary.end(),
-                           [&](const ViaEntry& p) {
-                             return p.neighbor == entry.neighbor;
-                           });
-      });
-      gossip.snapshot[v].fallback = std::move(fallback);
+  if (version != gossip.snapshot_version) {
+    gossip.constrained_snapshot = gossip.constrained->Snapshot();
+    if (gossip.unconstrained) {
+      gossip.unconstrained_snapshot = gossip.unconstrained->Snapshot();
     }
+    gossip.snapshot_version = version;
   }
-  gossip.snapshot_version = version;
-  return gossip.snapshot;
+  return PerNodeTables(
+      &gossip.constrained_snapshot,
+      gossip.unconstrained ? &gossip.unconstrained_snapshot : nullptr);
 }
 
 std::uint32_t DcrdRouter::SubscriberIndex(TopicId topic,
@@ -144,16 +136,16 @@ std::uint32_t DcrdRouter::SubscriberIndex(TopicId topic,
                                          : kNoSubscriber;
 }
 
-const NodeTables* DcrdRouter::GetNodeTables(TopicId topic, NodeId subscriber,
-                                            NodeId node) const {
+std::optional<NodeTables> DcrdRouter::GetNodeTables(TopicId topic,
+                                                    NodeId subscriber,
+                                                    NodeId node) const {
   const std::uint32_t index = SubscriberIndex(topic, subscriber);
-  if (index == kNoSubscriber) return nullptr;
+  if (index == kNoSubscriber) return std::nullopt;
   if (config_.use_distributed_computation) {
-    const std::vector<NodeTables>& snapshot =
-        GossipSnapshot(gossip_[topic.underlying()][index]);
-    return &snapshot[node.underlying()];
+    return GossipSnapshot(gossip_[topic.underlying()][index])
+        [node.underlying()];
   }
-  return &tables_[topic.underlying()][index].per_node[node.underlying()];
+  return tables_[topic.underlying()][index].per_node[node.underlying()];
 }
 
 const DestinationTables* DcrdRouter::FindTables(TopicId topic,
@@ -181,9 +173,9 @@ void DcrdRouter::WriteAuditSnapshot(std::ostream& os, SimTime now) const {
     const TopicId topic(static_cast<TopicId::underlying_type>(t));
     const NodeId publisher = subs.publisher(topic);
     for (const Subscription& sub : subs.subscriptions(topic)) {
-      const NodeTables* tables =
+      const std::optional<NodeTables> tables =
           GetNodeTables(topic, sub.subscriber, publisher);
-      if (tables == nullptr) continue;
+      if (!tables) continue;
       // Self-subscriptions deliver instantly at the publisher and
       // unreachable destinations produce no deliveries to audit; both would
       // only add meaningless rows.
@@ -197,10 +189,25 @@ void DcrdRouter::WriteAuditSnapshot(std::ostream& os, SimTime now) const {
       row.deadline_us = sub.deadline.micros();
       row.d_us = tables->dr.d_us;
       row.r = tables->dr.r;
+      // The list's Eq. 2 values as routing sorted them: the gossip's from
+      // the values the publisher heard, the solver's recomputed from the
+      // table's <d,r>.
       row.list.clear();
-      for (const ViaEntry& entry : tables->primary) {
-        if (!std::isfinite(entry.d_via_us) || entry.r_via <= 0.0) continue;
+      const auto add = [&row](const ViaEntry& entry) {
+        if (!std::isfinite(entry.d_via_us) || entry.r_via <= 0.0) return;
         row.list.push_back(entry);
+      };
+      const std::uint32_t index = SubscriberIndex(topic, sub.subscriber);
+      if (config_.use_distributed_computation) {
+        for (const ViaEntry& entry :
+             gossip_[t][index].constrained->EligibleEntries(publisher)) {
+          add(entry);
+        }
+      } else {
+        const ListTable& table = tables_[t][index].per_node.primary_table();
+        for (const Neighbor& hop : tables->primary) {
+          add(ViaEntryOf(table, hop, *view_, context_.max_transmissions));
+        }
       }
       WriteModelRow(os, row);
     }
@@ -285,12 +292,12 @@ NodeId DcrdRouter::UpstreamOf(const Episode& episode) const {
 Neighbor DcrdRouter::SelectNextHop(const Episode& episode,
                                    std::uint32_t index,
                                    NodeId upstream) const {
-  const NodeTables* tables_ptr =
+  const std::optional<NodeTables> tables =
       GetNodeTables(episode.base.message().topic,
                     episode.base.destinations()[index], episode.node);
   // The subscriber left (churn) while this packet was in flight: nowhere
   // to send — the caller drops the responsibility.
-  if (tables_ptr == nullptr) return Neighbor{};
+  if (!tables) return Neighbor{};
   const auto is_tried = [&](NodeId candidate) {
     return std::find(episode.tried.begin(), episode.tried.end(),
                      std::make_pair(index, candidate)) != episode.tried.end();
@@ -310,18 +317,19 @@ Neighbor DcrdRouter::SelectNextHop(const Episode& episode,
       return n;
     }
   } else {
-    const auto scan = [&](const std::vector<ViaEntry>& list) {
-      for (const ViaEntry& entry : list) {
-        if (OnStampedPath(entry.neighbor)) continue;
-        if (is_tried(entry.neighbor)) continue;
-        return Neighbor{entry.neighbor, entry.link};
+    const auto scan = [&](std::span<const Neighbor> list) {
+      for (const Neighbor& hop : list) {
+        if (OnStampedPath(hop.peer)) continue;
+        if (is_tried(hop.peer)) continue;
+        return hop;
       }
       return Neighbor{};
     };
-    Neighbor choice = scan(tables_ptr->primary);
-    if (!choice.peer.valid() && config_.best_effort_fallback) {
-      choice = scan(tables_ptr->fallback);
-    }
+    // The fallback list (empty without best_effort_fallback) repeats the
+    // primary neighbours; when the primary scan finds nothing, each of
+    // them is on the path or tried, so the second scan passes over them.
+    Neighbor choice = scan(tables->primary);
+    if (!choice.peer.valid()) choice = scan(tables->fallback);
     if (choice.peer.valid()) return choice;
   }
 

@@ -21,13 +21,16 @@
 //    neighbour that just timed out);
 //  * an optional best-effort fallback list used after the deadline-eligible
 //    list is exhausted, so packets that can no longer meet the deadline are
-//    still delivered (the paper's delivery-ratio metric counts them).
+//    still delivered (the paper's delivery-ratio metric counts them). It
+//    is the subscriber's unconstrained list, shared by all its
+//    destinations (dr_computation.h).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <optional>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -97,7 +100,8 @@ class DcrdRouter final : public Router {
   [[nodiscard]] std::string_view name() const override { return "DCRD"; }
 
   // Tables for a (topic, subscriber); CHECK-fails when absent. Tests use
-  // this to assert sending-list structure.
+  // this to assert sending-list structure. The tables view the solver's
+  // arrays, so they are valid until the next Rebuild.
   [[nodiscard]] const DestinationTables& TablesFor(TopicId topic,
                                                    NodeId subscriber) const;
   // Sums of TablesFor's sweeps_used / converged over every rebuild so far;
@@ -224,11 +228,11 @@ class DcrdRouter final : public Router {
   [[nodiscard]] const DestinationTables* FindTables(TopicId topic,
                                                     NodeId subscriber) const;
   // Per-node routing state for (topic, subscriber, node) from whichever
-  // source is active (solver tables or gossip snapshot); nullptr when the
+  // source is active (solver tables or gossip snapshot); nullopt when the
   // subscriber is unknown.
-  [[nodiscard]] const NodeTables* GetNodeTables(TopicId topic,
-                                                NodeId subscriber,
-                                                NodeId node) const;
+  [[nodiscard]] std::optional<NodeTables> GetNodeTables(TopicId topic,
+                                                        NodeId subscriber,
+                                                        NodeId node) const;
   // Index of (topic, subscriber) into tables_[topic] / gossip_[topic], or
   // kNoSubscriber.
   [[nodiscard]] std::uint32_t SubscriberIndex(TopicId topic,
@@ -250,6 +254,9 @@ class DcrdRouter final : public Router {
   HopTransport transport_;
   const MonitoredView* view_ = nullptr;
 
+  // This epoch's solver: it owns the flat tables that tables_ views, one
+  // per subscriber and one per destination that solved.
+  std::optional<DrSolver> solver_;
   // tables_[topic][subscriber index within the topic's subscription list]
   std::vector<std::vector<DestinationTables>> tables_;
   // Dense [topic][node] array: topic * node_count + node -> index into
@@ -258,16 +265,17 @@ class DcrdRouter final : public Router {
   std::vector<std::uint32_t> subscriber_index_;
 
   // Distributed mode: one gossip pair per destination plus a lazily
-  // refreshed snapshot cache (rebuilt only when the protocol's version
-  // moved).
+  // refreshed snapshot cache of each (rebuilt only when the protocols'
+  // versions moved). The unconstrained gossip's lists are the fallback
+  // lists as they stand, like the solver's.
   struct GossipTables {
     std::shared_ptr<DistributedDrComputation> constrained;
     std::shared_ptr<DistributedDrComputation> unconstrained;  // fallback
-    mutable std::vector<NodeTables> snapshot;
+    mutable ListTable constrained_snapshot;
+    mutable ListTable unconstrained_snapshot;
     mutable std::uint64_t snapshot_version = ~0ULL;
   };
-  [[nodiscard]] const std::vector<NodeTables>& GossipSnapshot(
-      const GossipTables& gossip) const;
+  [[nodiscard]] PerNodeTables GossipSnapshot(const GossipTables& gossip) const;
   std::vector<std::vector<GossipTables>> gossip_;
 
   SlotMap<Episode> episodes_;

@@ -43,11 +43,8 @@ std::vector<ViaEntry> DistributedDrComputation::EligibleEntries(
     if (!heard.reachable() || !(heard.d_us < budget_us_[node.underlying()])) {
       continue;
     }
-    const LinkModel single{
-        static_cast<double>(view_.alpha(neighbors[i].link).micros()),
-        view_.gamma(neighbors[i].link)};
     const LinkModel lifted =
-        MTransmissionModel(single, config_.max_transmissions);
+        LiftedLink(view_, neighbors[i].link, config_.max_transmissions);
     if (lifted.gamma <= 0.0) continue;
     eligible.push_back(LiftAcrossLink(neighbors[i].peer, neighbors[i].link,
                                       lifted, heard));
@@ -178,15 +175,25 @@ void DistributedDrComputation::HandleUpdate(NodeId at, NodeId from,
   DCRD_CHECK(false) << "update from non-neighbour " << from << " at " << at;
 }
 
-std::vector<NodeTables> DistributedDrComputation::Snapshot() const {
-  const Graph& graph = network_.graph();
-  std::vector<NodeTables> tables(graph.node_count());
-  for (std::size_t v = 0; v < graph.node_count(); ++v) {
+ListTable DistributedDrComputation::Snapshot() const {
+  const std::size_t n = network_.graph().node_count();
+  ListTable table;
+  table.dr.resize(n);
+  table.begin.reserve(n + 1);
+  for (std::size_t v = 0; v < n; ++v) {
     const NodeId node(static_cast<NodeId::underlying_type>(v));
-    tables[v].dr = node == subscriber_ ? DR{0.0, 1.0} : states_[v].self;
-    if (node != subscriber_) tables[v].primary = EligibleEntries(node);
+    table.begin.push_back(static_cast<std::uint32_t>(table.entries.size()));
+    if (node == subscriber_) {
+      table.dr[v] = DR{0.0, 1.0};
+      continue;
+    }
+    table.dr[v] = states_[v].self;
+    for (const ViaEntry& entry : EligibleEntries(node)) {
+      table.entries.push_back(Neighbor{entry.neighbor, entry.link});
+    }
   }
-  return tables;
+  table.begin.push_back(static_cast<std::uint32_t>(table.entries.size()));
+  return table;
 }
 
 }  // namespace dcrd

@@ -72,9 +72,12 @@ class DistributedDrComputation
   // reconverges without waiting for the next natural change wave.
   void OnNodeRestart(NodeId node);
 
-  // Current (possibly still converging) per-node state. per_node[i].primary
-  // is the sending list Algorithm 1 would install at node i.
-  [[nodiscard]] std::vector<NodeTables> Snapshot() const;
+  // Current (possibly still converging) per-node state: every node's
+  // <d,r> and the sending list Algorithm 1 would install at it.
+  [[nodiscard]] ListTable Snapshot() const;
+  // `node`'s sending list with its Eq. 2 values, lifted from the <d,r> it
+  // last heard from each neighbour (which may trail the neighbour's own).
+  [[nodiscard]] std::vector<ViaEntry> EligibleEntries(NodeId node) const;
 
   // Monotonic change counter: bumps whenever any node's state moves.
   // Callers cache Snapshot() results against it (see DcrdRouter's
@@ -105,7 +108,6 @@ class DistributedDrComputation
   // mismatch with its current generation marks a pre-crash straggler.
   void HandleUpdate(NodeId at, NodeId from, const DR& value,
                     std::uint32_t generation);
-  [[nodiscard]] std::vector<ViaEntry> EligibleEntries(NodeId node) const;
 
   OverlayNetwork& network_;
   NodeId subscriber_;

@@ -8,6 +8,23 @@
 
 namespace dcrd {
 
+namespace {
+
+// DeadlineBudgets into `budgets`, reusing its capacity.
+void AssignBudgets(double deadline_us,
+                   const std::vector<double>& publisher_dist_us,
+                   NodeId subscriber, std::vector<double>& budgets) {
+  DCRD_CHECK(subscriber.underlying() < publisher_dist_us.size());
+  budgets.resize(publisher_dist_us.size());
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
+    budgets[i] = deadline_us - publisher_dist_us[i];
+  }
+  budgets[subscriber.underlying()] =
+      std::max(budgets[subscriber.underlying()], 1.0);
+}
+
+}  // namespace
+
 std::vector<double> MonitoredDistancesFrom(const Graph& graph,
                                            const MonitoredView& view,
                                            NodeId source) {
@@ -26,14 +43,24 @@ std::vector<double> MonitoredDistancesFrom(const Graph& graph,
 std::vector<double> DeadlineBudgets(
     double deadline_us, const std::vector<double>& publisher_dist_us,
     NodeId subscriber) {
-  DCRD_CHECK(subscriber.underlying() < publisher_dist_us.size());
-  std::vector<double> budgets(publisher_dist_us.size());
-  for (std::size_t i = 0; i < budgets.size(); ++i) {
-    budgets[i] = deadline_us - publisher_dist_us[i];
-  }
-  budgets[subscriber.underlying()] =
-      std::max(budgets[subscriber.underlying()], 1.0);
+  std::vector<double> budgets;
+  AssignBudgets(deadline_us, publisher_dist_us, subscriber, budgets);
   return budgets;
+}
+
+LinkModel LiftedLink(const MonitoredView& view, LinkId link,
+                     int max_transmissions) {
+  return MTransmissionModel(
+      LinkModel{static_cast<double>(view.alpha(link).micros()),
+                view.gamma(link)},
+      max_transmissions);
+}
+
+ViaEntry ViaEntryOf(const ListTable& table, Neighbor hop,
+                    const MonitoredView& view, int max_transmissions) {
+  return LiftAcrossLink(hop.peer, hop.link,
+                        LiftedLink(view, hop.link, max_transmissions),
+                        table.dr[hop.peer.underlying()]);
 }
 
 DrSolver::DrSolver(const Graph& graph, const MonitoredView& view,
@@ -47,10 +74,7 @@ DrSolver::DrSolver(const Graph& graph, const MonitoredView& view,
   std::vector<LinkModel> lifted(graph.edge_count());
   for (std::size_t e = 0; e < lifted.size(); ++e) {
     const LinkId link(static_cast<LinkId::underlying_type>(e));
-    lifted[e] = MTransmissionModel(
-        LinkModel{static_cast<double>(view.alpha(link).micros()),
-                  view.gamma(link)},
-        config.max_transmissions);
+    lifted[e] = LiftedLink(view, link, config.max_transmissions);
   }
   std::size_t max_degree = 0;
   arc_begin_.reserve(graph.node_count() + 1);
@@ -66,23 +90,28 @@ DrSolver::DrSolver(const Graph& graph, const MonitoredView& view,
     max_degree = std::max(max_degree, neighbors.size());
   }
   arc_begin_.push_back(static_cast<std::uint32_t>(arcs_.size()));
-  dr_.reserve(graph.node_count());
+  budget_.reserve(graph.node_count());
   eligible_.reserve(max_degree);
+  entries_.reserve(arcs_.size());
 }
 
 // X's eligible entries toward the subscriber from the current dr estimates
 // — neighbours with d_i < budget — lifted across the link (Eq. 2) and
 // sorted under the configured ordering policy (Theorem 1 for DCRD proper).
-void DrSolver::CollectEligible(const std::vector<DR>& dr, std::uint32_t x,
-                               double budget_us) {
+double DrSolver::CollectEligible(const std::vector<DR>& dr, std::uint32_t x,
+                                 double budget_us) {
   eligible_.clear();
+  double farthest = -kInfiniteDelay;
   for (std::uint32_t a = arc_begin_[x]; a < arc_begin_[x + 1]; ++a) {
     const Arc& arc = arcs_[a];
     const DR& dr_i = dr[arc.peer.underlying()];
-    if (!dr_i.reachable() || !(dr_i.d_us < budget_us)) continue;
+    if (!dr_i.reachable()) continue;
+    farthest = std::max(farthest, dr_i.d_us);
+    if (!(dr_i.d_us < budget_us)) continue;
     eligible_.push_back(LiftAcrossLink(arc.peer, arc.link, arc.lifted, dr_i));
   }
   SortByPolicy(eligible_, config_.ordering);
+  return farthest;
 }
 
 // Runs the synchronous Gauss–Seidel sweeps to the <d,r> fixed point under
@@ -90,7 +119,8 @@ void DrSolver::CollectEligible(const std::vector<DR>& dr, std::uint32_t x,
 // point).
 DrSolver::Convergence DrSolver::SolveFixedPoint(
     NodeId subscriber, const std::vector<double>& budget_us,
-    const std::vector<std::uint32_t>& order, std::vector<DR>& dr) {
+    const std::vector<std::uint32_t>& order, std::vector<DR>& dr,
+    std::vector<double>* farthest_read) {
   dr.assign(graph_.node_count(), DR{});
   dr[subscriber.underlying()] = DR{0.0, 1.0};
 
@@ -100,7 +130,10 @@ DrSolver::Convergence DrSolver::SolveFixedPoint(
     double max_delta = 0.0;
     for (std::uint32_t idx : order) {
       if (idx == subscriber.underlying()) continue;
-      CollectEligible(dr, idx, budget_us[idx]);
+      const double farthest = CollectEligible(dr, idx, budget_us[idx]);
+      if (farthest_read != nullptr) {
+        (*farthest_read)[idx] = std::max((*farthest_read)[idx], farthest);
+      }
       const DR updated = CombineOrdered(eligible_);
       const DR previous = dr[idx];
       if (updated.reachable() != previous.reachable()) {
@@ -117,8 +150,29 @@ DrSolver::Convergence DrSolver::SolveFixedPoint(
   return result;
 }
 
-const DrSolver::SubscriberState& DrSolver::PrepareSubscriber(
-    NodeId subscriber) {
+void DrSolver::BuildLists(NodeId subscriber,
+                          const std::vector<double>& budget_us,
+                          ListTable& table,
+                          std::vector<double>* farthest_read) {
+  const std::uint32_t n = static_cast<std::uint32_t>(graph_.node_count());
+  entries_.clear();
+  table.begin.reserve(n + 1);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    table.begin.push_back(static_cast<std::uint32_t>(entries_.size()));
+    if (i == subscriber.underlying()) continue;
+    const double farthest = CollectEligible(table.dr, i, budget_us[i]);
+    if (farthest_read != nullptr) {
+      (*farthest_read)[i] = std::max((*farthest_read)[i], farthest);
+    }
+    for (const ViaEntry& entry : eligible_) {
+      entries_.push_back(Neighbor{entry.neighbor, entry.link});
+    }
+  }
+  table.begin.push_back(static_cast<std::uint32_t>(entries_.size()));
+  table.entries.assign(entries_.begin(), entries_.end());
+}
+
+DrSolver::SubscriberState& DrSolver::PrepareSubscriber(NodeId subscriber) {
   SubscriberState& state = subscribers_[subscriber.underlying()];
   if (state.ready) return state;
   state.ready = true;
@@ -132,13 +186,15 @@ const DrSolver::SubscriberState& DrSolver::PrepareSubscriber(
                    [&](std::uint32_t a, std::uint32_t b) {
                      return to_subscriber[a] < to_subscriber[b];
                    });
-  // Unconstrained fixed point for the best-effort fallback lists. Budget
-  // starvation makes a node advertise r = 0, which would otherwise make it
-  // invisible to its neighbours' fallback lists too — the unconstrained
-  // values restore "can this neighbour deliver at all, however late".
-  if (config_.build_fallback) {
-    SolveFixedPoint(subscriber, unbounded_, state.order, state.unconstrained);
-  }
+  // The unconstrained fixed point: the fallback lists, and every
+  // destination whose budgets never bind. Budget starvation makes a node
+  // advertise r = 0, which would otherwise make it invisible to its
+  // neighbours' fallback lists too — the unconstrained values restore "can
+  // this neighbour deliver at all, however late".
+  state.farthest_read.assign(graph_.node_count(), -kInfiniteDelay);
+  state.convergence = SolveFixedPoint(subscriber, unbounded_, state.order,
+                                      state.table.dr, &state.farthest_read);
+  BuildLists(subscriber, unbounded_, state.table, &state.farthest_read);
   return state;
 }
 
@@ -149,52 +205,34 @@ DestinationTables DrSolver::Solve(
   DCRD_CHECK(subscriber.underlying() < n);
   DCRD_CHECK(publisher_dist_us.size() == n);
   const SubscriberState& shared = PrepareSubscriber(subscriber);
+  AssignBudgets(deadline_us, publisher_dist_us, subscriber, budget_);
 
   DestinationTables tables;
   tables.subscriber = subscriber;
   tables.deadline_us = deadline_us;
-  tables.budget_us =
-      DeadlineBudgets(deadline_us, publisher_dist_us, subscriber);
+  tables.reused = true;
+  for (std::size_t i = 0; i < n && tables.reused; ++i) {
+    const double farthest = shared.farthest_read[i];
+    tables.reused = i == subscriber.underlying() ||
+                    farthest == -kInfiniteDelay || budget_[i] > farthest;
+  }
+  if (tables.reused) {
+    tables.sweeps_used = shared.convergence.sweeps_used;
+    tables.converged = shared.convergence.converged;
+    tables.per_node = PerNodeTables(&shared.table, nullptr);
+    return tables;
+  }
 
   // Budget-constrained fixed point: the paper's <d,r> and sending lists.
+  ListTable& table = solved_.emplace_back();
   const Convergence constrained =
-      SolveFixedPoint(subscriber, tables.budget_us, shared.order, dr_);
+      SolveFixedPoint(subscriber, budget_, shared.order, table.dr, nullptr);
   tables.sweeps_used = constrained.sweeps_used;
   tables.converged = constrained.converged;
-
-  // Final materialisation pass: sending lists from the converged values,
-  // each copied out of the scratch list at its exact size.
-  tables.per_node.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    NodeTables& node = tables.per_node[i];
-    if (i == subscriber.underlying()) {
-      node.dr = DR{0.0, 1.0};
-      continue;
-    }
-    node.dr = dr_[i];
-    CollectEligible(dr_, i, tables.budget_us[i]);
-    node.primary.assign(eligible_.begin(), eligible_.end());
-    if (config_.build_fallback) {
-      CollectEligible(shared.unconstrained, i, kInfiniteDelay);
-      // Drop neighbours the primary list already covers.
-      std::erase_if(eligible_, [&](const ViaEntry& entry) {
-        return std::any_of(node.primary.begin(), node.primary.end(),
-                           [&](const ViaEntry& p) {
-                             return p.neighbor == entry.neighbor;
-                           });
-      });
-      node.fallback.assign(eligible_.begin(), eligible_.end());
-    }
-  }
+  BuildLists(subscriber, budget_, table, nullptr);
+  tables.per_node = PerNodeTables(
+      &table, config_.build_fallback ? &shared.table : nullptr);
   return tables;
-}
-
-DestinationTables ComputeDestinationTables(
-    const Graph& graph, const MonitoredView& view, NodeId subscriber,
-    double deadline_us, const std::vector<double>& publisher_dist_us,
-    const DrComputationConfig& config) {
-  return DrSolver(graph, view, config)
-      .Solve(subscriber, deadline_us, publisher_dist_us);
 }
 
 }  // namespace dcrd

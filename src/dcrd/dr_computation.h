@@ -12,11 +12,14 @@
 //
 // Eligibility (Sec. III-C): neighbour i enters X's sending list toward S
 // only if d_i < D_XS, with D_XS = D_PS - (monitored shortest delay P->X).
-// The optional *fallback list* holds the remaining finite-<d,r> neighbours,
-// Theorem-1 sorted; the router walks it only after the primary list is
-// exhausted so that packets which can no longer meet the deadline are still
-// delivered (the paper's "delivery ratio" counts late packets, so DCRD must
-// keep forwarding past deadline-infeasible states). Fallback entries never
+// The optional *fallback list* is the subscriber's unconstrained
+// (budget-free) list, Theorem-1 sorted; the router walks it only after the
+// primary list is exhausted so that packets which can no longer meet the
+// deadline are still delivered (the paper's "delivery ratio" counts late
+// packets, so DCRD must keep forwarding past deadline-infeasible states).
+// It repeats the primary neighbours, but once the primary scan found
+// nothing each of them is on the routing path or already tried, so the
+// walk picks what the list without them would. Fallback entries never
 // contribute to the advertised <d_X, r_X>.
 //
 // One rebuild solves every (topic, subscriber) destination against the same
@@ -26,17 +29,36 @@
 //    model depends only on the view and m), kept beside the adjacency it
 //    is read with;
 //  * per subscriber — the sweep order (a Dijkstra from S) and the
-//    unconstrained fixed point behind the fallback lists, which depend on
-//    (subscriber, view, m, ordering) but not on the publisher or deadline;
+//    unconstrained fixed point and lists, which depend on (subscriber,
+//    view, m, ordering) but not on the publisher or deadline;
 //  * per node evaluation — one reused scratch list, sorted in place.
 // Each shared value is computed by exactly the arithmetic the per-destination
 // recomputation used, and sweeps visit nodes in the same order, so the
 // tables are bit-identical to solving every destination from scratch.
-// Once a subscriber's shared state exists, a solve allocates only the
-// tables it returns, however many sweeps it runs.
+//
+// Reuse. While it runs a subscriber's unconstrained fixed point, the solver
+// records for every node the largest finite neighbour d the node reads, in
+// any sweep and in the final list pass. A budget D_XS strictly above that
+// value never excludes anything the node reads, so if that holds at every
+// node other than S (or the node never read a reachable neighbour), the
+// constrained run repeats the unconstrained one step for step: the
+// destination takes the subscriber's <d,r>, lists, sweep count and
+// convergence flag without sweeping, and has no fallback (the subscriber's
+// list is its primary list). The rule must cover every iterate, not just
+// the final values: a budget that excludes a neighbour only while the
+// sweeps pass through a larger d changes the trajectory.
+//
+// Storage. A table (ListTable) holds one <d,r> per node and every node's
+// sending list flat, as (neighbour, link) pairs in sending order; the Eq. 2
+// values a list was sorted by are not stored but recomputed on demand
+// (ViaEntryOf) by the same arithmetic. A solver keeps one table per
+// subscriber and one per destination that solved, and hands out views
+// (DestinationTables) into them.
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -50,26 +72,89 @@ struct DrComputationConfig {
   int max_transmissions = 1;  // paper parameter m
   int max_sweeps = 64;
   double tolerance_us = 0.5;
+  // Whether destinations expose the subscriber's list as their fallback.
   bool build_fallback = true;
   // Sending-list order; kTheorem1 is DCRD, the others are ablations.
   OrderingPolicy ordering = OrderingPolicy::kTheorem1;
 };
 
-// Per-node routing state toward one subscriber.
+// Every node's <d,r> and sending list toward one subscriber, stored flat:
+// node x's list is entries[begin[x] .. begin[x + 1]), in sending order. The
+// subscriber's own entry is <0,1> with an empty list.
+struct ListTable {
+  std::vector<DR> dr;
+  std::vector<std::uint32_t> begin;  // node_count + 1 offsets
+  std::vector<Neighbor> entries;
+
+  [[nodiscard]] std::span<const Neighbor> list(std::size_t x) const {
+    return {entries.data() + begin[x], entries.data() + begin[x + 1]};
+  }
+};
+
+// One node's routing state toward one subscriber, viewed in place.
 struct NodeTables {
-  DR dr;                           // <d_X, r_X>
-  std::vector<ViaEntry> primary;   // the sending list (Theorem-1 order)
-  std::vector<ViaEntry> fallback;  // best-effort extension (Theorem-1 order)
+  DR dr;                               // <d_X, r_X>
+  std::span<const Neighbor> primary;   // the sending list (Theorem-1 order)
+  std::span<const Neighbor> fallback;  // walked after primary (see above)
+};
+
+// A destination's NodeTables by node id, read from its primary table (the
+// <d,r> and primary lists) and its fallback table (none: empty fallbacks).
+// Builds nothing: indexing or iterating yields NodeTables by value.
+class PerNodeTables {
+ public:
+  // Enough of an iterator for range-for.
+  class Iterator {
+   public:
+    Iterator(const PerNodeTables* tables, std::size_t x)
+        : tables_(tables), x_(x) {}
+    NodeTables operator*() const { return (*tables_)[x_]; }
+    Iterator& operator++() {
+      ++x_;
+      return *this;
+    }
+    friend bool operator==(const Iterator& a, const Iterator& b) {
+      return a.x_ == b.x_;
+    }
+
+   private:
+    const PerNodeTables* tables_;
+    std::size_t x_;
+  };
+
+  PerNodeTables() = default;
+  PerNodeTables(const ListTable* primary, const ListTable* fallback)
+      : primary_(primary), fallback_(fallback) {}
+
+  [[nodiscard]] std::size_t size() const {
+    return primary_ == nullptr ? 0 : primary_->dr.size();
+  }
+  [[nodiscard]] NodeTables operator[](std::size_t x) const {
+    return NodeTables{primary_->dr[x], primary_->list(x),
+                      fallback_ == nullptr ? std::span<const Neighbor>()
+                                           : fallback_->list(x)};
+  }
+  [[nodiscard]] Iterator begin() const { return Iterator(this, 0); }
+  [[nodiscard]] Iterator end() const { return Iterator(this, size()); }
+  [[nodiscard]] const ListTable& primary_table() const { return *primary_; }
+  // The subscriber's table behind the fallback lists; nullptr when none.
+  [[nodiscard]] const ListTable* fallback_table() const { return fallback_; }
+
+ private:
+  const ListTable* primary_ = nullptr;
+  const ListTable* fallback_ = nullptr;
 };
 
 // All per-node state for one (publisher, subscriber, deadline) destination.
 struct DestinationTables {
   NodeId subscriber;
-  double deadline_us = 0.0;             // D_PS
-  std::vector<double> budget_us;        // D_XS per node (-inf if P can't reach X)
-  std::vector<NodeTables> per_node;
+  double deadline_us = 0.0;  // D_PS
   int sweeps_used = 0;
   bool converged = false;
+  // Took the subscriber's unconstrained solve (see "Reuse" above): its
+  // primary table is the subscriber's and it has no fallback.
+  bool reused = false;
+  PerNodeTables per_node;
 };
 
 // Per-node delay budgets D_XS = D_PS - dist(P, X) (Sec. III-C), where
@@ -80,18 +165,34 @@ std::vector<double> DeadlineBudgets(
     double deadline_us, const std::vector<double>& publisher_dist_us,
     NodeId subscriber);
 
+// Eq. 1 for one link under the monitored view: the m-transmission model
+// every <d,r> computation lifts neighbours across.
+LinkModel LiftedLink(const MonitoredView& view, LinkId link,
+                     int max_transmissions);
+
+// The Eq. 2 entry behind `hop` in one of `table`'s lists: the neighbour's
+// <d,r> in that table lifted across the link, bit for bit the values the
+// list was sorted by (given the view and m the table was solved with).
+ViaEntry ViaEntryOf(const ListTable& table, Neighbor hop,
+                    const MonitoredView& view, int max_transmissions);
+
 // The <d,r> solver for one monitored view: construct it once per rebuild
 // and Solve each destination. Holds references to `graph` and `view`,
-// which must outlive it.
+// which must outlive it, and owns every table it hands out.
 class DrSolver {
  public:
   DrSolver(const Graph& graph, const MonitoredView& view,
            const DrComputationConfig& config);
+  // Views into the solver's tables would dangle in a copy.
+  DrSolver(const DrSolver&) = delete;
+  DrSolver& operator=(const DrSolver&) = delete;
 
   // Tables toward `subscriber` under deadline D_PS = `deadline_us`;
   // `publisher_dist_us[x]` is the monitored shortest delay from the
   // publisher to x (infinity when unreachable) — the caller computes it
-  // once per topic and shares it across that topic's subscribers.
+  // once per topic and shares it across that topic's subscribers. The
+  // returned view stays valid, and unchanged, until the solver is
+  // destroyed.
   DestinationTables Solve(NodeId subscriber, double deadline_us,
                           const std::vector<double>& publisher_dist_us);
 
@@ -102,26 +203,38 @@ class DrSolver {
     LinkId link;
     LinkModel lifted;
   };
-  // What a subscriber's destinations share (see the header comment).
-  struct SubscriberState {
-    bool ready = false;
-    std::vector<std::uint32_t> order;  // sweep order, closest to S first
-    std::vector<DR> unconstrained;     // budget-free fixed point (fallback)
-  };
   struct Convergence {
     int sweeps_used = 0;
     bool converged = false;
   };
+  // What a subscriber's destinations share (see the header comment).
+  struct SubscriberState {
+    bool ready = false;
+    std::vector<std::uint32_t> order;  // sweep order, closest to S first
+    ListTable table;                   // unconstrained fixed point and lists
+    // Per node, the largest finite neighbour d read while solving `table`;
+    // -infinity when the node never read a reachable neighbour.
+    std::vector<double> farthest_read;
+    Convergence convergence;
+  };
 
-  const SubscriberState& PrepareSubscriber(NodeId subscriber);
-  // Fills eligible_ with x's sending-list entries under `budget_us`.
-  void CollectEligible(const std::vector<DR>& dr, std::uint32_t x,
-                       double budget_us);
-  // Gauss–Seidel sweeps from scratch into `dr` under per-node budgets.
+  SubscriberState& PrepareSubscriber(NodeId subscriber);
+  // Fills eligible_ with x's sending-list entries under `budget_us` and
+  // returns the largest d among x's reachable neighbours (-infinity when
+  // none).
+  double CollectEligible(const std::vector<DR>& dr, std::uint32_t x,
+                         double budget_us);
+  // Gauss–Seidel sweeps from scratch into `dr` under per-node budgets,
+  // raising `farthest_read` (when given) to every node's largest read.
   Convergence SolveFixedPoint(NodeId subscriber,
                               const std::vector<double>& budget_us,
                               const std::vector<std::uint32_t>& order,
-                              std::vector<DR>& dr);
+                              std::vector<DR>& dr,
+                              std::vector<double>* farthest_read);
+  // The final list pass: every node's list from `table.dr` under the
+  // budgets, stored flat at exact size.
+  void BuildLists(NodeId subscriber, const std::vector<double>& budget_us,
+                  ListTable& table, std::vector<double>* farthest_read);
 
   const Graph& graph_;
   const MonitoredView& view_;
@@ -130,16 +243,13 @@ class DrSolver {
   std::vector<Arc> arcs_;                 // usable (gamma^(m) > 0) only
   std::vector<double> unbounded_;         // +infinity budget per node
   std::vector<SubscriberState> subscribers_;  // by node id, filled lazily
-  std::vector<DR> dr_;                    // constrained fixed point
-  std::vector<ViaEntry> eligible_;        // one node's list under build
+  // One table per destination that solved; a deque keeps every table at
+  // its address while more are added, so the views stay valid.
+  std::deque<ListTable> solved_;
+  std::vector<double> budget_;        // D_XS of the destination being solved
+  std::vector<ViaEntry> eligible_;    // one node's list under build
+  std::vector<Neighbor> entries_;     // a table's lists under build
 };
-
-// One destination solved by a fresh DrSolver (same tables as
-// DrSolver::Solve); for callers that need a single destination.
-DestinationTables ComputeDestinationTables(
-    const Graph& graph, const MonitoredView& view, NodeId subscriber,
-    double deadline_us, const std::vector<double>& publisher_dist_us,
-    const DrComputationConfig& config);
 
 // Monitored shortest delay from `source` to every node, in microseconds
 // (infinity when unreachable) — the helper for both D_XS budgets and sweep

@@ -6,6 +6,7 @@
 
 #include "dcrd/distributed_dr.h"
 #include "graph/topology.h"
+#include "support/solved_destination.h"
 
 namespace dcrd {
 namespace {
@@ -22,7 +23,7 @@ MonitoredView PerfectView(const Graph& graph, double gamma = 1.0) {
 }
 
 struct ProtocolRun {
-  std::vector<NodeTables> tables;
+  ListTable tables;
   std::uint64_t updates_sent = 0;
   SimTime converged_at;
 };
@@ -57,9 +58,9 @@ TEST(DistributedDrTest, LineGraphConvergesToExactValues) {
   const MonitoredView view = PerfectView(graph);
   const ProtocolRun run =
       RunProtocol(graph, view, NodeId(3), 1e9, NodeId(0));
-  EXPECT_NEAR(run.tables[0].dr.d_us, 30'000.0, 1.0);
-  EXPECT_NEAR(run.tables[2].dr.d_us, 10'000.0, 1.0);
-  EXPECT_DOUBLE_EQ(run.tables[0].dr.r, 1.0);
+  EXPECT_NEAR(run.tables.dr[0].d_us, 30'000.0, 1.0);
+  EXPECT_NEAR(run.tables.dr[2].d_us, 10'000.0, 1.0);
+  EXPECT_DOUBLE_EQ(run.tables.dr[0].r, 1.0);
 }
 
 TEST(DistributedDrTest, MatchesCentralizedSolverOnRandomOverlays) {
@@ -76,11 +77,13 @@ TEST(DistributedDrTest, MatchesCentralizedSolverOnRandomOverlays) {
     DrComputationConfig central_config;
     central_config.max_sweeps = 256;
     central_config.tolerance_us = 0.01;
-    const auto central = ComputeDestinationTables(
-        graph, view, subscriber, deadline_us, dist, central_config);
+    const test::SolvedDestination central_solve(graph, view, subscriber,
+                                                deadline_us, dist,
+                                                central_config);
+    const DestinationTables& central = central_solve.tables;
 
     for (std::size_t v = 0; v < graph.node_count(); ++v) {
-      const DR& gossip = run.tables[v].dr;
+      const DR& gossip = run.tables.dr[v];
       const DR& solver = central.per_node[v].dr;
       ASSERT_EQ(gossip.reachable(), solver.reachable())
           << "seed " << seed << " node " << v;
@@ -90,11 +93,11 @@ TEST(DistributedDrTest, MatchesCentralizedSolverOnRandomOverlays) {
       EXPECT_NEAR(gossip.r, solver.r, 1e-4)
           << "seed " << seed << " node " << v;
       // And the resulting sending lists agree entry by entry.
-      const auto& gossip_list = run.tables[v].primary;
-      const auto& solver_list = central.per_node[v].primary;
+      const auto gossip_list = run.tables.list(v);
+      const auto solver_list = central.per_node[v].primary;
       ASSERT_EQ(gossip_list.size(), solver_list.size());
       for (std::size_t k = 0; k < gossip_list.size(); ++k) {
-        EXPECT_EQ(gossip_list[k].neighbor, solver_list[k].neighbor);
+        EXPECT_EQ(gossip_list[k].peer, solver_list[k].peer);
       }
     }
   }
@@ -147,8 +150,8 @@ TEST(DistributedDrTest, LostUpdatesLeaveStaleStateWithoutAntiEntropy) {
                                            with_repair);
   std::size_t lossy_reachable = 0, repaired_reachable = 0;
   for (std::size_t v = 0; v < graph.node_count(); ++v) {
-    lossy_reachable += lossy.tables[v].dr.reachable() ? 1 : 0;
-    repaired_reachable += repaired.tables[v].dr.reachable() ? 1 : 0;
+    lossy_reachable += lossy.tables.dr[v].reachable() ? 1 : 0;
+    repaired_reachable += repaired.tables.dr[v].reachable() ? 1 : 0;
   }
   EXPECT_GE(repaired_reachable, lossy_reachable);
   EXPECT_EQ(repaired_reachable, graph.node_count());
@@ -163,10 +166,11 @@ TEST(DistributedDrTest, BudgetFilteringAppliesInFlight) {
   const double deadline_us = 25'000.0;
   const ProtocolRun run =
       RunProtocol(graph, view, NodeId(3), deadline_us, NodeId(0));
-  const auto central = ComputeDestinationTables(graph, view, NodeId(3),
-                                                deadline_us, dist, {});
+  const test::SolvedDestination central_solve(graph, view, NodeId(3),
+                                              deadline_us, dist);
+  const DestinationTables& central = central_solve.tables;
   for (std::size_t v = 0; v < graph.node_count(); ++v) {
-    EXPECT_EQ(run.tables[v].primary.size(),
+    EXPECT_EQ(run.tables.list(v).size(),
               central.per_node[v].primary.size())
         << "node " << v;
   }

@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "graph/topology.h"
 #include "net/failure_schedule.h"
+#include "support/solved_destination.h"
 
 namespace dcrd {
 namespace {
@@ -36,8 +37,8 @@ TEST(DrComputationTest, LineGraphReliableLinks) {
   const Graph graph = Line(4, SimDuration::Millis(10));
   const MonitoredView view = PerfectView(graph);
   const auto dist = MonitoredDistancesFrom(graph, view, NodeId(0));
-  const auto tables = ComputeDestinationTables(graph, view, NodeId(3),
-                                               1e9, dist, {});
+  const test::SolvedDestination tables_solve(graph, view, NodeId(3), 1e9, dist);
+  const DestinationTables& tables = tables_solve.tables;
   EXPECT_TRUE(tables.converged);
   EXPECT_DOUBLE_EQ(tables.per_node[3].dr.d_us, 0.0);
   EXPECT_DOUBLE_EQ(tables.per_node[3].dr.r, 1.0);
@@ -50,8 +51,8 @@ TEST(DrComputationTest, SubscriberSeedIsZeroOne) {
   const Graph graph = Line(3, SimDuration::Millis(10));
   const MonitoredView view = PerfectView(graph);
   const auto dist = MonitoredDistancesFrom(graph, view, NodeId(0));
-  const auto tables = ComputeDestinationTables(graph, view, NodeId(2),
-                                               1e9, dist, {});
+  const test::SolvedDestination tables_solve(graph, view, NodeId(2), 1e9, dist);
+  const DestinationTables& tables = tables_solve.tables;
   EXPECT_EQ(tables.per_node[2].dr, (DR{0.0, 1.0}));
   EXPECT_TRUE(tables.per_node[2].primary.empty());
 }
@@ -61,13 +62,16 @@ TEST(DrComputationTest, SendingListSortedByTheorem1) {
   const Graph graph = RandomConnected(12, 5, rng);
   const MonitoredView view = PerfectView(graph, 0.9);
   const auto dist = MonitoredDistancesFrom(graph, view, NodeId(0));
-  const auto tables = ComputeDestinationTables(graph, view, NodeId(11),
-                                               1e9, dist, {});
+  const test::SolvedDestination tables_solve(graph, view, NodeId(11), 1e9,
+                                             dist);
+  const DestinationTables& tables = tables_solve.tables;
+  const ListTable& table = tables.per_node.primary_table();
   for (std::size_t v = 0; v < graph.node_count(); ++v) {
-    const auto& list = tables.per_node[v].primary;
+    const auto list = tables.per_node[v].primary;
     for (std::size_t k = 0; k + 1 < list.size(); ++k) {
-      EXPECT_LE(list[k].d_via_us * list[k + 1].r_via,
-                list[k + 1].d_via_us * list[k].r_via + 1e-6)
+      const ViaEntry a = ViaEntryOf(table, list[k], view, 1);
+      const ViaEntry b = ViaEntryOf(table, list[k + 1], view, 1);
+      EXPECT_LE(a.d_via_us * b.r_via, b.d_via_us * a.r_via + 1e-6)
           << "node " << v << " entry " << k;
     }
   }
@@ -76,21 +80,24 @@ TEST(DrComputationTest, SendingListSortedByTheorem1) {
 TEST(DrComputationTest, EligibilityFiltersOnBudget) {
   // Line 0-1-2-3, subscriber 3. Node 1's neighbours are 0 (d=inf via? no:
   // d_0 is finite but large) and 2 (d=10ms). With budget(1) = 15ms the
-  // entry via node 0 (d_0 = 30ms > 15ms) is excluded from the primary list
-  // and lands on the fallback list.
+  // entry via node 0 (d_0 = 30ms > 15ms) is excluded from the primary list;
+  // the fallback list is the subscriber's unconstrained list, which holds
+  // both, so the walk past the primary list reaches node 0.
   const Graph graph = Line(4, SimDuration::Millis(10));
   const MonitoredView view = PerfectView(graph);
   std::vector<double> publisher_dist = {0.0, 10'000.0, 20'000.0, 30'000.0};
   const double deadline = 25'000.0;  // budget(1) = 15ms, budget(2) = 5ms
   DrComputationConfig config;
-  const auto tables = ComputeDestinationTables(graph, view, NodeId(3),
-                                               deadline, publisher_dist,
-                                               config);
-  const auto& node1 = tables.per_node[1];
+  const test::SolvedDestination tables_solve(graph, view, NodeId(3), deadline,
+                                             publisher_dist, config);
+  const DestinationTables& tables = tables_solve.tables;
+  EXPECT_FALSE(tables.reused);
+  const NodeTables node1 = tables.per_node[1];
   ASSERT_EQ(node1.primary.size(), 1U);
-  EXPECT_EQ(node1.primary[0].neighbor, NodeId(2));
-  ASSERT_EQ(node1.fallback.size(), 1U);
-  EXPECT_EQ(node1.fallback[0].neighbor, NodeId(0));
+  EXPECT_EQ(node1.primary[0].peer, NodeId(2));
+  ASSERT_EQ(node1.fallback.size(), 2U);
+  EXPECT_EQ(node1.fallback[0].peer, NodeId(2));
+  EXPECT_EQ(node1.fallback[1].peer, NodeId(0));
 }
 
 TEST(DrComputationTest, FallbackDisabledLeavesListEmpty) {
@@ -99,9 +106,9 @@ TEST(DrComputationTest, FallbackDisabledLeavesListEmpty) {
   std::vector<double> publisher_dist = {0.0, 10'000.0, 20'000.0, 30'000.0};
   DrComputationConfig config;
   config.build_fallback = false;
-  const auto tables = ComputeDestinationTables(graph, view, NodeId(3),
-                                               25'000.0, publisher_dist,
-                                               config);
+  const test::SolvedDestination tables_solve(graph, view, NodeId(3), 25'000.0,
+                                             publisher_dist, config);
+  const DestinationTables& tables = tables_solve.tables;
   EXPECT_TRUE(tables.per_node[1].fallback.empty());
 }
 
@@ -111,9 +118,9 @@ TEST(DrComputationTest, UnreachableBudgetKillsList) {
   const Graph graph = Line(3, SimDuration::Millis(10));
   const MonitoredView view = PerfectView(graph);
   std::vector<double> publisher_dist = {0.0, 10'000.0, 20'000.0};
-  const auto tables = ComputeDestinationTables(graph, view, NodeId(2),
-                                               /*deadline=*/1.0,
-                                               publisher_dist, {});
+  const test::SolvedDestination tables_solve(graph, view, NodeId(2),
+                                             /*deadline=*/1.0, publisher_dist);
+  const DestinationTables& tables = tables_solve.tables;
   EXPECT_FALSE(tables.per_node[0].dr.reachable());
   EXPECT_TRUE(tables.per_node[0].primary.empty());
 }
@@ -129,8 +136,8 @@ TEST(DrComputationTest, UnreliableLinksLowerR) {
   const Graph graph = Line(3, SimDuration::Millis(10));
   const MonitoredView view = PerfectView(graph, 0.9);
   const auto dist = MonitoredDistancesFrom(graph, view, NodeId(0));
-  const auto tables = ComputeDestinationTables(graph, view, NodeId(2),
-                                               1e9, dist, {});
+  const test::SolvedDestination tables_solve(graph, view, NodeId(2), 1e9, dist);
+  const DestinationTables& tables = tables_solve.tables;
   const double r1 = 0.9 / (1 - 0.081);
   EXPECT_NEAR(tables.per_node[1].dr.r, r1, 1e-6);
   EXPECT_NEAR(tables.per_node[0].dr.r, 0.9 * r1, 1e-6);
@@ -148,11 +155,11 @@ TEST(DrComputationTest, RedundantPathsRaiseR) {
   graph.AddEdge(NodeId(2), NodeId(3), SimDuration::Millis(12));
   const MonitoredView view = PerfectView(graph, 0.9);
   const auto dist = MonitoredDistancesFrom(graph, view, NodeId(0));
-  const auto tables = ComputeDestinationTables(graph, view, NodeId(3),
-                                               1e9, dist, {});
+  const test::SolvedDestination tables_solve(graph, view, NodeId(3), 1e9, dist);
+  const DestinationTables& tables = tables_solve.tables;
   EXPECT_GT(tables.per_node[0].dr.r, 0.81);
   ASSERT_EQ(tables.per_node[0].primary.size(), 2U);
-  EXPECT_EQ(tables.per_node[0].primary[0].neighbor, NodeId(1));
+  EXPECT_EQ(tables.per_node[0].primary[0].peer, NodeId(1));
 }
 
 TEST(DrComputationTest, MTransmissionsRaiseRAndDelay) {
@@ -162,8 +169,10 @@ TEST(DrComputationTest, MTransmissionsRaiseRAndDelay) {
   DrComputationConfig m1, m2;
   m1.max_transmissions = 1;
   m2.max_transmissions = 2;
-  const auto t1 = ComputeDestinationTables(graph, view, NodeId(2), 1e9, dist, m1);
-  const auto t2 = ComputeDestinationTables(graph, view, NodeId(2), 1e9, dist, m2);
+  const test::SolvedDestination t1_solve(graph, view, NodeId(2), 1e9, dist, m1);
+  const DestinationTables& t1 = t1_solve.tables;
+  const test::SolvedDestination t2_solve(graph, view, NodeId(2), 1e9, dist, m2);
+  const DestinationTables& t2 = t2_solve.tables;
   EXPECT_GT(t2.per_node[0].dr.r, t1.per_node[0].dr.r);
   EXPECT_GT(t2.per_node[0].dr.d_us, t1.per_node[0].dr.d_us);
 }
@@ -174,8 +183,9 @@ TEST(DrComputationTest, ConvergesOnCyclicTopologies) {
     const Graph graph = RandomConnected(20, 6, rng);
     const MonitoredView view = PerfectView(graph, 0.95);
     const auto dist = MonitoredDistancesFrom(graph, view, NodeId(0));
-    const auto tables = ComputeDestinationTables(graph, view, NodeId(19),
-                                                 300'000.0, dist, {});
+    const test::SolvedDestination tables_solve(graph, view, NodeId(19),
+                                               300'000.0, dist);
+    const DestinationTables& tables = tables_solve.tables;
     EXPECT_TRUE(tables.converged) << "seed " << seed;
     EXPECT_LT(tables.sweeps_used, 64);
     // Everybody with a list within budget can reach the subscriber.
@@ -196,8 +206,9 @@ TEST(DrComputationTest, DLowerBoundedByShortestPath) {
   const MonitoredView view = PerfectView(graph, 0.9);
   const auto to_sub = MonitoredDistancesFrom(graph, view, NodeId(14));
   const auto dist = MonitoredDistancesFrom(graph, view, NodeId(0));
-  const auto tables = ComputeDestinationTables(graph, view, NodeId(14),
-                                               1e9, dist, {});
+  const test::SolvedDestination tables_solve(graph, view, NodeId(14), 1e9,
+                                             dist);
+  const DestinationTables& tables = tables_solve.tables;
   for (std::size_t v = 0; v < 15; ++v) {
     if (tables.per_node[v].dr.reachable()) {
       EXPECT_GE(tables.per_node[v].dr.d_us, to_sub[v] - 1.0) << "node " << v;

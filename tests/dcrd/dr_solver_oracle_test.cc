@@ -1,14 +1,19 @@
 // DrSolver against the solver it replaced, bit for bit.
 //
 // The `oracle` namespace below is the earlier per-destination solver,
-// copied verbatim but for the sort's name: every sweep re-lifts each link
-// through Eq. 1, builds a fresh list and orders it with a stable partition
-// plus a stable sort, and every destination re-runs its own sweep order
-// and unconstrained fixed point. DrSolver shares that work per rebuild and
-// per subscriber; these tests require the shared solve to reproduce every
-// double (memcmp), every list's neighbour and link order, the budgets and
-// the convergence bookkeeping on random overlays across the solver's whole
-// configuration space, including destinations that stop at the sweep cap.
+// copied verbatim but for the sort's name and its own table types: every
+// sweep re-lifts each link through Eq. 1, builds a fresh list of Eq. 2
+// entries and orders it with a stable partition plus a stable sort, every
+// destination re-runs its own sweep order and unconstrained fixed point,
+// and its fallback list is the unconstrained list minus the primary
+// neighbours. DrSolver shares that work per rebuild and per subscriber,
+// reuses the subscriber's unconstrained solve for destinations whose
+// budgets never bind, and stores lists as bare (neighbour, link) pairs;
+// these tests require every double of the <d,r> values (memcmp), every
+// list's neighbour and link order, the Eq. 2 values recomputed from the
+// tables, and the convergence bookkeeping to match the oracle on random
+// overlays across the solver's whole configuration space, including
+// destinations that stop at the sweep cap.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -80,6 +85,21 @@ std::vector<ViaEntry> CollectEligible(const Graph& graph,
   StableSortByPolicy(eligible, ordering);
   return eligible;
 }
+
+struct NodeTables {
+  DR dr;
+  std::vector<ViaEntry> primary;
+  std::vector<ViaEntry> fallback;
+};
+
+struct DestinationTables {
+  NodeId subscriber;
+  double deadline_us = 0.0;
+  std::vector<double> budget_us;
+  std::vector<NodeTables> per_node;
+  int sweeps_used = 0;
+  bool converged = false;
+};
 
 struct FixedPoint {
   std::vector<DR> dr;
@@ -193,8 +213,8 @@ bool SameBits(double a, double b) {
 }
 
 // Empty when `got` equals `want` bit for bit, else the first difference.
-std::string ListDiff(const char* which, const std::vector<ViaEntry>& want,
-                     const std::vector<ViaEntry>& got) {
+std::string EntriesDiff(const char* which, const std::vector<ViaEntry>& want,
+                        const std::vector<ViaEntry>& got) {
   if (want.size() != got.size()) {
     return std::string(which) + " size " + std::to_string(got.size()) +
            " != " + std::to_string(want.size());
@@ -209,8 +229,22 @@ std::string ListDiff(const char* which, const std::vector<ViaEntry>& want,
   return "";
 }
 
-std::string TablesDiff(const DestinationTables& want,
-                       const DestinationTables& got) {
+// EntriesDiff for `got`, a list of `table`, with its Eq. 2 values
+// recomputed.
+std::string ListDiff(const char* which, const std::vector<ViaEntry>& want,
+                     const std::vector<Neighbor>& got, const ListTable& table,
+                     const MonitoredView& view, int m) {
+  std::vector<ViaEntry> entries;
+  for (const Neighbor& hop : got) {
+    entries.push_back(ViaEntryOf(table, hop, view, m));
+  }
+  return EntriesDiff(which, want, entries);
+}
+
+std::string TablesDiff(const oracle::DestinationTables& want,
+                       const DestinationTables& got,
+                       const MonitoredView& view,
+                       const DrComputationConfig& config) {
   if (want.subscriber != got.subscriber) return "subscriber";
   if (!SameBits(want.deadline_us, got.deadline_us)) return "deadline";
   if (want.sweeps_used != got.sweeps_used) {
@@ -218,24 +252,66 @@ std::string TablesDiff(const DestinationTables& want,
            " != " + std::to_string(want.sweeps_used);
   }
   if (want.converged != got.converged) return "converged";
-  if (want.budget_us.size() != got.budget_us.size()) return "budget size";
-  for (std::size_t i = 0; i < want.budget_us.size(); ++i) {
-    if (!SameBits(want.budget_us[i], got.budget_us[i])) {
-      return "budget of node " + std::to_string(i);
-    }
-  }
   if (want.per_node.size() != got.per_node.size()) return "per_node size";
+  const ListTable& table = got.per_node.primary_table();
+  // The subscriber's unconstrained table: a reused destination's own, a
+  // solved one's fallback.
+  const ListTable* subscriber_table =
+      got.reused ? &table : got.per_node.fallback_table();
+  if (got.reused && got.per_node.fallback_table() != nullptr) {
+    return "reused destination has a fallback table";
+  }
+  if (!got.reused && config.build_fallback != (subscriber_table != nullptr)) {
+    return "fallback table";
+  }
+  const int m = config.max_transmissions;
   for (std::size_t i = 0; i < want.per_node.size(); ++i) {
-    const NodeTables& w = want.per_node[i];
-    const NodeTables& g = got.per_node[i];
+    const oracle::NodeTables& w = want.per_node[i];
+    const NodeTables g = got.per_node[i];
+    const std::vector<Neighbor> primary(g.primary.begin(), g.primary.end());
     std::string diff;
     if (!SameBits(w.dr.d_us, g.dr.d_us) || !SameBits(w.dr.r, g.dr.r)) {
       diff = "dr";
     } else {
-      diff = ListDiff("primary", w.primary, g.primary);
-      if (diff.empty()) diff = ListDiff("fallback", w.fallback, g.fallback);
+      diff = ListDiff("primary", w.primary, primary, table, view, m);
+    }
+    if (diff.empty() && (got.reused || subscriber_table == nullptr) &&
+        !g.fallback.empty()) {
+      diff = "fallback not empty";
+    }
+    if (diff.empty()) {
+      // The oracle's fallback: the subscriber's list minus the primary
+      // neighbours (nothing when the fallback is off).
+      std::vector<Neighbor> rest;
+      if (config.build_fallback) {
+        for (const Neighbor& hop : subscriber_table->list(i)) {
+          if (std::none_of(primary.begin(), primary.end(),
+                           [&](const Neighbor& p) {
+                             return p.peer == hop.peer;
+                           })) {
+            rest.push_back(hop);
+          }
+        }
+      }
+      diff = ListDiff("fallback", w.fallback, rest,
+                      config.build_fallback ? *subscriber_table : table, view,
+                      m);
     }
     if (!diff.empty()) return "node " + std::to_string(i) + ": " + diff;
+  }
+  return "";
+}
+
+// Empty when DeadlineBudgets equals the oracle's budgets bit for bit.
+std::string BudgetsDiff(const oracle::DestinationTables& want,
+                        const std::vector<double>& publisher_dist_us) {
+  const std::vector<double> got = DeadlineBudgets(
+      want.deadline_us, publisher_dist_us, want.subscriber);
+  if (want.budget_us.size() != got.size()) return "budget size";
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (!SameBits(want.budget_us[i], got[i])) {
+      return "budget of node " + std::to_string(i);
+    }
   }
   return "";
 }
@@ -246,6 +322,7 @@ std::string TablesDiff(const DestinationTables& want,
 struct OracleTally {
   int destinations = 0;
   int capped = 0;  // stopped unconverged at max_sweeps
+  int reused = 0;  // took the subscriber's unconstrained solve
 };
 
 void CheckOverlay(std::size_t nodes, std::size_t degree, double pf,
@@ -259,7 +336,7 @@ void CheckOverlay(std::size_t nodes, std::size_t degree, double pf,
   LinkMonitor monitor(graph, failures, monitor_config, rng.Fork("probes"));
 
   // Two topics sharing two subscribers, so each solver reuses every
-  // subscriber's sweep order and fallback fixed point across topics.
+  // subscriber's sweep order and unconstrained solve across topics.
   Rng pick = rng.Fork("destinations");
   const auto node_at = [&](std::uint64_t draw) {
     return NodeId(static_cast<NodeId::underlying_type>(draw));
@@ -295,16 +372,21 @@ void CheckOverlay(std::size_t nodes, std::size_t degree, double pf,
                   publisher_dist[t][subscriber.underlying()];
               const DestinationTables got =
                   solver.Solve(subscriber, deadline_us, publisher_dist[t]);
-              const DestinationTables want = oracle::ComputeDestinationTables(
-                  graph, view, subscriber, deadline_us, publisher_dist[t],
-                  config);
-              ASSERT_EQ(TablesDiff(want, got), "")
+              const oracle::DestinationTables want =
+                  oracle::ComputeDestinationTables(graph, view, subscriber,
+                                                   deadline_us,
+                                                   publisher_dist[t], config);
+              std::string diff = BudgetsDiff(want, publisher_dist[t]);
+              if (diff.empty()) diff = TablesDiff(want, got, view, config);
+              ASSERT_EQ(diff, "")
                   << "N=" << nodes << " degree=" << degree << " pf=" << pf
                   << " epoch=" << epoch << " m=" << m
                   << " ordering=" << static_cast<int>(ordering)
                   << " fallback=" << fallback << " topic=" << t
-                  << " subscriber=" << subscriber;
+                  << " subscriber=" << subscriber
+                  << " reused=" << got.reused;
               ++tally.destinations;
+              if (got.reused) ++tally.reused;
               if (!got.converged && got.sweeps_used == config.max_sweeps) {
                 ++tally.capped;
               }
@@ -329,12 +411,16 @@ TEST(DrSolverOracleTest, MatchesPerDestinationSolverBitForBit) {
   }
   // 27 overlays x 3 epochs x 18 configurations x 4 destinations.
   EXPECT_EQ(tally.destinations, 27 * 3 * 18 * 4);
-  // The sweep cap path must be covered, not just converged solves.
+  // The sweep cap path must be covered, not just converged solves, and so
+  // must both reused and solved destinations.
   EXPECT_GT(tally.capped, 0);
+  EXPECT_GT(tally.reused, 0);
+  EXPECT_LT(tally.reused, tally.destinations);
 }
 
-TEST(DrSolverOracleTest, ComputeDestinationTablesMatchesOracle) {
-  // The one-destination wrapper is the same solve.
+TEST(DrSolverOracleTest, SingleDestinationSolveMatchesOracle) {
+  // One destination from a fresh solver, as a single-destination caller
+  // (deadline_explorer) solves it, is the same solve.
   Rng rng(77);
   const Graph graph = RandomConnected(30, 5, rng);
   const FailureSchedule failures(9, 0.06);
@@ -345,15 +431,108 @@ TEST(DrSolverOracleTest, ComputeDestinationTablesMatchesOracle) {
   for (std::uint32_t s = 0; s < 30; ++s) {
     const NodeId subscriber(s);
     const double deadline_us = 3.0 * dist[s];
+    DrSolver solver(graph, monitor.view(), config);
     EXPECT_EQ(TablesDiff(oracle::ComputeDestinationTables(
                              graph, monitor.view(), subscriber, deadline_us,
                              dist, config),
-                         ComputeDestinationTables(graph, monitor.view(),
-                                                  subscriber, deadline_us,
-                                                  dist, config)),
+                         solver.Solve(subscriber, deadline_us, dist),
+                         monitor.view(), config),
               "")
         << "subscriber " << s;
   }
+}
+
+// Per node, the largest finite d among its usable neighbours in `dr`
+// (-infinity when none): what a reuse rule reading only the final
+// unconstrained values would hold budgets against.
+std::vector<double> FinalReads(const Graph& graph, const MonitoredView& view,
+                               const oracle::DestinationTables& tables,
+                               int m) {
+  std::vector<double> reads(graph.node_count(), -kInfiniteDelay);
+  for (std::size_t x = 0; x < graph.node_count(); ++x) {
+    const NodeId node(static_cast<NodeId::underlying_type>(x));
+    for (const Neighbor& nb : graph.neighbors(node)) {
+      const DR& dr = tables.per_node[nb.peer.underlying()].dr;
+      if (LiftedLink(view, nb.link, m).gamma <= 0.0 || !dr.reachable()) {
+        continue;
+      }
+      reads[x] = std::max(reads[x], dr.d_us);
+    }
+  }
+  return reads;
+}
+
+bool SameSolve(const oracle::DestinationTables& a,
+               const oracle::DestinationTables& b) {
+  if (a.sweeps_used != b.sweeps_used || a.converged != b.converged) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.per_node.size(); ++i) {
+    const oracle::NodeTables& x = a.per_node[i];
+    const oracle::NodeTables& y = b.per_node[i];
+    if (!SameBits(x.dr.d_us, y.dr.d_us) || !SameBits(x.dr.r, y.dr.r) ||
+        x.primary.size() != y.primary.size()) {
+      return false;
+    }
+    for (std::size_t k = 0; k < x.primary.size(); ++k) {
+      if (x.primary[k].neighbor != y.primary[k].neighbor) return false;
+    }
+  }
+  return true;
+}
+
+TEST(DrSolverOracleTest, BudgetBindingOnlyAtAnIntermediateIterateIsSolved) {
+  // A deadline just above every node's largest neighbour d in the final
+  // unconstrained values clears every budget there; when it still changes
+  // the oracle's solve, some budget bound while the sweeps passed through
+  // a larger d. Reusing the unconstrained solve for such a destination
+  // would be wrong, so the solver must solve it, and match the oracle.
+  int found = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const std::size_t nodes = 6 + rng.NextBounded(7);
+    const std::size_t degree = 3 + rng.NextBounded(2);
+    Rng topo_rng = rng.Fork("topology");
+    const Graph graph = RandomConnected(nodes, degree, topo_rng);
+    const FailureSchedule failures(rng.Fork("failures")(), 0.1);
+    LinkMonitorConfig monitor_config;
+    monitor_config.loss_rate = 1e-3;
+    LinkMonitor monitor(graph, failures, monitor_config, rng.Fork("probes"));
+    monitor.MeasureAt(SimTime::Zero());
+    const MonitoredView& view = monitor.view();
+    const DrComputationConfig config;
+    DrSolver solver(graph, view, config);
+    for (std::uint32_t p = 0; p < nodes; ++p) {
+      const std::vector<double> dist =
+          MonitoredDistancesFrom(graph, view, NodeId(p));
+      for (std::uint32_t s = 0; s < nodes; ++s) {
+        const NodeId subscriber(s);
+        const oracle::DestinationTables unconstrained =
+            oracle::ComputeDestinationTables(graph, view, subscriber,
+                                             kInfiniteDelay, dist, config);
+        const std::vector<double> reads =
+            FinalReads(graph, view, unconstrained, config.max_transmissions);
+        double threshold = -kInfiniteDelay;
+        for (std::uint32_t x = 0; x < nodes; ++x) {
+          if (x == s || reads[x] == -kInfiniteDelay) continue;
+          threshold = std::max(threshold, reads[x] + dist[x]);
+        }
+        if (threshold == -kInfiniteDelay) continue;
+        const double deadline_us = threshold + 1.0;
+        const oracle::DestinationTables want = oracle::ComputeDestinationTables(
+            graph, view, subscriber, deadline_us, dist, config);
+        if (SameSolve(want, unconstrained)) continue;
+        ++found;
+        const DestinationTables got = solver.Solve(subscriber, deadline_us,
+                                                   dist);
+        EXPECT_FALSE(got.reused)
+            << "seed " << seed << " publisher " << p << " subscriber " << s;
+        EXPECT_EQ(TablesDiff(want, got, view, config), "")
+            << "seed " << seed << " publisher " << p << " subscriber " << s;
+      }
+    }
+  }
+  EXPECT_GT(found, 0);
 }
 
 TEST(DrSolverOracleTest, SortByPolicyMatchesStableSort) {
@@ -383,7 +562,7 @@ TEST(DrSolverOracleTest, SortByPolicyMatchesStableSort) {
       std::vector<ViaEntry> got = entries;
       oracle::StableSortByPolicy(want, policy);
       SortByPolicy(got, policy);
-      ASSERT_EQ(ListDiff("sorted", want, got), "")
+      ASSERT_EQ(EntriesDiff("sorted", want, got), "")
           << "round " << round << " policy " << static_cast<int>(policy);
     }
   }

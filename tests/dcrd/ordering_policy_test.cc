@@ -6,6 +6,7 @@
 #include "dcrd/dr.h"
 #include "dcrd/dr_computation.h"
 #include "graph/topology.h"
+#include "support/solved_destination.h"
 
 namespace dcrd {
 namespace {
@@ -103,15 +104,18 @@ TEST(OrderingPolicyTest, PolicyChangesComputedTables) {
   DrComputationConfig delay_config, reliability_config;
   delay_config.ordering = OrderingPolicy::kDelayFirst;
   reliability_config.ordering = OrderingPolicy::kReliabilityFirst;
-  const auto by_delay =
-      ComputeDestinationTables(graph, view, NodeId(3), 1e9, dist, delay_config);
-  const auto by_reliability = ComputeDestinationTables(
-      graph, view, NodeId(3), 1e9, dist, reliability_config);
+  const test::SolvedDestination by_delay_solve(graph, view, NodeId(3), 1e9,
+                                               dist, delay_config);
+  const DestinationTables& by_delay = by_delay_solve.tables;
+  const test::SolvedDestination by_reliability_solve(graph, view, NodeId(3),
+                                                     1e9, dist,
+                                                     reliability_config);
+  const DestinationTables& by_reliability = by_reliability_solve.tables;
 
   ASSERT_FALSE(by_delay.per_node[0].primary.empty());
   ASSERT_FALSE(by_reliability.per_node[0].primary.empty());
-  EXPECT_EQ(by_delay.per_node[0].primary[0].neighbor, NodeId(2));
-  EXPECT_EQ(by_reliability.per_node[0].primary[0].neighbor, NodeId(1));
+  EXPECT_EQ(by_delay.per_node[0].primary[0].peer, NodeId(2));
+  EXPECT_EQ(by_reliability.per_node[0].primary[0].peer, NodeId(1));
 }
 
 }  // namespace
