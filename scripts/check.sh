@@ -7,8 +7,10 @@
 #   scripts/check.sh --plain    # plain pass only
 #   scripts/check.sh --asan     # sanitized pass only
 #   scripts/check.sh --tsan     # ThreadSanitizer pass: builds build-tsan/
-#                               # and runs the SweepRunner + Flags suites
-#                               # (the code that actually spawns threads)
+#                               # and runs the suites that spawn threads:
+#                               # ParallelFor, SweepRunner, the DCRD epoch
+#                               # solve (DrSolverOracle, DcrdRouterEpoch),
+#                               # plus Flags
 #
 # DCRD_CMAKE_ARGS adds extra -D arguments to every configure (CI uses it
 # for ccache launchers).
@@ -56,12 +58,12 @@ if [[ "$run_asan" == 1 ]]; then
 fi
 
 if [[ "$run_tsan" == 1 ]]; then
-  echo "=== ThreadSanitizer pass (SweepRunner + Flags) ==="
+  echo "=== ThreadSanitizer pass (ParallelFor + SweepRunner + epoch solve + Flags) ==="
   cmake -B build-tsan -S . "${extra_cmake_args[@]}" "-DDCRD_SANITIZE=thread"
   # Only the suites that actually spawn threads; keeps the nightly short.
-  cmake --build build-tsan -j --target sim_test common_test
+  cmake --build build-tsan -j --target sim_test common_test dcrd_test
   ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-    -R 'SweepRunner|Flags'
+    -R 'ParallelFor|SweepRunner|DrSolverOracle|DcrdRouterEpoch|Flags'
 fi
 
 echo "=== check.sh: all requested passes green ==="

@@ -7,6 +7,7 @@
 #include <ostream>
 #include <span>
 
+#include "common/parallel_for.h"
 #include "dcrd/model_row.h"
 #include "obs/flight_recorder.h"
 
@@ -54,14 +55,12 @@ void DcrdRouter::Rebuild(const MonitoredView& view) {
   const Graph& graph = context_.network->graph();
   const SubscriptionTable& subs = *context_.subscriptions;
   // Retire last epoch's gossip; stragglers on the wire are ignored.
-  for (auto& topic_gossip : gossip_) {
-    for (GossipTables& gossip : topic_gossip) {
-      if (gossip.constrained) gossip.constrained->Stop();
-      if (gossip.unconstrained) gossip.unconstrained->Stop();
-    }
+  for (GossipTables& gossip : gossip_) {
+    if (gossip.constrained) gossip.constrained->Stop();
+    if (gossip.unconstrained) gossip.unconstrained->Stop();
   }
-  tables_.assign(subs.topic_count(), {});
-  gossip_.assign(subs.topic_count(), {});
+  tables_.clear();
+  gossip_.clear();
   subscriber_index_.assign(subs.topic_count() * graph.node_count(),
                            kNoSubscriber);
   // One solver per epoch: it shares the lifted links across every
@@ -72,42 +71,47 @@ void DcrdRouter::Rebuild(const MonitoredView& view) {
   if (!config_.use_distributed_computation) {
     solver_.emplace(graph, view, config_.computation);
   }
+  // The solver's requests view their topic's publisher distances.
+  std::vector<std::vector<double>> publisher_dist(subs.topic_count());
+  std::vector<DestinationRequest> requests;
+  std::uint32_t next_index = 0;
   for (std::size_t t = 0; t < subs.topic_count(); ++t) {
     const TopicId topic(static_cast<TopicId::underlying_type>(t));
-    const NodeId publisher = subs.publisher(topic);
-    const std::vector<double> publisher_dist =
-        MonitoredDistancesFrom(graph, view, publisher);
-    if (solver_) tables_[t].reserve(subs.subscriptions(topic).size());
+    publisher_dist[t] =
+        MonitoredDistancesFrom(graph, view, subs.publisher(topic));
     for (const Subscription& sub : subs.subscriptions(topic)) {
       const double deadline_us = static_cast<double>(sub.deadline.micros());
-      std::uint32_t& index =
-          subscriber_index_[t * graph.node_count() +
-                            sub.subscriber.underlying()];
-      if (config_.use_distributed_computation) {
-        index = static_cast<std::uint32_t>(gossip_[t].size());
-        GossipTables gossip;
-        gossip.constrained = std::make_shared<DistributedDrComputation>(
-            *context_.network, sub.subscriber, view,
-            DeadlineBudgets(deadline_us, publisher_dist, sub.subscriber),
-            config_.distributed);
-        gossip.constrained->Start();
-        if (config_.best_effort_fallback) {
-          gossip.unconstrained = std::make_shared<DistributedDrComputation>(
-              *context_.network, sub.subscriber, view,
-              std::vector<double>(graph.node_count(), kInfiniteDelay),
-              config_.distributed);
-          gossip.unconstrained->Start();
-        }
-        gossip_[t].push_back(std::move(gossip));
-      } else {
-        index = static_cast<std::uint32_t>(tables_[t].size());
-        const DestinationTables& tables = tables_[t].emplace_back(
-            solver_->Solve(sub.subscriber, deadline_us, publisher_dist));
-        ++solve_stats_.solves;
-        solve_stats_.sweeps += static_cast<std::uint64_t>(tables.sweeps_used);
-        if (!tables.converged) ++solve_stats_.unconverged;
+      subscriber_index_[t * graph.node_count() + sub.subscriber.underlying()] =
+          next_index++;
+      if (solver_) {
+        requests.push_back(DestinationRequest{sub.subscriber, deadline_us,
+                                              publisher_dist[t]});
+        continue;
       }
+      GossipTables gossip;
+      gossip.constrained = std::make_shared<DistributedDrComputation>(
+          *context_.network, sub.subscriber, view,
+          DeadlineBudgets(deadline_us, publisher_dist[t], sub.subscriber),
+          config_.distributed);
+      gossip.constrained->Start();
+      if (config_.best_effort_fallback) {
+        gossip.unconstrained = std::make_shared<DistributedDrComputation>(
+            *context_.network, sub.subscriber, view,
+            std::vector<double>(graph.node_count(), kInfiniteDelay),
+            config_.distributed);
+        gossip.unconstrained->Start();
+      }
+      gossip_.push_back(std::move(gossip));
     }
+  }
+  if (!solver_) return;
+  // The whole epoch in one call, on every idle core (inline inside a sweep
+  // worker); the views and counters match a serial solve's.
+  tables_ = solver_->SolveEpoch(requests, HardwareThreads());
+  for (const DestinationTables& tables : tables_) {
+    ++solve_stats_.solves;
+    solve_stats_.sweeps += static_cast<std::uint64_t>(tables.sweeps_used);
+    if (!tables.converged) ++solve_stats_.unconverged;
   }
 }
 
@@ -142,10 +146,9 @@ std::optional<NodeTables> DcrdRouter::GetNodeTables(TopicId topic,
   const std::uint32_t index = SubscriberIndex(topic, subscriber);
   if (index == kNoSubscriber) return std::nullopt;
   if (config_.use_distributed_computation) {
-    return GossipSnapshot(gossip_[topic.underlying()][index])
-        [node.underlying()];
+    return GossipSnapshot(gossip_[index])[node.underlying()];
   }
-  return tables_[topic.underlying()][index].per_node[node.underlying()];
+  return tables_[index].per_node[node.underlying()];
 }
 
 const DestinationTables* DcrdRouter::FindTables(TopicId topic,
@@ -154,7 +157,7 @@ const DestinationTables* DcrdRouter::FindTables(TopicId topic,
       << "solver tables are not materialised in distributed mode";
   const std::uint32_t index = SubscriberIndex(topic, subscriber);
   if (index == kNoSubscriber) return nullptr;
-  return &tables_[topic.underlying()][index];
+  return &tables_[index];
 }
 
 const DestinationTables& DcrdRouter::TablesFor(TopicId topic,
@@ -200,11 +203,11 @@ void DcrdRouter::WriteAuditSnapshot(std::ostream& os, SimTime now) const {
       const std::uint32_t index = SubscriberIndex(topic, sub.subscriber);
       if (config_.use_distributed_computation) {
         for (const ViaEntry& entry :
-             gossip_[t][index].constrained->EligibleEntries(publisher)) {
+             gossip_[index].constrained->EligibleEntries(publisher)) {
           add(entry);
         }
       } else {
-        const ListTable& table = tables_[t][index].per_node.primary_table();
+        const ListTable& table = tables_[index].per_node.primary_table();
         for (const Neighbor& hop : tables->primary) {
           add(ViaEntryOf(table, hop, *view_, context_.max_transmissions));
         }
@@ -567,11 +570,9 @@ void DcrdRouter::OnBrokerRestart(NodeId node) {
     // <d,r> contributions are forgotten, a fresh generation is announced,
     // and neighbours are re-solicited — stale stragglers from before the
     // crash carry the old generation and are dropped on arrival.
-    for (auto& topic_gossip : gossip_) {
-      for (GossipTables& gossip : topic_gossip) {
-        if (gossip.constrained) gossip.constrained->OnNodeRestart(node);
-        if (gossip.unconstrained) gossip.unconstrained->OnNodeRestart(node);
-      }
+    for (GossipTables& gossip : gossip_) {
+      if (gossip.constrained) gossip.constrained->OnNodeRestart(node);
+      if (gossip.unconstrained) gossip.unconstrained->OnNodeRestart(node);
     }
   } else {
     // Solver mode keeps the tables centrally, so model the state re-fetch

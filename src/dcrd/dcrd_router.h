@@ -233,8 +233,7 @@ class DcrdRouter final : public Router {
   [[nodiscard]] std::optional<NodeTables> GetNodeTables(TopicId topic,
                                                         NodeId subscriber,
                                                         NodeId node) const;
-  // Index of (topic, subscriber) into tables_[topic] / gossip_[topic], or
-  // kNoSubscriber.
+  // Index of (topic, subscriber) into tables_ / gossip_, or kNoSubscriber.
   [[nodiscard]] std::uint32_t SubscriberIndex(TopicId topic,
                                               NodeId subscriber) const;
   [[nodiscard]] NodeId UpstreamOf(const Episode& episode) const;
@@ -257,10 +256,11 @@ class DcrdRouter final : public Router {
   // This epoch's solver: it owns the flat tables that tables_ views, one
   // per subscriber and one per destination that solved.
   std::optional<DrSolver> solver_;
-  // tables_[topic][subscriber index within the topic's subscription list]
-  std::vector<std::vector<DestinationTables>> tables_;
+  // One entry per (topic, subscriber) destination, topic-major in
+  // subscription-list order: the solver's request order.
+  std::vector<DestinationTables> tables_;
   // Dense [topic][node] array: topic * node_count + node -> index into
-  // tables_[topic] / gossip_[topic], kNoSubscriber when not subscribed.
+  // tables_ / gossip_, kNoSubscriber when not subscribed.
   static constexpr std::uint32_t kNoSubscriber = ~std::uint32_t{0};
   std::vector<std::uint32_t> subscriber_index_;
 
@@ -276,7 +276,7 @@ class DcrdRouter final : public Router {
     mutable std::uint64_t snapshot_version = ~0ULL;
   };
   [[nodiscard]] PerNodeTables GossipSnapshot(const GossipTables& gossip) const;
-  std::vector<std::vector<GossipTables>> gossip_;
+  std::vector<GossipTables> gossip_;  // indexed like tables_
 
   SlotMap<Episode> episodes_;
   // Per-node duplicate suppression, one ProcessedKey set per broker: a

@@ -7,53 +7,43 @@ namespace dcrd {
 
 namespace {
 
-template <typename Less>
-void SortUsable(std::vector<ViaEntry>& entries, Less less) {
+template <OrderingPolicy kPolicy>
+void SortUsable(std::vector<ViaEntry>& entries) {
   // Unreachable entries (r == 0 or infinite d) go to the back in their
   // original order; including them in the comparators would produce
   // inf*0 = NaN and break strict weak ordering. Moving each usable entry
   // down by one rotation keeps both groups in order without a buffer.
   auto usable_end = entries.begin();
   for (auto it = entries.begin(); it != entries.end(); ++it) {
-    if (it->r_via > 0.0 && it->d_via_us < kInfiniteDelay) {
+    if (IsUsable(*it)) {
       std::rotate(usable_end, it, it + 1);
       ++usable_end;
     }
   }
-  // Every comparator ends in the neighbour-id tie-break, and a list holds
-  // each neighbour once, so `less` is a strict total order: the in-place
-  // sort yields the one sorted sequence a stable sort would.
-  std::sort(entries.begin(), usable_end, less);
+  // SendsBefore is a strict total order on a list, so the in-place sort
+  // yields the one sorted sequence a stable sort would.
+  std::sort(entries.begin(), usable_end,
+            [](const ViaEntry& a, const ViaEntry& b) {
+              return SendsBefore<kPolicy>(a, b);
+            });
 }
 
 }  // namespace
 
 void SortByTheorem1(std::vector<ViaEntry>& entries) {
-  SortUsable(entries, [](const ViaEntry& a, const ViaEntry& b) {
-    // d_a/r_a < d_b/r_b via cross-multiplication (exact, no division).
-    const double lhs = a.d_via_us * b.r_via;
-    const double rhs = b.d_via_us * a.r_via;
-    if (lhs != rhs) return lhs < rhs;
-    return a.neighbor < b.neighbor;
-  });
+  SortUsable<OrderingPolicy::kTheorem1>(entries);
 }
 
 void SortByPolicy(std::vector<ViaEntry>& entries, OrderingPolicy policy) {
   switch (policy) {
     case OrderingPolicy::kTheorem1:
-      SortByTheorem1(entries);
+      SortUsable<OrderingPolicy::kTheorem1>(entries);
       return;
     case OrderingPolicy::kDelayFirst:
-      SortUsable(entries, [](const ViaEntry& a, const ViaEntry& b) {
-        if (a.d_via_us != b.d_via_us) return a.d_via_us < b.d_via_us;
-        return a.neighbor < b.neighbor;
-      });
+      SortUsable<OrderingPolicy::kDelayFirst>(entries);
       return;
     case OrderingPolicy::kReliabilityFirst:
-      SortUsable(entries, [](const ViaEntry& a, const ViaEntry& b) {
-        if (a.r_via != b.r_via) return a.r_via > b.r_via;
-        return a.neighbor < b.neighbor;
-      });
+      SortUsable<OrderingPolicy::kReliabilityFirst>(entries);
       return;
   }
   DCRD_CHECK(false) << "unknown ordering policy";

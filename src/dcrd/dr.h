@@ -55,6 +55,31 @@ void SortByTheorem1(std::vector<ViaEntry>& entries);
 //   kReliabilityFirst — descending delivery ratio r_via.
 enum class OrderingPolicy { kTheorem1, kDelayFirst, kReliabilityFirst };
 
+// Whether an entry can be sent on at all: a positive r_via and a finite
+// d_via. Only usable entries are ordered, and only they enter Eq. 3.
+inline bool IsUsable(const ViaEntry& entry) {
+  return entry.r_via > 0.0 && entry.d_via_us < kInfiniteDelay;
+}
+
+// The order kPolicy sends usable entries in. Every policy ends in the
+// neighbour-id tie-break and a list holds each neighbour once, so this is
+// a strict total order on a list: any correct sort of the same entries
+// yields the same sequence, whatever order they arrive in.
+template <OrderingPolicy kPolicy>
+bool SendsBefore(const ViaEntry& a, const ViaEntry& b) {
+  if constexpr (kPolicy == OrderingPolicy::kTheorem1) {
+    // d_a/r_a < d_b/r_b via cross-multiplication (exact, no division).
+    const double lhs = a.d_via_us * b.r_via;
+    const double rhs = b.d_via_us * a.r_via;
+    if (lhs != rhs) return lhs < rhs;
+  } else if constexpr (kPolicy == OrderingPolicy::kDelayFirst) {
+    if (a.d_via_us != b.d_via_us) return a.d_via_us < b.d_via_us;
+  } else {
+    if (a.r_via != b.r_via) return a.r_via > b.r_via;
+  }
+  return a.neighbor < b.neighbor;
+}
+
 // Sorts under the chosen policy (unreachable entries always go last; ties
 // break by neighbor id).
 void SortByPolicy(std::vector<ViaEntry>& entries, OrderingPolicy policy);

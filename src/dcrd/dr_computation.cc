@@ -4,15 +4,18 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/parallel_for.h"
 #include "graph/shortest_path.h"
 
 namespace dcrd {
 
 namespace {
 
+constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
 // DeadlineBudgets into `budgets`, reusing its capacity.
 void AssignBudgets(double deadline_us,
-                   const std::vector<double>& publisher_dist_us,
+                   std::span<const double> publisher_dist_us,
                    NodeId subscriber, std::vector<double>& budgets) {
   DCRD_CHECK(subscriber.underlying() < publisher_dist_us.size());
   budgets.resize(publisher_dist_us.size());
@@ -69,14 +72,13 @@ DrSolver::DrSolver(const Graph& graph, const MonitoredView& view,
       view_(view),
       config_(config),
       unbounded_(graph.node_count(), kInfiniteDelay),
-      subscribers_(graph.node_count()) {
+      last_request_(graph.node_count(), kNone) {
   // Eq. 1 once per link; both directions read the same lifted model.
   std::vector<LinkModel> lifted(graph.edge_count());
   for (std::size_t e = 0; e < lifted.size(); ++e) {
     const LinkId link(static_cast<LinkId::underlying_type>(e));
     lifted[e] = LiftedLink(view, link, config.max_transmissions);
   }
-  std::size_t max_degree = 0;
   arc_begin_.reserve(graph.node_count() + 1);
   for (std::size_t x = 0; x < graph.node_count(); ++x) {
     arc_begin_.push_back(static_cast<std::uint32_t>(arcs_.size()));
@@ -87,54 +89,87 @@ DrSolver::DrSolver(const Graph& graph, const MonitoredView& view,
       // A link that never delivers never enters a list.
       if (model.gamma > 0.0) arcs_.push_back(Arc{nb.peer, nb.link, model});
     }
-    max_degree = std::max(max_degree, neighbors.size());
+    max_degree_ = std::max(max_degree_, neighbors.size());
   }
   arc_begin_.push_back(static_cast<std::uint32_t>(arcs_.size()));
-  budget_.reserve(graph.node_count());
-  eligible_.reserve(max_degree);
-  entries_.reserve(arcs_.size());
 }
 
-// X's eligible entries toward the subscriber from the current dr estimates
-// — neighbours with d_i < budget — lifted across the link (Eq. 2) and
-// sorted under the configured ordering policy (Theorem 1 for DCRD proper).
-double DrSolver::CollectEligible(const std::vector<DR>& dr, std::uint32_t x,
-                                 double budget_us) {
-  eligible_.clear();
+template <OrderingPolicy kPolicy>
+double DrSolver::SortEligible(const std::vector<DR>& dr, std::uint32_t x,
+                              double budget_us, Scratch& scratch,
+                              bool& unusable) const {
+  scratch.sorted.clear();
+  scratch.sorted_arc.clear();
+  scratch.rest.clear();
+  unusable = false;
   double farthest = -kInfiniteDelay;
-  for (std::uint32_t a = arc_begin_[x]; a < arc_begin_[x + 1]; ++a) {
+  std::uint32_t* const warm = scratch.warm.data() + arc_begin_[x];
+  const std::uint32_t degree = arc_begin_[x + 1] - arc_begin_[x];
+  for (std::uint32_t k = 0; k < degree; ++k) {
+    const std::uint32_t a = warm[k];
     const Arc& arc = arcs_[a];
     const DR& dr_i = dr[arc.peer.underlying()];
-    if (!dr_i.reachable()) continue;
-    farthest = std::max(farthest, dr_i.d_us);
-    if (!(dr_i.d_us < budget_us)) continue;
-    eligible_.push_back(LiftAcrossLink(arc.peer, arc.link, arc.lifted, dr_i));
+    bool sorts = false;
+    if (dr_i.reachable()) {
+      farthest = std::max(farthest, dr_i.d_us);
+      if (dr_i.d_us < budget_us) {
+        const ViaEntry entry =
+            LiftAcrossLink(arc.peer, arc.link, arc.lifted, dr_i);
+        sorts = IsUsable(entry);
+        unusable = unusable || !sorts;
+        if (sorts) {
+          // Insertion: once the warm order has settled, each entry costs
+          // one comparison.
+          std::size_t j = scratch.sorted.size();
+          scratch.sorted.push_back(entry);
+          scratch.sorted_arc.push_back(a);
+          for (; j > 0 && SendsBefore<kPolicy>(entry, scratch.sorted[j - 1]);
+               --j) {
+            scratch.sorted[j] = scratch.sorted[j - 1];
+            scratch.sorted_arc[j] = scratch.sorted_arc[j - 1];
+          }
+          scratch.sorted[j] = entry;
+          scratch.sorted_arc[j] = a;
+        }
+      }
+    }
+    if (!sorts) scratch.rest.push_back(a);
   }
-  SortByPolicy(eligible_, config_.ordering);
+  std::copy(scratch.sorted_arc.begin(), scratch.sorted_arc.end(), warm);
+  std::copy(scratch.rest.begin(), scratch.rest.end(),
+            warm + scratch.sorted_arc.size());
   return farthest;
 }
 
-// Runs the synchronous Gauss–Seidel sweeps to the <d,r> fixed point under
-// per-node delay budgets (+infinity budgets give the unconstrained fixed
-// point).
-DrSolver::Convergence DrSolver::SolveFixedPoint(
+template <OrderingPolicy kPolicy>
+DrSolver::Convergence DrSolver::SolveTableAs(
     NodeId subscriber, const std::vector<double>& budget_us,
-    const std::vector<std::uint32_t>& order, std::vector<DR>& dr,
-    std::vector<double>* farthest_read) {
-  dr.assign(graph_.node_count(), DR{});
-  dr[subscriber.underlying()] = DR{0.0, 1.0};
+    Scratch& scratch, ListTable& table, bool track_reads) const {
+  const std::uint32_t n = static_cast<std::uint32_t>(graph_.node_count());
+  const std::uint32_t s = subscriber.underlying();
+  std::vector<DR>& dr = table.dr;
+  dr.assign(n, DR{});
+  dr[s] = DR{0.0, 1.0};
+  // Every solve starts from arc order, so its cost does not depend on
+  // which solves its worker ran before.
+  std::iota(scratch.warm.begin(), scratch.warm.end(), 0U);
+  bool unusable = false;
+  const auto read = [&](std::uint32_t x) {
+    const double farthest =
+        SortEligible<kPolicy>(dr, x, budget_us[x], scratch, unusable);
+    if (track_reads) {
+      scratch.farthest_read[x] = std::max(scratch.farthest_read[x], farthest);
+    }
+  };
 
   Convergence result;
   for (; result.sweeps_used < config_.max_sweeps && !result.converged;
        ++result.sweeps_used) {
     double max_delta = 0.0;
-    for (std::uint32_t idx : order) {
-      if (idx == subscriber.underlying()) continue;
-      const double farthest = CollectEligible(dr, idx, budget_us[idx]);
-      if (farthest_read != nullptr) {
-        (*farthest_read)[idx] = std::max((*farthest_read)[idx], farthest);
-      }
-      const DR updated = CombineOrdered(eligible_);
+    for (std::uint32_t idx : scratch.order) {
+      if (idx == s) continue;
+      read(idx);
+      const DR updated = CombineOrdered(scratch.sorted);
       const DR previous = dr[idx];
       if (updated.reachable() != previous.reachable()) {
         max_delta = kInfiniteDelay;
@@ -147,42 +182,63 @@ DrSolver::Convergence DrSolver::SolveFixedPoint(
     }
     result.converged = max_delta <= config_.tolerance_us;
   }
+
+  // The list pass: usable entries in policy order, then any eligible but
+  // unusable ones in arc order, stored flat at exact size.
+  scratch.entries.clear();
+  table.begin.reserve(n + 1);
+  for (std::uint32_t x = 0; x < n; ++x) {
+    table.begin.push_back(static_cast<std::uint32_t>(scratch.entries.size()));
+    if (x == s) continue;
+    read(x);
+    for (const ViaEntry& entry : scratch.sorted) {
+      scratch.entries.push_back(Neighbor{entry.neighbor, entry.link});
+    }
+    if (!unusable) continue;
+    for (std::uint32_t a = arc_begin_[x]; a < arc_begin_[x + 1]; ++a) {
+      const Arc& arc = arcs_[a];
+      const DR& dr_i = dr[arc.peer.underlying()];
+      if (!dr_i.reachable() || !(dr_i.d_us < budget_us[x]) ||
+          IsUsable(LiftAcrossLink(arc.peer, arc.link, arc.lifted, dr_i))) {
+        continue;
+      }
+      scratch.entries.push_back(Neighbor{arc.peer, arc.link});
+    }
+  }
+  table.begin.push_back(static_cast<std::uint32_t>(scratch.entries.size()));
+  table.entries.assign(scratch.entries.begin(), scratch.entries.end());
   return result;
 }
 
-void DrSolver::BuildLists(NodeId subscriber,
-                          const std::vector<double>& budget_us,
-                          ListTable& table,
-                          std::vector<double>* farthest_read) {
-  const std::uint32_t n = static_cast<std::uint32_t>(graph_.node_count());
-  entries_.clear();
-  table.begin.reserve(n + 1);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    table.begin.push_back(static_cast<std::uint32_t>(entries_.size()));
-    if (i == subscriber.underlying()) continue;
-    const double farthest = CollectEligible(table.dr, i, budget_us[i]);
-    if (farthest_read != nullptr) {
-      (*farthest_read)[i] = std::max((*farthest_read)[i], farthest);
-    }
-    for (const ViaEntry& entry : eligible_) {
-      entries_.push_back(Neighbor{entry.neighbor, entry.link});
-    }
+DrSolver::Convergence DrSolver::SolveTable(
+    NodeId subscriber, const std::vector<double>& budget_us,
+    Scratch& scratch, ListTable& table, bool track_reads) const {
+  switch (config_.ordering) {
+    case OrderingPolicy::kTheorem1:
+      return SolveTableAs<OrderingPolicy::kTheorem1>(
+          subscriber, budget_us, scratch, table, track_reads);
+    case OrderingPolicy::kDelayFirst:
+      return SolveTableAs<OrderingPolicy::kDelayFirst>(
+          subscriber, budget_us, scratch, table, track_reads);
+    case OrderingPolicy::kReliabilityFirst:
+      return SolveTableAs<OrderingPolicy::kReliabilityFirst>(
+          subscriber, budget_us, scratch, table, track_reads);
   }
-  table.begin.push_back(static_cast<std::uint32_t>(entries_.size()));
-  table.entries.assign(entries_.begin(), entries_.end());
+  DCRD_CHECK(false) << "unknown ordering policy";
+  return {};
 }
 
-DrSolver::SubscriberState& DrSolver::PrepareSubscriber(NodeId subscriber) {
-  SubscriberState& state = subscribers_[subscriber.underlying()];
-  if (state.ready) return state;
-  state.ready = true;
+void DrSolver::SolveGroup(std::span<const DestinationRequest> requests,
+                          std::uint32_t first, Scratch& scratch,
+                          ListTable& shared, ListTable* solved,
+                          DestinationTables* out) const {
+  const NodeId subscriber = requests[first].subscriber;
   // Sweep order: nodes by monitored distance to the subscriber, closest
   // first, so each sweep propagates information one "ring" further out.
   const std::vector<double> to_subscriber =
       MonitoredDistancesFrom(graph_, view_, subscriber);
-  state.order.resize(graph_.node_count());
-  std::iota(state.order.begin(), state.order.end(), 0U);
-  std::stable_sort(state.order.begin(), state.order.end(),
+  std::iota(scratch.order.begin(), scratch.order.end(), 0U);
+  std::stable_sort(scratch.order.begin(), scratch.order.end(),
                    [&](std::uint32_t a, std::uint32_t b) {
                      return to_subscriber[a] < to_subscriber[b];
                    });
@@ -191,48 +247,92 @@ DrSolver::SubscriberState& DrSolver::PrepareSubscriber(NodeId subscriber) {
   // advertise r = 0, which would otherwise make it invisible to its
   // neighbours' fallback lists too — the unconstrained values restore "can
   // this neighbour deliver at all, however late".
-  state.farthest_read.assign(graph_.node_count(), -kInfiniteDelay);
-  state.convergence = SolveFixedPoint(subscriber, unbounded_, state.order,
-                                      state.table.dr, &state.farthest_read);
-  BuildLists(subscriber, unbounded_, state.table, &state.farthest_read);
-  return state;
+  std::fill(scratch.farthest_read.begin(), scratch.farthest_read.end(),
+            -kInfiniteDelay);
+  const Convergence unconstrained =
+      SolveTable(subscriber, unbounded_, scratch, shared, true);
+
+  for (std::uint32_t r = first; r != kNone; r = next_request_[r]) {
+    const DestinationRequest& request = requests[r];
+    AssignBudgets(request.deadline_us, request.publisher_dist_us, subscriber,
+                  scratch.budget);
+    DestinationTables& tables = out[r];
+    tables.subscriber = subscriber;
+    tables.deadline_us = request.deadline_us;
+    tables.reused = true;
+    for (std::size_t i = 0; i < scratch.budget.size() && tables.reused; ++i) {
+      const double farthest = scratch.farthest_read[i];
+      tables.reused = i == subscriber.underlying() ||
+                      farthest == -kInfiniteDelay ||
+                      scratch.budget[i] > farthest;
+    }
+    if (tables.reused) {
+      tables.sweeps_used = unconstrained.sweeps_used;
+      tables.converged = unconstrained.converged;
+      tables.per_node = PerNodeTables(&shared, nullptr);
+      continue;
+    }
+    // Budget-constrained fixed point: the paper's <d,r> and sending lists.
+    const Convergence constrained =
+        SolveTable(subscriber, scratch.budget, scratch, solved[r], false);
+    tables.sweeps_used = constrained.sweeps_used;
+    tables.converged = constrained.converged;
+    tables.per_node = PerNodeTables(
+        &solved[r], config_.build_fallback ? &shared : nullptr);
+  }
 }
 
-DestinationTables DrSolver::Solve(
-    NodeId subscriber, double deadline_us,
-    const std::vector<double>& publisher_dist_us) {
+std::vector<DestinationTables> DrSolver::SolveEpoch(
+    std::span<const DestinationRequest> requests, int workers) {
   const std::size_t n = graph_.node_count();
-  DCRD_CHECK(subscriber.underlying() < n);
-  DCRD_CHECK(publisher_dist_us.size() == n);
-  const SubscriberState& shared = PrepareSubscriber(subscriber);
-  AssignBudgets(deadline_us, publisher_dist_us, subscriber, budget_);
-
-  DestinationTables tables;
-  tables.subscriber = subscriber;
-  tables.deadline_us = deadline_us;
-  tables.reused = true;
-  for (std::size_t i = 0; i < n && tables.reused; ++i) {
-    const double farthest = shared.farthest_read[i];
-    tables.reused = i == subscriber.underlying() ||
-                    farthest == -kInfiniteDelay || budget_[i] > farthest;
+  // Group the requests by subscriber in order of first appearance.
+  group_first_.clear();
+  next_request_.assign(requests.size(), kNone);
+  for (std::uint32_t r = 0; r < requests.size(); ++r) {
+    const std::uint32_t s = requests[r].subscriber.underlying();
+    DCRD_CHECK(s < n);
+    DCRD_CHECK(requests[r].publisher_dist_us.size() == n);
+    if (last_request_[s] == kNone) {
+      group_first_.push_back(r);
+    } else {
+      next_request_[last_request_[s]] = r;
+    }
+    last_request_[s] = r;
   }
-  if (tables.reused) {
-    tables.sweeps_used = shared.convergence.sweeps_used;
-    tables.converged = shared.convergence.converged;
-    tables.per_node = PerNodeTables(&shared.table, nullptr);
-    return tables;
+  for (std::uint32_t first : group_first_) {
+    last_request_[requests[first].subscriber.underlying()] = kNone;
   }
 
-  // Budget-constrained fixed point: the paper's <d,r> and sending lists.
-  ListTable& table = solved_.emplace_back();
-  const Convergence constrained =
-      SolveFixedPoint(subscriber, budget_, shared.order, table.dr, nullptr);
-  tables.sweeps_used = constrained.sweeps_used;
-  tables.converged = constrained.converged;
-  BuildLists(subscriber, budget_, table, nullptr);
-  tables.per_node = PerNodeTables(
-      &table, config_.build_fallback ? &shared.table : nullptr);
-  return tables;
+  const std::size_t groups = group_first_.size();
+  const std::size_t worker_count = ParallelWorkers(groups, workers);
+  const std::size_t sized = scratch_.size();
+  if (sized < worker_count) scratch_.resize(worker_count);
+  for (std::size_t w = sized; w < worker_count; ++w) {
+    Scratch& scratch = scratch_[w];
+    scratch.budget.reserve(n);
+    scratch.order.resize(n);
+    scratch.farthest_read.resize(n);
+    scratch.warm.resize(arcs_.size());
+    scratch.sorted.reserve(max_degree_);
+    scratch.sorted_arc.reserve(max_degree_);
+    scratch.rest.reserve(max_degree_);
+    scratch.entries.reserve(arcs_.size());
+  }
+  std::vector<ListTable>& tables =
+      epochs_.emplace_back(groups + requests.size());
+  std::vector<DestinationTables> out(requests.size());
+  ParallelFor(groups, workers, [&](std::size_t g, std::size_t w) {
+    SolveGroup(requests, group_first_[g], scratch_[w], tables[g],
+               tables.data() + groups, out.data());
+  });
+  return out;
+}
+
+DestinationTables DrSolver::Solve(NodeId subscriber, double deadline_us,
+                                  std::span<const double> publisher_dist_us) {
+  const DestinationRequest request{subscriber, deadline_us,
+                                   publisher_dist_us};
+  return std::move(SolveEpoch({&request, 1}, 1).front());
 }
 
 }  // namespace dcrd

@@ -31,10 +31,26 @@
 //  * per subscriber — the sweep order (a Dijkstra from S) and the
 //    unconstrained fixed point and lists, which depend on (subscriber,
 //    view, m, ordering) but not on the publisher or deadline;
-//  * per node evaluation — one reused scratch list, sorted in place.
+//  * per node evaluation — a warm start. Each node keeps its arcs in the
+//    order its previous evaluation sorted them (reset to arc order when a
+//    solve starts); the next evaluation collects eligible neighbours in
+//    that order and insertion-sorts the usable ones, so once the first
+//    sweeps settle the order, sorting costs about one comparison per
+//    entry. SendsBefore is a strict total order on a list (dr.h), so any
+//    correct sort yields the sequence a sort from arc order gave, and Eq. 3
+//    folds the same doubles in the same order.
 // Each shared value is computed by exactly the arithmetic the per-destination
 // recomputation used, and sweeps visit nodes in the same order, so the
 // tables are bit-identical to solving every destination from scratch.
+//
+// Epochs. SolveEpoch groups the requests by subscriber and hands whole
+// subscribers to ParallelFor's workers. A worker solves its subscriber's
+// unconstrained table, then the subscriber's destinations in request
+// order, in scratch of its own (budgets, sweep order, read bounds, warm
+// order, list buffers); the sweep order and read bounds live only while
+// that subscriber's destinations solve. A group reads only the view, its
+// own requests and its own unconstrained solve, and writes only slots it
+// owns, so the tables are the same for any worker count.
 //
 // Reuse. While it runs a subscriber's unconstrained fixed point, the solver
 // records for every node the largest finite neighbour d the node reads, in
@@ -51,13 +67,13 @@
 // Storage. A table (ListTable) holds one <d,r> per node and every node's
 // sending list flat, as (neighbour, link) pairs in sending order; the Eq. 2
 // values a list was sorted by are not stored but recomputed on demand
-// (ViaEntryOf) by the same arithmetic. A solver keeps one table per
-// subscriber and one per destination that solved, and hands out views
-// (DestinationTables) into them.
+// (ViaEntryOf) by the same arithmetic. A solver keeps, per epoch, one
+// table per subscriber and one per destination that solved, allocated by
+// the worker that solves it, and hands out views (DestinationTables) into
+// them.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -176,9 +192,20 @@ LinkModel LiftedLink(const MonitoredView& view, LinkId link,
 ViaEntry ViaEntryOf(const ListTable& table, Neighbor hop,
                     const MonitoredView& view, int max_transmissions);
 
+// One destination of an epoch: tables toward `subscriber` under deadline
+// D_PS = `deadline_us`. `publisher_dist_us[x]` is the monitored shortest
+// delay from the publisher to x (infinity when unreachable); the caller
+// computes it once per topic and shares it across that topic's requests.
+struct DestinationRequest {
+  NodeId subscriber;
+  double deadline_us = 0.0;
+  std::span<const double> publisher_dist_us;
+};
+
 // The <d,r> solver for one monitored view: construct it once per rebuild
-// and Solve each destination. Holds references to `graph` and `view`,
-// which must outlive it, and owns every table it hands out.
+// and solve the epoch's destinations in one SolveEpoch call. Holds
+// references to `graph` and `view`, which must outlive it, and owns every
+// table it hands out.
 class DrSolver {
  public:
   DrSolver(const Graph& graph, const MonitoredView& view,
@@ -187,14 +214,18 @@ class DrSolver {
   DrSolver(const DrSolver&) = delete;
   DrSolver& operator=(const DrSolver&) = delete;
 
-  // Tables toward `subscriber` under deadline D_PS = `deadline_us`;
-  // `publisher_dist_us[x]` is the monitored shortest delay from the
-  // publisher to x (infinity when unreachable) — the caller computes it
-  // once per topic and shares it across that topic's subscribers. The
-  // returned view stays valid, and unchanged, until the solver is
-  // destroyed.
+  // Every request's tables, by request index. The requests are grouped by
+  // subscriber in order of first appearance, and the groups fanned over up
+  // to `workers` threads by ParallelFor (common/parallel_for.h), so inside
+  // another fan-out the epoch runs inline. The tables do not depend on
+  // `workers` (see "Epochs" above). Each publisher_dist_us span must stay
+  // valid for the call; the returned views stay valid, and unchanged,
+  // until the solver is destroyed.
+  std::vector<DestinationTables> SolveEpoch(
+      std::span<const DestinationRequest> requests, int workers);
+  // One destination: an epoch of one request, on the calling thread.
   DestinationTables Solve(NodeId subscriber, double deadline_us,
-                          const std::vector<double>& publisher_dist_us);
+                          std::span<const double> publisher_dist_us);
 
  private:
   // One direction of a link, already lifted through Eq. 1.
@@ -207,48 +238,71 @@ class DrSolver {
     int sweeps_used = 0;
     bool converged = false;
   };
-  // What a subscriber's destinations share (see the header comment).
-  struct SubscriberState {
-    bool ready = false;
-    std::vector<std::uint32_t> order;  // sweep order, closest to S first
-    ListTable table;                   // unconstrained fixed point and lists
-    // Per node, the largest finite neighbour d read while solving `table`;
-    // -infinity when the node never read a reachable neighbour.
+  // One worker's buffers, reused for every subscriber it claims.
+  struct Scratch {
+    std::vector<double> budget;         // D_XS of the destination solving
+    std::vector<std::uint32_t> order;   // the subscriber's sweep order
+    // Per node, the largest finite neighbour d read while solving the
+    // subscriber's unconstrained table; -infinity when the node never read
+    // a reachable neighbour.
     std::vector<double> farthest_read;
-    Convergence convergence;
+    // warm[arc_begin_[x] .. arc_begin_[x + 1]): x's arcs in the order its
+    // last evaluation sorted them, usable entries first.
+    std::vector<std::uint32_t> warm;
+    std::vector<ViaEntry> sorted;       // one node's usable entries, sorted
+    std::vector<std::uint32_t> sorted_arc;  // their arcs
+    std::vector<std::uint32_t> rest;    // its other arcs, in warm order
+    std::vector<Neighbor> entries;      // a table's lists under build
   };
 
-  SubscriberState& PrepareSubscriber(NodeId subscriber);
-  // Fills eligible_ with x's sending-list entries under `budget_us` and
-  // returns the largest d among x's reachable neighbours (-infinity when
-  // none).
-  double CollectEligible(const std::vector<DR>& dr, std::uint32_t x,
-                         double budget_us);
-  // Gauss–Seidel sweeps from scratch into `dr` under per-node budgets,
-  // raising `farthest_read` (when given) to every node's largest read.
-  Convergence SolveFixedPoint(NodeId subscriber,
-                              const std::vector<double>& budget_us,
-                              const std::vector<std::uint32_t>& order,
-                              std::vector<DR>& dr,
-                              std::vector<double>* farthest_read);
-  // The final list pass: every node's list from `table.dr` under the
-  // budgets, stored flat at exact size.
-  void BuildLists(NodeId subscriber, const std::vector<double>& budget_us,
-                  ListTable& table, std::vector<double>* farthest_read);
+  // Solves the request group starting at request `first` on `scratch`:
+  // the subscriber's unconstrained table into `shared`, then each request r
+  // of the group into out[r], solving into solved[r] when it cannot reuse.
+  void SolveGroup(std::span<const DestinationRequest> requests,
+                  std::uint32_t first, Scratch& scratch, ListTable& shared,
+                  ListTable* solved, DestinationTables* out) const;
+  // Gauss–Seidel sweeps from scratch into `table.dr` under per-node
+  // budgets (+infinity budgets give the unconstrained fixed point), then
+  // the final list pass; raises scratch.farthest_read to every node's
+  // largest read when `track_reads`.
+  Convergence SolveTable(NodeId subscriber,
+                         const std::vector<double>& budget_us,
+                         Scratch& scratch, ListTable& table,
+                         bool track_reads) const;
+  template <OrderingPolicy kPolicy>
+  Convergence SolveTableAs(NodeId subscriber,
+                           const std::vector<double>& budget_us,
+                           Scratch& scratch, ListTable& table,
+                           bool track_reads) const;
+  // Warm-started evaluation of node x against `dr` under `budget_us`:
+  // collects x's eligible neighbours in x's warm order, insertion-sorts
+  // the usable ones into scratch.sorted under kPolicy and saves that order
+  // as x's warm order. Returns the largest d among x's reachable
+  // neighbours (-infinity when none); `unusable` reports an eligible
+  // neighbour whose entry is not usable.
+  template <OrderingPolicy kPolicy>
+  double SortEligible(const std::vector<DR>& dr, std::uint32_t x,
+                      double budget_us, Scratch& scratch,
+                      bool& unusable) const;
 
   const Graph& graph_;
   const MonitoredView& view_;
   const DrComputationConfig config_;
   std::vector<std::uint32_t> arc_begin_;  // node x's arcs: [x] .. [x + 1]
   std::vector<Arc> arcs_;                 // usable (gamma^(m) > 0) only
+  std::size_t max_degree_ = 0;
   std::vector<double> unbounded_;         // +infinity budget per node
-  std::vector<SubscriberState> subscribers_;  // by node id, filled lazily
-  // One table per destination that solved; a deque keeps every table at
-  // its address while more are added, so the views stay valid.
-  std::deque<ListTable> solved_;
-  std::vector<double> budget_;        // D_XS of the destination being solved
-  std::vector<ViaEntry> eligible_;    // one node's list under build
-  std::vector<Neighbor> entries_;     // a table's lists under build
+  // Each epoch's tables: one per subscriber group, then one slot per
+  // request (filled when the request solved). An epoch's vector is never
+  // resized, so views into it stay valid as epochs are added.
+  std::vector<std::vector<ListTable>> epochs_;
+  std::vector<Scratch> scratch_;  // one per worker of the widest epoch
+  // Request grouping: the first request of each group, the next request
+  // toward the same subscriber, and per node the group's last request so
+  // far (kNone outside SolveEpoch).
+  std::vector<std::uint32_t> group_first_;
+  std::vector<std::uint32_t> next_request_;
+  std::vector<std::uint32_t> last_request_;
 };
 
 // Monitored shortest delay from `source` to every node, in microseconds

@@ -1,12 +1,11 @@
 #include "sim/sweep_runner.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <stdexcept>
-#include <thread>
 
+#include "common/parallel_for.h"
 
 namespace dcrd {
 
@@ -21,9 +20,7 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 int ResolveJobCount(int requested) {
-  if (requested >= 1) return requested;
-  const unsigned hardware = std::thread::hardware_concurrency();
-  return hardware == 0 ? 1 : static_cast<int>(hardware);
+  return requested >= 1 ? requested : HardwareThreads();
 }
 
 SweepRunner::SweepRunner(int jobs) : jobs_(jobs < 1 ? 1 : jobs) {}
@@ -34,38 +31,29 @@ void SweepRunner::Run(std::size_t count,
                       SweepRunStats* stats) const {
   const auto run_start = std::chrono::steady_clock::now();
   std::vector<double> cell_seconds(count, 0.0);
-  // One slot per cell: workers write only their own index, so no lock is
-  // needed and the lowest-indexed failure is recoverable after the join.
-  std::vector<std::exception_ptr> failures(count);
-
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<bool> abandon{false};
-  const auto worker = [&] {
-    while (!abandon.load(std::memory_order_relaxed)) {
-      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
+  // A failing cell carries its index out of the loop, so the label is
+  // formatted on this thread once every worker has joined.
+  struct CellFailure {
+    std::size_t index;
+    std::string message;
+  };
+  std::optional<CellFailure> failed;
+  try {
+    ParallelFor(count, jobs_, [&](std::size_t i, std::size_t) {
       const auto cell_start = std::chrono::steady_clock::now();
+      std::optional<std::string> error;
       try {
         fn(i);
+      } catch (const std::exception& e) {
+        error = e.what();
       } catch (...) {
-        failures[i] = std::current_exception();
-        abandon.store(true, std::memory_order_relaxed);
+        error = "unknown exception";
       }
       cell_seconds[i] = SecondsSince(cell_start);
-    }
-  };
-
-  const std::size_t thread_count =
-      std::min<std::size_t>(static_cast<std::size_t>(jobs_), count);
-  if (thread_count <= 1) {
-    worker();  // inline: today's serial path, index order guaranteed
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(thread_count);
-    for (std::size_t t = 0; t < thread_count; ++t) {
-      threads.emplace_back(worker);
-    }
-    for (std::thread& thread : threads) thread.join();
+      if (error) throw CellFailure{i, std::move(*error)};
+    });
+  } catch (const CellFailure& failure) {
+    failed = failure;
   }
 
   if (stats != nullptr) {
@@ -75,19 +63,11 @@ void SweepRunner::Run(std::size_t count,
     stats->cell_seconds = std::move(cell_seconds);
   }
 
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!failures[i]) continue;
-    std::string message;
-    try {
-      std::rethrow_exception(failures[i]);
-    } catch (const std::exception& e) {
-      message = e.what();
-    } catch (...) {
-      message = "unknown exception";
-    }
-    const std::string label =
-        describe ? describe(i) : "#" + std::to_string(i);
-    throw std::runtime_error("sweep cell " + label + " failed: " + message);
+  if (failed) {
+    const std::size_t i = failed->index;
+    const std::string label = describe ? describe(i) : "#" + std::to_string(i);
+    throw std::runtime_error("sweep cell " + label +
+                             " failed: " + failed->message);
   }
 }
 

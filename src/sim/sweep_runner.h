@@ -15,6 +15,9 @@
 //  * the final reduce walks indices 0..count-1 in order.
 // `jobs == 1` runs cells inline on the calling thread in index order — the
 // exact serial path the figure binaries had before parallelisation.
+// The loop is ParallelFor (common/parallel_for.h): with jobs > 1 a cell's
+// own fan-out (the DCRD epoch solve) runs inline on the cell's thread, and
+// with jobs == 1 it gets every core.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +28,7 @@
 namespace dcrd {
 
 // Resolves a --jobs request: n >= 1 is taken literally; 0 or negative means
-// "use every core" (std::thread::hardware_concurrency, at least 1).
+// "use every core" (HardwareThreads()).
 int ResolveJobCount(int requested);
 
 // Wall-clock accounting for one pooled run; feeds the --bench_json emitter.

@@ -1,7 +1,13 @@
 #include "dcrd/dcrd_router.h"
 
+#include <algorithm>
+#include <cstring>
+#include <span>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "common/parallel_for.h"
 #include "common/rng.h"
 #include "graph/topology.h"
 #include "obs/flight_recorder.h"
@@ -357,6 +363,94 @@ TEST(DcrdRouterTest, SolveStatsSumTheTablesOfEveryRebuild) {
   // The lossy, failure-prone overlay drives some solves into the sweep
   // cap, so the unconverged count is exercised too.
   EXPECT_GT(expected.unconverged, 0U);
+}
+
+// Empty when two destinations' tables agree bit for bit: convergence
+// bookkeeping, every <d,r> (memcmp) and every primary and fallback list.
+std::string TablesDiff(const DestinationTables& a, const DestinationTables& b) {
+  if (a.subscriber != b.subscriber || a.sweeps_used != b.sweeps_used ||
+      a.converged != b.converged || a.reused != b.reused ||
+      std::memcmp(&a.deadline_us, &b.deadline_us, sizeof(double)) != 0) {
+    return "bookkeeping";
+  }
+  if (a.per_node.size() != b.per_node.size()) return "node count";
+  const auto same_list = [](std::span<const Neighbor> x,
+                            std::span<const Neighbor> y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                      [](const Neighbor& p, const Neighbor& q) {
+                        return p.peer == q.peer && p.link == q.link;
+                      });
+  };
+  for (std::size_t i = 0; i < a.per_node.size(); ++i) {
+    const NodeTables x = a.per_node[i];
+    const NodeTables y = b.per_node[i];
+    if (std::memcmp(&x.dr, &y.dr, sizeof(DR)) != 0 ||
+        !same_list(x.primary, y.primary) ||
+        !same_list(x.fallback, y.fallback)) {
+      return "node " + std::to_string(i);
+    }
+  }
+  return "";
+}
+
+TEST(DcrdRouterEpochTest, FanOutRebuildMatchesInlineRebuild) {
+  // The same scenario twice: one router rebuilds on this plain thread,
+  // where the epoch fans out over every core, the other inside a pooled
+  // worker of a fan-out, where it runs inline. Every table must agree.
+  const auto overlay = [] {
+    Rng rng(6);
+    return RandomConnected(40, 5, rng);
+  };
+  for (const OrderingPolicy ordering :
+       {OrderingPolicy::kTheorem1, OrderingPolicy::kReliabilityFirst}) {
+    for (const int m : {1, 2}) {
+      RouterHarness fan(overlay(), 0.08, 1e-3);
+      RouterHarness inline_run(overlay(), 0.08, 1e-3);
+      for (RouterHarness* h : {&fan, &inline_run}) {
+        for (const std::uint32_t publisher : {0U, 13U, 27U}) {
+          const TopicId topic = h->subscriptions.AddTopic(NodeId(publisher));
+          for (std::uint32_t s = 1; s < 40; s += 2) {
+            h->subscriptions.AddSubscription(
+                topic, NodeId((publisher + s) % 40),
+                SimDuration::Millis(60 + 10 * (s % 5)));
+          }
+        }
+      }
+      DcrdConfig config;
+      config.computation.ordering = ordering;
+      DcrdRouter fanned(fan.Context(m), config);
+      DcrdRouter inlined(inline_run.Context(m), config);
+      for (int epoch = 0; epoch < 2; ++epoch) {
+        const SimTime at =
+            SimTime::Zero() + SimDuration::Seconds(300 * epoch);
+        fan.monitor.MeasureAt(at);
+        inline_run.monitor.MeasureAt(at);
+        fanned.Rebuild(fan.monitor.view());
+        std::size_t nested_workers = 0;
+        ParallelFor(2, 2, [&](std::size_t i, std::size_t) {
+          if (i != 0) return;
+          nested_workers = ParallelWorkers(40, HardwareThreads());
+          inlined.Rebuild(inline_run.monitor.view());
+        });
+        ASSERT_EQ(nested_workers, 1U);
+        const SubscriptionTable& subs = fan.subscriptions;
+        for (std::size_t t = 0; t < subs.topic_count(); ++t) {
+          const TopicId topic(static_cast<TopicId::underlying_type>(t));
+          for (const Subscription& sub : subs.subscriptions(topic)) {
+            EXPECT_EQ(TablesDiff(fanned.TablesFor(topic, sub.subscriber),
+                                 inlined.TablesFor(topic, sub.subscriber)),
+                      "")
+                << "ordering " << static_cast<int>(ordering) << " m " << m
+                << " epoch " << epoch << " topic " << t << " subscriber "
+                << sub.subscriber;
+          }
+        }
+        EXPECT_EQ(fanned.solve_stats().sweeps, inlined.solve_stats().sweeps);
+        EXPECT_EQ(fanned.solve_stats().unconverged,
+                  inlined.solve_stats().unconverged);
+      }
+    }
+  }
 }
 
 }  // namespace

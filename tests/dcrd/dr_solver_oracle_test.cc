@@ -13,7 +13,8 @@
 // list's neighbour and link order, the Eq. 2 values recomputed from the
 // tables, and the convergence bookkeeping to match the oracle on random
 // overlays across the solver's whole configuration space, including
-// destinations that stop at the sweep cap.
+// destinations that stop at the sweep cap, with the epoch solved on one,
+// two and four workers.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -316,9 +317,9 @@ std::string BudgetsDiff(const oracle::DestinationTables& want,
   return "";
 }
 
-// One random overlay's destinations, solved by one DrSolver per epoch and
-// configuration in the router's topic-major order, each checked against a
-// from-scratch oracle solve.
+// One random overlay's destinations, solved in the router's topic-major
+// order by one SolveEpoch call per epoch, configuration and worker count,
+// each checked against a from-scratch oracle solve.
 struct OracleTally {
   int destinations = 0;
   int capped = 0;  // stopped unconverged at max_sweeps
@@ -335,24 +336,39 @@ void CheckOverlay(std::size_t nodes, std::size_t degree, double pf,
   monitor_config.loss_rate = 1e-3;
   LinkMonitor monitor(graph, failures, monitor_config, rng.Fork("probes"));
 
-  // Two topics sharing two subscribers, so each solver reuses every
-  // subscriber's sweep order and unconstrained solve across topics.
+  // Two topics of three subscribers, two of them shared, so an epoch has
+  // four subscriber groups for its workers and each solver reuses a
+  // shared subscriber's sweep order and unconstrained solve across topics.
   Rng pick = rng.Fork("destinations");
   const auto node_at = [&](std::uint64_t draw) {
     return NodeId(static_cast<NodeId::underlying_type>(draw));
   };
   const NodeId publishers[2] = {node_at(pick.NextBounded(nodes)),
                                 node_at(pick.NextBounded(nodes))};
-  const NodeId subscribers[2] = {node_at(pick.NextBounded(nodes)),
-                                 node_at(pick.NextBounded(nodes))};
+  NodeId subscribers[4];
+  for (NodeId& subscriber : subscribers) {
+    subscriber = node_at(pick.NextBounded(nodes));
+  }
+  const NodeId topic_subscribers[2][3] = {
+      {subscribers[0], subscribers[1], subscribers[2]},
+      {subscribers[0], subscribers[1], subscribers[3]}};
   const double qos_factors[3] = {1.5, 3.0, 6.0};
 
   for (int epoch = 0; epoch < 3; ++epoch) {
     monitor.MeasureAt(SimTime::Zero() + SimDuration::Seconds(300 * epoch));
     const MonitoredView& view = monitor.view();
     std::vector<double> publisher_dist[2];
+    std::vector<DestinationRequest> requests;
     for (int t = 0; t < 2; ++t) {
       publisher_dist[t] = MonitoredDistancesFrom(graph, view, publishers[t]);
+      for (int s = 0; s < 3; ++s) {
+        const NodeId subscriber = topic_subscribers[t][s];
+        requests.push_back(DestinationRequest{
+            subscriber,
+            qos_factors[(epoch + t + s) % 3] *
+                publisher_dist[t][subscriber.underlying()],
+            publisher_dist[t]});
+      }
     }
     for (int m = 1; m <= 3; ++m) {
       for (const OrderingPolicy ordering :
@@ -363,31 +379,36 @@ void CheckOverlay(std::size_t nodes, std::size_t degree, double pf,
           config.max_transmissions = m;
           config.ordering = ordering;
           config.build_fallback = fallback;
-          DrSolver solver(graph, view, config);
-          for (int t = 0; t < 2; ++t) {
-            for (int s = 0; s < 2; ++s) {
-              const NodeId subscriber = subscribers[s];
-              const double deadline_us =
-                  qos_factors[(epoch + t + s) % 3] *
-                  publisher_dist[t][subscriber.underlying()];
-              const DestinationTables got =
-                  solver.Solve(subscriber, deadline_us, publisher_dist[t]);
-              const oracle::DestinationTables want =
-                  oracle::ComputeDestinationTables(graph, view, subscriber,
-                                                   deadline_us,
-                                                   publisher_dist[t], config);
-              std::string diff = BudgetsDiff(want, publisher_dist[t]);
-              if (diff.empty()) diff = TablesDiff(want, got, view, config);
+          std::vector<oracle::DestinationTables> want;
+          for (std::size_t r = 0; r < requests.size(); ++r) {
+            const int t = static_cast<int>(r / 3);
+            want.push_back(oracle::ComputeDestinationTables(
+                graph, view, requests[r].subscriber, requests[r].deadline_us,
+                publisher_dist[t], config));
+          }
+          for (const int workers : {1, 2, 4}) {
+            DrSolver solver(graph, view, config);
+            const std::vector<DestinationTables> got =
+                solver.SolveEpoch(requests, workers);
+            ASSERT_EQ(got.size(), requests.size());
+            for (std::size_t r = 0; r < requests.size(); ++r) {
+              const int t = static_cast<int>(r / 3);
+              std::string diff = BudgetsDiff(want[r], publisher_dist[t]);
+              if (diff.empty()) {
+                diff = TablesDiff(want[r], got[r], view, config);
+              }
               ASSERT_EQ(diff, "")
                   << "N=" << nodes << " degree=" << degree << " pf=" << pf
                   << " epoch=" << epoch << " m=" << m
                   << " ordering=" << static_cast<int>(ordering)
-                  << " fallback=" << fallback << " topic=" << t
-                  << " subscriber=" << subscriber
-                  << " reused=" << got.reused;
+                  << " fallback=" << fallback << " workers=" << workers
+                  << " request=" << r
+                  << " subscriber=" << requests[r].subscriber
+                  << " reused=" << got[r].reused;
               ++tally.destinations;
-              if (got.reused) ++tally.reused;
-              if (!got.converged && got.sweeps_used == config.max_sweeps) {
+              if (got[r].reused) ++tally.reused;
+              if (!got[r].converged &&
+                  got[r].sweeps_used == config.max_sweeps) {
                 ++tally.capped;
               }
             }
@@ -409,8 +430,9 @@ TEST(DrSolverOracleTest, MatchesPerDestinationSolverBitForBit) {
       }
     }
   }
-  // 27 overlays x 3 epochs x 18 configurations x 4 destinations.
-  EXPECT_EQ(tally.destinations, 27 * 3 * 18 * 4);
+  // 27 overlays x 3 epochs x 18 configurations x 6 destinations, each at
+  // 3 worker counts.
+  EXPECT_EQ(tally.destinations, 27 * 3 * 18 * 6 * 3);
   // The sweep cap path must be covered, not just converged solves, and so
   // must both reused and solved destinations.
   EXPECT_GT(tally.capped, 0);

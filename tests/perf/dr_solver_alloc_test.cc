@@ -1,16 +1,19 @@
 // Allocation contract of the <d,r> control plane. Sorting a sending list
-// works in place, and a DrSolver builds every list in reused scratch
-// buffers, so once a subscriber's shared state exists a destination that
-// reuses it allocates nothing and one that solves allocates only its own
-// table — the same whether its fixed point settles in a few sweeps or runs
-// into the sweep cap. A whole DcrdRouter::Rebuild then costs a small
-// constant per topic, per subscriber and per solved destination, never a
-// list per (destination, broker).
+// works in place, and a DrSolver builds every list in per-worker scratch
+// buffers, so within an epoch a destination that reuses its subscriber's
+// solve allocates nothing and one that solves allocates only its own table
+// — the same whether its fixed point settles in a few sweeps or runs into
+// the sweep cap, and on any number of workers. A whole
+// DcrdRouter::Rebuild then costs a small constant per topic, per
+// subscriber, per solved destination and per worker, never a list per
+// (destination, broker). Epochs fan out to threads, so these tests count
+// the allocations of every thread.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <set>
 
+#include "common/parallel_for.h"
 #include "common/rng.h"
 #include "dcrd/dcrd_router.h"
 #include "dcrd/dr_computation.h"
@@ -53,9 +56,8 @@ TEST(DrSolverAllocTest, WarmSortByPolicyIsAllocationFree) {
       << "SortByPolicy allocated " << delta.bytes << " bytes";
 }
 
-// What a solved destination's own table holds: the <d,r> and offset
-// arrays and, unless every list is empty, the entries array, each at its
-// exact size.
+// What a solved table holds: the <d,r> and offset arrays and, unless every
+// list is empty, the entries array, each at its exact size.
 test::AllocCounts TableFootprint(const ListTable& table) {
   test::AllocCounts need;
   need.allocations = table.entries.empty() ? 2 : 3;
@@ -63,6 +65,47 @@ test::AllocCounts TableFootprint(const ListTable& table) {
                table.begin.size() * sizeof(std::uint32_t) +
                table.entries.size() * sizeof(Neighbor);
   return need;
+}
+
+// What one extra worker costs an epoch: its scratch (budgets, sweep order,
+// read bounds, warm order, the sorted entries and their arcs, the other
+// arcs, the list buffer) and its thread; a fan-out also keeps a list of
+// its threads.
+constexpr std::uint64_t kScratchArrays = 8;
+constexpr std::uint64_t kPerExtraWorker = kScratchArrays + 1;
+
+// One epoch on a fresh solver, counted on every thread.
+struct EpochRun {
+  test::AllocCounts delta;
+  std::uint64_t solved_allocations = 0;  // their tables' footprints
+  std::uint64_t solved_bytes = 0;
+  int reused = 0;  // took the subscriber's unconstrained solve
+  int quick = 0;   // solved, converged within a quarter of the cap
+  int capped = 0;  // solved, stopped unconverged at the cap
+};
+
+EpochRun RunEpoch(const Graph& graph, const MonitoredView& view,
+                  const DrComputationConfig& config,
+                  const std::vector<DestinationRequest>& requests,
+                  int workers) {
+  DrSolver solver(graph, view, config);
+  EpochRun run;
+  test::ProcessAllocProbe probe;
+  const std::vector<DestinationTables> tables =
+      solver.SolveEpoch(requests, workers);
+  run.delta = probe.delta();
+  for (const DestinationTables& t : tables) {
+    if (t.reused) {
+      ++run.reused;
+      continue;
+    }
+    const auto need = TableFootprint(t.per_node.primary_table());
+    run.solved_allocations += need.allocations;
+    run.solved_bytes += need.bytes;
+    if (t.converged && t.sweeps_used <= config.max_sweeps / 4) ++run.quick;
+    if (!t.converged && t.sweeps_used == config.max_sweeps) ++run.capped;
+  }
+  return run;
 }
 
 TEST(DrSolverAllocTest, SolveAllocatesOnlyItsTablesWhateverItsSweepCount) {
@@ -77,49 +120,47 @@ TEST(DrSolverAllocTest, SolveAllocatesOnlyItsTablesWhateverItsSweepCount) {
   const DrComputationConfig config;
   const auto dist = MonitoredDistancesFrom(graph, view, NodeId(0));
 
-  DrSolver solver(graph, view, config);
-  int reused = 0;  // took the subscriber's unconstrained solve
-  int quick = 0;   // solved, converged within a quarter of the cap
-  int capped = 0;  // solved, stopped unconverged at the cap
+  // Every subscriber's first destination (the group's sweep order and
+  // unconstrained solve come with it), alone and then followed by three
+  // more whose budgets bind to different degrees.
+  std::vector<DestinationRequest> first, all;
   for (std::uint32_t s = 1; s < graph.node_count(); ++s) {
     const NodeId subscriber(s);
-    // The subscriber's first destination builds its shared sweep order and
-    // unconstrained solve; the measured ones reuse them.
-    (void)solver.Solve(subscriber, 6.0 * dist[s], dist);
+    first.push_back(DestinationRequest{subscriber, 6.0 * dist[s], dist});
+    all.push_back(first.back());
     for (const double qos : {1.5, 3.0, 1e6}) {
-      AllocProbe probe;
-      const DestinationTables tables =
-          solver.Solve(subscriber, qos * dist[s], dist);
-      const auto delta = probe.delta();
-      if (tables.reused) {
-        EXPECT_EQ(delta.allocations, 0u)
-            << "subscriber " << s << " qos " << qos << " allocated "
-            << delta.bytes << " bytes";
-        ++reused;
-        continue;
-      }
-      // Beyond its arrays, adding the table to the solver's deque may
-      // take a new block and a larger block map.
-      const auto need = TableFootprint(tables.per_node.primary_table());
-      EXPECT_GE(delta.allocations, need.allocations)
-          << "subscriber " << s << " qos " << qos;
-      EXPECT_LE(delta.allocations, need.allocations + 2)
-          << "subscriber " << s << " qos " << qos << ", "
-          << tables.sweeps_used << " sweeps";
-      EXPECT_GE(delta.bytes, need.bytes)
-          << "subscriber " << s << " qos " << qos;
-      if (tables.converged && tables.sweeps_used <= config.max_sweeps / 4) {
-        ++quick;
-      }
-      if (!tables.converged && tables.sweeps_used == config.max_sweeps) {
-        ++capped;
-      }
+      all.push_back(DestinationRequest{subscriber, qos * dist[s], dist});
     }
   }
-  // Reuse and both ends of the sweep range were measured.
-  EXPECT_GT(reused, 0);
-  EXPECT_GT(quick, 0);
-  EXPECT_GT(capped, 0);
+  const EpochRun serial = RunEpoch(graph, view, config, first, 1);
+  for (const int workers : {1, 2, 4}) {
+    const EpochRun base = RunEpoch(graph, view, config, first, workers);
+    const EpochRun full = RunEpoch(graph, view, config, all, workers);
+    // The three extra destinations per subscriber: one that reuses the
+    // subscriber's solve allocates nothing, and one that solves allocates
+    // its table and nothing else, at any worker count and whether its
+    // fixed point settles in a few sweeps or runs into the cap.
+    EXPECT_EQ(full.delta.allocations - base.delta.allocations,
+              full.solved_allocations - base.solved_allocations)
+        << workers << " workers";
+    EXPECT_GE(full.delta.bytes - base.delta.bytes,
+              full.solved_bytes - base.solved_bytes)
+        << workers << " workers";
+    // Each worker past the first costs its scratch and its thread.
+    const std::uint64_t extra_workers =
+        ParallelWorkers(first.size(), workers) - 1;
+    const std::uint64_t per_worker =
+        base.delta.allocations - serial.delta.allocations;
+    EXPECT_GE(per_worker, extra_workers * kScratchArrays)
+        << workers << " workers";
+    EXPECT_LE(per_worker,
+              extra_workers * kPerExtraWorker + (extra_workers > 0 ? 1 : 0))
+        << workers << " workers";
+    // Reuse and both ends of the sweep range were measured.
+    EXPECT_GT(full.reused - base.reused, 0);
+    EXPECT_GT(full.quick - base.quick, 0);
+    EXPECT_GT(full.capped - base.capped, 0);
+  }
 }
 
 TEST(DrSolverAllocTest,
@@ -139,7 +180,7 @@ TEST(DrSolverAllocTest,
   std::uint64_t solved_total = 0, destinations_total = 0;
   for (int epoch = 1; epoch <= 3; ++epoch) {
     h.monitor.MeasureAt(SimTime::Zero() + SimDuration::Seconds(300 * epoch));
-    AllocProbe probe;
+    test::ProcessAllocProbe probe;
     router.Rebuild(h.monitor.view());
     const auto delta = probe.delta();
     std::uint64_t topics = 0, solved = 0, destinations = 0;
@@ -153,16 +194,22 @@ TEST(DrSolverAllocTest,
         subscribers.insert(sub.subscriber.underlying());
       }
     }
-    // Per topic: the publisher's Dijkstra (13 allocations) and the topic's
-    // views; per subscriber: its Dijkstra, sweep order, read bounds and
-    // table (19); per solved destination: its table (3) and the deque's
-    // growth; per rebuild: the solver and the router's dense arrays.
-    const std::uint64_t bound =
-        16 * topics + 24 * subscribers.size() + 4 * solved + 64;
+    // The epoch ran on this many workers, each with its own scratch and
+    // (past the first) its own thread.
+    const std::uint64_t workers =
+        ParallelWorkers(subscribers.size(), HardwareThreads());
+    // Per topic: the publisher's Dijkstra (13 allocations) and its request;
+    // per subscriber: its Dijkstra, sweep-order sort and table (17); per
+    // solved destination: its table (3); per worker: its scratch and
+    // thread (9); per rebuild: the solver, its request grouping and the
+    // router's dense arrays.
+    const std::uint64_t bound = 16 * topics + 24 * subscribers.size() +
+                                4 * solved + kPerExtraWorker * workers + 64;
     EXPECT_LE(delta.allocations, bound)
         << "epoch " << epoch << ": " << topics << " topics, "
         << subscribers.size() << " subscribers, " << solved << " of "
-        << destinations << " destinations solved";
+        << destinations << " destinations solved, " << workers
+        << " workers";
     solved_total += solved;
     destinations_total += destinations;
   }

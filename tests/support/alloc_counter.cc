@@ -1,5 +1,6 @@
 #include "support/alloc_counter.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <new>
 
@@ -9,10 +10,15 @@ namespace {
 // Plain struct with no constructor so thread_local init cannot itself
 // allocate or recurse through operator new.
 thread_local AllocCounts tls_counts;
+std::atomic<std::uint64_t> process_allocations{0};
+std::atomic<std::uint64_t> process_deallocations{0};
+std::atomic<std::uint64_t> process_bytes{0};
 
 void* CountedAlloc(std::size_t size, std::size_t alignment) {
   ++tls_counts.allocations;
   tls_counts.bytes += size;
+  process_allocations.fetch_add(1, std::memory_order_relaxed);
+  process_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = alignment <= alignof(std::max_align_t)
                 ? std::malloc(size)
                 // aligned_alloc requires size % alignment == 0.
@@ -26,12 +32,19 @@ void* CountedAlloc(std::size_t size, std::size_t alignment) {
 void CountedFree(void* p) {
   if (p == nullptr) return;
   ++tls_counts.deallocations;
+  process_deallocations.fetch_add(1, std::memory_order_relaxed);
   std::free(p);
 }
 
 }  // namespace
 
 AllocCounts CurrentThreadAllocCounts() { return tls_counts; }
+
+AllocCounts ProcessAllocCounts() {
+  return AllocCounts{process_allocations.load(std::memory_order_relaxed),
+                     process_deallocations.load(std::memory_order_relaxed),
+                     process_bytes.load(std::memory_order_relaxed)};
+}
 
 }  // namespace dcrd::test
 

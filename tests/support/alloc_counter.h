@@ -6,10 +6,12 @@
 // turning the engine's zero-steady-state-allocation property into a
 // regression test instead of a one-off measurement.
 //
-// Thread-aware: counters are thread_local, so a concurrent sweep worker or
-// test runner thread cannot perturb the measuring thread's counts. Only
-// binaries that compile alloc_counter.cc get the replaced operators —
-// production binaries keep the system allocator untouched.
+// Thread-aware: AllocProbe reads thread_local counters, so a concurrent
+// sweep worker or test runner thread cannot perturb the measuring thread's
+// counts. ProcessAllocProbe reads process-wide totals instead, for a
+// region that fans work out to threads of its own (read it after they
+// joined). Only binaries that compile alloc_counter.cc get the replaced
+// operators — production binaries keep the system allocator untouched.
 #pragma once
 
 #include <cstddef>
@@ -30,6 +32,8 @@ struct AllocCounts {
 
 // Counters of the calling thread since thread start.
 AllocCounts CurrentThreadAllocCounts();
+// Counters of every thread since the process started.
+AllocCounts ProcessAllocCounts();
 
 // Scoped delta: counts allocations on the constructing thread between
 // construction and the delta() call.
@@ -38,6 +42,18 @@ class AllocProbe {
   AllocProbe() : start_(CurrentThreadAllocCounts()) {}
   [[nodiscard]] AllocCounts delta() const {
     return CurrentThreadAllocCounts() - start_;
+  }
+
+ private:
+  AllocCounts start_;
+};
+
+// Scoped delta over every thread of the process.
+class ProcessAllocProbe {
+ public:
+  ProcessAllocProbe() : start_(ProcessAllocCounts()) {}
+  [[nodiscard]] AllocCounts delta() const {
+    return ProcessAllocCounts() - start_;
   }
 
  private:
