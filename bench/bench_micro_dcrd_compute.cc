@@ -111,22 +111,4 @@ BENCHMARK(BM_RebuildDestinationsAllCores)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-void BM_Theorem1SortAndCombine(benchmark::State& state) {
-  // The inner loop of every sweep: sort candidates, fold Eq. 3.
-  Rng rng(9);
-  std::vector<ViaEntry> entries;
-  for (int i = 0; i < 10; ++i) {
-    entries.push_back(ViaEntry{NodeId(static_cast<NodeId::underlying_type>(i)),
-                               LinkId(static_cast<LinkId::underlying_type>(i)),
-                               rng.NextDoubleInRange(10'000, 90'000),
-                               rng.NextDoubleInRange(0.5, 1.0)});
-  }
-  for (auto _ : state) {
-    std::vector<ViaEntry> copy = entries;
-    SortByTheorem1(copy);
-    benchmark::DoNotOptimize(CombineOrdered(copy));
-  }
-}
-BENCHMARK(BM_Theorem1SortAndCombine);
-
 }  // namespace

@@ -80,13 +80,15 @@ int main(int argc, char** argv) {
           const std::vector<double> budgets = dcrd::DeadlineBudgets(
               3.0 * dist[subscriber.underlying()], dist, subscriber);
 
+          const dcrd::LiftedAdjacency adjacency(graph, monitor.view(),
+                                                /*max_transmissions=*/1);
           dcrd::Scheduler scheduler;
           dcrd::OverlayNetwork network(graph, scheduler, failures, 0.0,
                                        dcrd::Rng(7));
           dcrd::DistributedDrConfig config;
           config.update_threshold_us = threshold_us;
           auto protocol = std::make_shared<dcrd::DistributedDrComputation>(
-              network, subscriber, monitor.view(), budgets, config);
+              network, subscriber, adjacency, budgets, config);
           protocol->Start();
           scheduler.Run();
           converge_ms[rep] = protocol->last_change().micros() / 1e3;

@@ -21,7 +21,11 @@
 #     detection, the invariant checker and subscription churn: stdout;
 #   * dcrdsim DCRD in distributed (gossip) mode on that overlay for 60
 #     simulated seconds with broker crashes, peer-death detection and the
-#     invariant checker: stdout.
+#     invariant checker: stdout;
+#   * dcrdsim DCRD in distributed mode on that overlay for 600 simulated
+#     seconds without crashes: stdout. Some of its budget-constrained
+#     gossips cycle for most of an epoch (DESIGN.md §3b), so this run
+#     repeats the gossip's update rule more often than any other step.
 # Exits 0 when everything matches, 1 naming the first file that differs
 # (the outputs are kept for inspection), 2 on bad usage or a missing
 # binary. A change that deliberately moves figure bytes fails this gate by
@@ -52,6 +56,8 @@ dcrdsim_args=(--all --nodes 30 --degree 5 --pf 0.06 --seconds 120
 distributed_args=(--router DCRD --distributed --nodes 30 --degree 5 --pf 0.06
                   --seconds 60 --broker_mtbf 30 --peer_death
                   --check_invariants --monitor_s 20)
+distributed_long_args=(--router DCRD --distributed --nodes 30 --degree 5
+                       --pf 0.06 --seconds 600)
 
 for dir in "$parent_build" "$build"; do
   for name in $figures; do
@@ -157,5 +163,11 @@ for side in parent change; do
   run "$side" dcrdsim.distributed examples/dcrdsim "${distributed_args[@]}"
 done
 compare dcrdsim.distributed
+
+for side in parent change; do
+  run "$side" dcrdsim.distributed_600s examples/dcrdsim \
+    "${distributed_long_args[@]}"
+done
+compare dcrdsim.distributed_600s
 
 echo "parity_check: passed; every output is byte-identical to $parent_build"

@@ -25,10 +25,6 @@ DcrdRouter::DcrdRouter(RouterContext context, DcrdConfig config)
   DCRD_CHECK(context_.subscriptions != nullptr);
   DCRD_CHECK(context_.sink != nullptr);
   config_.computation.max_transmissions = context_.max_transmissions;
-  // Fallback lists are only walked under best_effort_fallback; without it
-  // the solver skips the unconstrained fixed point and the lists.
-  config_.computation.build_fallback = config_.best_effort_fallback;
-  config_.distributed.max_transmissions = context_.max_transmissions;
   // The gossip runs the paper's Theorem-1 recursion only. Another ordering
   // can count to infinity, and unlike the solver the gossip has no sweep
   // cap to stop it.
@@ -54,13 +50,15 @@ void DcrdRouter::Rebuild(const MonitoredView& view) {
 
   const Graph& graph = context_.network->graph();
   const SubscriptionTable& subs = *context_.subscriptions;
-  // Retire last epoch's gossip; stragglers on the wire are ignored.
-  for (GossipTables& gossip : gossip_) {
-    if (gossip.constrained) gossip.constrained->Stop();
+  // Retire last epoch's gossip; stragglers on the wire are ignored, so no
+  // retired protocol reads the adjacency replaced below.
+  for (GossipPair& gossip : gossip_) {
+    gossip.constrained->Stop();
     if (gossip.unconstrained) gossip.unconstrained->Stop();
   }
   tables_.clear();
   gossip_.clear();
+  adjacency_.reset();
   subscriber_index_.assign(subs.topic_count() * graph.node_count(),
                            kNoSubscriber);
   // One solver per epoch: it shares the lifted links across every
@@ -68,7 +66,10 @@ void DcrdRouter::Rebuild(const MonitoredView& view) {
   // across that subscriber's topics, and keeps the tables until the next
   // rebuild replaces it.
   solver_.reset();
-  if (!config_.use_distributed_computation) {
+  if (config_.use_distributed_computation) {
+    // Every gossip of the epoch reads the links lifted once.
+    adjacency_.emplace(graph, view, context_.max_transmissions);
+  } else {
     solver_.emplace(graph, view, config_.computation);
   }
   // The solver's requests view their topic's publisher distances.
@@ -88,15 +89,15 @@ void DcrdRouter::Rebuild(const MonitoredView& view) {
                                               publisher_dist[t]});
         continue;
       }
-      GossipTables gossip;
+      GossipPair gossip;
       gossip.constrained = std::make_shared<DistributedDrComputation>(
-          *context_.network, sub.subscriber, view,
+          *context_.network, sub.subscriber, *adjacency_,
           DeadlineBudgets(deadline_us, publisher_dist[t], sub.subscriber),
           config_.distributed);
       gossip.constrained->Start();
       if (config_.best_effort_fallback) {
         gossip.unconstrained = std::make_shared<DistributedDrComputation>(
-            *context_.network, sub.subscriber, view,
+            *context_.network, sub.subscriber, *adjacency_,
             std::vector<double>(graph.node_count(), kInfiniteDelay),
             config_.distributed);
         gossip.unconstrained->Start();
@@ -115,22 +116,6 @@ void DcrdRouter::Rebuild(const MonitoredView& view) {
   }
 }
 
-PerNodeTables DcrdRouter::GossipSnapshot(const GossipTables& gossip) const {
-  const std::uint64_t version =
-      gossip.constrained->version() +
-      (gossip.unconstrained ? gossip.unconstrained->version() : 0);
-  if (version != gossip.snapshot_version) {
-    gossip.constrained_snapshot = gossip.constrained->Snapshot();
-    if (gossip.unconstrained) {
-      gossip.unconstrained_snapshot = gossip.unconstrained->Snapshot();
-    }
-    gossip.snapshot_version = version;
-  }
-  return PerNodeTables(
-      &gossip.constrained_snapshot,
-      gossip.unconstrained ? &gossip.unconstrained_snapshot : nullptr);
-}
-
 std::uint32_t DcrdRouter::SubscriberIndex(TopicId topic,
                                           NodeId subscriber) const {
   const std::size_t slot =
@@ -146,7 +131,11 @@ std::optional<NodeTables> DcrdRouter::GetNodeTables(TopicId topic,
   const std::uint32_t index = SubscriberIndex(topic, subscriber);
   if (index == kNoSubscriber) return std::nullopt;
   if (config_.use_distributed_computation) {
-    return GossipSnapshot(gossip_[index])[node.underlying()];
+    const GossipPair& gossip = gossip_[index];
+    return NodeTables{gossip.constrained->dr(node),
+                      gossip.constrained->list(node),
+                      gossip.unconstrained ? gossip.unconstrained->list(node)
+                                           : std::span<const Neighbor>()};
   }
   return tables_[index].per_node[node.underlying()];
 }
@@ -186,31 +175,27 @@ void DcrdRouter::WriteAuditSnapshot(std::ostream& os, SimTime now) const {
       if (!tables->dr.reachable() || !std::isfinite(tables->dr.d_us)) {
         continue;
       }
+      // Rows are written right after a rebuild, when every new gossip still
+      // holds the publisher at <inf,0>; distributed mode writes none.
+      DCRD_CHECK(!config_.use_distributed_computation)
+          << "no audit rows for gossip tables";
       row.topic = topic.underlying();
       row.pub = publisher.underlying();
       row.sub = sub.subscriber.underlying();
       row.deadline_us = sub.deadline.micros();
       row.d_us = tables->dr.d_us;
       row.r = tables->dr.r;
-      // The list's Eq. 2 values as routing sorted them: the gossip's from
-      // the values the publisher heard, the solver's recomputed from the
+      // The list's Eq. 2 values as routing sorted them, recomputed from the
       // table's <d,r>.
       row.list.clear();
-      const auto add = [&row](const ViaEntry& entry) {
-        if (!std::isfinite(entry.d_via_us) || entry.r_via <= 0.0) return;
+      const ListTable& table =
+          tables_[SubscriberIndex(topic, sub.subscriber)]
+              .per_node.primary_table();
+      for (const Neighbor& hop : tables->primary) {
+        const ViaEntry entry =
+            ViaEntryOf(table, hop, *view_, context_.max_transmissions);
+        if (!std::isfinite(entry.d_via_us) || entry.r_via <= 0.0) continue;
         row.list.push_back(entry);
-      };
-      const std::uint32_t index = SubscriberIndex(topic, sub.subscriber);
-      if (config_.use_distributed_computation) {
-        for (const ViaEntry& entry :
-             gossip_[index].constrained->EligibleEntries(publisher)) {
-          add(entry);
-        }
-      } else {
-        const ListTable& table = tables_[index].per_node.primary_table();
-        for (const Neighbor& hop : tables->primary) {
-          add(ViaEntryOf(table, hop, *view_, context_.max_transmissions));
-        }
       }
       WriteModelRow(os, row);
     }
@@ -328,11 +313,13 @@ Neighbor DcrdRouter::SelectNextHop(const Episode& episode,
       }
       return Neighbor{};
     };
-    // The fallback list (empty without best_effort_fallback) repeats the
-    // primary neighbours; when the primary scan finds nothing, each of
-    // them is on the path or tried, so the second scan passes over them.
+    // The fallback list repeats the primary neighbours; when the primary
+    // scan finds nothing, each of them is on the path or tried, so the
+    // second scan passes over them.
     Neighbor choice = scan(tables->primary);
-    if (!choice.peer.valid()) choice = scan(tables->fallback);
+    if (!choice.peer.valid() && config_.best_effort_fallback) {
+      choice = scan(tables->fallback);
+    }
     if (choice.peer.valid()) return choice;
   }
 
@@ -570,8 +557,8 @@ void DcrdRouter::OnBrokerRestart(NodeId node) {
     // <d,r> contributions are forgotten, a fresh generation is announced,
     // and neighbours are re-solicited — stale stragglers from before the
     // crash carry the old generation and are dropped on arrival.
-    for (GossipTables& gossip : gossip_) {
-      if (gossip.constrained) gossip.constrained->OnNodeRestart(node);
+    for (GossipPair& gossip : gossip_) {
+      gossip.constrained->OnNodeRestart(node);
       if (gossip.unconstrained) gossip.unconstrained->OnNodeRestart(node);
     }
   } else {

@@ -45,10 +45,10 @@
 namespace dcrd {
 
 struct DcrdConfig {
-  // The router's constructor sets max_transmissions (from the context) and
-  // build_fallback (from best_effort_fallback).
+  // The router's constructor sets max_transmissions from the context.
   DrComputationConfig computation;
-  // Walk the fallback list after the primary list is exhausted.
+  // Walk the fallback list (the subscriber's unconstrained list) after the
+  // primary list is exhausted.
   bool best_effort_fallback = true;
   // Bounds the reroute hops to the upstream node one episode launches per
   // subscriber before declaring it undeliverable: max(cap, 1) launches, so
@@ -69,18 +69,20 @@ struct DcrdConfig {
   int persistence_max_retries = 60;
   // Run the Section III-B recursion as the real gossip protocol instead of
   // the centralized solver: <d,r> updates travel as control messages after
-  // every epoch (counted in the kControl counters) and routing uses the
-  // current — possibly still converging — state. With
-  // best_effort_fallback a second, budget-free gossip per destination
-  // feeds the fallback lists (doubling control traffic), mirroring the
-  // solver's unconstrained fixed point. Needs computation.ordering to be
-  // kTheorem1.
+  // every epoch (counted in the kControl counters) and routing reads each
+  // gossip's live state — every node's announced <d,r> and the list its
+  // last evaluation stored, possibly still converging. Each rebuild lifts
+  // the links once (LiftedAdjacency, under the context's m) for all of its
+  // gossips. With best_effort_fallback a second, budget-free gossip per
+  // destination feeds the fallback lists (doubling control traffic),
+  // mirroring the solver's unconstrained fixed point. Needs
+  // computation.ordering to be kTheorem1.
   bool use_distributed_computation = false;
   // Router defaults damp gossip chatter (50 us threshold ~= sub-tenth-of-a-
   // percent d error) and repair one lost update per change burst.
   DistributedDrConfig distributed{
-      /*max_transmissions=*/1, /*update_threshold_us=*/50.0,
-      /*rebroadcasts=*/1, /*rebroadcast_gap=*/SimDuration::Millis(100)};
+      /*update_threshold_us=*/50.0, /*rebroadcasts=*/1,
+      /*rebroadcast_gap=*/SimDuration::Millis(100)};
 };
 
 // Control-plane health of solver-mode rebuilds, cumulative over the run:
@@ -111,9 +113,11 @@ class DcrdRouter final : public Router {
   // Writes the model state the delay auditor needs, one JSONL row per
   // currently reachable (topic, subscriber) pair: the publisher node's
   // expected <d, r> and its primary (Theorem-1) sending list, stamped with
-  // `now` (the epoch the rows belong to). Works in both solver and
-  // distributed modes — the row reflects whatever tables routing actually
-  // uses at this instant. Read-only; never touches an RNG stream.
+  // `now` (the epoch the rows belong to). The engine calls it right after
+  // each Rebuild, when in distributed mode every new gossip still holds
+  // the publisher at <inf, 0>, so only solver mode writes rows; a
+  // reachable publisher in distributed mode CHECK-fails rather than write
+  // a row no gossip path backs. Read-only; never touches an RNG stream.
   void WriteAuditSnapshot(std::ostream& os, SimTime now) const;
   [[nodiscard]] std::uint64_t dropped_undeliverable() const {
     return dropped_undeliverable_;
@@ -228,7 +232,7 @@ class DcrdRouter final : public Router {
   [[nodiscard]] const DestinationTables* FindTables(TopicId topic,
                                                     NodeId subscriber) const;
   // Per-node routing state for (topic, subscriber, node) from whichever
-  // source is active (solver tables or gossip snapshot); nullopt when the
+  // source is active (solver tables or live gossip state); nullopt when the
   // subscriber is unknown.
   [[nodiscard]] std::optional<NodeTables> GetNodeTables(TopicId topic,
                                                         NodeId subscriber,
@@ -264,19 +268,15 @@ class DcrdRouter final : public Router {
   static constexpr std::uint32_t kNoSubscriber = ~std::uint32_t{0};
   std::vector<std::uint32_t> subscriber_index_;
 
-  // Distributed mode: one gossip pair per destination plus a lazily
-  // refreshed snapshot cache of each (rebuilt only when the protocols'
-  // versions moved). The unconstrained gossip's lists are the fallback
-  // lists as they stand, like the solver's.
-  struct GossipTables {
+  // Distributed mode: this epoch's lifted links and one gossip pair per
+  // destination, read live. The unconstrained gossip's lists are the
+  // fallback lists as they stand, like the solver's.
+  std::optional<LiftedAdjacency> adjacency_;
+  struct GossipPair {
     std::shared_ptr<DistributedDrComputation> constrained;
     std::shared_ptr<DistributedDrComputation> unconstrained;  // fallback
-    mutable ListTable constrained_snapshot;
-    mutable ListTable unconstrained_snapshot;
-    mutable std::uint64_t snapshot_version = ~0ULL;
   };
-  [[nodiscard]] PerNodeTables GossipSnapshot(const GossipTables& gossip) const;
-  std::vector<GossipTables> gossip_;  // indexed like tables_
+  std::vector<GossipPair> gossip_;  // indexed like tables_
 
   SlotMap<Episode> episodes_;
   // Per-node duplicate suppression, one ProcessedKey set per broker: a

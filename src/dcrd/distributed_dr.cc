@@ -1,72 +1,55 @@
 #include "dcrd/distributed_dr.h"
 
-#include <cmath>
+#include <algorithm>
+#include <numeric>
 
 namespace dcrd {
 
 DistributedDrComputation::DistributedDrComputation(
-    OverlayNetwork& network, NodeId subscriber, const MonitoredView& view,
-    std::vector<double> budget_us, DistributedDrConfig config)
+    OverlayNetwork& network, NodeId subscriber,
+    const LiftedAdjacency& adjacency, std::vector<double> budget_us,
+    DistributedDrConfig config)
     : network_(network),
       subscriber_(subscriber),
-      view_(view),
+      adjacency_(adjacency),
       budget_us_(std::move(budget_us)),
-      config_(config) {
-  const Graph& graph = network_.graph();
-  DCRD_CHECK(budget_us_.size() == graph.node_count());
-  states_.resize(graph.node_count());
-  generation_.assign(graph.node_count(), 0);
-  for (std::size_t v = 0; v < graph.node_count(); ++v) {
-    states_[v].heard.assign(
-        graph.neighbors(NodeId(static_cast<NodeId::underlying_type>(v)))
-            .size(),
-        DR{});
-  }
+      config_(config),
+      states_(adjacency.node_count()),
+      heard_(adjacency.arcs.size()),
+      warm_(adjacency.arcs.size()),
+      lists_(adjacency.arcs.size()),
+      generation_(adjacency.node_count(), 0) {
+  DCRD_CHECK(adjacency_.node_count() == network_.graph().node_count());
+  DCRD_CHECK(budget_us_.size() == adjacency_.node_count());
+  states_[subscriber_.underlying()].self = DR{0.0, 1.0};
+  // Each node's first evaluation sorts from arc order.
+  std::iota(warm_.begin(), warm_.end(), 0U);
+  scratch_.Reserve(adjacency_);
 }
 
 void DistributedDrComputation::Start() {
-  states_[subscriber_.underlying()].self = DR{0.0, 1.0};
-  ++version_;
   last_change_ = network_.scheduler().now();
   Broadcast(subscriber_);
   ScheduleRebroadcasts(subscriber_);
 }
 
-std::vector<ViaEntry> DistributedDrComputation::EligibleEntries(
-    NodeId node) const {
-  const Graph& graph = network_.graph();
-  const NodeState& state = states_[node.underlying()];
-  std::vector<ViaEntry> eligible;
-  const auto& neighbors = graph.neighbors(node);
-  for (std::size_t i = 0; i < neighbors.size(); ++i) {
-    const DR& heard = state.heard[i];
-    if (!heard.reachable() || !(heard.d_us < budget_us_[node.underlying()])) {
-      continue;
-    }
-    const LinkModel lifted =
-        LiftedLink(view_, neighbors[i].link, config_.max_transmissions);
-    if (lifted.gamma <= 0.0) continue;
-    eligible.push_back(LiftAcrossLink(neighbors[i].peer, neighbors[i].link,
-                                      lifted, heard));
-  }
-  SortByTheorem1(eligible);
-  return eligible;
-}
-
 void DistributedDrComputation::Recompute(NodeId node) {
   if (node == subscriber_) return;  // <0,1> is axiomatic
-  NodeState& state = states_[node.underlying()];
-  const DR updated = CombineOrdered(EligibleEntries(node));
-  const DR previous = state.self;
-  const bool changed =
-      updated.reachable() != previous.reachable() ||
-      (updated.reachable() &&
-       (std::abs(updated.d_us - previous.d_us) > config_.update_threshold_us ||
-        std::abs(updated.r - previous.r) * 1e6 >
-            config_.update_threshold_us));
-  if (!changed) return;
+  const std::uint32_t x = node.underlying();
+  const double budget_us = budget_us_[x];
+  const auto heard = [this](std::uint32_t a) -> const DR& {
+    return heard_[a];
+  };
+  SortEligible<OrderingPolicy::kTheorem1>(adjacency_, x, budget_us, heard,
+                                          warm_.data() + adjacency_.begin[x],
+                                          scratch_);
+  NodeState& state = states_[x];
+  Neighbor* const list = lists_.data() + adjacency_.begin[x];
+  state.list_size = static_cast<std::uint32_t>(
+      WriteList(adjacency_, x, budget_us, heard, scratch_, list) - list);
+  const DR updated = CombineOrdered(scratch_.sorted);
+  if (!(DrChange(updated, state.self) > config_.update_threshold_us)) return;
   state.self = updated;
-  ++version_;
   last_change_ = network_.scheduler().now();
   Broadcast(node);
   ScheduleRebroadcasts(node);
@@ -121,12 +104,14 @@ void DistributedDrComputation::RebroadcastTick(NodeId node) {
 
 void DistributedDrComputation::OnNodeRestart(NodeId node) {
   if (stopped_) return;
-  NodeState& state = states_[node.underlying()];
-  ++generation_[node.underlying()];
-  state.heard.assign(state.heard.size(), DR{});
+  const std::uint32_t x = node.underlying();
+  NodeState& state = states_[x];
+  ++generation_[x];
+  std::fill(heard_.begin() + adjacency_.begin[x],
+            heard_.begin() + adjacency_.begin[x + 1], DR{});
   state.self = node == subscriber_ ? DR{0.0, 1.0} : DR{};
+  state.list_size = 0;
   state.pending_rebroadcasts = 0;
-  ++version_;
   last_change_ = network_.scheduler().now();
   // Re-announce the reset value (fresh generation) and solicit every
   // neighbour: the request pays one hop, the peer answers with whatever it
@@ -161,39 +146,18 @@ void DistributedDrComputation::HandleUpdate(NodeId at, NodeId from,
   // generation) after launching this update — its payload describes state
   // the crash destroyed, so it must not overwrite fresher announcements.
   if (generation != generation_[from.underlying()]) return;
-  ++updates_received_;
-  const Graph& graph = network_.graph();
-  const auto& neighbors = graph.neighbors(at);
-  for (std::size_t i = 0; i < neighbors.size(); ++i) {
-    if (neighbors[i].peer == from) {
-      states_[at.underlying()].heard[i] = value;
-      ++version_;  // heard-values feed the sending lists directly
+  const std::uint32_t x = at.underlying();
+  for (std::uint32_t a = adjacency_.begin[x]; a < adjacency_.begin[x + 1];
+       ++a) {
+    if (adjacency_.arcs[a].peer == from) {
+      heard_[a] = value;
       Recompute(at);
       return;
     }
   }
-  DCRD_CHECK(false) << "update from non-neighbour " << from << " at " << at;
-}
-
-ListTable DistributedDrComputation::Snapshot() const {
-  const std::size_t n = network_.graph().node_count();
-  ListTable table;
-  table.dr.resize(n);
-  table.begin.reserve(n + 1);
-  for (std::size_t v = 0; v < n; ++v) {
-    const NodeId node(static_cast<NodeId::underlying_type>(v));
-    table.begin.push_back(static_cast<std::uint32_t>(table.entries.size()));
-    if (node == subscriber_) {
-      table.dr[v] = DR{0.0, 1.0};
-      continue;
-    }
-    table.dr[v] = states_[v].self;
-    for (const ViaEntry& entry : EligibleEntries(node)) {
-      table.entries.push_back(Neighbor{entry.neighbor, entry.link});
-    }
-  }
-  table.begin.push_back(static_cast<std::uint32_t>(table.entries.size()));
-  return table;
+  // A link that never delivers has no arc: no list reads its value.
+  DCRD_CHECK(network_.graph().HasEdge(at, from))
+      << "update from non-neighbour " << from << " at " << at;
 }
 
 }  // namespace dcrd

@@ -16,17 +16,24 @@
 // latency and control-message cost per (subscriber, epoch).
 //
 // Protocol: every node caches the last <d,r> heard from each neighbour.
-// On an update it recomputes its own <d,r> (Eq. 2 + Eq. 3 over the cached
-// values, budget-filtered, Theorem-1-ordered) and, if the value moved by
-// more than `update_threshold_us` (or flipped reachability), broadcasts the
-// new value to all neighbours. Quiescence is natural: no change, no broadcast.
-// A lost update leaves a neighbour stale — with `rebroadcasts > 0` each
-// node re-announces its current value that many times at `rebroadcast_gap`
+// On an update it runs the solver's update rule over the cached values
+// (SortEligible and WriteList in dr_computation.h: budget-filtered,
+// Theorem-1 ordered, Eq. 2 from the rebuild's LiftedAdjacency, Eq. 3),
+// stores the resulting sending list and, if its <d,r> moved by more than
+// `update_threshold_us` (DrChange), broadcasts the new value to all
+// neighbours. Quiescence is natural: no change, no broadcast. A lost
+// update leaves a neighbour stale — with `rebroadcasts > 0` each node
+// re-announces its current value that many times at `rebroadcast_gap`
 // intervals after a change, the standard cheap anti-entropy.
+//
+// Nothing damps a cycle: the budget filter can make a node's value
+// oscillate between points more than the threshold apart, and the protocol
+// then keeps announcing until it is stopped (DESIGN.md §3b).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "dcrd/dr_computation.h"
@@ -35,7 +42,6 @@
 namespace dcrd {
 
 struct DistributedDrConfig {
-  int max_transmissions = 1;  // paper parameter m (for Eq. 1 lifting)
   double update_threshold_us = 0.5;
   // Anti-entropy: extra announcements of the current value after a change.
   int rebroadcasts = 0;
@@ -45,14 +51,15 @@ struct DistributedDrConfig {
 class DistributedDrComputation
     : public std::enable_shared_from_this<DistributedDrComputation> {
  public:
-  // `budget_us` are the D_XS values (see dr_computation.h); the view
-  // supplies the (alpha, gamma) estimates every node uses for Eq. 1/2.
-  // Always hold instances in a shared_ptr: in-flight update messages keep
-  // the protocol alive via shared_from_this, so an epoch turnover that
-  // drops its reference cannot dangle (call Stop() first so stragglers are
-  // ignored).
+  // `adjacency` is the overlay's links lifted under the monitored view and
+  // m (Eq. 1), `budget_us` the D_XS values (see dr_computation.h). The
+  // adjacency must outlive every update the protocol handles: Stop() it
+  // before destroying the adjacency. Always hold instances in a
+  // shared_ptr: in-flight update messages keep the protocol alive via
+  // shared_from_this, so an epoch turnover that drops its reference cannot
+  // dangle (call Stop() first so stragglers are ignored).
   DistributedDrComputation(OverlayNetwork& network, NodeId subscriber,
-                           const MonitoredView& view,
+                           const LiftedAdjacency& adjacency,
                            std::vector<double> budget_us,
                            DistributedDrConfig config = {});
 
@@ -65,29 +72,28 @@ class DistributedDrComputation
   void Stop() { stopped_ = true; }
 
   // Fail-stop recovery: `node` restarted with empty volatile state. Its
-  // slot is reset (self and every heard value forgotten), its announcement
-  // generation bumps — updates it sent before the crash are dropped on
-  // arrival instead of resurrecting pre-crash state — and it re-announces
-  // itself and solicits every neighbour's current value, so its <d,r>
-  // reconverges without waiting for the next natural change wave.
+  // slot is reset (self, sending list and every heard value forgotten),
+  // its announcement generation bumps — updates it sent before the crash
+  // are dropped on arrival instead of resurrecting pre-crash state — and
+  // it re-announces itself and solicits every neighbour's current value,
+  // so its <d,r> reconverges without waiting for the next natural change
+  // wave.
   void OnNodeRestart(NodeId node);
 
-  // Current (possibly still converging) per-node state: every node's
-  // <d,r> and the sending list Algorithm 1 would install at it.
-  [[nodiscard]] ListTable Snapshot() const;
-  // `node`'s sending list with its Eq. 2 values, lifted from the <d,r> it
-  // last heard from each neighbour (which may trail the neighbour's own).
-  [[nodiscard]] std::vector<ViaEntry> EligibleEntries(NodeId node) const;
-
-  // Monotonic change counter: bumps whenever any node's state moves.
-  // Callers cache Snapshot() results against it (see DcrdRouter's
-  // distributed mode).
-  [[nodiscard]] std::uint64_t version() const { return version_; }
+  // Current (possibly still converging) per-node state: `node`'s announced
+  // <d,r> (the subscriber's is <0,1>) and the sending list its last
+  // evaluation built from the values it last heard, which may trail the
+  // neighbours' own. Views stay valid for the protocol's lifetime; their
+  // contents change as updates land.
+  [[nodiscard]] const DR& dr(NodeId node) const {
+    return states_[node.underlying()].self;
+  }
+  [[nodiscard]] std::span<const Neighbor> list(NodeId node) const {
+    const std::uint32_t x = node.underlying();
+    return {lists_.data() + adjacency_.begin[x], states_[x].list_size};
+  }
 
   [[nodiscard]] std::uint64_t updates_sent() const { return updates_sent_; }
-  [[nodiscard]] std::uint64_t updates_received() const {
-    return updates_received_;
-  }
   // Time of the last local <d,r> change — the convergence instant once the
   // scheduler has drained.
   [[nodiscard]] SimTime last_change() const { return last_change_; }
@@ -95,11 +101,13 @@ class DistributedDrComputation
  private:
   struct NodeState {
     DR self;
-    std::vector<DR> heard;  // last value heard per neighbour index
+    std::uint32_t list_size = 0;  // in lists_, from the node's first arc
     int pending_rebroadcasts = 0;
     bool rebroadcast_timer_armed = false;
   };
 
+  // Runs the update rule at `node` over its heard values: stores its list
+  // and, on a change past the threshold, its <d,r> and an announcement.
   void Recompute(NodeId node);
   void Broadcast(NodeId node);
   void ScheduleRebroadcasts(NodeId node);
@@ -111,15 +119,19 @@ class DistributedDrComputation
 
   OverlayNetwork& network_;
   NodeId subscriber_;
-  const MonitoredView& view_;
+  const LiftedAdjacency& adjacency_;
   std::vector<double> budget_us_;
   DistributedDrConfig config_;
   std::vector<NodeState> states_;
+  // Per arc of the adjacency: the last value its node heard from the arc's
+  // peer, the node's warm sort order, and a slot of the node's list.
+  std::vector<DR> heard_;
+  std::vector<std::uint32_t> warm_;
+  std::vector<Neighbor> lists_;
+  EvaluationScratch scratch_;
   // Per-node announcement generation; bumped by OnNodeRestart.
   std::vector<std::uint32_t> generation_;
   std::uint64_t updates_sent_ = 0;
-  std::uint64_t updates_received_ = 0;
-  std::uint64_t version_ = 0;
   bool stopped_ = false;
   SimTime last_change_ = SimTime::Zero();
 };

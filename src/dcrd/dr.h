@@ -7,8 +7,8 @@
 // Eq. 2 lifts a neighbour's <d_i, r_i> across the connecting link;
 // Eq. 3 folds an *ordered* sending list into the node's own <d_X, r_X>;
 // Theorem 1 says the fold is minimised by ordering entries ascending in
-// d_via / r_via — implemented by SortByTheorem1 and verified exhaustively
-// against all permutations in the tests.
+// d_via / r_via — the order SendsBefore<kTheorem1> sorts every sending list
+// in, verified exhaustively against all permutations in the tests.
 #pragma once
 
 #include <limits>
@@ -44,10 +44,6 @@ inline ViaEntry LiftAcrossLink(NodeId neighbor, LinkId link,
                   link_m.gamma * dr_i.r};
 }
 
-// Theorem 1 ordering: ascending d_via/r_via; ties broken by neighbor id so
-// list construction is deterministic. Entries with r_via == 0 sort last.
-void SortByTheorem1(std::vector<ViaEntry>& entries);
-
 // Sending-list ordering policies. kTheorem1 is DCRD; the others exist for
 // the ablation bench, quantifying what the proof buys in vivo:
 //   kDelayFirst       — ascending expected delay d_via (what a naive
@@ -61,10 +57,13 @@ inline bool IsUsable(const ViaEntry& entry) {
   return entry.r_via > 0.0 && entry.d_via_us < kInfiniteDelay;
 }
 
-// The order kPolicy sends usable entries in. Every policy ends in the
-// neighbour-id tie-break and a list holds each neighbour once, so this is
-// a strict total order on a list: any correct sort of the same entries
-// yields the same sequence, whatever order they arrive in.
+// The order kPolicy sends usable entries in (Theorem 1: ascending
+// d_via/r_via). Every policy ends in the neighbour-id tie-break and a list
+// holds each neighbour once, so this is a strict total order on a list:
+// any correct sort of the same entries yields the same sequence, whatever
+// order they arrive in. Unusable entries are never compared (inf * 0 would
+// be NaN); a sending list puts them after the usable ones
+// (dr_computation.h).
 template <OrderingPolicy kPolicy>
 bool SendsBefore(const ViaEntry& a, const ViaEntry& b) {
   if constexpr (kPolicy == OrderingPolicy::kTheorem1) {
@@ -80,17 +79,11 @@ bool SendsBefore(const ViaEntry& a, const ViaEntry& b) {
   return a.neighbor < b.neighbor;
 }
 
-// Sorts under the chosen policy (unreachable entries always go last; ties
-// break by neighbor id).
-void SortByPolicy(std::vector<ViaEntry>& entries, OrderingPolicy policy);
-
 // Eq. 3 over an ordered list: the node tries entry 1 first, then entry 2,
 // and so on; the numerator accumulates (sum of d up to i) * P(first success
-// at i), the denominator is the overall success probability.
+// at i), the denominator is the overall success probability. Folds any
+// order it is given (unusable entries contribute nothing), so tests also
+// use it to compare orders.
 DR CombineOrdered(const std::vector<ViaEntry>& entries);
-
-// Expected delay of the *given* order — CombineOrdered's d without the
-// Theorem-1 precondition. Used by tests to compare orderings.
-double ExpectedDelayOfOrder(const std::vector<ViaEntry>& entries);
 
 }  // namespace dcrd

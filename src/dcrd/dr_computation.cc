@@ -1,7 +1,6 @@
 #include "dcrd/dr_computation.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "common/parallel_for.h"
@@ -66,80 +65,35 @@ ViaEntry ViaEntryOf(const ListTable& table, Neighbor hop,
                         table.dr[hop.peer.underlying()]);
 }
 
+LiftedAdjacency::LiftedAdjacency(const Graph& graph, const MonitoredView& view,
+                                 int max_transmissions) {
+  // Eq. 1 once per link; both directions read the same lifted model.
+  std::vector<LinkModel> lifted(graph.edge_count());
+  for (std::size_t e = 0; e < lifted.size(); ++e) {
+    const LinkId link(static_cast<LinkId::underlying_type>(e));
+    lifted[e] = LiftedLink(view, link, max_transmissions);
+  }
+  begin.reserve(graph.node_count() + 1);
+  for (std::size_t x = 0; x < graph.node_count(); ++x) {
+    begin.push_back(static_cast<std::uint32_t>(arcs.size()));
+    for (const Neighbor& nb :
+         graph.neighbors(NodeId(static_cast<NodeId::underlying_type>(x)))) {
+      const LinkModel& model = lifted[nb.link.underlying()];
+      if (model.gamma > 0.0) arcs.push_back(Arc{nb.peer, nb.link, model});
+    }
+    max_degree = std::max<std::size_t>(max_degree, arcs.size() - begin.back());
+  }
+  begin.push_back(static_cast<std::uint32_t>(arcs.size()));
+}
+
 DrSolver::DrSolver(const Graph& graph, const MonitoredView& view,
                    const DrComputationConfig& config)
     : graph_(graph),
       view_(view),
       config_(config),
+      adjacency_(graph, view, config.max_transmissions),
       unbounded_(graph.node_count(), kInfiniteDelay),
-      last_request_(graph.node_count(), kNone) {
-  // Eq. 1 once per link; both directions read the same lifted model.
-  std::vector<LinkModel> lifted(graph.edge_count());
-  for (std::size_t e = 0; e < lifted.size(); ++e) {
-    const LinkId link(static_cast<LinkId::underlying_type>(e));
-    lifted[e] = LiftedLink(view, link, config.max_transmissions);
-  }
-  arc_begin_.reserve(graph.node_count() + 1);
-  for (std::size_t x = 0; x < graph.node_count(); ++x) {
-    arc_begin_.push_back(static_cast<std::uint32_t>(arcs_.size()));
-    const auto& neighbors =
-        graph.neighbors(NodeId(static_cast<NodeId::underlying_type>(x)));
-    for (const Neighbor& nb : neighbors) {
-      const LinkModel& model = lifted[nb.link.underlying()];
-      // A link that never delivers never enters a list.
-      if (model.gamma > 0.0) arcs_.push_back(Arc{nb.peer, nb.link, model});
-    }
-    max_degree_ = std::max(max_degree_, neighbors.size());
-  }
-  arc_begin_.push_back(static_cast<std::uint32_t>(arcs_.size()));
-}
-
-template <OrderingPolicy kPolicy>
-double DrSolver::SortEligible(const std::vector<DR>& dr, std::uint32_t x,
-                              double budget_us, Scratch& scratch,
-                              bool& unusable) const {
-  scratch.sorted.clear();
-  scratch.sorted_arc.clear();
-  scratch.rest.clear();
-  unusable = false;
-  double farthest = -kInfiniteDelay;
-  std::uint32_t* const warm = scratch.warm.data() + arc_begin_[x];
-  const std::uint32_t degree = arc_begin_[x + 1] - arc_begin_[x];
-  for (std::uint32_t k = 0; k < degree; ++k) {
-    const std::uint32_t a = warm[k];
-    const Arc& arc = arcs_[a];
-    const DR& dr_i = dr[arc.peer.underlying()];
-    bool sorts = false;
-    if (dr_i.reachable()) {
-      farthest = std::max(farthest, dr_i.d_us);
-      if (dr_i.d_us < budget_us) {
-        const ViaEntry entry =
-            LiftAcrossLink(arc.peer, arc.link, arc.lifted, dr_i);
-        sorts = IsUsable(entry);
-        unusable = unusable || !sorts;
-        if (sorts) {
-          // Insertion: once the warm order has settled, each entry costs
-          // one comparison.
-          std::size_t j = scratch.sorted.size();
-          scratch.sorted.push_back(entry);
-          scratch.sorted_arc.push_back(a);
-          for (; j > 0 && SendsBefore<kPolicy>(entry, scratch.sorted[j - 1]);
-               --j) {
-            scratch.sorted[j] = scratch.sorted[j - 1];
-            scratch.sorted_arc[j] = scratch.sorted_arc[j - 1];
-          }
-          scratch.sorted[j] = entry;
-          scratch.sorted_arc[j] = a;
-        }
-      }
-    }
-    if (!sorts) scratch.rest.push_back(a);
-  }
-  std::copy(scratch.sorted_arc.begin(), scratch.sorted_arc.end(), warm);
-  std::copy(scratch.rest.begin(), scratch.rest.end(),
-            warm + scratch.sorted_arc.size());
-  return farthest;
-}
+      last_request_(graph.node_count(), kNone) {}
 
 template <OrderingPolicy kPolicy>
 DrSolver::Convergence DrSolver::SolveTableAs(
@@ -153,10 +107,14 @@ DrSolver::Convergence DrSolver::SolveTableAs(
   // Every solve starts from arc order, so its cost does not depend on
   // which solves its worker ran before.
   std::iota(scratch.warm.begin(), scratch.warm.end(), 0U);
-  bool unusable = false;
+  const LiftedAdjacency::Arc* const arcs = adjacency_.arcs.data();
+  const auto neighbor_dr = [&dr, arcs](std::uint32_t a) -> const DR& {
+    return dr[arcs[a].peer.underlying()];
+  };
   const auto read = [&](std::uint32_t x) {
-    const double farthest =
-        SortEligible<kPolicy>(dr, x, budget_us[x], scratch, unusable);
+    const double farthest = SortEligible<kPolicy>(
+        adjacency_, x, budget_us[x], neighbor_dr,
+        scratch.warm.data() + adjacency_.begin[x], scratch.evaluation);
     if (track_reads) {
       scratch.farthest_read[x] = std::max(scratch.farthest_read[x], farthest);
     }
@@ -169,44 +127,26 @@ DrSolver::Convergence DrSolver::SolveTableAs(
     for (std::uint32_t idx : scratch.order) {
       if (idx == s) continue;
       read(idx);
-      const DR updated = CombineOrdered(scratch.sorted);
-      const DR previous = dr[idx];
-      if (updated.reachable() != previous.reachable()) {
-        max_delta = kInfiniteDelay;
-      } else if (updated.reachable()) {
-        max_delta = std::max(max_delta, std::abs(updated.d_us - previous.d_us));
-        max_delta =
-            std::max(max_delta, std::abs(updated.r - previous.r) * 1e6);
-      }
+      const DR updated = CombineOrdered(scratch.evaluation.sorted);
+      max_delta = std::max(max_delta, DrChange(updated, dr[idx]));
       dr[idx] = updated;
     }
     result.converged = max_delta <= config_.tolerance_us;
   }
 
-  // The list pass: usable entries in policy order, then any eligible but
-  // unusable ones in arc order, stored flat at exact size.
-  scratch.entries.clear();
+  // The list pass, stored flat at exact size.
+  Neighbor* const lists = scratch.entries.data();
+  Neighbor* end = lists;
   table.begin.reserve(n + 1);
   for (std::uint32_t x = 0; x < n; ++x) {
-    table.begin.push_back(static_cast<std::uint32_t>(scratch.entries.size()));
+    table.begin.push_back(static_cast<std::uint32_t>(end - lists));
     if (x == s) continue;
     read(x);
-    for (const ViaEntry& entry : scratch.sorted) {
-      scratch.entries.push_back(Neighbor{entry.neighbor, entry.link});
-    }
-    if (!unusable) continue;
-    for (std::uint32_t a = arc_begin_[x]; a < arc_begin_[x + 1]; ++a) {
-      const Arc& arc = arcs_[a];
-      const DR& dr_i = dr[arc.peer.underlying()];
-      if (!dr_i.reachable() || !(dr_i.d_us < budget_us[x]) ||
-          IsUsable(LiftAcrossLink(arc.peer, arc.link, arc.lifted, dr_i))) {
-        continue;
-      }
-      scratch.entries.push_back(Neighbor{arc.peer, arc.link});
-    }
+    end = WriteList(adjacency_, x, budget_us[x], neighbor_dr,
+                    scratch.evaluation, end);
   }
-  table.begin.push_back(static_cast<std::uint32_t>(scratch.entries.size()));
-  table.entries.assign(scratch.entries.begin(), scratch.entries.end());
+  table.begin.push_back(static_cast<std::uint32_t>(end - lists));
+  table.entries.assign(lists, end);
   return result;
 }
 
@@ -277,8 +217,7 @@ void DrSolver::SolveGroup(std::span<const DestinationRequest> requests,
         SolveTable(subscriber, scratch.budget, scratch, solved[r], false);
     tables.sweeps_used = constrained.sweeps_used;
     tables.converged = constrained.converged;
-    tables.per_node = PerNodeTables(
-        &solved[r], config_.build_fallback ? &shared : nullptr);
+    tables.per_node = PerNodeTables(&solved[r], &shared);
   }
 }
 
@@ -312,11 +251,9 @@ std::vector<DestinationTables> DrSolver::SolveEpoch(
     scratch.budget.reserve(n);
     scratch.order.resize(n);
     scratch.farthest_read.resize(n);
-    scratch.warm.resize(arcs_.size());
-    scratch.sorted.reserve(max_degree_);
-    scratch.sorted_arc.reserve(max_degree_);
-    scratch.rest.reserve(max_degree_);
-    scratch.entries.reserve(arcs_.size());
+    scratch.warm.resize(adjacency_.arcs.size());
+    scratch.evaluation.Reserve(adjacency_);
+    scratch.entries.resize(adjacency_.arcs.size());
   }
   std::vector<ListTable>& tables =
       epochs_.emplace_back(groups + requests.size());

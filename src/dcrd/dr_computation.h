@@ -1,33 +1,42 @@
-// Distributed <d,r> computation and sending-list construction
+// The <d,r> update rule and the centralized solver that runs it
 // (paper Sections III-B and III-C, Algorithm 1).
 //
-// The paper's nodes run an asynchronous recursion seeded at the subscriber
-// (<0,1>), each node recomputing its <d,r> from its neighbours' values and
-// re-sharing. We emulate that with synchronous Gauss–Seidel sweeps over the
-// nodes, ordered by monitored distance to the subscriber (information flows
-// outward from S, so this ordering converges in about
-// diameter-many sweeps); iteration stops when no node's d moved by more
-// than `tolerance_us`, or at `max_sweeps` — the cap mirrors the fact that a
-// real deployment stops gossiping when updates stop changing anything.
+// The update rule. One evaluation of node X toward subscriber S keeps the
+// eligible neighbours (reachable, and d_i < D_XS with D_XS = D_PS -
+// monitored shortest delay P->X, Sec. III-C), lifts each across its link
+// (Eq. 2), sorts the usable entries under SendsBefore<kPolicy> and folds
+// them through Eq. 3 (CombineOrdered); X's list is the usable entries in
+// sending order, then any eligible but unusable ones in arc order.
+// SortEligible and WriteList are that rule, run by the solver on its
+// table's current values and by the gossip (distributed_dr.h) on the values
+// each node last heard; DrChange measures how far a <d,r> moved.
 //
-// Eligibility (Sec. III-C): neighbour i enters X's sending list toward S
-// only if d_i < D_XS, with D_XS = D_PS - (monitored shortest delay P->X).
-// The optional *fallback list* is the subscriber's unconstrained
-// (budget-free) list, Theorem-1 sorted; the router walks it only after the
-// primary list is exhausted so that packets which can no longer meet the
-// deadline are still delivered (the paper's "delivery ratio" counts late
-// packets, so DCRD must keep forwarding past deadline-infeasible states).
-// It repeats the primary neighbours, but once the primary scan found
-// nothing each of them is on the routing path or already tried, so the
-// walk picks what the list without them would. Fallback entries never
-// contribute to the advertised <d_X, r_X>.
+// The solver. The paper's nodes run an asynchronous recursion seeded at the
+// subscriber (<0,1>), each node recomputing its <d,r> from its neighbours'
+// values and re-sharing. DrSolver emulates that with synchronous
+// Gauss–Seidel sweeps over the nodes, ordered by monitored distance to the
+// subscriber (information flows outward from S, so this ordering converges
+// in about diameter-many sweeps); iteration stops when no node's <d,r>
+// moved by more than `tolerance_us`, or at `max_sweeps` — the cap mirrors
+// the fact that a real deployment stops gossiping when updates stop
+// changing anything.
+//
+// The *fallback list* of a destination is its subscriber's unconstrained
+// (budget-free) list, Theorem-1 sorted; the router walks it, under
+// DcrdConfig::best_effort_fallback, only after the primary list is
+// exhausted so that packets which can no longer meet the deadline are
+// still delivered (the paper's "delivery ratio" counts late packets, so
+// DCRD must keep forwarding past deadline-infeasible states). It repeats
+// the primary neighbours, but once the primary scan found nothing each of
+// them is on the routing path or already tried, so the walk picks what the
+// list without them would. Fallback entries never contribute to the
+// advertised <d_X, r_X>.
 //
 // One rebuild solves every (topic, subscriber) destination against the same
 // monitored view, so DrSolver shares what does not depend on the
 // destination:
-//  * per rebuild — every link lifted through Eq. 1 once (the m-transmission
-//    model depends only on the view and m), kept beside the adjacency it
-//    is read with;
+//  * per rebuild — the LiftedAdjacency: every link lifted through Eq. 1
+//    once (the m-transmission model depends only on the view and m);
 //  * per subscriber — the sweep order (a Dijkstra from S) and the
 //    unconstrained fixed point and lists, which depend on (subscriber,
 //    view, m, ordering) but not on the publisher or deadline;
@@ -73,6 +82,8 @@
 // them.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -88,11 +99,139 @@ struct DrComputationConfig {
   int max_transmissions = 1;  // paper parameter m
   int max_sweeps = 64;
   double tolerance_us = 0.5;
-  // Whether destinations expose the subscriber's list as their fallback.
-  bool build_fallback = true;
   // Sending-list order; kTheorem1 is DCRD, the others are ablations.
   OrderingPolicy ordering = OrderingPolicy::kTheorem1;
 };
+
+// Every node's links toward its neighbours, each lifted through Eq. 1 once
+// under one monitored view and m: the adjacency every evaluation of the
+// update rule reads. Node x's arcs are arcs[begin[x] .. begin[x + 1]), in
+// the graph's neighbour order; a link whose gamma^(m) is 0 never enters a
+// list and gets no arc. Arc indices key per-arc state (the gossip's heard
+// values, every node's warm order).
+struct LiftedAdjacency {
+  struct Arc {
+    NodeId peer;
+    LinkId link;
+    LinkModel lifted;
+  };
+
+  LiftedAdjacency(const Graph& graph, const MonitoredView& view,
+                  int max_transmissions);
+
+  [[nodiscard]] std::size_t node_count() const { return begin.size() - 1; }
+
+  std::vector<std::uint32_t> begin;  // node_count + 1 offsets
+  std::vector<Arc> arcs;
+  std::size_t max_degree = 0;  // the most arcs at one node
+};
+
+// One evaluation's buffers, reused across evaluations.
+struct EvaluationScratch {
+  std::vector<ViaEntry> sorted;           // the usable entries, in order
+  std::vector<std::uint32_t> sorted_arc;  // their arcs
+  std::vector<std::uint32_t> rest;        // the other arcs, in warm order
+  bool unusable = false;  // some eligible entry is not usable
+
+  // Capacity for any node of `adjacency`, so evaluations never allocate.
+  void Reserve(const LiftedAdjacency& adjacency) {
+    sorted.reserve(adjacency.max_degree);
+    sorted_arc.reserve(adjacency.max_degree);
+    rest.reserve(adjacency.max_degree);
+  }
+};
+
+// The update rule's first half at node x under budget D_XS = `budget_us`.
+// `neighbor_dr(a)` is the <d,r> x reads for its arc a. Collects x's
+// eligible neighbours in x's warm order `warm` (its arcs, x's degree of
+// them), lifts each across its arc (Eq. 2), insertion-sorts the usable ones
+// into scratch.sorted under kPolicy — once the warm order has settled, each
+// entry costs one comparison — and saves that order, usable arcs first, as
+// x's warm order. Eq. 3 over scratch.sorted (CombineOrdered) is x's new
+// <d,r>. Returns the largest d among x's reachable neighbours (-infinity
+// when none).
+template <OrderingPolicy kPolicy, typename NeighborDr>
+double SortEligible(const LiftedAdjacency& adjacency, std::uint32_t x,
+                    double budget_us, const NeighborDr& neighbor_dr,
+                    std::uint32_t* warm, EvaluationScratch& scratch) {
+  scratch.sorted.clear();
+  scratch.sorted_arc.clear();
+  scratch.rest.clear();
+  bool unusable = false;
+  double farthest = -kInfiniteDelay;
+  const std::uint32_t degree = adjacency.begin[x + 1] - adjacency.begin[x];
+  for (std::uint32_t k = 0; k < degree; ++k) {
+    const std::uint32_t a = warm[k];
+    const LiftedAdjacency::Arc& arc = adjacency.arcs[a];
+    const DR& dr_i = neighbor_dr(a);
+    bool sorts = false;
+    if (dr_i.reachable()) {
+      farthest = std::max(farthest, dr_i.d_us);
+      if (dr_i.d_us < budget_us) {
+        const ViaEntry entry =
+            LiftAcrossLink(arc.peer, arc.link, arc.lifted, dr_i);
+        sorts = IsUsable(entry);
+        unusable = unusable || !sorts;
+        if (sorts) {
+          std::size_t j = scratch.sorted.size();
+          scratch.sorted.push_back(entry);
+          scratch.sorted_arc.push_back(a);
+          for (; j > 0 && SendsBefore<kPolicy>(entry, scratch.sorted[j - 1]);
+               --j) {
+            scratch.sorted[j] = scratch.sorted[j - 1];
+            scratch.sorted_arc[j] = scratch.sorted_arc[j - 1];
+          }
+          scratch.sorted[j] = entry;
+          scratch.sorted_arc[j] = a;
+        }
+      }
+    }
+    if (!sorts) scratch.rest.push_back(a);
+  }
+  std::copy(scratch.sorted_arc.begin(), scratch.sorted_arc.end(), warm);
+  std::copy(scratch.rest.begin(), scratch.rest.end(),
+            warm + scratch.sorted_arc.size());
+  scratch.unusable = unusable;
+  return farthest;
+}
+
+// The update rule's second half: writes x's sending list from the
+// SortEligible call just made with the same arguments — the usable entries
+// in sending order, then any eligible but unusable ones in arc order — to
+// `out`, at most x's degree of them, and returns the end of the list.
+template <typename NeighborDr>
+Neighbor* WriteList(const LiftedAdjacency& adjacency, std::uint32_t x,
+                    double budget_us, const NeighborDr& neighbor_dr,
+                    const EvaluationScratch& scratch, Neighbor* out) {
+  for (const ViaEntry& entry : scratch.sorted) {
+    *out++ = Neighbor{entry.neighbor, entry.link};
+  }
+  if (!scratch.unusable) return out;
+  for (std::uint32_t a = adjacency.begin[x]; a < adjacency.begin[x + 1]; ++a) {
+    const LiftedAdjacency::Arc& arc = adjacency.arcs[a];
+    const DR& dr_i = neighbor_dr(a);
+    if (!dr_i.reachable() || !(dr_i.d_us < budget_us) ||
+        IsUsable(LiftAcrossLink(arc.peer, arc.link, arc.lifted, dr_i))) {
+      continue;
+    }
+    *out++ = Neighbor{arc.peer, arc.link};
+  }
+  return out;
+}
+
+// How far a node's <d,r> moved from `previous` to `updated`: infinity when
+// its reachability flipped, 0 when it stayed unreachable, else
+// max(|delta d|, 10^6 * |delta r|) in microseconds, where a NaN part (a d
+// that stayed infinite) counts as no move.
+inline double DrChange(const DR& updated, const DR& previous) {
+  if (updated.reachable() != previous.reachable()) return kInfiniteDelay;
+  double change = 0.0;
+  if (updated.reachable()) {
+    change = std::max(change, std::abs(updated.d_us - previous.d_us));
+    change = std::max(change, std::abs(updated.r - previous.r) * 1e6);
+  }
+  return change;
+}
 
 // Every node's <d,r> and sending list toward one subscriber, stored flat:
 // node x's list is entries[begin[x] .. begin[x + 1]), in sending order. The
@@ -111,7 +250,9 @@ struct ListTable {
 struct NodeTables {
   DR dr;                               // <d_X, r_X>
   std::span<const Neighbor> primary;   // the sending list (Theorem-1 order)
-  std::span<const Neighbor> fallback;  // walked after primary (see above)
+  // Walked after primary under DcrdConfig::best_effort_fallback (see
+  // above); empty when the destination reused its subscriber's solve.
+  std::span<const Neighbor> fallback;
 };
 
 // A destination's NodeTables by node id, read from its primary table (the
@@ -228,12 +369,6 @@ class DrSolver {
                           std::span<const double> publisher_dist_us);
 
  private:
-  // One direction of a link, already lifted through Eq. 1.
-  struct Arc {
-    NodeId peer;
-    LinkId link;
-    LinkModel lifted;
-  };
   struct Convergence {
     int sweeps_used = 0;
     bool converged = false;
@@ -246,12 +381,10 @@ class DrSolver {
     // subscriber's unconstrained table; -infinity when the node never read
     // a reachable neighbour.
     std::vector<double> farthest_read;
-    // warm[arc_begin_[x] .. arc_begin_[x + 1]): x's arcs in the order its
-    // last evaluation sorted them, usable entries first.
+    // warm[begin[x] .. begin[x + 1]): x's arcs in the order its last
+    // evaluation sorted them, usable entries first.
     std::vector<std::uint32_t> warm;
-    std::vector<ViaEntry> sorted;       // one node's usable entries, sorted
-    std::vector<std::uint32_t> sorted_arc;  // their arcs
-    std::vector<std::uint32_t> rest;    // its other arcs, in warm order
+    EvaluationScratch evaluation;       // one node's entries and arcs
     std::vector<Neighbor> entries;      // a table's lists under build
   };
 
@@ -274,23 +407,11 @@ class DrSolver {
                            const std::vector<double>& budget_us,
                            Scratch& scratch, ListTable& table,
                            bool track_reads) const;
-  // Warm-started evaluation of node x against `dr` under `budget_us`:
-  // collects x's eligible neighbours in x's warm order, insertion-sorts
-  // the usable ones into scratch.sorted under kPolicy and saves that order
-  // as x's warm order. Returns the largest d among x's reachable
-  // neighbours (-infinity when none); `unusable` reports an eligible
-  // neighbour whose entry is not usable.
-  template <OrderingPolicy kPolicy>
-  double SortEligible(const std::vector<DR>& dr, std::uint32_t x,
-                      double budget_us, Scratch& scratch,
-                      bool& unusable) const;
 
   const Graph& graph_;
   const MonitoredView& view_;
   const DrComputationConfig config_;
-  std::vector<std::uint32_t> arc_begin_;  // node x's arcs: [x] .. [x + 1]
-  std::vector<Arc> arcs_;                 // usable (gamma^(m) > 0) only
-  std::size_t max_degree_ = 0;
+  const LiftedAdjacency adjacency_;
   std::vector<double> unbounded_;         // +infinity budget per node
   // Each epoch's tables: one per subscriber group, then one slot per
   // request (filled when the request solved). An epoch's vector is never

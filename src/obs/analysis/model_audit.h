@@ -3,9 +3,11 @@
 // The engine's --delay_audit sink dumps one JSONL row per reachable
 // (topic, subscriber) pair at every monitoring epoch: the publisher's
 // expected <d, r> and the Theorem-1 sending list it was computed from,
-// exactly as routing used them (solver or distributed gossip alike). The
-// row format — ModelRow, its writer and its parser — lives with the router
-// that writes it, in dcrd/model_row.h.
+// exactly as routing used them. Only the solver's tables yield rows: the
+// rows are written right after each rebuild, when in distributed mode
+// every gossip still holds the publisher at <inf, 0>. The row format —
+// ModelRow, its writer and its parser — lives with the router that writes
+// it, in dcrd/model_row.h.
 //
 // The auditor joins those rows against observed deliveries from the trace:
 // a delivery belongs to the model row with the same (topic, subscriber)
@@ -44,10 +46,11 @@ struct AuditConfig {
   double abs_slack_us = 250.0;
   // Recombining a row's list via Eq. 3 must reproduce its d to within this.
   // Not pure float noise: the solver stops its Gauss–Seidel sweeps at
-  // tolerance_us (0.5 µs) and distributed gossip damps updates below its
-  // threshold (50 µs), so the stored d legitimately lags a fresh
-  // recombination by up to that slack. The check is an integrity gate —
-  // corruption or a different algebra is off by milliseconds, not this.
+  // tolerance_us (0.5 µs), so the stored d legitimately lags a fresh
+  // recombination by up to that slack, and a gossip, should its rows ever
+  // be written, damps updates below its threshold (50 µs). The check is an
+  // integrity gate — corruption or a different algebra is off by
+  // milliseconds, not this.
   double recombine_tolerance_us = 100.0;
 };
 

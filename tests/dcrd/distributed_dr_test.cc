@@ -22,6 +22,29 @@ MonitoredView PerfectView(const Graph& graph, double gamma = 1.0) {
   return MonitoredView(std::move(alphas), std::move(gammas));
 }
 
+// `node`'s sending list in the gossip, copied out.
+std::vector<Neighbor> ListOf(const DistributedDrComputation& protocol,
+                             NodeId node) {
+  const auto list = protocol.list(node);
+  return {list.begin(), list.end()};
+}
+
+// Every node's <d,r> and sending list in the gossip, as a table.
+ListTable TableOf(const DistributedDrComputation& protocol,
+                  std::size_t node_count) {
+  ListTable table;
+  for (std::size_t v = 0; v < node_count; ++v) {
+    const NodeId node(static_cast<NodeId::underlying_type>(v));
+    table.dr.push_back(protocol.dr(node));
+    table.begin.push_back(static_cast<std::uint32_t>(table.entries.size()));
+    for (const Neighbor& hop : protocol.list(node)) {
+      table.entries.push_back(hop);
+    }
+  }
+  table.begin.push_back(static_cast<std::uint32_t>(table.entries.size()));
+  return table;
+}
+
 struct ProtocolRun {
   ListTable tables;
   std::uint64_t updates_sent = 0;
@@ -43,11 +66,12 @@ ProtocolRun RunProtocol(const Graph& graph, const MonitoredView& view,
   }
   budgets[subscriber.underlying()] =
       std::max(budgets[subscriber.underlying()], 1.0);
+  const LiftedAdjacency adjacency(graph, view, /*max_transmissions=*/1);
   auto protocol = std::make_shared<DistributedDrComputation>(
-      network, subscriber, view, budgets, config);
+      network, subscriber, adjacency, budgets, config);
   protocol->Start();
   scheduler.Run();
-  run.tables = protocol->Snapshot();
+  run.tables = TableOf(*protocol, graph.node_count());
   run.updates_sent = protocol->updates_sent();
   run.converged_at = protocol->last_change();
   return run;
@@ -174,6 +198,49 @@ TEST(DistributedDrTest, BudgetFilteringAppliesInFlight) {
               central.per_node[v].primary.size())
         << "node " << v;
   }
+}
+
+TEST(DistributedDrTest, RestartedNodeForgetsUntilAnswersLand) {
+  // Line 0-1-2-3 toward subscriber 3, converged and quiet. Node 1 restarts:
+  // it reads <inf,0> with an empty list until the first answer to its
+  // solicitation lands a 10 ms round trip later, the subscriber keeps
+  // <0,1>, and once the gossip is quiet again node 1 holds the list it
+  // held before.
+  const Graph graph = Line(4, SimDuration::Millis(10));
+  const MonitoredView view = PerfectView(graph);
+  Scheduler scheduler;
+  OverlayNetwork network(graph, scheduler, FailureSchedule(1, 0.0), 0.0,
+                         Rng(3));
+  const LiftedAdjacency adjacency(graph, view, 1);
+  auto protocol = std::make_shared<DistributedDrComputation>(
+      network, NodeId(3), adjacency, std::vector<double>(4, kInfiniteDelay));
+  protocol->Start();
+  scheduler.Run();
+  const NodeId node(1);
+  const DR before = protocol->dr(node);
+  const std::vector<Neighbor> list_before = ListOf(*protocol, node);
+  ASSERT_TRUE(before.reachable());
+  ASSERT_EQ(list_before.size(), 2u);
+
+  protocol->OnNodeRestart(node);
+  const SimTime restarted = scheduler.now();
+  for (const SimTime until :
+       {restarted, restarted + SimDuration::Millis(10),
+        restarted + SimDuration::Millis(19)}) {
+    scheduler.RunUntil(until);
+    EXPECT_EQ(protocol->dr(node), DR{});
+    EXPECT_TRUE(protocol->list(node).empty());
+    EXPECT_EQ(protocol->dr(NodeId(3)), (DR{0.0, 1.0}));
+  }
+  scheduler.Run();
+  EXPECT_EQ(protocol->dr(node), before);
+  const std::vector<Neighbor> list_after = ListOf(*protocol, node);
+  ASSERT_EQ(list_after.size(), list_before.size());
+  for (std::size_t k = 0; k < list_before.size(); ++k) {
+    EXPECT_EQ(list_after[k].peer, list_before[k].peer);
+    EXPECT_EQ(list_after[k].link, list_before[k].link);
+  }
+  EXPECT_EQ(protocol->dr(NodeId(3)), (DR{0.0, 1.0}));
 }
 
 }  // namespace

@@ -100,18 +100,6 @@ TEST(DrComputationTest, EligibilityFiltersOnBudget) {
   EXPECT_EQ(node1.fallback[1].peer, NodeId(0));
 }
 
-TEST(DrComputationTest, FallbackDisabledLeavesListEmpty) {
-  const Graph graph = Line(4, SimDuration::Millis(10));
-  const MonitoredView view = PerfectView(graph);
-  std::vector<double> publisher_dist = {0.0, 10'000.0, 20'000.0, 30'000.0};
-  DrComputationConfig config;
-  config.build_fallback = false;
-  const test::SolvedDestination tables_solve(graph, view, NodeId(3), 25'000.0,
-                                             publisher_dist, config);
-  const DestinationTables& tables = tables_solve.tables;
-  EXPECT_TRUE(tables.per_node[1].fallback.empty());
-}
-
 TEST(DrComputationTest, UnreachableBudgetKillsList) {
   // Deadline smaller than any path: nobody qualifies; r = 0 everywhere
   // except the subscriber.

@@ -14,10 +14,13 @@
 // tables, and the convergence bookkeeping to match the oracle on random
 // overlays across the solver's whole configuration space, including
 // destinations that stop at the sweep cap, with the epoch solved on one,
-// two and four workers.
+// two and four workers. The update rule the solver shares with the gossip
+// (SortEligible + WriteList) is also checked on its own against the
+// oracle's collection, from arbitrary warm orders.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <string>
 
@@ -172,12 +175,9 @@ DestinationTables ComputeDestinationTables(
   tables.sweeps_used = constrained.sweeps_used;
   tables.converged = constrained.converged;
 
-  FixedPoint unconstrained;
-  if (config.build_fallback) {
-    const std::vector<double> no_budget(n, kInfiniteDelay);
-    unconstrained =
-        SolveFixedPoint(graph, view, subscriber, no_budget, order, config);
-  }
+  const std::vector<double> no_budget(n, kInfiniteDelay);
+  const FixedPoint unconstrained =
+      SolveFixedPoint(graph, view, subscriber, no_budget, order, config);
 
   tables.per_node.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -191,18 +191,16 @@ DestinationTables ComputeDestinationTables(
     node.primary =
         CollectEligible(graph, view, constrained.dr, x, tables.budget_us[i],
                         config.max_transmissions, config.ordering);
-    if (config.build_fallback) {
-      std::vector<ViaEntry> fallback = CollectEligible(
-          graph, view, unconstrained.dr, x, kInfiniteDelay,
-          config.max_transmissions, config.ordering);
-      std::erase_if(fallback, [&](const ViaEntry& entry) {
-        return std::any_of(node.primary.begin(), node.primary.end(),
-                           [&](const ViaEntry& p) {
-                             return p.neighbor == entry.neighbor;
-                           });
-      });
-      node.fallback = std::move(fallback);
-    }
+    std::vector<ViaEntry> fallback = CollectEligible(
+        graph, view, unconstrained.dr, x, kInfiniteDelay,
+        config.max_transmissions, config.ordering);
+    std::erase_if(fallback, [&](const ViaEntry& entry) {
+      return std::any_of(node.primary.begin(), node.primary.end(),
+                         [&](const ViaEntry& p) {
+                           return p.neighbor == entry.neighbor;
+                         });
+    });
+    node.fallback = std::move(fallback);
   }
   return tables;
 }
@@ -262,9 +260,7 @@ std::string TablesDiff(const oracle::DestinationTables& want,
   if (got.reused && got.per_node.fallback_table() != nullptr) {
     return "reused destination has a fallback table";
   }
-  if (!got.reused && config.build_fallback != (subscriber_table != nullptr)) {
-    return "fallback table";
-  }
+  if (subscriber_table == nullptr) return "fallback table";
   const int m = config.max_transmissions;
   for (std::size_t i = 0; i < want.per_node.size(); ++i) {
     const oracle::NodeTables& w = want.per_node[i];
@@ -276,26 +272,22 @@ std::string TablesDiff(const oracle::DestinationTables& want,
     } else {
       diff = ListDiff("primary", w.primary, primary, table, view, m);
     }
-    if (diff.empty() && (got.reused || subscriber_table == nullptr) &&
-        !g.fallback.empty()) {
+    if (diff.empty() && got.reused && !g.fallback.empty()) {
       diff = "fallback not empty";
     }
     if (diff.empty()) {
       // The oracle's fallback: the subscriber's list minus the primary
-      // neighbours (nothing when the fallback is off).
+      // neighbours.
       std::vector<Neighbor> rest;
-      if (config.build_fallback) {
-        for (const Neighbor& hop : subscriber_table->list(i)) {
-          if (std::none_of(primary.begin(), primary.end(),
-                           [&](const Neighbor& p) {
-                             return p.peer == hop.peer;
-                           })) {
-            rest.push_back(hop);
-          }
+      for (const Neighbor& hop : subscriber_table->list(i)) {
+        if (std::none_of(primary.begin(), primary.end(),
+                         [&](const Neighbor& p) {
+                           return p.peer == hop.peer;
+                         })) {
+          rest.push_back(hop);
         }
       }
-      diff = ListDiff("fallback", w.fallback, rest,
-                      config.build_fallback ? *subscriber_table : table, view,
+      diff = ListDiff("fallback", w.fallback, rest, *subscriber_table, view,
                       m);
     }
     if (!diff.empty()) return "node " + std::to_string(i) + ": " + diff;
@@ -374,43 +366,39 @@ void CheckOverlay(std::size_t nodes, std::size_t degree, double pf,
       for (const OrderingPolicy ordering :
            {OrderingPolicy::kTheorem1, OrderingPolicy::kDelayFirst,
             OrderingPolicy::kReliabilityFirst}) {
-        for (const bool fallback : {true, false}) {
-          DrComputationConfig config;
-          config.max_transmissions = m;
-          config.ordering = ordering;
-          config.build_fallback = fallback;
-          std::vector<oracle::DestinationTables> want;
+        DrComputationConfig config;
+        config.max_transmissions = m;
+        config.ordering = ordering;
+        std::vector<oracle::DestinationTables> want;
+        for (std::size_t r = 0; r < requests.size(); ++r) {
+          const int t = static_cast<int>(r / 3);
+          want.push_back(oracle::ComputeDestinationTables(
+              graph, view, requests[r].subscriber, requests[r].deadline_us,
+              publisher_dist[t], config));
+        }
+        for (const int workers : {1, 2, 4}) {
+          DrSolver solver(graph, view, config);
+          const std::vector<DestinationTables> got =
+              solver.SolveEpoch(requests, workers);
+          ASSERT_EQ(got.size(), requests.size());
           for (std::size_t r = 0; r < requests.size(); ++r) {
             const int t = static_cast<int>(r / 3);
-            want.push_back(oracle::ComputeDestinationTables(
-                graph, view, requests[r].subscriber, requests[r].deadline_us,
-                publisher_dist[t], config));
-          }
-          for (const int workers : {1, 2, 4}) {
-            DrSolver solver(graph, view, config);
-            const std::vector<DestinationTables> got =
-                solver.SolveEpoch(requests, workers);
-            ASSERT_EQ(got.size(), requests.size());
-            for (std::size_t r = 0; r < requests.size(); ++r) {
-              const int t = static_cast<int>(r / 3);
-              std::string diff = BudgetsDiff(want[r], publisher_dist[t]);
-              if (diff.empty()) {
-                diff = TablesDiff(want[r], got[r], view, config);
-              }
-              ASSERT_EQ(diff, "")
-                  << "N=" << nodes << " degree=" << degree << " pf=" << pf
-                  << " epoch=" << epoch << " m=" << m
-                  << " ordering=" << static_cast<int>(ordering)
-                  << " fallback=" << fallback << " workers=" << workers
-                  << " request=" << r
-                  << " subscriber=" << requests[r].subscriber
-                  << " reused=" << got[r].reused;
-              ++tally.destinations;
-              if (got[r].reused) ++tally.reused;
-              if (!got[r].converged &&
-                  got[r].sweeps_used == config.max_sweeps) {
-                ++tally.capped;
-              }
+            std::string diff = BudgetsDiff(want[r], publisher_dist[t]);
+            if (diff.empty()) {
+              diff = TablesDiff(want[r], got[r], view, config);
+            }
+            ASSERT_EQ(diff, "")
+                << "N=" << nodes << " degree=" << degree << " pf=" << pf
+                << " epoch=" << epoch << " m=" << m
+                << " ordering=" << static_cast<int>(ordering)
+                << " workers=" << workers << " request=" << r
+                << " subscriber=" << requests[r].subscriber
+                << " reused=" << got[r].reused;
+            ++tally.destinations;
+            if (got[r].reused) ++tally.reused;
+            if (!got[r].converged &&
+                got[r].sweeps_used == config.max_sweeps) {
+              ++tally.capped;
             }
           }
         }
@@ -430,9 +418,9 @@ TEST(DrSolverOracleTest, MatchesPerDestinationSolverBitForBit) {
       }
     }
   }
-  // 27 overlays x 3 epochs x 18 configurations x 6 destinations, each at
+  // 27 overlays x 3 epochs x 9 configurations x 6 destinations, each at
   // 3 worker counts.
-  EXPECT_EQ(tally.destinations, 27 * 3 * 18 * 6 * 3);
+  EXPECT_EQ(tally.destinations, 27 * 3 * 9 * 6 * 3);
   // The sweep cap path must be covered, not just converged solves, and so
   // must both reused and solved destinations.
   EXPECT_GT(tally.capped, 0);
@@ -557,34 +545,80 @@ TEST(DrSolverOracleTest, BudgetBindingOnlyAtAnIntermediateIterateIsSolved) {
   EXPECT_GT(found, 0);
 }
 
-TEST(DrSolverOracleTest, SortByPolicyMatchesStableSort) {
-  // Lists past the in-place sort's small-range cutoff, with unusable
-  // entries scattered through them and ratio ties broken by neighbour id.
+TEST(DrSolverOracleTest, SortEligibleMatchesStableSort) {
+  // Node 0 of a star reads up to 40 neighbours, collected in a random warm
+  // order: some unreachable, some past its budget, some reachable only
+  // with an r that underflows to 0 across a gamma-0.5 link (eligible but
+  // unusable), the rest with ratio ties broken by neighbour id. The update
+  // rule's list and its Eq. 3 fold must match the oracle's collection bit
+  // for bit under every policy.
+  const double budget_us = 65'000.0;
   Rng rng(5);
   for (int round = 0; round < 2000; ++round) {
     const std::size_t size = 1 + rng.NextBounded(40);
-    std::vector<ViaEntry> entries;
-    std::vector<std::uint32_t> ids(size);
-    std::iota(ids.begin(), ids.end(), 0U);
-    rng.Shuffle(ids);
-    for (std::size_t k = 0; k < size; ++k) {
-      ViaEntry entry{NodeId(ids[k]),
-                     LinkId(static_cast<LinkId::underlying_type>(k)),
-                     static_cast<double>(1 + rng.NextBounded(8)) * 10'000.0,
-                     static_cast<double>(1 + rng.NextBounded(4)) * 0.25};
+    Graph graph(size + 1);
+    std::vector<SimDuration> alphas;
+    std::vector<double> gammas;
+    std::vector<DR> dr(size + 1);
+    dr[0] = DR{0.0, 1.0};  // never read: node 0 is the one evaluated
+    for (std::uint32_t k = 1; k <= size; ++k) {
+      graph.AddEdge(NodeId(0), NodeId(k), SimDuration::Millis(10));
+      alphas.push_back(SimDuration::Millis(10));
+      gammas.push_back(1.0);
+      dr[k] = DR{static_cast<double>(rng.NextBounded(8)) * 10'000.0,
+                 static_cast<double>(1 + rng.NextBounded(4)) * 0.25};
       const std::uint64_t kind = rng.NextBounded(10);
-      if (kind == 0) entry.r_via = 0.0;
-      if (kind == 1) entry.d_via_us = kInfiniteDelay;
-      entries.push_back(entry);
+      if (kind == 0) dr[k] = DR{};
+      if (kind == 1) {
+        gammas.back() = 0.5;
+        dr[k].r = std::numeric_limits<double>::denorm_min();
+      }
     }
+    const MonitoredView view(std::move(alphas), std::move(gammas));
+    const LiftedAdjacency adjacency(graph, view, 1);
+    ASSERT_EQ(adjacency.begin[1] - adjacency.begin[0], size);
+    const auto neighbor_dr = [&](std::uint32_t a) -> const DR& {
+      return dr[adjacency.arcs[a].peer.underlying()];
+    };
+    std::vector<std::uint32_t> warm(size);
+    std::iota(warm.begin(), warm.end(), 0U);
+    rng.Shuffle(warm);
     for (const OrderingPolicy policy :
          {OrderingPolicy::kTheorem1, OrderingPolicy::kDelayFirst,
           OrderingPolicy::kReliabilityFirst}) {
-      std::vector<ViaEntry> want = entries;
-      std::vector<ViaEntry> got = entries;
-      oracle::StableSortByPolicy(want, policy);
-      SortByPolicy(got, policy);
-      ASSERT_EQ(EntriesDiff("sorted", want, got), "")
+      const std::vector<ViaEntry> want = oracle::CollectEligible(
+          graph, view, dr, NodeId(0), budget_us, 1, policy);
+      EvaluationScratch scratch;
+      switch (policy) {
+        case OrderingPolicy::kTheorem1:
+          SortEligible<OrderingPolicy::kTheorem1>(
+              adjacency, 0, budget_us, neighbor_dr, warm.data(), scratch);
+          break;
+        case OrderingPolicy::kDelayFirst:
+          SortEligible<OrderingPolicy::kDelayFirst>(
+              adjacency, 0, budget_us, neighbor_dr, warm.data(), scratch);
+          break;
+        case OrderingPolicy::kReliabilityFirst:
+          SortEligible<OrderingPolicy::kReliabilityFirst>(
+              adjacency, 0, budget_us, neighbor_dr, warm.data(), scratch);
+          break;
+      }
+      std::vector<Neighbor> list(size);
+      list.resize(WriteList(adjacency, 0, budget_us, neighbor_dr, scratch,
+                            list.data()) -
+                  list.data());
+      std::vector<ViaEntry> got;
+      for (const Neighbor& hop : list) {
+        got.push_back(LiftAcrossLink(hop.peer, hop.link,
+                                     LiftedLink(view, hop.link, 1),
+                                     dr[hop.peer.underlying()]));
+      }
+      ASSERT_EQ(EntriesDiff("list", want, got), "")
+          << "round " << round << " policy " << static_cast<int>(policy);
+      const DR folded = CombineOrdered(scratch.sorted);
+      const DR expected = CombineOrdered(want);
+      ASSERT_TRUE(SameBits(folded.d_us, expected.d_us) &&
+                  SameBits(folded.r, expected.r))
           << "round " << round << " policy " << static_cast<int>(policy);
     }
   }

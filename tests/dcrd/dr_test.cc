@@ -1,16 +1,26 @@
 #include "dcrd/dr.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "dcrd/dr_computation.h"
 
 namespace dcrd {
 namespace {
 
 ViaEntry Entry(std::uint32_t id, double d, double r) {
   return ViaEntry{NodeId(id), LinkId(id), d, r};
+}
+
+// Sorts usable entries with the comparator every sending list is built
+// with.
+void SortInSendingOrder(std::vector<ViaEntry>& entries) {
+  std::sort(entries.begin(), entries.end(),
+            SendsBefore<OrderingPolicy::kTheorem1>);
 }
 
 TEST(LiftAcrossLinkTest, AppliesEquationTwo) {
@@ -97,7 +107,7 @@ TEST(SortByTheorem1Test, SortsByDOverR) {
   std::vector<ViaEntry> entries = {Entry(1, 20'000, 0.4),
                                    Entry(2, 30'000, 0.9),
                                    Entry(3, 10'000, 0.25)};
-  SortByTheorem1(entries);
+  SortInSendingOrder(entries);
   EXPECT_EQ(entries[0].neighbor, NodeId(2));
   EXPECT_EQ(entries[1].neighbor, NodeId(3));
   EXPECT_EQ(entries[2].neighbor, NodeId(1));
@@ -106,20 +116,44 @@ TEST(SortByTheorem1Test, SortsByDOverR) {
 TEST(SortByTheorem1Test, TieBreaksByNeighborId) {
   std::vector<ViaEntry> entries = {Entry(5, 10'000, 0.5),
                                    Entry(2, 20'000, 1.0)};
-  SortByTheorem1(entries);  // equal d/r = 20k
+  SortInSendingOrder(entries);  // equal d/r = 20k
   EXPECT_EQ(entries[0].neighbor, NodeId(2));
   EXPECT_EQ(entries[1].neighbor, NodeId(5));
 }
 
 TEST(SortByTheorem1Test, UnreachableEntriesGoLast) {
-  std::vector<ViaEntry> entries = {Entry(1, kInfiniteDelay, 0.0),
-                                   Entry(2, 10'000, 0.5),
-                                   Entry(3, 5'000, 0.0)};
-  SortByTheorem1(entries);
-  EXPECT_EQ(entries[0].neighbor, NodeId(2));
-  // The two dead entries keep relative order (stable partition).
-  EXPECT_EQ(entries[1].neighbor, NodeId(1));
-  EXPECT_EQ(entries[2].neighbor, NodeId(3));
+  // Node 0 of a star over links of gamma 0.5 reads three neighbours that
+  // all pass its budget; two are reachable only with an r so small that
+  // r_via underflows to 0. The list holds the usable entry first, then the
+  // two unusable ones in arc order, and only the usable one enters Eq. 3.
+  Graph graph(4);
+  for (std::uint32_t v = 1; v < 4; ++v) {
+    graph.AddEdge(NodeId(0), NodeId(v), SimDuration::Millis(10));
+  }
+  const MonitoredView view(std::vector<SimDuration>(3, SimDuration::Millis(10)),
+                           std::vector<double>(3, 0.5));
+  const LiftedAdjacency adjacency(graph, view, 1);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<DR> heard = {DR{20'000, tiny}, DR{10'000, 0.5},
+                                 DR{5'000, tiny}};
+  const auto neighbor_dr = [&](std::uint32_t a) -> const DR& {
+    return heard[a];
+  };
+  std::vector<std::uint32_t> warm = {2, 1, 0};
+  EvaluationScratch scratch;
+  SortEligible<OrderingPolicy::kTheorem1>(adjacency, 0, kInfiniteDelay,
+                                          neighbor_dr, warm.data(), scratch);
+  std::vector<Neighbor> list(3);
+  list.resize(WriteList(adjacency, 0, kInfiniteDelay, neighbor_dr, scratch,
+                        list.data()) -
+              list.data());
+  ASSERT_EQ(list.size(), 3u);
+  EXPECT_EQ(list[0].peer, NodeId(2));
+  EXPECT_EQ(list[1].peer, NodeId(1));
+  EXPECT_EQ(list[2].peer, NodeId(3));
+  const DR dr = CombineOrdered(scratch.sorted);
+  EXPECT_DOUBLE_EQ(dr.d_us, 20'000.0);
+  EXPECT_DOUBLE_EQ(dr.r, 0.25);
 }
 
 TEST(SortByTheorem1Test, SortedOrderMinimizesAmongAdjacentSwaps) {
@@ -134,12 +168,12 @@ TEST(SortByTheorem1Test, SortedOrderMinimizesAmongAdjacentSwaps) {
                               rng.NextDoubleInRange(1'000, 90'000),
                               rng.NextDoubleInRange(0.05, 1.0)));
     }
-    SortByTheorem1(entries);
-    const double best = ExpectedDelayOfOrder(entries);
+    SortInSendingOrder(entries);
+    const double best = CombineOrdered(entries).d_us;
     for (int k = 0; k + 1 < n; ++k) {
       auto swapped = entries;
       std::swap(swapped[k], swapped[k + 1]);
-      EXPECT_GE(ExpectedDelayOfOrder(swapped), best - 1e-6);
+      EXPECT_GE(CombineOrdered(swapped).d_us, best - 1e-6);
     }
   }
 }

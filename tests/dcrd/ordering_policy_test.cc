@@ -1,5 +1,8 @@
-// Ordering-policy ablation machinery (SortByPolicy) and its effect on the
-// computed <d,r> tables.
+// Ordering-policy ablation machinery (SendsBefore<kPolicy>, the comparator
+// the update rule sorts with) and its effect on the computed <d,r> tables.
+#include <algorithm>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -15,11 +18,47 @@ ViaEntry Entry(std::uint32_t id, double d, double r) {
   return ViaEntry{NodeId(id), LinkId(id), d, r};
 }
 
+template <OrderingPolicy kPolicy>
+void SortAs(std::vector<ViaEntry>& entries) {
+  std::sort(entries.begin(), entries.end(), SendsBefore<kPolicy>);
+}
+
+double ExpectedDelay(const std::vector<ViaEntry>& entries) {
+  return CombineOrdered(entries).d_us;
+}
+
+// Node 0's sending list on a star under kPolicy when it reads `heard` over
+// its three arcs, all within budget.
+template <OrderingPolicy kPolicy>
+std::vector<NodeId> StarList(const std::vector<DR>& heard) {
+  Graph graph(4);
+  for (std::uint32_t v = 1; v < 4; ++v) {
+    graph.AddEdge(NodeId(0), NodeId(v), SimDuration::Millis(10));
+  }
+  const MonitoredView view(std::vector<SimDuration>(3, SimDuration::Millis(10)),
+                           std::vector<double>(3, 0.5));
+  const LiftedAdjacency adjacency(graph, view, 1);
+  const auto neighbor_dr = [&](std::uint32_t a) -> const DR& {
+    return heard[a];
+  };
+  std::vector<std::uint32_t> warm = {0, 1, 2};
+  EvaluationScratch scratch;
+  SortEligible<kPolicy>(adjacency, 0, kInfiniteDelay, neighbor_dr,
+                        warm.data(), scratch);
+  std::vector<Neighbor> list(3);
+  list.resize(WriteList(adjacency, 0, kInfiniteDelay, neighbor_dr, scratch,
+                        list.data()) -
+              list.data());
+  std::vector<NodeId> peers;
+  for (const Neighbor& hop : list) peers.push_back(hop.peer);
+  return peers;
+}
+
 TEST(OrderingPolicyTest, DelayFirstSortsByD) {
   std::vector<ViaEntry> entries = {Entry(1, 30'000, 0.99),
                                    Entry(2, 10'000, 0.40),
                                    Entry(3, 20'000, 0.80)};
-  SortByPolicy(entries, OrderingPolicy::kDelayFirst);
+  SortAs<OrderingPolicy::kDelayFirst>(entries);
   EXPECT_EQ(entries[0].neighbor, NodeId(2));
   EXPECT_EQ(entries[1].neighbor, NodeId(3));
   EXPECT_EQ(entries[2].neighbor, NodeId(1));
@@ -29,39 +68,26 @@ TEST(OrderingPolicyTest, ReliabilityFirstSortsByRDescending) {
   std::vector<ViaEntry> entries = {Entry(1, 30'000, 0.99),
                                    Entry(2, 10'000, 0.40),
                                    Entry(3, 20'000, 0.80)};
-  SortByPolicy(entries, OrderingPolicy::kReliabilityFirst);
+  SortAs<OrderingPolicy::kReliabilityFirst>(entries);
   EXPECT_EQ(entries[0].neighbor, NodeId(1));
   EXPECT_EQ(entries[1].neighbor, NodeId(3));
   EXPECT_EQ(entries[2].neighbor, NodeId(2));
 }
 
-TEST(OrderingPolicyTest, Theorem1DelegatesToProvenSort) {
-  Rng rng(4);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<ViaEntry> entries;
-    for (std::uint32_t i = 0; i < 6; ++i) {
-      entries.push_back(Entry(i, rng.NextDoubleInRange(1'000, 90'000),
-                              rng.NextDoubleInRange(0.05, 1.0)));
-    }
-    auto by_policy = entries;
-    SortByPolicy(by_policy, OrderingPolicy::kTheorem1);
-    SortByTheorem1(entries);
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      EXPECT_EQ(by_policy[i].neighbor, entries[i].neighbor);
-    }
-  }
-}
-
 TEST(OrderingPolicyTest, UnreachableEntriesAlwaysLast) {
-  for (const OrderingPolicy policy :
-       {OrderingPolicy::kTheorem1, OrderingPolicy::kDelayFirst,
-        OrderingPolicy::kReliabilityFirst}) {
-    std::vector<ViaEntry> entries = {Entry(1, kInfiniteDelay, 0.0),
-                                     Entry(2, 10'000, 0.5)};
-    SortByPolicy(entries, policy);
-    EXPECT_EQ(entries[0].neighbor, NodeId(2));
-    EXPECT_EQ(entries[1].neighbor, NodeId(1));
-  }
+  // The neighbour behind arc 0 is reachable only with an r so small that
+  // r_via underflows to 0: under every policy it follows the usable ones.
+  const std::vector<DR> heard = {
+      DR{1'000, std::numeric_limits<double>::denorm_min()},
+      DR{30'000, 0.9}, DR{10'000, 0.5}};
+  const std::vector<NodeId> by_delay = {NodeId(3), NodeId(2), NodeId(1)};
+  const std::vector<NodeId> by_reliability = {NodeId(2), NodeId(3),
+                                              NodeId(1)};
+  EXPECT_EQ(StarList<OrderingPolicy::kDelayFirst>(heard), by_delay);
+  EXPECT_EQ(StarList<OrderingPolicy::kReliabilityFirst>(heard),
+            by_reliability);
+  // d/r: 40k / 0.45 = 88.9k via 2, 20k / 0.25 = 80k via 3.
+  EXPECT_EQ(StarList<OrderingPolicy::kTheorem1>(heard), by_delay);
 }
 
 TEST(OrderingPolicyTest, Theorem1NeverWorseInExpectedDelay) {
@@ -76,12 +102,12 @@ TEST(OrderingPolicyTest, Theorem1NeverWorseInExpectedDelay) {
                               rng.NextDoubleInRange(0.05, 1.0)));
     }
     auto theorem = entries, delay = entries, reliability = entries;
-    SortByPolicy(theorem, OrderingPolicy::kTheorem1);
-    SortByPolicy(delay, OrderingPolicy::kDelayFirst);
-    SortByPolicy(reliability, OrderingPolicy::kReliabilityFirst);
-    const double best = ExpectedDelayOfOrder(theorem);
-    EXPECT_LE(best, ExpectedDelayOfOrder(delay) + 1e-6);
-    EXPECT_LE(best, ExpectedDelayOfOrder(reliability) + 1e-6);
+    SortAs<OrderingPolicy::kTheorem1>(theorem);
+    SortAs<OrderingPolicy::kDelayFirst>(delay);
+    SortAs<OrderingPolicy::kReliabilityFirst>(reliability);
+    const double best = ExpectedDelay(theorem);
+    EXPECT_LE(best, ExpectedDelay(delay) + 1e-6);
+    EXPECT_LE(best, ExpectedDelay(reliability) + 1e-6);
   }
 }
 

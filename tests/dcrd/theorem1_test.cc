@@ -1,8 +1,9 @@
 // Exhaustive verification of Theorem 1: over random instances with up to 8
-// neighbours, the d/r-ascending order achieves the minimum expected delay
-// d_X among ALL n! permutations — and the optimum equals Eq. 3 evaluated on
-// the sorted order. Parameterised over instance sizes so each size reports
-// separately.
+// neighbours, the d/r-ascending order — the order SendsBefore<kTheorem1>
+// sorts every sending list in — achieves the minimum expected delay d_X
+// among ALL n! permutations, and the optimum equals Eq. 3 (CombineOrdered)
+// evaluated on the sorted order. Parameterised over instance sizes so each
+// size reports separately.
 #include <algorithm>
 #include <numeric>
 #include <vector>
@@ -16,6 +17,15 @@ namespace dcrd {
 namespace {
 
 class Theorem1Test : public ::testing::TestWithParam<int> {};
+
+void SortInSendingOrder(std::vector<ViaEntry>& entries) {
+  std::sort(entries.begin(), entries.end(),
+            SendsBefore<OrderingPolicy::kTheorem1>);
+}
+
+double ExpectedDelay(const std::vector<ViaEntry>& entries) {
+  return CombineOrdered(entries).d_us;
+}
 
 std::vector<ViaEntry> RandomInstance(Rng& rng, int n) {
   std::vector<ViaEntry> entries;
@@ -35,7 +45,7 @@ double BruteForceMinimum(std::vector<ViaEntry> entries) {
             });
   double best = kInfiniteDelay;
   do {
-    best = std::min(best, ExpectedDelayOfOrder(entries));
+    best = std::min(best, ExpectedDelay(entries));
   } while (std::next_permutation(
       entries.begin(), entries.end(),
       [](const ViaEntry& a, const ViaEntry& b) {
@@ -51,8 +61,8 @@ TEST_P(Theorem1Test, SortedOrderIsGloballyOptimal) {
   for (int trial = 0; trial < trials; ++trial) {
     std::vector<ViaEntry> entries = RandomInstance(rng, n);
     const double brute = BruteForceMinimum(entries);
-    SortByTheorem1(entries);
-    const double theorem = ExpectedDelayOfOrder(entries);
+    SortInSendingOrder(entries);
+    const double theorem = ExpectedDelay(entries);
     EXPECT_NEAR(theorem, brute, std::abs(brute) * 1e-12 + 1e-9)
         << "n=" << n << " trial=" << trial;
   }
@@ -64,7 +74,7 @@ TEST_P(Theorem1Test, OptimalityConditionHoldsOnSortedOrder) {
   Rng rng(2000 + static_cast<std::uint64_t>(n));
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<ViaEntry> entries = RandomInstance(rng, n);
-    SortByTheorem1(entries);
+    SortInSendingOrder(entries);
     for (int k = 0; k + 1 < n; ++k) {
       EXPECT_LE(entries[k].d_via_us * entries[k + 1].r_via,
                 entries[k + 1].d_via_us * entries[k].r_via + 1e-6);
@@ -84,15 +94,15 @@ TEST(Theorem1EdgeCases, DegenerateEqualRatios) {
   }
   const double sorted_d = [&] {
     auto copy = entries;
-    SortByTheorem1(copy);
-    return ExpectedDelayOfOrder(copy);
+    SortInSendingOrder(copy);
+    return ExpectedDelay(copy);
   }();
   std::sort(entries.begin(), entries.end(),
             [](const ViaEntry& a, const ViaEntry& b) {
               return a.neighbor < b.neighbor;
             });
   do {
-    EXPECT_NEAR(ExpectedDelayOfOrder(entries), sorted_d, 1e-6);
+    EXPECT_NEAR(ExpectedDelay(entries), sorted_d, 1e-6);
   } while (std::next_permutation(
       entries.begin(), entries.end(),
       [](const ViaEntry& a, const ViaEntry& b) {
@@ -107,7 +117,7 @@ TEST(Theorem1EdgeCases, HighReliabilityShortDelayFirst) {
       ViaEntry{NodeId(1), LinkId(1), 10'000, 0.99},
       ViaEntry{NodeId(2), LinkId(2), 80'000, 0.9},
   };
-  SortByTheorem1(entries);
+  SortInSendingOrder(entries);
   EXPECT_EQ(entries[0].neighbor, NodeId(1));
 }
 

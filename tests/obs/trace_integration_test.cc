@@ -186,6 +186,41 @@ TEST(TraceIntegrationTest, RebuildRecordsAndAuditRowsStampEveryEpoch) {
   EXPECT_GT(rows_at.begin()->second, 0u);
 }
 
+// The audit rows of a rebuild are written right after it, when every new
+// gossip still holds the publisher at <inf,0>, so distributed mode writes
+// an empty model file, with broker crashes or without (solver mode writes
+// rows: see above). A change that moves the audit instant past the first
+// gossip wave makes the router CHECK-fail here until gossip rows get a
+// path of their own.
+TEST(TraceIntegrationTest, DistributedModeWritesNoAuditRows) {
+  for (const bool crashes : {false, true}) {
+    TempFile model_file("distributed_audit_model.jsonl");
+    ScenarioConfig config;
+    config.dcrd_distributed = true;
+    config.node_count = 30;
+    config.topology = TopologyKind::kRandomDegree;
+    config.degree = 5;
+    config.failure_probability = 0.06;
+    config.sim_time = SimDuration::Seconds(60);
+    config.monitor_interval = SimDuration::Seconds(20);
+    config.delay_audit_out = model_file.path;
+    if (crashes) {
+      config.broker_mtbf = SimDuration::Seconds(30);
+      config.peer_death_detection = true;
+    }
+    const RunSummary summary = RunScenario(config);
+    EXPECT_GT(summary.control_transmissions, 0u);
+    if (crashes) {
+      EXPECT_GT(summary.broker_restarts, 0u);
+    }
+    std::ifstream model_in(model_file.path);
+    ASSERT_TRUE(model_in.is_open()) << "crashes " << crashes;
+    std::size_t rows = 0;
+    ASSERT_TRUE(ForEachModelRow(model_in, [&](const ModelRow&) { ++rows; }));
+    EXPECT_EQ(rows, 0u) << "crashes " << crashes;
+  }
+}
+
 TEST(TraceIntegrationTest, MetricsCarrySolverCountersForDcrdOnly) {
   // The registry exports the DCRD router's control-plane counters; a
   // baseline router runs no <d,r> solver and exports none. The per-epoch

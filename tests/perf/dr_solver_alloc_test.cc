@@ -1,24 +1,31 @@
-// Allocation contract of the <d,r> control plane. Sorting a sending list
-// works in place, and a DrSolver builds every list in per-worker scratch
-// buffers, so within an epoch a destination that reuses its subscriber's
-// solve allocates nothing and one that solves allocates only its own table
-// — the same whether its fixed point settles in a few sweeps or runs into
-// the sweep cap, and on any number of workers. A whole
-// DcrdRouter::Rebuild then costs a small constant per topic, per
-// subscriber, per solved destination and per worker, never a list per
-// (destination, broker). Epochs fan out to threads, so these tests count
-// the allocations of every thread.
+// Allocation contract of the <d,r> control plane. The update rule
+// (SortEligible + WriteList) works in reused scratch, and a DrSolver builds
+// every list in per-worker scratch buffers, so within an epoch a
+// destination that reuses its subscriber's solve allocates nothing and one
+// that solves allocates only its own table — the same whether its fixed
+// point settles in a few sweeps or runs into the sweep cap, and on any
+// number of workers. A whole DcrdRouter::Rebuild then costs a small
+// constant per topic, per subscriber, per solved destination and per
+// worker, never a list per (destination, broker). Epochs fan out to
+// threads, so those tests count the allocations of every thread. The
+// gossip runs the same rule in place too: once its scheduler is warm, a
+// node's restart and the reconvergence it sets off allocate nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <numeric>
 #include <set>
 
 #include "common/parallel_for.h"
 #include "common/rng.h"
 #include "dcrd/dcrd_router.h"
+#include "dcrd/distributed_dr.h"
 #include "dcrd/dr_computation.h"
+#include "event/scheduler.h"
 #include "graph/topology.h"
 #include "net/failure_schedule.h"
+#include "net/overlay_network.h"
 #include "routing/test_harness.h"
 #include "sim/workload.h"
 #include "support/alloc_counter.h"
@@ -28,32 +35,97 @@ namespace {
 
 using test::AllocProbe;
 
-TEST(DrSolverAllocTest, WarmSortByPolicyIsAllocationFree) {
-  // Long enough to leave the small-range insertion sort, with unusable
-  // entries that the partition must move behind the usable ones.
-  Rng rng(3);
-  std::vector<ViaEntry> entries;
-  for (std::uint32_t k = 0; k < 40; ++k) {
-    entries.push_back(ViaEntry{NodeId(k), LinkId(k),
-                               rng.NextDoubleInRange(10'000, 90'000),
-                               k % 7 == 0 ? 0.0
-                                          : rng.NextDoubleInRange(0.1, 1.0)});
+TEST(DrSolverAllocTest, WarmSortEligibleIsAllocationFree) {
+  // Node 0 of a 40-leaf star reads usable neighbours in random order and,
+  // every seventh one, an eligible neighbour whose r_via underflows to 0
+  // that the list must put behind the usable ones.
+  constexpr std::uint32_t kLeaves = 40;
+  Graph graph(kLeaves + 1);
+  for (std::uint32_t k = 1; k <= kLeaves; ++k) {
+    graph.AddEdge(NodeId(0), NodeId(k), SimDuration::Millis(10));
   }
-  std::vector<ViaEntry> work = entries;
-  SortByPolicy(work, OrderingPolicy::kTheorem1);
+  const MonitoredView view(
+      std::vector<SimDuration>(kLeaves, SimDuration::Millis(10)),
+      std::vector<double>(kLeaves, 0.5));
+  const LiftedAdjacency adjacency(graph, view, 1);
+  Rng rng(3);
+  std::vector<DR> heard;
+  for (std::uint32_t k = 0; k < kLeaves; ++k) {
+    heard.push_back(DR{rng.NextDoubleInRange(10'000, 90'000),
+                       k % 7 == 0 ? std::numeric_limits<double>::denorm_min()
+                                  : rng.NextDoubleInRange(0.1, 1.0)});
+  }
+  const auto neighbor_dr = [&](std::uint32_t a) -> const DR& {
+    return heard[a];
+  };
+  std::vector<std::uint32_t> warm(kLeaves);
+  std::iota(warm.begin(), warm.end(), 0U);
+  rng.Shuffle(warm);
+  EvaluationScratch scratch;
+  scratch.Reserve(adjacency);
+  std::vector<Neighbor> list(kLeaves);
 
   AllocProbe probe;
+  std::size_t listed = 0;
   for (int round = 0; round < 100; ++round) {
-    for (const OrderingPolicy policy :
-         {OrderingPolicy::kTheorem1, OrderingPolicy::kDelayFirst,
-          OrderingPolicy::kReliabilityFirst}) {
-      work.assign(entries.begin(), entries.end());  // within capacity
-      SortByPolicy(work, policy);
-    }
+    SortEligible<OrderingPolicy::kTheorem1>(
+        adjacency, 0, kInfiniteDelay, neighbor_dr, warm.data(), scratch);
+    SortEligible<OrderingPolicy::kDelayFirst>(
+        adjacency, 0, kInfiniteDelay, neighbor_dr, warm.data(), scratch);
+    SortEligible<OrderingPolicy::kReliabilityFirst>(
+        adjacency, 0, kInfiniteDelay, neighbor_dr, warm.data(), scratch);
+    listed = static_cast<std::size_t>(
+        WriteList(adjacency, 0, kInfiniteDelay, neighbor_dr, scratch,
+                  list.data()) -
+        list.data());
   }
   const auto delta = probe.delta();
   EXPECT_EQ(delta.allocations, 0u)
-      << "SortByPolicy allocated " << delta.bytes << " bytes";
+      << "the update rule allocated " << delta.bytes << " bytes";
+  EXPECT_EQ(listed, kLeaves);
+  EXPECT_TRUE(scratch.unusable);
+}
+
+TEST(DistributedDrAllocTest, WarmRestartIsAllocationFree) {
+  // A converged gossip on a lossy 16-broker overlay. Restarting every node
+  // once warms the scheduler; after that, one restart and the
+  // reconvergence it sets off — the reset, the re-announcement, the
+  // solicitations and their answers, and every update they trigger —
+  // allocate nothing.
+  Rng rng(7);
+  const Graph graph = RandomConnected(16, 4, rng);
+  const FailureSchedule failures(21, 0.0);
+  LinkMonitorConfig monitor_config;
+  monitor_config.loss_rate = 1e-2;
+  LinkMonitor monitor(graph, failures, monitor_config, Rng(8));
+  monitor.MeasureAt(SimTime::Zero());
+  const LiftedAdjacency adjacency(graph, monitor.view(), 2);
+  Scheduler scheduler;
+  OverlayNetwork network(graph, scheduler, failures, 0.0, Rng(3));
+  const NodeId subscriber(15);
+  const std::vector<double> dist =
+      MonitoredDistancesFrom(graph, monitor.view(), NodeId(0));
+  auto protocol = std::make_shared<DistributedDrComputation>(
+      network, subscriber, adjacency,
+      DeadlineBudgets(3.0 * dist[subscriber.underlying()], dist, subscriber));
+  protocol->Start();
+  scheduler.Run();
+  for (std::uint32_t v = 0; v < graph.node_count(); ++v) {
+    protocol->OnNodeRestart(NodeId(v));
+    scheduler.Run();
+  }
+  const NodeId node(5);
+  ASSERT_TRUE(protocol->dr(node).reachable());
+  const std::uint64_t sent = protocol->updates_sent();
+
+  AllocProbe probe;
+  protocol->OnNodeRestart(node);
+  scheduler.Run();
+  const auto delta = probe.delta();
+  EXPECT_EQ(delta.allocations, 0u)
+      << "a warm restart allocated " << delta.bytes << " bytes";
+  EXPECT_GT(protocol->updates_sent(), sent);
+  EXPECT_TRUE(protocol->dr(node).reachable());
 }
 
 // What a solved table holds: the <d,r> and offset arrays and, unless every
