@@ -19,6 +19,12 @@
 #     file (DCRD's rows recompute their list values from the tables);
 #   * dcrdsim --all on a 30-broker overlay with broker crashes, peer-death
 #     detection, the invariant checker and subscription churn: stdout;
+#   * dcrdsim --all on that overlay for 300 simulated seconds at m = 2 with
+#     persistency mode, delay jitter, gray failures, link serialization,
+#     crashes, peer-death detection, the invariant checker and churn:
+#     stdout. Its copies get second delivered transmissions that can
+#     overtake the first, retries get parked, and crashes void dedup memory
+#     while packets are still in flight;
 #   * dcrdsim DCRD in distributed (gossip) mode on that overlay for 60
 #     simulated seconds with broker crashes, peer-death detection and the
 #     invariant checker: stdout;
@@ -53,6 +59,10 @@ scale=(--reps 1 --seconds 120 --jobs 4)
 dcrdsim_args=(--all --nodes 30 --degree 5 --pf 0.06 --seconds 120
               --broker_mtbf 30 --peer_death --check_invariants --churn 0.2
               --monitor_s 20)
+dcrdsim_lossy_args=(--all --nodes 30 --degree 5 --pf 0.08 --seconds 300
+                    --m 2 --persistence --jitter 0.5 --gray 0.2
+                    --serialization_ms 2 --broker_mtbf 30 --peer_death
+                    --check_invariants --churn 0.2 --monitor_s 20)
 distributed_args=(--router DCRD --distributed --nodes 30 --degree 5 --pf 0.06
                   --seconds 60 --broker_mtbf 30 --peer_death
                   --check_invariants --monitor_s 20)
@@ -158,6 +168,11 @@ for side in parent change; do
   run "$side" dcrdsim examples/dcrdsim "${dcrdsim_args[@]}"
 done
 compare dcrdsim
+
+for side in parent change; do
+  run "$side" dcrdsim.lossy examples/dcrdsim "${dcrdsim_lossy_args[@]}"
+done
+compare dcrdsim.lossy
 
 for side in parent change; do
   run "$side" dcrdsim.distributed examples/dcrdsim "${distributed_args[@]}"

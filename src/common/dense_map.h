@@ -1,23 +1,27 @@
 // Open-addressing hash containers for the engine's hot paths.
 //
 // The node-based std::unordered_{map,set} pay one heap allocation per
-// insert and a pointer chase per lookup; on id-keyed engine state (dedup
-// sets, ACK tombstones) that churn dominates. These containers keep
-// everything in two flat arrays (control bytes + slots), probe linearly,
-// and erase by backward-shift, so there are no tombstones to accumulate and
-// no per-element allocations — after the table reaches its steady-state
+// insert and a pointer chase per lookup; on id-keyed engine state that
+// churn dominates. The users: DCRD's per-message responsibility sets and
+// its message-id index of them (dcrd_router.h), the transport's ACK
+// tombstones (hop_transport.h) and the invariant checker's last hand-up
+// per copy (invariant_checker.h). These containers keep everything in two
+// flat arrays (control bytes + slots), probe linearly, and erase by
+// backward-shift, so there are no tombstones to accumulate and no
+// per-element allocations — after the table reaches its steady-state
 // capacity, insert/erase cycles allocate nothing. clear() keeps capacity
 // for the same reason.
 //
-// Keys are the engine's 64-bit ids (copy ids, message ids), mixed through
-// a finalizer so sequential ids spread across the table. Not a general
+// Keys are the engine's 64-bit ids (copy ids, message ids, packed
+// responsibility keys), mixed through a finalizer so sequential ids spread
+// across the table. Not a general
 // replacement for unordered_map: keys are value types, iteration order is
 // unspecified, and pointers into the table are invalidated by rehash AND
 // by erase (backward-shift moves elements).
 //
 // DenseIndexMap is the degenerate-but-fastest case: keys that are already
 // dense small integers (LinkId, NodeId underlyings) index a flat array
-// directly — no hashing at all.
+// directly — no hashing at all (the RTO estimator's per-link state).
 #pragma once
 
 #include <cstddef>

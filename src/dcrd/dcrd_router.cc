@@ -20,7 +20,11 @@ DcrdRouter::DcrdRouter(RouterContext context, DcrdConfig config)
                  [this](NodeId at, const Packet& packet, NodeId from) {
                    OnArrival(at, packet, from);
                  },
-                 context_.MakeTransportConfig()) {
+                 context_.MakeTransportConfig(),
+                 // A retired copy can no longer land anywhere.
+                 [this](std::uint64_t owner) {
+                   ReleaseRecord(RecordOfTag(owner));
+                 }) {
   DCRD_CHECK(context_.network != nullptr);
   DCRD_CHECK(context_.subscriptions != nullptr);
   DCRD_CHECK(context_.sink != nullptr);
@@ -31,7 +35,10 @@ DcrdRouter::DcrdRouter(RouterContext context, DcrdConfig config)
   DCRD_CHECK(!config_.use_distributed_computation ||
              config_.computation.ordering == OrderingPolicy::kTheorem1)
       << "distributed mode needs the Theorem-1 ordering";
-  processed_.resize(context_.network->graph().node_count());
+  // Responsibility keys hold node ids in 20 bits.
+  DCRD_CHECK(context_.network->graph().node_count() <= (std::size_t{1} << 20))
+      << "too many brokers for a responsibility key";
+  crash_round_.assign(context_.network->graph().node_count(), 0);
   path_stamp_.assign(context_.network->graph().node_count(), 0);
   resync_until_.assign(context_.network->graph().node_count(), SimTime());
   resync_round_.assign(context_.network->graph().node_count(), 0);
@@ -40,7 +47,12 @@ DcrdRouter::DcrdRouter(RouterContext context, DcrdConfig config)
 void DcrdRouter::Rebuild(const MonitoredView& view) {
   view_ = &view;
   transport_.ClearDedupState();
-  for (auto& processed : processed_) processed.clear();
+  // Every responsibility is handled afresh in the new epoch, so no key
+  // carries a crash round any more.
+  records_.ForEachLiveHandle([this](SlotHandle record) {
+    records_.Get(record)->responsibilities.clear();
+  });
+  std::fill(crash_round_.begin(), crash_round_.end(), 0);
   // Retry budgets reset with the epoch; anything still parked gets a fresh
   // chance against the newly measured topology.
   persisted_.clear();
@@ -215,25 +227,31 @@ void DcrdRouter::Publish(const Message& message) {
   }
   if (destinations_scratch_.empty()) return;
   SlotHandle handle;
-  Episode& episode = OpenEpisode(message.publisher, &handle);
+  Episode& episode = OpenEpisode(message.publisher,
+                                 RecordFor(message.id.value), &handle);
   episode.base.Assign(message, destinations_scratch_);
-  DenseIdSet& processed = processed_[message.publisher.underlying()];
+  DenseIdSet& responsibilities =
+      records_.Get(episode.record)->responsibilities;
   for (NodeId subscriber : episode.base.destinations()) {
-    processed.Insert(ProcessedKey(episode.base, subscriber));
+    responsibilities.Insert(
+        ResponsibilityKey(message.publisher, episode.base, subscriber));
   }
   StartEpisode(handle, episode);
 }
 
 void DcrdRouter::OnArrival(NodeId at, const Packet& packet, NodeId /*from*/) {
   const bool rerouted_back = packet.OnRoutingPath(at);
-  DenseIdSet& processed = processed_[at.underlying()];
+  // The arriving copy holds its message's record until this returns.
+  const SlotHandle record = LiveRecordOf(packet.message().id.value);
+  DenseIdSet& responsibilities = records_.Get(record)->responsibilities;
 
   destinations_scratch_.clear();
   for (NodeId subscriber : packet.destinations()) {
     // A fresh visit handles each (message, subscriber) responsibility only
     // once; a rerouted-back packet re-opens responsibilities this broker
     // already forwarded into the now-failed subtree.
-    const bool fresh = processed.Insert(ProcessedKey(packet, subscriber));
+    const bool fresh =
+        responsibilities.Insert(ResponsibilityKey(at, packet, subscriber));
     if (!rerouted_back && !fresh) continue;
     if (subscriber == at) {
       context_.sink->OnDelivered(packet.message(), subscriber,
@@ -244,17 +262,52 @@ void DcrdRouter::OnArrival(NodeId at, const Packet& packet, NodeId /*from*/) {
   }
   if (destinations_scratch_.empty()) return;
   SlotHandle handle;
-  Episode& episode = OpenEpisode(at, &handle);
+  Episode& episode = OpenEpisode(at, record, &handle);
   episode.base.AssignNarrowed(packet, destinations_scratch_);
   StartEpisode(handle, episode);
 }
 
-DcrdRouter::Episode& DcrdRouter::OpenEpisode(NodeId node,
+DcrdRouter::Episode& DcrdRouter::OpenEpisode(NodeId node, SlotHandle record,
                                              SlotHandle* handle) {
   Episode* episode = nullptr;
   *handle = episodes_.Acquire(&episode);
   episode->node = node;
+  episode->record = record;
+  RetainRecord(record);
   return *episode;
+}
+
+void DcrdRouter::CloseEpisode(SlotHandle handle) {
+  const SlotHandle record = episodes_.Get(handle)->record;
+  episodes_.Release(handle);
+  ReleaseRecord(record);
+}
+
+SlotHandle DcrdRouter::RecordFor(std::uint64_t message_id) {
+  const auto [found, inserted] = record_of_.TryEmplace(message_id);
+  if (!inserted) return *found;
+  MessageRecord* record = nullptr;
+  const SlotHandle handle = records_.Acquire(&record);
+  record->message_id = message_id;
+  record->refs = 0;
+  *found = handle;
+  return handle;
+}
+
+SlotHandle DcrdRouter::LiveRecordOf(std::uint64_t message_id) const {
+  const SlotHandle* found = record_of_.Find(message_id);
+  DCRD_CHECK(found != nullptr)
+      << "no live record for message " << message_id;
+  return *found;
+}
+
+void DcrdRouter::ReleaseRecord(SlotHandle handle) {
+  MessageRecord* record = records_.Get(handle);
+  DCRD_CHECK(record != nullptr && record->refs > 0);
+  if (--record->refs > 0) return;
+  record->responsibilities.clear();
+  record_of_.Erase(record->message_id);
+  records_.Release(handle);
 }
 
 void DcrdRouter::StartEpisode(SlotHandle handle, Episode& episode) {
@@ -365,8 +418,7 @@ void DcrdRouter::ProcessEpisode(SlotHandle handle) {
   for (std::size_t i = 0; i < n; ++i) {
     const Neighbor hop = choices_scratch_[i];
     if (!hop.peer.valid()) {
-      HandleUndeliverable(episode.node, episode.base,
-                          destinations[episode.pending[i]]);
+      HandleUndeliverable(episode, destinations[episode.pending[i]]);
       continue;
     }
     // The group for this hop launched with its first member.
@@ -411,11 +463,14 @@ void DcrdRouter::LaunchCopy(SlotHandle handle, Episode& episode, Neighbor hop,
   }
   const SimDuration timeout = context_.AckTimeout(view_->alpha(hop.link));
   ++episode.in_flight;
+  // The copy keeps its message's record until the transport retires it.
+  RetainRecord(episode.record);
   transport_.SendReliable(episode.node, hop.link, std::move(send_scratch_),
                           context_.max_transmissions, timeout,
                           [this, handle, next = hop.peer, launch](bool acked) {
                             OnCopyResolved(handle, next, launch, acked);
-                          });
+                          },
+                          OwnerTag(episode.record));
 }
 
 void DcrdRouter::OnCopyResolved(SlotHandle handle, NodeId next_hop,
@@ -457,8 +512,10 @@ void DcrdRouter::RecordUndeliverable(NodeId node, const Packet& base,
       LinkId(), static_cast<std::uint8_t>(TraceDropReason::kUndeliverable));
 }
 
-void DcrdRouter::HandleUndeliverable(NodeId node, const Packet& base,
+void DcrdRouter::HandleUndeliverable(const Episode& episode,
                                      NodeId subscriber) {
+  const NodeId node = episode.node;
+  const Packet& base = episode.base;
   if (!config_.enable_persistence) {
     ++dropped_undeliverable_;
     RecordUndeliverable(node, base, subscriber);
@@ -476,9 +533,13 @@ void DcrdRouter::HandleUndeliverable(NodeId node, const Packet& base,
   ++persisted_packets_;
   const Message message = base.message();
   const int generation = attempts;
+  // The parked retry keeps the message's record until its timer fires; the
+  // timer finds it by message id.
+  RetainRecord(episode.record);
   context_.network->scheduler().ScheduleAfter(
       config_.persistence_retry_interval,
       [this, node, message, subscriber, generation] {
+        const SlotHandle record = LiveRecordOf(message.id.value);
         // Parked packets are volatile state: if the broker crashed at any
         // point while this one waited, it died with the broker.
         const BrokerCrashSchedule& crashes = context_.network->crashes();
@@ -492,26 +553,28 @@ void DcrdRouter::HandleUndeliverable(NodeId node, const Packet& base,
                 TraceEventKind::kDrop, message.id.value, 0, node, subscriber,
                 LinkId(), static_cast<std::uint8_t>(TraceDropReason::kCrash));
           }
+          ReleaseRecord(record);
           return;
         }
         ++persistence_retries_;
         // Fresh attempt: empty routing path so the whole overlay is
         // explorable again, and a new persistence generation so the
-        // processed-set dedup downstream does not mistake the retry for a
+        // responsibility dedup downstream does not mistake the retry for a
         // duplicate of the failed attempt.
         SlotHandle handle;
-        Episode& episode = OpenEpisode(node, &handle);
+        Episode& episode = OpenEpisode(node, record, &handle);
+        ReleaseRecord(record);  // the episode holds it now
         episode.base.Assign(message, std::span<const NodeId>(&subscriber, 1));
         episode.base.set_flow_label(static_cast<std::uint8_t>(generation));
-        processed_[node.underlying()].Insert(
-            ProcessedKey(episode.base, subscriber));
+        records_.Get(record)->responsibilities.Insert(
+            ResponsibilityKey(node, episode.base, subscriber));
         StartEpisode(handle, episode);
       });
 }
 
 std::size_t DcrdRouter::OnBrokerCrash(NodeId node) {
   // Transport first: pendings at `node` are killed without resolution and
-  // its dedup windows cleared, so nothing below ever hears from them again.
+  // its dedup memory voided, so nothing below ever hears from them again.
   const std::size_t killed = transport_.OnBrokerCrash(node);
   // Open processing episodes at the broker die with it, copy groups
   // included.
@@ -519,8 +582,12 @@ std::size_t DcrdRouter::OnBrokerCrash(NodeId node) {
   episodes_.ForEachLiveHandle([&](SlotHandle handle) {
     if (episodes_.Get(handle)->node == node) sweep_scratch_.push_back(handle);
   });
-  for (const SlotHandle handle : sweep_scratch_) episodes_.Release(handle);
-  processed_[node.underlying()].clear();
+  for (const SlotHandle handle : sweep_scratch_) CloseEpisode(handle);
+  // Every responsibility it handled is forgotten: its keys carry the old
+  // round, and keys hold a round in 16 bits.
+  const std::uint32_t round = ++crash_round_[node.underlying()];
+  DCRD_CHECK(round < (1u << 16))
+      << node << " crashed " << round << " times in one epoch";
   // Persistency-mode parked packets were volatile state too. (The armed
   // retry timers re-check the crash schedule when they fire.)
   std::erase_if(persisted_, [&](const auto& kv) {
@@ -602,7 +669,7 @@ void DcrdRouter::FinishEpisodeIfIdle(SlotHandle handle) {
   const Episode* episode = episodes_.Get(handle);
   if (episode == nullptr) return;
   if (episode->pending.empty() && episode->in_flight == 0) {
-    episodes_.Release(handle);
+    CloseEpisode(handle);
   }
 }
 

@@ -134,14 +134,19 @@ class DcrdRouter final : public Router {
   [[nodiscard]] std::size_t open_episodes() const override {
     return episodes_.size();
   }
+  // Live per-message responsibility records; 0 after the scheduler drains.
+  [[nodiscard]] std::size_t message_records() const {
+    return records_.size();
+  }
   void SampleBrokerHealth(std::vector<BrokerHealth>& out) const override {
     transport_.SampleBrokerHealth(out);
   }
 
   // Fail-stop crash–recovery (see net/broker_lifecycle.h). A crash destroys
   // every piece of the broker's volatile state: transport pendings and
-  // dedup windows, open processing episodes, the per-node processed set and
-  // any packets parked by persistency mode. A restart opens a gossip-resync
+  // dedup memory, open processing episodes, the responsibilities it
+  // handled (a new crash round retires its keys in every message record)
+  // and any packets parked by persistency mode. A restart opens a gossip-resync
   // window: in distributed mode the broker's <d,r> protocol state is reset
   // and re-announced with a fresh generation; in solver mode one control
   // round trip per neighbour models the table re-fetch. Until the window
@@ -162,6 +167,7 @@ class DcrdRouter final : public Router {
   // except `tried`, which a subscriber grows at most once per neighbour.
   struct Episode {
     NodeId node;
+    SlotHandle record;  // its message's record, referenced while open
     Packet base;  // as received; the routing path does not yet include node
     // Destinations awaiting a next-hop decision, ascending. A pass empties
     // it and a failed copy refills it with its own group, so every group
@@ -177,31 +183,67 @@ class DcrdRouter final : public Router {
     int in_flight = 0;  // copies awaiting ACK or timeout
   };
 
+  // Responsibility memory of one live message (DESIGN.md §3 item 5): the
+  // key of every (broker, subscriber) responsibility a fresh visit handled
+  // this epoch. Referenced by each open episode of the message, by each
+  // copy it launched until the transport retires that copy, and by each
+  // parked persistence retry until its timer fires. The last reference
+  // goes only when no packet of the message can reach a broker again, so
+  // releasing the record forgets nothing a later arrival could ask for.
+  struct MessageRecord {
+    DenseIdSet responsibilities;
+    std::uint64_t message_id = 0;
+    std::uint32_t refs = 0;
+  };
+
   void OnArrival(NodeId at, const Packet& packet, NodeId from);
-  // Takes a pooled episode at `node`, still holding its previous tenant's
-  // state; the caller fills its base and then calls StartEpisode, which
-  // resets the bookkeeping from that base and runs the first pass.
-  Episode& OpenEpisode(NodeId node, SlotHandle* handle);
+  // Takes a pooled episode at `node` with a reference on `record`, still
+  // holding its previous tenant's state; the caller fills its base and
+  // then calls StartEpisode, which resets the bookkeeping from that base
+  // and runs the first pass.
+  Episode& OpenEpisode(NodeId node, SlotHandle record, SlotHandle* handle);
   void StartEpisode(SlotHandle handle, Episode& episode);
-  // Persistency mode: parks the (message, subscriber) at `node` and arms a
-  // retry timer; gives up into dropped_undeliverable_ past the retry cap.
-  void HandleUndeliverable(NodeId node, const Packet& base, NodeId subscriber);
+  // Releases an episode and its reference on the message's record.
+  void CloseEpisode(SlotHandle handle);
+  // Persistency mode: parks the (message, subscriber) at the episode's
+  // node and arms a retry timer; gives up into dropped_undeliverable_ past
+  // the retry cap.
+  void HandleUndeliverable(const Episode& episode, NodeId subscriber);
   // Flight-recorder kDrop[undeliverable] hook, fired exactly where
   // dropped_undeliverable_ increments.
   void RecordUndeliverable(NodeId node, const Packet& base, NodeId subscriber);
-  // Dedup key for one (message, subscriber) responsibility in a broker's
-  // processed set: message id and persistence generation (the flow label,
-  // so a stored-and-retried packet is not mistaken for a duplicate of its
-  // own failed first attempt) above the subscriber id. The checks keep the
-  // fields apart, so two pairs never share a key.
-  [[nodiscard]] static std::uint64_t ProcessedKey(const Packet& packet,
-                                                  NodeId subscriber) {
-    DCRD_CHECK(packet.message().id.value < (std::uint64_t{1} << 36))
-        << "message id " << packet.message().id << " overflows the key";
-    DCRD_CHECK(subscriber.underlying() < (1u << 20))
-        << "subscriber " << subscriber << " overflows the key";
-    return (packet.message().id.value << 28) |
-           (static_cast<std::uint64_t>(packet.flow_label()) << 20) |
+  // The record of `message_id`: created (with no reference yet) when the
+  // message has none, which only a publish may need.
+  SlotHandle RecordFor(std::uint64_t message_id);
+  // The live record of a message some packet of which is still around.
+  [[nodiscard]] SlotHandle LiveRecordOf(std::uint64_t message_id) const;
+  void RetainRecord(SlotHandle record) { ++records_.Get(record)->refs; }
+  // Drops one reference; the last one clears the set, keeping its
+  // capacity, and recycles the slot.
+  void ReleaseRecord(SlotHandle record);
+  // A record handle packed into the transport's 64-bit owner tag and back;
+  // generations start at 1, so a tag is never 0.
+  [[nodiscard]] static std::uint64_t OwnerTag(SlotHandle record) {
+    return (static_cast<std::uint64_t>(record.slot) << 32) |
+           record.generation;
+  }
+  [[nodiscard]] static SlotHandle RecordOfTag(std::uint64_t owner) {
+    return SlotHandle{static_cast<std::uint32_t>(owner >> 32),
+                      static_cast<std::uint32_t>(owner)};
+  }
+  // Key of one responsibility in its message's record: the broker's crash
+  // round, the persistence generation (the flow label, so a
+  // stored-and-retried packet is not mistaken for a duplicate of its own
+  // failed first attempt), the broker and the subscriber, in 16, 8, 20 and
+  // 20 bits. The constructor bounds node ids and OnBrokerCrash the rounds,
+  // so the fields stay apart and two responsibilities never share a key.
+  [[nodiscard]] std::uint64_t ResponsibilityKey(NodeId broker,
+                                                const Packet& packet,
+                                                NodeId subscriber) const {
+    return (static_cast<std::uint64_t>(crash_round_[broker.underlying()])
+            << 48) |
+           (static_cast<std::uint64_t>(packet.flow_label()) << 40) |
+           (static_cast<std::uint64_t>(broker.underlying()) << 20) |
            subscriber.underlying();
   }
   // Drives Algorithm 2's while-loop for one episode in a single pass: one
@@ -279,16 +321,21 @@ class DcrdRouter final : public Router {
   std::vector<GossipPair> gossip_;  // indexed like tables_
 
   SlotMap<Episode> episodes_;
-  // Per-node duplicate suppression, one ProcessedKey set per broker: a
-  // broker processes each (message, subscriber) responsibility at most once
-  // per epoch on a *fresh* visit. Keying by message alone would be wrong —
-  // two copies of one message covering disjoint subscriber groups can
-  // legitimately reconverge at a broker after failure-driven divergence,
-  // and the second group must still be forwarded. Rerouted-back packets
-  // bypass the check via routing-path membership (the broker must re-handle
-  // responsibilities its failed subtree returned). Cleared, capacity kept,
-  // at monitoring epochs to bound memory.
-  std::vector<DenseIdSet> processed_;
+  // Duplicate suppression: a broker processes each (message, subscriber)
+  // responsibility at most once per epoch on a *fresh* visit. Keying by
+  // message alone would be wrong — two copies of one message covering
+  // disjoint subscriber groups can legitimately reconverge at a broker
+  // after failure-driven divergence, and the second group must still be
+  // forwarded. Rerouted-back packets bypass the check via routing-path
+  // membership (the broker must re-handle responsibilities its failed
+  // subtree returned). One record per live message, found by message id,
+  // not one per flow, so a persistence retry parked at one broker sees the
+  // keys another broker's retry of the same generation left. Rebuild
+  // clears every live record's set and resets the crash rounds; a broker's
+  // crash bumps its round.
+  SlotMap<MessageRecord> records_;
+  DenseIdMap<SlotHandle> record_of_;
+  std::vector<std::uint32_t> crash_round_;
   // Member scratch for the per-packet paths, capacity kept across calls:
   // the subscribers an arrival or publish hands to a new episode, one
   // choice per pending subscriber in a pass, the group and packet of the

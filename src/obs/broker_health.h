@@ -12,7 +12,7 @@ namespace dcrd {
 // flight.
 struct BrokerHealth {
   std::uint64_t pending_copies = 0;  // in-flight copies this broker is sending
-  std::uint64_t dedup_entries = 0;   // receiver-side dedup table size
+  std::uint64_t dedup_entries = 0;   // copies the receiver remembers
   // Largest live adaptive RTO (us) over the broker's outgoing links; 0
   // until the estimator has a real sample (and always 0 in fixed-timer
   // mode).

@@ -10,7 +10,7 @@ namespace dcrd {
 
 void HopTransport::SendReliable(NodeId from, LinkId link, Packet&& packet,
                                 int max_tx, SimDuration ack_timeout,
-                                DoneCallback done) {
+                                DoneCallback done, std::uint64_t owner) {
   DCRD_CHECK(max_tx >= 1);
   DCRD_CHECK(max_tx <= kMaxTransmissionBudget)
       << "transmission budget " << max_tx << " exceeds the compile-time cap "
@@ -29,6 +29,9 @@ void HopTransport::SendReliable(NodeId from, LinkId link, Packet&& packet,
   pending.copy_id = MakeCopyId(from);
   pending.transmissions_made = 0;
   pending.ack_scheduled = false;
+  CopyRecord* record = nullptr;
+  pending.record = copies_.Acquire(&record);
+  *record = CopyRecord{/*refs=*/1, /*epoch=*/0, /*round=*/0, owner};
   if (config_.recorder != nullptr) {
     config_.recorder->Record(TraceEventKind::kEnqueue,
                              pending.packet.message().id.value,
@@ -84,6 +87,8 @@ void HopTransport::TransmitOnce(SlotHandle pending_slot) {
     WireCopy& wire = *wire_.Get(wire_slot);
     wire.packet = pending->packet;  // copy-assign: reuses buffer capacity
     wire.copy_id = copy_id;
+    wire.record = pending->record;
+    ++copies_.Get(pending->record)->refs;
     wire.tx_index = tx_index;
     wire.to = to;
     wire.from = from;
@@ -174,7 +179,7 @@ void HopTransport::HandleTimeout(SlotHandle pending_slot) {
   DoneCallback done = std::move(pending->done);
   // Release before invoking: `done` may start further sends that reuse the
   // slot or grow the slab.
-  pending_.Release(pending_slot);
+  ReleasePending(pending_slot);
   // Count the silent budget toward peer-death detection *before* invoking
   // done, so a reroute triggered by this give-up already sees the link
   // marked dead. Fast-failed copies (zero transmissions) are not new
@@ -187,6 +192,7 @@ void HopTransport::HandleDataArrival(SlotHandle wire_slot) {
   WireCopy* wire = wire_.Get(wire_slot);
   DCRD_CHECK(wire != nullptr);
   const std::uint64_t copy_id = wire->copy_id;
+  const SlotHandle record_slot = wire->record;
   const NodeId at = wire->to;
   const NodeId from = wire->from;
   const LinkId link = wire->link;
@@ -203,25 +209,32 @@ void HopTransport::HandleDataArrival(SlotHandle wire_slot) {
   // sender at transmission time (see TransmitOnce): its outcome depends
   // only on schedules and the copy's content key, never on receiver state,
   // so nothing needs to be emitted here.
-  // Hand to the protocol only on first sight of this copy. Insert into the
-  // current generation even when the previous one already knows the copy,
-  // so repeat stragglers keep their suppression entry alive across
-  // rotations.
-  const bool in_prev = prev_seen_copies_[at.underlying()].Contains(copy_id);
-  const bool handed_up =
-      seen_copies_[at.underlying()].Insert(copy_id) && !in_prev;
+  // Hand to the protocol only on first sight of this copy: unless it
+  // arrived before, since the receiver's last crash, in this dedup epoch
+  // or the previous one. Every arrival, suppressed or not, restamps the
+  // record, so repeat stragglers keep the copy remembered across epochs.
+  CopyRecord& record = *copies_.Get(record_slot);
+  const std::uint32_t round = crash_round_[at.underlying()];
+  const bool seen = record.epoch != 0 && record.round == round;
+  const bool handed_up = !seen || record.epoch + 1 < dedup_epoch_;
+  if (!seen || record.epoch != dedup_epoch_) {
+    ++dedup_counts_[at.underlying()].current;
+  }
+  record.epoch = dedup_epoch_;
+  record.round = round;
   if (config_.observer != nullptr) {
     config_.observer->OnCopyArrival(copy_id, at, from, packet, handed_up);
   }
-  if (!handed_up) {
-    if (config_.recorder != nullptr) {
-      config_.recorder->Record(TraceEventKind::kDedupSuppress,
-                               packet.message().id.value, copy_id, at, from,
-                               link);
-    }
-    return;
+  if (handed_up) {
+    on_arrival_(at, packet, from);
+  } else if (config_.recorder != nullptr) {
+    config_.recorder->Record(TraceEventKind::kDedupSuppress,
+                             packet.message().id.value, copy_id, at, from,
+                             link);
   }
-  on_arrival_(at, packet, from);
+  // Only now: the handler finds everything the copy keeps alive (a
+  // protocol's per-message state, through the retire handler) still there.
+  DropCopyRef(record_slot);
 }
 
 void HopTransport::HandleAckArrival(SlotHandle pending_slot,
@@ -281,9 +294,26 @@ void HopTransport::HandleAckArrival(SlotHandle pending_slot,
   const NodeId from = pending->from;
   const LinkId link = pending->link;
   DoneCallback done = std::move(pending->done);
-  pending_.Release(pending_slot);
+  ReleasePending(pending_slot);
   if (config_.peer_death) NoteHopSuccess(from, link);
   if (done) done(true);
+}
+
+void HopTransport::ReleasePending(SlotHandle pending_slot) {
+  const SlotHandle record = pending_.Get(pending_slot)->record;
+  pending_.Release(pending_slot);
+  DropCopyRef(record);
+}
+
+void HopTransport::DropCopyRef(SlotHandle record_slot) {
+  CopyRecord* record = copies_.Get(record_slot);
+  DCRD_CHECK(record != nullptr && record->refs > 0);
+  if (--record->refs > 0) return;
+  // Copy ids are never reused: with its Pending gone and nothing of it on
+  // the wire, no transmission of this copy can land again.
+  const std::uint64_t owner = record->owner;
+  copies_.ReleaseLive(record_slot);
+  if (owner != 0 && on_retire_) on_retire_(owner);
 }
 
 std::size_t HopTransport::OnBrokerCrash(NodeId node) {
@@ -304,18 +334,18 @@ std::size_t HopTransport::OnBrokerCrash(NodeId node) {
     if (pending == nullptr) continue;
     network_.scheduler().Cancel(pending->timer);
     pending->done = DoneCallback();  // drop, never invoke
-    pending_.Release(handle);
+    ReleasePending(handle);
     ++killed;
   }
   stats_.crash_copies_killed += killed;
-  // 2. Duplicate-suppression memory is volatile: void exactly this
-  // broker's generations. A retransmission of a copy it ACKed pre-crash
-  // will be handed up a second time after restart — legal, and budgeted
-  // for by the crash-aware invariant checker. (Its ACK tombstones become
-  // unreachable — copy ids are never reused — and age out with the next
-  // epoch rotation.)
-  seen_copies_[node.underlying()].clear();
-  prev_seen_copies_[node.underlying()].clear();
+  // 2. Duplicate-suppression memory is volatile: a new crash round voids
+  // every arrival this broker recorded. A retransmission of a copy it
+  // ACKed pre-crash will be handed up a second time after restart — legal,
+  // and budgeted for by the crash-aware invariant checker. (Its ACK
+  // tombstones become unreachable — copy ids are never reused — and age
+  // out with the next epoch rotation.)
+  ++crash_round_[node.underlying()];
+  dedup_counts_[node.underlying()] = DedupCount{};
   // 3. Its own peer-liveness beliefs and probe loops are volatile too.
   if (!peer_.empty()) {
     for (const Neighbor& neighbor : network_.graph().neighbors(node)) {
@@ -417,7 +447,7 @@ std::size_t HopTransport::FailFastPending(NodeId from, LinkId link) {
           static_cast<std::uint16_t>(pending->transmissions_made));
     }
     DoneCallback done = std::move(pending->done);
-    pending_.Release(handle);
+    ReleasePending(handle);
     ++failed;
     if (done) done(false);
   }
@@ -456,10 +486,10 @@ void HopTransport::SampleBrokerHealth(std::vector<BrokerHealth>& out) const {
     const std::size_t broker = pending->from.underlying();
     if (broker < out.size()) ++out[broker].pending_copies;
   });
-  const std::size_t nodes = std::min(out.size(), seen_copies_.size());
+  const std::size_t nodes = std::min(out.size(), dedup_counts_.size());
   for (std::size_t node = 0; node < nodes; ++node) {
     out[node].dedup_entries +=
-        seen_copies_[node].size() + prev_seen_copies_[node].size();
+        dedup_counts_[node].current + dedup_counts_[node].previous;
   }
   if (config_.adaptive_rto) {
     const Graph& graph = network_.graph();

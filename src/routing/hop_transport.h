@@ -51,12 +51,16 @@
 // Storage layout (the hot part): per-copy sender state lives in a pooled
 // slab (slot_map.h) whose handles ride inside the scheduler/network
 // callbacks, in-flight wire payloads live in a second slab so callback
-// captures stay within the inline budget, and the receiver-side dedup
-// generations plus the ACK tombstones of given-up copies with an ACK still
-// in flight are open-addressing tables (dense_map.h). A send/ACK round
-// trip, and a fail-fast send to a dead peer, therefore perform zero heap
-// allocations once the slabs have reached the run's in-flight high-water
-// mark — a property enforced by the allocation-counter regression tests.
+// captures stay within the inline budget, and the receiver's memory of
+// each copy is an arrival record in a third slab. The record lives exactly
+// as long as the copy can still land: the copy's Pending and each of its
+// delivered transmissions still on the wire hold one reference, and copy
+// ids are never reused, so a released record can never be asked for
+// again. The ACK tombstones of given-up copies with an ACK still in flight
+// are an open-addressing table (dense_map.h). A send/ACK round trip, and a
+// fail-fast send to a dead peer, therefore perform zero heap allocations
+// once the slabs have reached the run's in-flight high-water mark — a
+// property enforced by the allocation-counter regression tests.
 #pragma once
 
 #include <array>
@@ -116,6 +120,8 @@ struct TransportStats {
   std::uint64_t spurious_retransmissions = 0;
   std::uint64_t rtt_samples = 0;
   std::size_t pending_copies = 0;
+  // Live arrival records (see HopTransport); 0 after the scheduler drains.
+  std::size_t copy_records = 0;
   // Crash–recovery bookkeeping (all 0 unless the knobs are on).
   std::uint64_t peer_deaths = 0;     // directed links declared dead
   std::uint64_t peer_probes = 0;     // probe transmissions sent
@@ -134,19 +140,27 @@ class HopTransport {
   // protocol captures stay id-sized by construction.
   using DoneCallback = InlineFunction<void(bool)>;
 
+  // Invoked with a copy's owner tag (see SendReliable) when the copy's
+  // arrival record is released, i.e. when no transmission of the copy can
+  // land any more. It runs inside transport paths (arrivals, ACKs,
+  // give-ups, crash and fail-fast sweeps), so it must not call back into
+  // the transport.
+  using RetireHandler = InlineFunction<void(std::uint64_t owner)>;
+
   // Hard cap on per-copy transmissions (paper parameter m). The per-copy
   // send-instant log is a fixed array of this size, so growing the budget
   // beyond it is a compile-time decision, not silent regrowth.
   static constexpr int kMaxTransmissionBudget = 16;
 
   HopTransport(OverlayNetwork& network, ArrivalHandler on_arrival,
-               HopTransportConfig config = {})
+               HopTransportConfig config = {}, RetireHandler on_retire = {})
       : network_(network),
         on_arrival_(std::move(on_arrival)),
+        on_retire_(std::move(on_retire)),
         config_(config),
         rto_(config.rto),
-        seen_copies_(network.graph().node_count()),
-        prev_seen_copies_(network.graph().node_count()),
+        crash_round_(network.graph().node_count(), 0),
+        dedup_counts_(network.graph().node_count()),
         next_copy_seq_(network.graph().node_count(), 0) {
     if (config_.peer_death) {
       peer_.resize(network.graph().edge_count() * 2);
@@ -163,23 +177,25 @@ class HopTransport {
   // re-entrantly). The packet is swapped into a pooled slot, so `packet`
   // comes back holding that slot's previous buffers (stale contents,
   // warm capacity): a caller that sends from one scratch Packet recycles
-  // buffers instead of allocating fresh ones per copy.
+  // buffers instead of allocating fresh ones per copy. A non-zero `owner`
+  // is handed to the retire handler once the copy's arrival record is
+  // released.
   void SendReliable(NodeId from, LinkId link, Packet&& packet, int max_tx,
-                    SimDuration ack_timeout, DoneCallback done);
+                    SimDuration ack_timeout, DoneCallback done,
+                    std::uint64_t owner = 0);
 
-  // Ages receiver-side duplicate-suppression state to bound memory over
-  // multi-hour runs. Rotation (not a hard clear): a spurious retransmission
-  // of an already-handed-up copy can still be in flight when the monitoring
-  // epoch turns over, so the previous generation stays consulted for one
-  // more epoch. A copy id is only forgotten after two consecutive epochs
-  // without an arrival — far longer than any transmission stays airborne.
+  // Starts a new dedup epoch. The receiver remembers a copy for the epoch
+  // of its last arrival and the next one: a spurious retransmission of an
+  // already-handed-up copy can still be in flight when the monitoring
+  // epoch turns over, so it is still suppressed one epoch later, and a copy
+  // is only forgotten after two consecutive epochs without an arrival —
+  // far longer than any transmission stays airborne. The per-broker counts
+  // SampleBrokerHealth reports rotate with the epoch.
   void ClearDedupState() {
-    // Swap instead of move: both tables keep their steady-state capacity,
-    // so the rotation itself allocates nothing. Dedup state is kept per
-    // receiving broker so a crash can void exactly one broker's memory.
-    for (std::size_t node = 0; node < seen_copies_.size(); ++node) {
-      swap(prev_seen_copies_[node], seen_copies_[node]);
-      seen_copies_[node].clear();
+    ++dedup_epoch_;
+    for (DedupCount& count : dedup_counts_) {
+      count.previous = count.current;
+      count.current = 0;
     }
     // Ack-tombstones follow the same bound: an ACK more than an epoch late
     // is not worth accounting for.
@@ -189,9 +205,10 @@ class HopTransport {
   // Fail-stop crash of `node`: every copy it was retransmitting dies
   // without a done() (the sender's state died with it — the protocol layer
   // drops its episodes in the same instant), its duplicate-suppression
-  // memory is voided (a post-restart retransmission will be handed up
-  // again — the crash-aware invariant checker budgets for exactly this),
-  // and its own peer-death bookkeeping resets. Returns the number of
+  // memory is voided by bumping its crash round, which no arrival record
+  // written before the crash matches (a post-restart retransmission will be
+  // handed up again — the crash-aware invariant checker budgets for exactly
+  // this), and its own peer-death bookkeeping resets. Returns the number of
   // pending copies killed, for the kBrokerDown trace record.
   std::size_t OnBrokerCrash(NodeId node);
 
@@ -209,13 +226,15 @@ class HopTransport {
     TransportStats out = stats_;
     out.rtt_samples = rto_.sample_count();
     out.pending_copies = pending_.size();
+    out.copy_records = copies_.size();
     return out;
   }
   [[nodiscard]] const RtoEstimator& rto() const { return rto_; }
 
   // Accumulates per-broker health into `out` (indexed by broker id, caller-
-  // zeroed): live in-flight copies by sending broker, dedup table sizes
-  // (current + previous generation) by receiving broker, and — in adaptive
+  // zeroed): live in-flight copies by sending broker, the copies each
+  // receiving broker remembers (those that arrived since its last crash in
+  // the current or the previous dedup epoch), and — in adaptive
   // mode — each broker's largest sampled outgoing-link RTO. Read-only and
   // allocation-free; the time-series sampler calls it every sim-time tick.
   void SampleBrokerHealth(std::vector<BrokerHealth>& out) const;
@@ -235,6 +254,7 @@ class HopTransport {
     DoneCallback done;
     EventHandle timer;
     std::uint64_t copy_id = 0;
+    SlotHandle record;  // the copy's arrival record
     int transmissions_made = 0;
     bool ack_scheduled = false;
     // Send instant per transmission index; fixed-size so the slab entry
@@ -260,10 +280,30 @@ class HopTransport {
   struct WireCopy {
     Packet packet;
     std::uint64_t copy_id = 0;
+    SlotHandle record;  // the copy's arrival record
     int tx_index = 0;
     NodeId to;
     NodeId from;
     LinkId link;
+  };
+
+  // The receiver's memory of one copy, alive while the copy can still land:
+  // one reference for its Pending and one per delivered transmission still
+  // on the wire. The copy counts as remembered iff it arrived before, in
+  // the receiver's current crash round, and in the current or the previous
+  // dedup epoch.
+  struct CopyRecord {
+    std::uint32_t refs = 0;
+    std::uint32_t epoch = 0;  // dedup epoch of the last arrival; 0 = none
+    std::uint32_t round = 0;  // receiver's crash round at that arrival
+    std::uint64_t owner = 0;  // SendReliable's tag; 0 = no retire call
+  };
+
+  // How many copies a broker remembers from the current and from the
+  // previous dedup epoch (SampleBrokerHealth's dedup_entries).
+  struct DedupCount {
+    std::size_t current = 0;
+    std::size_t previous = 0;
   };
 
   // Sender-side liveness belief about the far end of one directed link.
@@ -287,6 +327,11 @@ class HopTransport {
   void HandleDataArrival(SlotHandle wire_slot);
   void HandleAckArrival(SlotHandle pending_slot, std::uint64_t copy_id,
                         int tx_index);
+  // Releases a pending slot and its reference on the copy's record.
+  void ReleasePending(SlotHandle pending_slot);
+  // Drops one reference on a copy record; the last one releases the record
+  // and hands its owner tag to the retire handler.
+  void DropCopyRef(SlotHandle record_slot);
 
   // Globally unique copy id for a copy sent by `from`: broker id in the
   // top bits, broker-local counter below.
@@ -317,6 +362,7 @@ class HopTransport {
 
   OverlayNetwork& network_;
   ArrivalHandler on_arrival_;
+  RetireHandler on_retire_;
   HopTransportConfig config_;
   RtoEstimator rto_;
   TransportStats stats_;
@@ -328,12 +374,14 @@ class HopTransport {
   // the scratch and the slab — no allocation either way.
   Packet arrival_scratch_;
   DenseIdMap<Expired> expired_;
-  // Receiver-side dedup, one generation pair per broker: a broker crash
-  // clears that broker's entries alone. Copy ids are globally unique and
-  // target exactly one receiver, so partitioning by receiver is
-  // behaviour-preserving when no one ever crashes.
-  std::vector<DenseIdSet> seen_copies_;
-  std::vector<DenseIdSet> prev_seen_copies_;
+  // Receiver-side dedup: one record per live copy, the current dedup epoch
+  // (starting at 1, so a record's 0 means "never arrived") and one crash
+  // round per broker, never reset. Copy ids target exactly one receiver,
+  // so a broker's round guards every record it can be asked about.
+  SlotMap<CopyRecord> copies_;
+  std::uint32_t dedup_epoch_ = 1;
+  std::vector<std::uint32_t> crash_round_;
+  std::vector<DedupCount> dedup_counts_;
   // Directed-link peer liveness (sized only when peer_death is on).
   std::vector<PeerState> peer_;
   // Scratch for fail-fast sweeps (collect-then-act over the slot map);

@@ -11,10 +11,14 @@
 // links with everything already selected (ties broken toward lower delay) —
 // the redundancy/traffic trade-off the ext4_redundancy bench sweeps.
 //
-// Path sets are recomputed from monitored estimates at every epoch; like
-// the trees, Multipath never reroutes after a hop gives up.
+// Path sets are planned from monitored estimates at every epoch; like the
+// trees, Multipath never reroutes after a hop gives up. A path set depends
+// only on (publisher, subscriber) and the α̂ vector, and LinkMonitor
+// measures every α̂ as the link's true delay, so an epoch whose α̂ equal
+// the last plan's bit for bit reuses that plan's path sets.
 #pragma once
 
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -46,7 +50,7 @@ class MultipathRouter final : public SourceRoutedRouter {
     const auto it = paths_[topic.underlying()].find(subscriber);
     DCRD_CHECK(it != paths_[topic.underlying()].end())
         << subscriber << " has no path set for " << topic;
-    return it->second;
+    return *it->second;
   }
   [[nodiscard]] std::size_t path_count() const { return path_count_; }
 
@@ -55,12 +59,22 @@ class MultipathRouter final : public SourceRoutedRouter {
   std::vector<Route> RoutesFor(const Message& message) override;
 
  private:
+  using PathSet = std::vector<std::vector<NodeId>>;
+
+  // Yen's top candidates from `publisher` to `subscriber` under view(),
+  // then the greedy diversity selection.
+  [[nodiscard]] PathSet PlanPaths(NodeId publisher, NodeId subscriber) const;
+
   std::size_t path_count_;
-  // Keyed by subscriber id (not list index): the subscription table may
-  // mutate under churn between rebuilds; a subscriber joining mid-epoch
-  // simply has no path set until the next rebuild and is skipped.
-  std::vector<std::unordered_map<NodeId, std::vector<std::vector<NodeId>>>>
-      paths_;
+  // Path sets by (publisher << 32 | subscriber), all planned under
+  // `planned_alpha_`; a rebuild whose α̂ differ anywhere replans them all.
+  std::unordered_map<std::uint64_t, PathSet> planned_;
+  std::vector<SimDuration> planned_alpha_;
+  // This epoch's path sets, pointing into planned_. Keyed by subscriber id
+  // (not list index): the subscription table may mutate under churn
+  // between rebuilds; a subscriber joining mid-epoch simply has no path set
+  // until the next rebuild and is skipped.
+  std::vector<std::unordered_map<NodeId, const PathSet*>> paths_;
 };
 
 }  // namespace dcrd

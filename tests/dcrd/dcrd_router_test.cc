@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <string>
 
@@ -325,6 +326,138 @@ TEST(DcrdRouterTest, DuplicateFreshArrivalsSuppressed) {
     }
   }
   EXPECT_EQ(delivered_pairs, 300U);
+}
+
+// Publisher 0 and subscriber 2 on a triangle whose view claims the direct
+// 0-2 link takes 0.1 ms; it takes 10 ms. Node 0 sends its first copy
+// direct, gives up on it at the 1.1 ms ACK timeout and sends a second copy
+// via 1, which delivers at 3.1 ms. The first copy still lands at 10 ms: a
+// second fresh copy of the same (message, subscriber) at node 2, not
+// rerouted back. `between` runs at 5 ms, between the two arrivals.
+// Returns how often node 2 delivered the message.
+std::size_t DeliveriesWithSecondFreshCopyAfter(
+    const std::function<void(DcrdRouter&, const MonitoredView&)>& between) {
+  Graph graph(3);
+  graph.AddEdge(NodeId(0), NodeId(1), SimDuration::Millis(1));   // link 0
+  graph.AddEdge(NodeId(1), NodeId(2), SimDuration::Millis(1));   // link 1
+  graph.AddEdge(NodeId(0), NodeId(2), SimDuration::Millis(10));  // link 2
+  RouterHarness h(std::move(graph), 0.0, 0.0);
+  const MonitoredView view(
+      {SimDuration::Millis(1), SimDuration::Millis(1), SimDuration::Micros(100)},
+      {1.0, 1.0, 1.0});
+  const TopicId topic = h.subscriptions.AddTopic(NodeId(0));
+  h.subscriptions.AddSubscription(topic, NodeId(2), SimDuration::Millis(1000));
+  DcrdRouter router(h.Context());
+  router.Rebuild(view);
+  const Message message = h.PublishVia(router, topic);
+  h.scheduler.RunUntil(SimTime::Zero() + SimDuration::Millis(5));
+  EXPECT_EQ(h.sink.CountFor(message.id), 1U);
+  EXPECT_EQ(h.sink.ArrivalOf(message.id, NodeId(2)),
+            SimTime::Zero() + SimDuration::Micros(3100));
+  between(router, view);
+  h.scheduler.Run();
+  // 0->2, 0->1 and 1->2; node 2 forwards nothing either way.
+  EXPECT_EQ(h.network.counters(TrafficClass::kData).delivered, 3U);
+  EXPECT_EQ(router.open_episodes(), 0U);
+  EXPECT_EQ(router.message_records(), 0U);
+  EXPECT_EQ(router.transport_stats().copy_records, 0U);
+  return h.sink.CountFor(message.id);
+}
+
+TEST(DcrdRouterTest, SecondFreshCopyWithinAnEpochIsSuppressed) {
+  EXPECT_EQ(DeliveriesWithSecondFreshCopyAfter(
+                [](DcrdRouter&, const MonitoredView&) {}),
+            1U);
+}
+
+TEST(DcrdRouterTest, SecondFreshCopyAfterARebuildIsProcessedAgain) {
+  EXPECT_EQ(DeliveriesWithSecondFreshCopyAfter(
+                [](DcrdRouter& router, const MonitoredView& view) {
+                  router.Rebuild(view);
+                }),
+            2U);
+}
+
+TEST(DcrdRouterTest, SecondFreshCopyAfterTheBrokersCrashIsProcessedAgain) {
+  // Another broker's crash leaves node 2's memory alone.
+  EXPECT_EQ(DeliveriesWithSecondFreshCopyAfter(
+                [](DcrdRouter& router, const MonitoredView&) {
+                  router.OnBrokerCrash(NodeId(1));
+                  router.OnBrokerRestart(NodeId(1));
+                }),
+            1U);
+  EXPECT_EQ(DeliveriesWithSecondFreshCopyAfter(
+                [](DcrdRouter& router, const MonitoredView&) {
+                  router.OnBrokerCrash(NodeId(2));
+                  router.OnBrokerRestart(NodeId(2));
+                }),
+            2U);
+}
+
+TEST(DcrdRouterTest, RecordsDrainUnderCrashesAndPersistence) {
+  // Broker crashes, link failures, loss and persistency mode together, with
+  // the crash hooks and rebuilds driven the way the engine drives them:
+  // episodes, copies and parked retries end in every order, and once the
+  // scheduler drains no message record and no copy record is left.
+  Rng rng(11);
+  RouterHarness h(RandomConnected(12, 4, rng), 0.1, 0.05, /*seed=*/5);
+  OverlayNetwork network(
+      h.graph, h.scheduler, FailureSchedule(5, 0.1),
+      OverlayNetworkConfig{/*loss_rate=*/0.05}, Rng(5), NodeFailureSchedule(),
+      GrayFailureSchedule(),
+      BrokerCrashSchedule(5, SimDuration::Seconds(10), SimDuration::Seconds(2)));
+  const TopicId topic = h.subscriptions.AddTopic(NodeId(0));
+  for (std::uint32_t v = 1; v < 12; v += 2) {
+    h.subscriptions.AddSubscription(topic, NodeId(v),
+                                    SimDuration::Millis(200));
+  }
+  DcrdConfig config;
+  config.enable_persistence = true;
+  config.persistence_max_retries = 3;
+  RouterContext context = h.Context(/*m=*/2);
+  context.network = &network;
+  DcrdRouter router(context, config);
+  router.Rebuild(h.monitor.view());
+
+  const BrokerCrashSchedule& crashes = network.crashes();
+  std::vector<bool> up(h.graph.node_count());
+  for (std::size_t i = 0; i < up.size(); ++i) {
+    up[i] = crashes.Up(NodeId(static_cast<std::uint32_t>(i)), SimTime::Zero());
+  }
+  int crash_hooks = 0;
+  std::size_t most_records = 0;
+  // 20 s at 20 publishes per second; crash hooks every second, a rebuild
+  // every 5 s.
+  for (int step = 1; step <= 400; ++step) {
+    const SimTime now = SimTime::FromMicros(step * 50'000LL);
+    h.scheduler.RunUntil(now);
+    most_records = std::max(most_records, router.message_records());
+    if (step % 20 == 0) {
+      for (std::size_t i = 0; i < up.size(); ++i) {
+        const NodeId node(static_cast<std::uint32_t>(i));
+        if (crashes.Up(node, now) == up[i]) continue;
+        up[i] = !up[i];
+        if (up[i]) {
+          router.OnBrokerRestart(node);
+        } else {
+          router.OnBrokerCrash(node);
+          ++crash_hooks;
+        }
+      }
+    }
+    if (step % 100 == 0) router.Rebuild(h.monitor.view());
+    if (crashes.Up(NodeId(0), now)) h.PublishVia(router, topic);
+  }
+  h.scheduler.Run();
+  EXPECT_GT(crash_hooks, 0);
+  EXPECT_GT(router.persistence_retries(), 0U);
+  EXPECT_GT(h.sink.deliveries().size(), 0U);
+  EXPECT_GT(most_records, 0U);
+  EXPECT_TRUE(h.scheduler.empty());
+  EXPECT_EQ(router.open_episodes(), 0U);
+  EXPECT_EQ(router.message_records(), 0U);
+  EXPECT_EQ(router.transport_stats().copy_records, 0U);
+  EXPECT_EQ(router.transport_stats().pending_copies, 0U);
 }
 
 TEST(DcrdRouterTest, SolveStatsSumTheTablesOfEveryRebuild) {

@@ -1,6 +1,7 @@
 // Zero-steady-state-allocation contract of the DCRD data plane. Once the
-// router's episode pool, dedup sets and scratch buffers, the transport's
-// slabs and the scheduler have reached the run's high-water mark, a
+// router's episode pool, message records and scratch buffers, the
+// transport's slabs and copy records and the scheduler have reached the
+// run's high-water mark, a
 // complete Algorithm 2 cycle — publish, group by next hop, forward,
 // ACK / retransmit / time out, mark a silent hop tried, reroute upstream,
 // deliver — must not touch the heap allocator. Rebuild (a new epoch's
@@ -118,8 +119,9 @@ AllocCounts RunRound(Fixture& f, DcrdRouter& router, int burst) {
 TEST(DcrdRouterAllocTest, ForwardAckRerouteCycleIsAllocationFreeAfterWarmup) {
   Fixture f;
   DcrdRouter router(f.Context());
-  // Warm up: bursts 4x the measured ones size every pool and dedup set
-  // past anything a measured round can need, then measured-size rounds let
+  // Warm up: bursts 4x the measured ones size every pool and message
+  // record past anything a measured round can need, then measured-size
+  // rounds let
   // the buffers of the slots those rounds recycle reach their high water.
   for (int round = 0; round < 53; ++round) {
     router.Rebuild(f.monitor.view());
@@ -140,6 +142,9 @@ TEST(DcrdRouterAllocTest, ForwardAckRerouteCycleIsAllocationFreeAfterWarmup) {
     measured.allocations += delta.allocations;
     measured.bytes += delta.bytes;
     ASSERT_EQ(router.open_episodes(), 0U);
+    // Drained: every record went with the last packet of its message.
+    ASSERT_EQ(router.message_records(), 0U);
+    ASSERT_EQ(router.transport_stats().copy_records, 0U);
   }
   EXPECT_EQ(measured.allocations, 0U)
       << "DCRD cycle allocated " << measured.bytes << " bytes";

@@ -1,7 +1,8 @@
 // Regression tests for the transport's zero-steady-state-allocation
-// property. After the pending/wire slabs and the dedup tables reach the
-// run's high-water mark, a complete send/ACK round trip — including
-// retransmissions, timeout timers, and dedup bookkeeping — and a send that
+// property. After the pending/wire slabs, the copy records and the
+// tombstone table reach the run's high-water mark, a complete send/ACK
+// round trip — including retransmissions, timeout timers, and dedup
+// bookkeeping — and a send that
 // fails fast on a dead peer must not touch the heap allocator. Packets in
 // the measured region carry empty destination/path vectors so caller-side
 // buffers cannot mask a transport allocation. Everything is seeded, so the
@@ -60,8 +61,8 @@ TEST(HopTransportAllocTest, SendAckRoundTripIsAllocationFreeAfterWarmup) {
                          });
   std::uint64_t id = 0;
   std::uint64_t acks = 0;
-  // Warm-up: reach the in-flight high-water mark (64 concurrent copies) and
-  // size the dedup tables, then rotate both generations to capacity.
+  // Warm-up: reach the in-flight high-water mark (64 concurrent copies) in
+  // every slab, copy records included.
   for (int round = 0; round < 3; ++round) {
     RunRound(f, transport, /*burst=*/64, /*max_tx=*/1, id, acks);
   }
@@ -76,6 +77,7 @@ TEST(HopTransportAllocTest, SendAckRoundTripIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(acks, 64u * 103u);
   EXPECT_EQ(arrivals, 64u * 103u);
   EXPECT_EQ(transport.pending_count(), 0u);
+  EXPECT_EQ(transport.stats().copy_records, 0u);
 }
 
 TEST(HopTransportAllocTest, LossyRetransmissionPathIsAllocationFreeToo) {
@@ -96,7 +98,7 @@ TEST(HopTransportAllocTest, LossyRetransmissionPathIsAllocationFreeToo) {
   std::uint64_t id = 0;
   std::uint64_t acks = 0;
   // Warm up with a 4x larger burst than the measured rounds. Per-round
-  // insert counts into the dedup/tombstone tables are loss-dependent random
+  // insert counts into the tombstone table are loss-dependent random
   // variables; a same-sized warm-up can land just under a growth threshold
   // that a later round crosses. A 256-copy burst drives every slab and
   // table to a capacity strictly above anything a 64-copy round can need.
@@ -114,6 +116,7 @@ TEST(HopTransportAllocTest, LossyRetransmissionPathIsAllocationFreeToo) {
   EXPECT_GT(acks, 0u);
   EXPECT_GT(arrivals, 0u);
   EXPECT_EQ(transport.pending_count(), 0u);
+  EXPECT_EQ(transport.stats().copy_records, 0u);
 }
 
 TEST(HopTransportAllocTest, FastFailsOnADeadPeerAreAllocationFree) {
@@ -155,6 +158,7 @@ TEST(HopTransportAllocTest, FastFailsOnADeadPeerAreAllocationFree) {
   EXPECT_EQ(network.counters(TrafficClass::kData).attempted, 64u);
   EXPECT_EQ(transport.stats().peer_deaths, 1u);
   EXPECT_EQ(transport.pending_count(), 0u);
+  EXPECT_EQ(transport.stats().copy_records, 0u);
 }
 
 }  // namespace

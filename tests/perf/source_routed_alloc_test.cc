@@ -125,7 +125,7 @@ TEST(SourceRoutedAllocTest, ForwardHopIsAllocationFreeAfterWarmup) {
                   : std::make_unique<TreeRouter>(f.Context(),
                                                  TreeKind::kShortestHop);
     SCOPED_TRACE(router->name());
-    // Warm up: bursts 4x the measured ones size every pool and dedup set
+    // Warm up: bursts 4x the measured ones size every pool and copy record
     // past anything a measured round can need, then measured-size rounds
     // let the buffers of the slots those rounds recycle reach their high
     // water.

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "graph/topology.h"
+#include "obs/broker_health.h"
 
 namespace dcrd {
 namespace {
@@ -382,6 +387,165 @@ TEST(HopTransportTest, ClearDedupStateKeepsPendingSendsAlive) {
   transport.ClearDedupState();
   f.scheduler.Run();
   EXPECT_TRUE(acked);
+}
+
+// Sends one copy whose ACK is slower than its timer: on the 10 ms link
+// with a full round trip (ack_delay_factor 1) and a 15 ms timeout,
+// transmission 0 lands at 10 ms, the timer retransmits at 15 ms,
+// transmission 0's ACK closes the copy at 20 ms and transmission 1 lands
+// at 25 ms as a duplicate. `between` runs at 12 ms, after the hand-up and
+// before the duplicate lands. Returns how often node 1 handed the copy up.
+int HandUpsWithDuplicateAfter(
+    const std::function<void(HopTransport&)>& between) {
+  Fixture f;
+  OverlayNetwork network(f.graph, f.scheduler, FailureSchedule(1, 0.0), 0.0,
+                         Rng(1), /*ack_delay_factor=*/1.0);
+  int handed_up = 0;
+  HopTransport transport(network,
+                         [&](NodeId, const Packet&, NodeId) { ++handed_up; });
+  transport.SendReliable(NodeId(0), f.link, Packet(TestMessage(), {NodeId(1)}),
+                         /*max_tx=*/2, SimDuration::Millis(15), nullptr);
+  f.scheduler.RunUntil(SimTime::Zero() + SimDuration::Millis(12));
+  EXPECT_EQ(handed_up, 1);
+  between(transport);
+  f.scheduler.Run();
+  EXPECT_EQ(network.counters(TrafficClass::kData).delivered, 2U);
+  EXPECT_EQ(transport.pending_count(), 0U);
+  return handed_up;
+}
+
+TEST(HopTransportTest, DuplicateAfterOneRotationIsSuppressed) {
+  // The previous generation is still consulted for one more epoch.
+  EXPECT_EQ(HandUpsWithDuplicateAfter(
+                [](HopTransport& transport) { transport.ClearDedupState(); }),
+            1);
+}
+
+TEST(HopTransportTest, DuplicateAfterTwoRotationsIsHandedUp) {
+  EXPECT_EQ(HandUpsWithDuplicateAfter([](HopTransport& transport) {
+              transport.ClearDedupState();
+              transport.ClearDedupState();
+            }),
+            2);
+}
+
+TEST(HopTransportTest, DuplicateAfterReceiverCrashIsHandedUp) {
+  // The restarted receiver has no memory of what it handed up.
+  EXPECT_EQ(HandUpsWithDuplicateAfter([](HopTransport& transport) {
+              transport.OnBrokerCrash(NodeId(1));
+            }),
+            2);
+}
+
+// Records every data arrival the transport reports: when it landed and
+// whether it was handed up.
+class ArrivalLog final : public TransportObserver {
+ public:
+  explicit ArrivalLog(const Scheduler& scheduler) : scheduler_(scheduler) {}
+  void OnCopyArrival(std::uint64_t, NodeId, NodeId, const Packet&,
+                     bool handed_up) override {
+    arrivals.emplace_back(scheduler_.now(), handed_up);
+  }
+  std::vector<std::pair<SimTime, bool>> arrivals;
+
+ private:
+  const Scheduler& scheduler_;
+};
+
+TEST(HopTransportTest, OvertakingRetransmissionIsHandedUpAndOvertakenOneNot) {
+  // Transmission 0 enters a gray epoch that stretches the 10 ms link to
+  // 100 ms; its 15 ms timer retransmits in the next epoch, which is clean,
+  // so transmission 1 lands first. The copy is handed up once, when the
+  // later transmission lands, and the earlier one is a duplicate.
+  Fixture f;
+  GrayFailureConfig gray;
+  gray.probability = 0.5;
+  gray.extra_loss = 0.0;
+  gray.delay_factor = 10.0;
+  gray.asymmetry = 0.0;
+  const SimTime send_at = SimTime::FromMicros(990'000);
+  const SimTime retransmit_at = send_at + SimDuration::Millis(15);
+  std::uint64_t seed = 1;
+  for (; seed < 1000; ++seed) {
+    const GrayFailureSchedule schedule(seed, gray);
+    if (schedule.Active(f.link, send_at) &&
+        !schedule.Active(f.link, retransmit_at)) {
+      break;
+    }
+  }
+  ASSERT_LT(seed, 1000U);
+  OverlayNetwork network(f.graph, f.scheduler, FailureSchedule(1, 0.0),
+                         OverlayNetworkConfig{}, Rng(1),
+                         NodeFailureSchedule(),
+                         GrayFailureSchedule(seed, gray));
+  ArrivalLog log(f.scheduler);
+  HopTransportConfig config;
+  config.observer = &log;
+  int handed_up = 0;
+  HopTransport transport(
+      network, [&](NodeId, const Packet&, NodeId) { ++handed_up; }, config);
+  f.scheduler.RunUntil(send_at);
+  bool acked = false;
+  transport.SendReliable(NodeId(0), f.link, Packet(TestMessage(), {NodeId(1)}),
+                         /*max_tx=*/2, SimDuration::Millis(15),
+                         [&](bool ok) { acked = ok; });
+  f.scheduler.Run();
+  EXPECT_TRUE(acked);
+  EXPECT_EQ(handed_up, 1);
+  ASSERT_EQ(log.arrivals.size(), 2U);
+  EXPECT_EQ(log.arrivals[0],
+            std::make_pair(retransmit_at + SimDuration::Millis(10), true));
+  EXPECT_EQ(log.arrivals[1],
+            std::make_pair(send_at + SimDuration::Millis(100), false));
+  EXPECT_EQ(transport.pending_count(), 0U);
+}
+
+TEST(HopTransportTest, DedupEntriesCountBothGenerationsAcrossRotationAndCrash) {
+  // Late-ACK copies as in HandUpsWithDuplicateAfter land twice, 15 ms apart.
+  Fixture f;
+  OverlayNetwork network(f.graph, f.scheduler, FailureSchedule(1, 0.0), 0.0,
+                         Rng(1), /*ack_delay_factor=*/1.0);
+  HopTransport transport(network, [](NodeId, const Packet&, NodeId) {});
+  const auto entries = [&](NodeId node) {
+    std::vector<BrokerHealth> health(f.graph.node_count());
+    transport.SampleBrokerHealth(health);
+    return health[node.underlying()].dedup_entries;
+  };
+  const auto send = [&](int max_tx, int timeout_ms) {
+    transport.SendReliable(NodeId(0), f.link,
+                           Packet(TestMessage(), {NodeId(1)}), max_tx,
+                           SimDuration::Millis(timeout_ms), nullptr);
+  };
+  const auto run_for = [&](int ms) {
+    f.scheduler.RunUntil(f.scheduler.now() + SimDuration::Millis(ms));
+  };
+  // A duplicate of a copy in the current generation adds no entry.
+  send(/*max_tx=*/2, /*timeout_ms=*/15);
+  f.scheduler.Run();
+  EXPECT_EQ(entries(NodeId(1)), 1U);
+  send(/*max_tx=*/1, /*timeout_ms=*/25);
+  f.scheduler.Run();
+  EXPECT_EQ(entries(NodeId(1)), 2U);
+  // A rotation moves both into the previous generation.
+  transport.ClearDedupState();
+  EXPECT_EQ(entries(NodeId(1)), 2U);
+  // A copy lands, the generations rotate, then its duplicate lands: the
+  // suppressed duplicate enters the current generation again.
+  send(/*max_tx=*/2, /*timeout_ms=*/15);
+  run_for(12);
+  EXPECT_EQ(entries(NodeId(1)), 3U);
+  transport.ClearDedupState();
+  EXPECT_EQ(entries(NodeId(1)), 1U);
+  f.scheduler.Run();
+  EXPECT_EQ(entries(NodeId(1)), 2U);
+  // A crash voids both generations of that broker.
+  transport.OnBrokerCrash(NodeId(1));
+  EXPECT_EQ(entries(NodeId(1)), 0U);
+  send(/*max_tx=*/1, /*timeout_ms=*/25);
+  f.scheduler.Run();
+  EXPECT_EQ(entries(NodeId(1)), 1U);
+  // The sender never received a data copy.
+  EXPECT_EQ(entries(NodeId(0)), 0U);
 }
 
 TEST(HopTransportTest, SendReliableHandsBackTheRecycledSlotsBuffers) {

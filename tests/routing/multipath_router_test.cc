@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "graph/topology.h"
 #include "test_harness.h"
 
@@ -179,6 +181,43 @@ TEST(MultipathRouterTest, MidEpochJoinerSkippedUntilRebuild) {
   const Message after = h.PublishVia(router, topic);
   h.scheduler.Run();
   EXPECT_TRUE(h.sink.Delivered(after.id, NodeId(1)));
+}
+
+TEST(MultipathRouterTest, PathSetsFollowTheEstimatesAcrossRebuilds) {
+  // A later measurement of the same true delays keeps every path set; one
+  // changed estimate replans them, and so does changing it back.
+  RouterHarness h(TwoRoutes(), 0.0, 0.0);
+  const TopicId topic = h.subscriptions.AddTopic(NodeId(0));
+  h.subscriptions.AddSubscription(topic, NodeId(3), SimDuration::Millis(500));
+  MultipathRouter router(h.Context());
+  router.Rebuild(h.monitor.view());
+  using Paths = std::vector<std::vector<NodeId>>;
+  const Paths measured = router.PathsFor(topic, NodeId(3));
+  EXPECT_EQ(measured,
+            (Paths{{NodeId(0), NodeId(1), NodeId(3)},
+                   {NodeId(0), NodeId(2), NodeId(3)}}));
+
+  h.monitor.MeasureAt(SimTime::Zero() + SimDuration::Seconds(300));
+  router.Rebuild(h.monitor.view());
+  EXPECT_EQ(router.PathsFor(topic, NodeId(3)), measured);
+
+  // The direct 0-3 edge (link 4) now looks the fastest.
+  std::vector<SimDuration> alpha;
+  std::vector<double> gamma;
+  for (std::size_t i = 0; i < h.graph.edge_count(); ++i) {
+    const LinkId link(static_cast<LinkId::underlying_type>(i));
+    alpha.push_back(h.monitor.view().alpha(link));
+    gamma.push_back(h.monitor.view().gamma(link));
+  }
+  alpha[4] = SimDuration::Millis(1);
+  const MonitoredView faster_direct(alpha, gamma);
+  router.Rebuild(faster_direct);
+  EXPECT_EQ(router.PathsFor(topic, NodeId(3)),
+            (Paths{{NodeId(0), NodeId(3)},
+                   {NodeId(0), NodeId(1), NodeId(3)}}));
+
+  router.Rebuild(h.monitor.view());
+  EXPECT_EQ(router.PathsFor(topic, NodeId(3)), measured);
 }
 
 }  // namespace
