@@ -10,6 +10,10 @@
 //   ./dcrdsim --all --load overlay.txt        # topology_tool edge list
 //   ./dcrdsim --router DCRD --distributed     # live <d,r> gossip control plane
 //   ./dcrdsim --router DCRD --broker_mtbf 60 --peer_death --check_invariants
+//
+// Exits 1 when a run under --check_invariants printed an INVARIANT
+// VIOLATIONS block, 2 on a malformed command line, 0 otherwise.
+#include <cstdint>
 #include <iomanip>
 #include <iostream>
 
@@ -152,9 +156,13 @@ int main(int argc, char** argv) {
             << std::setw(11) << "p95 ms" << std::setw(11) << "p99 ms"
             << "\n";
   const bool histogram = flags.GetBool("histogram", false);
+  std::uint64_t violations = 0;
   for (const dcrd::RouterKind router : routers) {
     config.router = router;
-    PrintSummary(config, dcrd::RunScenario(config), histogram);
+    const dcrd::RunSummary summary = dcrd::RunScenario(config);
+    PrintSummary(config, summary, histogram);
+    violations += summary.invariant_violation_count;
   }
-  return 0;
+  // Fails only after every router's table is out.
+  return violations > 0 ? 1 : 0;
 }

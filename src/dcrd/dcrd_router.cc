@@ -23,7 +23,7 @@ DcrdRouter::DcrdRouter(RouterContext context, DcrdConfig config)
                  context_.MakeTransportConfig(),
                  // A retired copy can no longer land anywhere.
                  [this](std::uint64_t owner) {
-                   ReleaseRecord(RecordOfTag(owner));
+                   records_.Release(records_.FromTag(owner));
                  }) {
   DCRD_CHECK(context_.network != nullptr);
   DCRD_CHECK(context_.subscriptions != nullptr);
@@ -49,9 +49,8 @@ void DcrdRouter::Rebuild(const MonitoredView& view) {
   transport_.ClearDedupState();
   // Every responsibility is handled afresh in the new epoch, so no key
   // carries a crash round any more.
-  records_.ForEachLiveHandle([this](SlotHandle record) {
-    records_.Get(record)->responsibilities.clear();
-  });
+  records_.ForEachPayload(
+      [](DenseIdSet& responsibilities) { responsibilities.clear(); });
   std::fill(crash_round_.begin(), crash_round_.end(), 0);
   // Retry budgets reset with the epoch; anything still parked gets a fresh
   // chance against the newly measured topology.
@@ -227,11 +226,10 @@ void DcrdRouter::Publish(const Message& message) {
   }
   if (destinations_scratch_.empty()) return;
   SlotHandle handle;
-  Episode& episode = OpenEpisode(message.publisher,
-                                 RecordFor(message.id.value), &handle);
+  Episode& episode = OpenEpisode(
+      message.publisher, records_.Open(message.id.value), &handle);
   episode.base.Assign(message, destinations_scratch_);
-  DenseIdSet& responsibilities =
-      records_.Get(episode.record)->responsibilities;
+  DenseIdSet& responsibilities = records_.Get(episode.record);
   for (NodeId subscriber : episode.base.destinations()) {
     responsibilities.Insert(
         ResponsibilityKey(message.publisher, episode.base, subscriber));
@@ -242,8 +240,8 @@ void DcrdRouter::Publish(const Message& message) {
 void DcrdRouter::OnArrival(NodeId at, const Packet& packet, NodeId /*from*/) {
   const bool rerouted_back = packet.OnRoutingPath(at);
   // The arriving copy holds its message's record until this returns.
-  const SlotHandle record = LiveRecordOf(packet.message().id.value);
-  DenseIdSet& responsibilities = records_.Get(record)->responsibilities;
+  const SlotHandle record = records_.Live(packet.message().id.value);
+  DenseIdSet& responsibilities = records_.Get(record);
 
   destinations_scratch_.clear();
   for (NodeId subscriber : packet.destinations()) {
@@ -261,6 +259,7 @@ void DcrdRouter::OnArrival(NodeId at, const Packet& packet, NodeId /*from*/) {
     }
   }
   if (destinations_scratch_.empty()) return;
+  records_.Retain(record);  // the episode's own reference
   SlotHandle handle;
   Episode& episode = OpenEpisode(at, record, &handle);
   episode.base.AssignNarrowed(packet, destinations_scratch_);
@@ -273,41 +272,13 @@ DcrdRouter::Episode& DcrdRouter::OpenEpisode(NodeId node, SlotHandle record,
   *handle = episodes_.Acquire(&episode);
   episode->node = node;
   episode->record = record;
-  RetainRecord(record);
   return *episode;
 }
 
 void DcrdRouter::CloseEpisode(SlotHandle handle) {
   const SlotHandle record = episodes_.Get(handle)->record;
   episodes_.Release(handle);
-  ReleaseRecord(record);
-}
-
-SlotHandle DcrdRouter::RecordFor(std::uint64_t message_id) {
-  const auto [found, inserted] = record_of_.TryEmplace(message_id);
-  if (!inserted) return *found;
-  MessageRecord* record = nullptr;
-  const SlotHandle handle = records_.Acquire(&record);
-  record->message_id = message_id;
-  record->refs = 0;
-  *found = handle;
-  return handle;
-}
-
-SlotHandle DcrdRouter::LiveRecordOf(std::uint64_t message_id) const {
-  const SlotHandle* found = record_of_.Find(message_id);
-  DCRD_CHECK(found != nullptr)
-      << "no live record for message " << message_id;
-  return *found;
-}
-
-void DcrdRouter::ReleaseRecord(SlotHandle handle) {
-  MessageRecord* record = records_.Get(handle);
-  DCRD_CHECK(record != nullptr && record->refs > 0);
-  if (--record->refs > 0) return;
-  record->responsibilities.clear();
-  record_of_.Erase(record->message_id);
-  records_.Release(handle);
+  records_.Release(record);
 }
 
 void DcrdRouter::StartEpisode(SlotHandle handle, Episode& episode) {
@@ -464,13 +435,13 @@ void DcrdRouter::LaunchCopy(SlotHandle handle, Episode& episode, Neighbor hop,
   const SimDuration timeout = context_.AckTimeout(view_->alpha(hop.link));
   ++episode.in_flight;
   // The copy keeps its message's record until the transport retires it.
-  RetainRecord(episode.record);
+  records_.Retain(episode.record);
   transport_.SendReliable(episode.node, hop.link, std::move(send_scratch_),
                           context_.max_transmissions, timeout,
                           [this, handle, next = hop.peer, launch](bool acked) {
                             OnCopyResolved(handle, next, launch, acked);
                           },
-                          OwnerTag(episode.record));
+                          records_.OwnerTag(episode.record));
 }
 
 void DcrdRouter::OnCopyResolved(SlotHandle handle, NodeId next_hop,
@@ -535,17 +506,19 @@ void DcrdRouter::HandleUndeliverable(const Episode& episode,
   const int generation = attempts;
   // The parked retry keeps the message's record until its timer fires; the
   // timer finds it by message id.
-  RetainRecord(episode.record);
+  records_.Retain(episode.record);
+  static constexpr SimDuration kPersistenceRetryInterval =
+      SimDuration::Seconds(1);
   context_.network->scheduler().ScheduleAfter(
-      config_.persistence_retry_interval,
+      kPersistenceRetryInterval,
       [this, node, message, subscriber, generation] {
-        const SlotHandle record = LiveRecordOf(message.id.value);
+        const SlotHandle record = records_.Live(message.id.value);
         // Parked packets are volatile state: if the broker crashed at any
         // point while this one waited, it died with the broker.
         const BrokerCrashSchedule& crashes = context_.network->crashes();
         const SimTime now = context_.network->scheduler().now();
         const SimTime parked_at = SimTime::FromMicros(
-            now.micros() - config_.persistence_retry_interval.micros());
+            now.micros() - kPersistenceRetryInterval.micros());
         if (crashes.enabled() && crashes.DownDuring(node, parked_at, now)) {
           ++dropped_undeliverable_;
           if (context_.recorder != nullptr) {
@@ -553,20 +526,20 @@ void DcrdRouter::HandleUndeliverable(const Episode& episode,
                 TraceEventKind::kDrop, message.id.value, 0, node, subscriber,
                 LinkId(), static_cast<std::uint8_t>(TraceDropReason::kCrash));
           }
-          ReleaseRecord(record);
+          records_.Release(record);
           return;
         }
         ++persistence_retries_;
         // Fresh attempt: empty routing path so the whole overlay is
         // explorable again, and a new persistence generation so the
         // responsibility dedup downstream does not mistake the retry for a
-        // duplicate of the failed attempt.
+        // duplicate of the failed attempt. The episode takes over the
+        // parked retry's reference.
         SlotHandle handle;
         Episode& episode = OpenEpisode(node, record, &handle);
-        ReleaseRecord(record);  // the episode holds it now
         episode.base.Assign(message, std::span<const NodeId>(&subscriber, 1));
         episode.base.set_flow_label(static_cast<std::uint8_t>(generation));
-        records_.Get(record)->responsibilities.Insert(
+        records_.Get(record).Insert(
             ResponsibilityKey(node, episode.base, subscriber));
         StartEpisode(handle, episode);
       });

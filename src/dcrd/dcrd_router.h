@@ -40,6 +40,7 @@
 #include "dcrd/distributed_dr.h"
 #include "dcrd/dr_computation.h"
 #include "routing/hop_transport.h"
+#include "routing/message_records.h"
 #include "routing/router.h"
 
 namespace dcrd {
@@ -59,13 +60,12 @@ struct DcrdConfig {
   int reroute_retry_cap = 20;
   // The paper's persistency mode (Section III): instead of dropping a
   // packet whose every option is exhausted, the broker stores it and
-  // re-attempts delivery after `persistence_retry_interval`, up to
-  // `persistence_max_retries` times — "persist all packets, and then send
-  // them when the failures are recovered". Off by default, as in the
-  // paper's evaluation; the ext2_persistence bench measures its cost and
-  // benefit under long outages.
+  // re-attempts delivery once a second, up to `persistence_max_retries`
+  // times — "persist all packets, and then send them when the failures are
+  // recovered". Off by default, as in the paper's evaluation; the
+  // ext2_persistence bench measures its cost and benefit under long
+  // outages.
   bool enable_persistence = false;
-  SimDuration persistence_retry_interval = SimDuration::Seconds(1);
   int persistence_max_retries = 60;
   // Run the Section III-B recursion as the real gossip protocol instead of
   // the centralized solver: <d,r> updates travel as control messages after
@@ -134,8 +134,7 @@ class DcrdRouter final : public Router {
   [[nodiscard]] std::size_t open_episodes() const override {
     return episodes_.size();
   }
-  // Live per-message responsibility records; 0 after the scheduler drains.
-  [[nodiscard]] std::size_t message_records() const {
+  [[nodiscard]] std::size_t message_records() const override {
     return records_.size();
   }
   void SampleBrokerHealth(std::vector<BrokerHealth>& out) const override {
@@ -183,24 +182,11 @@ class DcrdRouter final : public Router {
     int in_flight = 0;  // copies awaiting ACK or timeout
   };
 
-  // Responsibility memory of one live message (DESIGN.md §3 item 5): the
-  // key of every (broker, subscriber) responsibility a fresh visit handled
-  // this epoch. Referenced by each open episode of the message, by each
-  // copy it launched until the transport retires that copy, and by each
-  // parked persistence retry until its timer fires. The last reference
-  // goes only when no packet of the message can reach a broker again, so
-  // releasing the record forgets nothing a later arrival could ask for.
-  struct MessageRecord {
-    DenseIdSet responsibilities;
-    std::uint64_t message_id = 0;
-    std::uint32_t refs = 0;
-  };
-
   void OnArrival(NodeId at, const Packet& packet, NodeId from);
-  // Takes a pooled episode at `node` with a reference on `record`, still
-  // holding its previous tenant's state; the caller fills its base and
-  // then calls StartEpisode, which resets the bookkeeping from that base
-  // and runs the first pass.
+  // Takes a pooled episode at `node` that takes over one of the caller's
+  // references on `record`. It still holds its previous tenant's state:
+  // the caller fills its base and then calls StartEpisode, which resets the
+  // bookkeeping from that base and runs the first pass.
   Episode& OpenEpisode(NodeId node, SlotHandle record, SlotHandle* handle);
   void StartEpisode(SlotHandle handle, Episode& episode);
   // Releases an episode and its reference on the message's record.
@@ -212,25 +198,6 @@ class DcrdRouter final : public Router {
   // Flight-recorder kDrop[undeliverable] hook, fired exactly where
   // dropped_undeliverable_ increments.
   void RecordUndeliverable(NodeId node, const Packet& base, NodeId subscriber);
-  // The record of `message_id`: created (with no reference yet) when the
-  // message has none, which only a publish may need.
-  SlotHandle RecordFor(std::uint64_t message_id);
-  // The live record of a message some packet of which is still around.
-  [[nodiscard]] SlotHandle LiveRecordOf(std::uint64_t message_id) const;
-  void RetainRecord(SlotHandle record) { ++records_.Get(record)->refs; }
-  // Drops one reference; the last one clears the set, keeping its
-  // capacity, and recycles the slot.
-  void ReleaseRecord(SlotHandle record);
-  // A record handle packed into the transport's 64-bit owner tag and back;
-  // generations start at 1, so a tag is never 0.
-  [[nodiscard]] static std::uint64_t OwnerTag(SlotHandle record) {
-    return (static_cast<std::uint64_t>(record.slot) << 32) |
-           record.generation;
-  }
-  [[nodiscard]] static SlotHandle RecordOfTag(std::uint64_t owner) {
-    return SlotHandle{static_cast<std::uint32_t>(owner >> 32),
-                      static_cast<std::uint32_t>(owner)};
-  }
   // Key of one responsibility in its message's record: the broker's crash
   // round, the persistence generation (the flow label, so a
   // stored-and-retried packet is not mistaken for a duplicate of its own
@@ -328,13 +295,12 @@ class DcrdRouter final : public Router {
   // after failure-driven divergence, and the second group must still be
   // forwarded. Rerouted-back packets bypass the check via routing-path
   // membership (the broker must re-handle responsibilities its failed
-  // subtree returned). One record per live message, found by message id,
-  // not one per flow, so a persistence retry parked at one broker sees the
-  // keys another broker's retry of the same generation left. Rebuild
-  // clears every live record's set and resets the crash rounds; a broker's
-  // crash bumps its round.
-  SlotMap<MessageRecord> records_;
-  DenseIdMap<SlotHandle> record_of_;
+  // subtree returned). One record of keys per live message
+  // (message_records.h), not one per flow, so a persistence retry parked
+  // at one broker sees the keys another broker's retry of the same
+  // generation left. Rebuild clears every live record's set and resets the
+  // crash rounds; a broker's crash bumps its round.
+  MessageRecords<DenseIdSet> records_;
   std::vector<std::uint32_t> crash_round_;
   // Member scratch for the per-packet paths, capacity kept across calls:
   // the subscribers an arrival or publish hands to a new episode, one

@@ -4,24 +4,21 @@
 
 namespace dcrd {
 
-std::vector<NodeId> PathTree::PathTo(NodeId v) const {
-  if (!Reachable(v)) return {};
-  std::vector<NodeId> path;
+void PathTree::AppendPathTo(NodeId v, std::vector<NodeId>& out) const {
+  if (!Reachable(v)) return;
+  const std::size_t begin = out.size();
   for (NodeId cur = v; cur.valid(); cur = parent[cur.underlying()]) {
-    path.push_back(cur);
+    out.push_back(cur);
     if (cur == source) break;
   }
-  std::reverse(path.begin(), path.end());
-  return path;
+  std::reverse(out.begin() + static_cast<std::ptrdiff_t>(begin), out.end());
 }
 
 std::vector<LinkId> PathTree::LinksTo(NodeId v) const {
-  if (!Reachable(v)) return {};
   std::vector<LinkId> links;
-  for (NodeId cur = v; cur != source; cur = parent[cur.underlying()]) {
-    links.push_back(parent_link[cur.underlying()]);
+  for (const NodeId node : PathTo(v)) {
+    if (node != source) links.push_back(parent_link[node.underlying()]);
   }
-  std::reverse(links.begin(), links.end());
   return links;
 }
 

@@ -35,9 +35,14 @@ struct PathTree {
   [[nodiscard]] bool Reachable(NodeId v) const {
     return distance[v.underlying()] != SimDuration::Max();
   }
-  // Path from source to v as a node sequence (inclusive). Empty when
-  // unreachable.
-  [[nodiscard]] std::vector<NodeId> PathTo(NodeId v) const;
+  // Appends the path from source to v (inclusive) to `out`; nothing when
+  // v is unreachable. PathTo returns it as a fresh vector.
+  void AppendPathTo(NodeId v, std::vector<NodeId>& out) const;
+  [[nodiscard]] std::vector<NodeId> PathTo(NodeId v) const {
+    std::vector<NodeId> path;
+    AppendPathTo(v, path);
+    return path;
+  }
   // Links along PathTo(v), in order.
   [[nodiscard]] std::vector<LinkId> LinksTo(NodeId v) const;
 };

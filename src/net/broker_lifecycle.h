@@ -59,20 +59,11 @@ class BrokerCrashSchedule {
     return process_.IsUp(node.underlying(), t, start_);
   }
 
-  // True when `node` is up at every instant of [t0, t1]. State is constant
-  // within an epoch, so sampling t0 plus every epoch boundary in (t0, t1]
-  // covers the window exactly.
+  // True when `node` is up at every instant of [t0, t1].
   [[nodiscard]] bool UpThroughout(NodeId node, SimTime t0, SimTime t1) const {
     if (!enabled()) return true;
-    const SimDuration epoch = process_.epoch();
-    for (SimTime t = t0; t <= t1;) {
-      if (!Up(node, t)) return false;
-      const std::int64_t next_epoch =
-          (t.micros() / epoch.micros() + 1) * epoch.micros();
-      if (SimTime::FromMicros(next_epoch) > t1) break;
-      t = SimTime::FromMicros(next_epoch);
-    }
-    return true;
+    return HoldsThroughout(process_.epoch(), t0, t1,
+                           [&](SimTime t) { return Up(node, t); });
   }
 
   // True when `node` was crashed at some instant of [t0, t1] — the window

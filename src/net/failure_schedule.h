@@ -83,6 +83,18 @@ class OutageProcess {
 
 }  // namespace internal
 
+// True when `holds(t)` at t0 and at every `epoch` boundary in (t0, t1]: all
+// of [t0, t1] for outage-process states, which change only on boundaries.
+template <typename Pred>
+[[nodiscard]] bool HoldsThroughout(SimDuration epoch, SimTime t0, SimTime t1,
+                                   Pred holds) {
+  for (SimTime t = t0; t <= t1; t = SimTime::FromMicros(
+           (t.micros() / epoch.micros() + 1) * epoch.micros())) {
+    if (!holds(t)) return false;
+  }
+  return true;
+}
+
 // Per-link failure process; uniform Pf or per-link down fractions.
 class FailureSchedule {
  public:

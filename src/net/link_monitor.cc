@@ -45,7 +45,8 @@ void LinkMonitor::MeasureAt(SimTime t) {
         static_cast<double>(successes) / config_.probe_count;
     gamma_[i] = config_.ewma_weight * sample +
                 (1.0 - config_.ewma_weight) * gamma_[i];
-    gamma[i] = std::max(gamma_[i], config_.gamma_floor);
+    constexpr double kGammaFloor = 1e-4;  // estimates never reach exactly 0
+    gamma[i] = std::max(gamma_[i], kGammaFloor);
   }
 
   view_ = MonitoredView(std::move(alpha), std::move(gamma));

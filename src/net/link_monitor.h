@@ -50,9 +50,8 @@ class MonitoredView {
 struct LinkMonitorConfig {
   SimDuration interval = SimDuration::Seconds(300);
   int probe_count = 30;       // probes per link per epoch
-  double ewma_weight = 0.5;   // weight of the newest sample
-  double gamma_floor = 1e-4;  // estimates never reach exactly 0
-  double loss_rate = 0.0;     // probes see the same loss process as data
+  double ewma_weight = 0.5;  // weight of the newest sample
+  double loss_rate = 0.0;    // probes see the same loss process as data
 };
 
 class LinkMonitor {

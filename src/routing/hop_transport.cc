@@ -525,7 +525,8 @@ SimDuration HopTransport::ProbeInterval(std::size_t didx,
        (static_cast<std::uint64_t>(state.probe_attempts) + 1);
   const double unit =
       static_cast<double>(SplitMix64(s) >> 11) * 0x1.0p-53;  // [0, 1)
-  us *= 1.0 + config_.probe_jitter * (2.0 * unit - 1.0);
+  constexpr double kProbeJitter = 0.25;  // spread is ±25%
+  us *= 1.0 + kProbeJitter * (2.0 * unit - 1.0);
   if (us < 1.0) us = 1.0;
   return SimDuration::Micros(static_cast<std::int64_t>(us));
 }

@@ -99,10 +99,9 @@ struct HopTransportConfig {
   int peer_death_threshold = 2;
   // Probe backoff: first probe after the link RTO, doubling per unanswered
   // attempt (capped at 6 doublings), clamped to `probe_max_interval`, with
-  // a ±`probe_jitter` spread keyed on (directed link, attempt) so probers
-  // never synchronize.
+  // a ±25% spread keyed on (directed link, attempt) so probers never
+  // synchronize.
   SimDuration probe_max_interval = SimDuration::Seconds(10);
-  double probe_jitter = 0.25;
   TransportObserver* observer = nullptr;
   // Optional flight recorder receiving enqueue/send/retransmit/ACK/
   // dedup/budget-exhausted lifecycle events. Must outlive the transport.
@@ -229,7 +228,6 @@ class HopTransport {
     out.copy_records = copies_.size();
     return out;
   }
-  [[nodiscard]] const RtoEstimator& rto() const { return rto_; }
 
   // Accumulates per-broker health into `out` (indexed by broker id, caller-
   // zeroed): live in-flight copies by sending broker, the copies each

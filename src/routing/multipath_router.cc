@@ -85,11 +85,9 @@ MultipathRouter::PathSet MultipathRouter::PlanPaths(NodeId publisher,
   return selected;
 }
 
-std::vector<SourceRoutedRouter::Route> MultipathRouter::RoutesFor(
-    const Message& message) {
+void MultipathRouter::PlanRoutes(const Message& message, RouteSet& routes) {
   const SubscriptionTable& subs = *context().subscriptions;
   const auto& topic_paths = paths_[message.topic.underlying()];
-  std::vector<Route> routes;
   for (const Subscription& sub : subs.subscriptions(message.topic)) {
     const auto it = topic_paths.find(sub.subscriber);
     // Joined after the last rebuild: no path set yet, reachable from the
@@ -97,11 +95,12 @@ std::vector<SourceRoutedRouter::Route> MultipathRouter::RoutesFor(
     if (it == topic_paths.end()) continue;
     const PathSet& selected = *it->second;
     for (std::size_t p = 0; p < selected.size(); ++p) {
-      routes.push_back(
-          Route{sub.subscriber, selected[p], static_cast<std::uint8_t>(p)});
+      const std::size_t begin = routes.nodes.size();
+      routes.nodes.insert(routes.nodes.end(), selected[p].begin(),
+                          selected[p].end());
+      routes.AddRoute(sub.subscriber, static_cast<std::uint8_t>(p), begin);
     }
   }
-  return routes;
 }
 
 }  // namespace dcrd

@@ -52,11 +52,10 @@ class MultipathRouter final : public SourceRoutedRouter {
         << subscriber << " has no path set for " << topic;
     return *it->second;
   }
-  [[nodiscard]] std::size_t path_count() const { return path_count_; }
 
  protected:
   void RebuildRoutes() override;
-  std::vector<Route> RoutesFor(const Message& message) override;
+  void PlanRoutes(const Message& message, RouteSet& routes) override;
 
  private:
   using PathSet = std::vector<std::vector<NodeId>>;

@@ -4,15 +4,14 @@
 
 namespace dcrd {
 
-std::vector<SourceRoutedRouter::Route> OracleRouter::RoutesFor(
-    const Message& message) {
+void OracleRouter::PlanRoutes(const Message& message, RouteSet& routes) {
   const FailureSchedule& failures = context().network->failures();
   const NodeFailureSchedule& node_failures =
       context().network->node_failures();
   const Graph& topology = graph();
   const SimTime now = context().network->scheduler().now();
   // A down publisher cannot transmit at all this instant.
-  if (!node_failures.IsUp(message.publisher, now)) return {};
+  if (!node_failures.IsUp(message.publisher, now)) return;
   // A hop is admissible at its entry instant only if the link and both its
   // endpoint brokers are up, as OverlayNetwork::Transmit requires. Broker
   // crashes are not consulted: a copy routed through a crashed broker is
@@ -24,9 +23,9 @@ std::vector<SourceRoutedRouter::Route> OracleRouter::RoutesFor(
   };
   // Ground-truth delays: the oracle is omniscient, not estimate-bound. A
   // subscriber the tree does not reach is momentarily partitioned off.
-  return RoutesAlong(
+  RoutesAlong(
       TimeAwareShortestPathTree(topology, message.publisher, now, up_at),
-      message.topic);
+      message.topic, routes);
 }
 
 }  // namespace dcrd

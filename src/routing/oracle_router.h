@@ -25,7 +25,7 @@ class OracleRouter final : public SourceRoutedRouter {
   [[nodiscard]] std::string_view name() const override { return "ORACLE"; }
 
  protected:
-  std::vector<Route> RoutesFor(const Message& message) override;
+  void PlanRoutes(const Message& message, RouteSet& routes) override;
 };
 
 }  // namespace dcrd

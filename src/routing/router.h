@@ -103,6 +103,10 @@ class Router {
   // 0 after the scheduler drains — the invariant checker asserts it.
   [[nodiscard]] virtual std::size_t open_episodes() const { return 0; }
 
+  // Live per-message records (message_records.h); must be 0 after the
+  // scheduler drains, like open_episodes.
+  [[nodiscard]] virtual std::size_t message_records() const { return 0; }
+
   // Accumulates per-broker health (in-flight copies, dedup table sizes,
   // adaptive RTO) into `out`, indexed by broker id and zeroed by the
   // caller. Routers owning a HopTransport delegate to it; the default

@@ -11,7 +11,10 @@ SourceRoutedRouter::SourceRoutedRouter(RouterContext context)
                  [this](NodeId at, const Packet& packet, NodeId /*from*/) {
                    OnArrival(at, packet);
                  },
-                 context_.MakeTransportConfig()) {
+                 context_.MakeTransportConfig(),
+                 [this](std::uint64_t owner) {
+                   records_.Release(records_.FromTag(owner));
+                 }) {
   DCRD_CHECK(context_.network != nullptr);
   DCRD_CHECK(context_.subscriptions != nullptr);
   DCRD_CHECK(context_.sink != nullptr);
@@ -24,34 +27,31 @@ void SourceRoutedRouter::Rebuild(const MonitoredView& view) {
 }
 
 void SourceRoutedRouter::Publish(const Message& message) {
-  // Cache the routes: NextHop() reads them at every intermediate broker.
-  PurgeStaleRoutes();
-  CachedRoutes cached;
-  cached.inserted = context_.network->scheduler().now();
-  cached.routes = RoutesFor(message);
-  const auto [cache_it, inserted] =
-      route_cache_.emplace(message.id.value, std::move(cached));
-  DCRD_CHECK(inserted) << "duplicate message id " << message.id;
-  cache_order_.push_back(message.id.value);
-  const CachedRoutes& it_routes = cache_it->second;
+  // This reference keeps the routes through the sends below.
+  const SlotHandle record = records_.Open(message.id.value);
+  RouteSet& routes = records_.Get(record);
+  PlanRoutes(message, routes);
 
   // Group subscribers by (first hop, tag) and launch one copy per group.
   const NodeId origin = message.publisher;
   hops_scratch_.clear();
-  for (const Route& route : it_routes.routes) {
-    if (route.nodes.size() < 2) {
+  for (const RouteSet::Route& route : routes.routes) {
+    if (route.size < 2) {
       // Subscriber co-located with the publisher: immediate delivery.
       context_.sink->OnDelivered(message, route.subscriber,
                                  context_.network->scheduler().now());
       continue;
     }
-    DCRD_CHECK(route.nodes.front() == origin);
-    hops_scratch_.push_back(Hop{route.nodes[1], route.tag, route.subscriber});
+    DCRD_CHECK(routes.nodes[route.begin] == origin);
+    hops_scratch_.push_back(
+        Hop{routes.nodes[route.begin + 1], route.tag, route.subscriber});
   }
-  SendGroups(origin, message, /*arrived=*/nullptr);
+  SendGroups(origin, record, message, /*arrived=*/nullptr);
+  records_.Release(record);
 }
 
-void SourceRoutedRouter::SendGroups(NodeId at, const Message& message,
+void SourceRoutedRouter::SendGroups(NodeId at, SlotHandle record,
+                                    const Message& message,
                                     const Packet* arrived) {
   // Sorting whole hops keeps each group's subscribers ascending, the order
   // a packet stores its destinations in.
@@ -80,39 +80,32 @@ void SourceRoutedRouter::SendGroups(NodeId at, const Message& message,
     DCRD_CHECK(link.has_value())
         << "route uses missing edge " << at << "-" << next;
     const SimDuration timeout = context_.AckTimeout(view().alpha(*link));
+    // The copy keeps the routes until the transport retires it.
+    records_.Retain(record);
     transport_.SendReliable(at, *link, std::move(send_scratch_),
                             context_.max_transmissions, timeout,
-                            /*done=*/nullptr);
+                            /*done=*/nullptr, records_.OwnerTag(record));
   }
 }
 
-std::vector<SourceRoutedRouter::Route> SourceRoutedRouter::RoutesAlong(
-    const PathTree& tree, TopicId topic) const {
-  std::vector<Route> routes;
+void SourceRoutedRouter::RoutesAlong(const PathTree& tree, TopicId topic,
+                                     RouteSet& routes) const {
   for (const Subscription& sub :
        context_.subscriptions->subscriptions(topic)) {
     if (!tree.Reachable(sub.subscriber)) continue;
-    routes.push_back(Route{sub.subscriber, tree.PathTo(sub.subscriber), 0});
+    const std::size_t begin = routes.nodes.size();
+    tree.AppendPathTo(sub.subscriber, routes.nodes);
+    routes.AddRoute(sub.subscriber, /*tag=*/0, begin);
   }
-  return routes;
-}
-
-NodeId SourceRoutedRouter::NextHop(const Message& message, NodeId at,
-                                   NodeId subscriber, std::uint8_t tag) const {
-  const auto it = route_cache_.find(message.id.value);
-  if (it == route_cache_.end()) return NodeId();
-  for (const Route& route : it->second.routes) {
-    if (route.subscriber != subscriber || route.tag != tag) continue;
-    const auto pos = std::find(route.nodes.begin(), route.nodes.end(), at);
-    if (pos == route.nodes.end() || pos + 1 == route.nodes.end()) {
-      return NodeId();
-    }
-    return *(pos + 1);
-  }
-  return NodeId();
 }
 
 void SourceRoutedRouter::OnArrival(NodeId at, const Packet& packet) {
+  // The arriving copy holds its message's record until this returns.
+  const SlotHandle record = records_.Live(packet.message().id.value);
+  const RouteSet& routes = records_.Get(record);
+  // Every broker before `at` stamped itself once and none rerouted, so the
+  // copy stands at its route's node number routing_path().size().
+  const std::size_t index = packet.routing_path().size();
   hops_scratch_.clear();
   for (NodeId subscriber : packet.destinations()) {
     if (subscriber == at) {
@@ -120,25 +113,18 @@ void SourceRoutedRouter::OnArrival(NodeId at, const Packet& packet) {
                                  context_.network->scheduler().now());
       continue;
     }
-    const NodeId next =
-        NextHop(packet.message(), at, subscriber, packet.flow_label());
-    if (!next.valid()) continue;  // purged route: abandon, as on a real node
-    hops_scratch_.push_back(Hop{next, packet.flow_label(), subscriber});
+    const auto route = std::find_if(
+        routes.routes.begin(), routes.routes.end(), [&](const auto& r) {
+          return r.subscriber == subscriber && r.tag == packet.flow_label();
+        });
+    DCRD_CHECK(route != routes.routes.end() && index + 1 < route->size &&
+               routes.nodes[route->begin + index] == at)
+        << "copy of message " << packet.message().id << " at " << at
+        << " is off its route to " << subscriber;
+    hops_scratch_.push_back(Hop{routes.nodes[route->begin + index + 1],
+                                packet.flow_label(), subscriber});
   }
-  SendGroups(at, packet.message(), &packet);
-}
-
-void SourceRoutedRouter::PurgeStaleRoutes() {
-  const SimTime now = context_.network->scheduler().now();
-  while (!cache_order_.empty()) {
-    const auto it = route_cache_.find(cache_order_.front());
-    if (it != route_cache_.end() &&
-        now - it->second.inserted < cache_ttl_) {
-      break;
-    }
-    if (it != route_cache_.end()) route_cache_.erase(it);
-    cache_order_.pop_front();
-  }
+  SendGroups(at, record, packet.message(), &packet);
 }
 
 }  // namespace dcrd

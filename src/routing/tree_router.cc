@@ -18,9 +18,8 @@ void TreeRouter::RebuildRoutes() {
   }
 }
 
-std::vector<SourceRoutedRouter::Route> TreeRouter::RoutesFor(
-    const Message& message) {
-  return RoutesAlong(trees_[message.topic.underlying()], message.topic);
+void TreeRouter::PlanRoutes(const Message& message, RouteSet& routes) {
+  RoutesAlong(trees_[message.topic.underlying()], message.topic, routes);
 }
 
 }  // namespace dcrd

@@ -38,7 +38,7 @@ class TreeRouter final : public SourceRoutedRouter {
 
  protected:
   void RebuildRoutes() override;
-  std::vector<Route> RoutesFor(const Message& message) override;
+  void PlanRoutes(const Message& message, RouteSet& routes) override;
 
  private:
   TreeKind kind_;

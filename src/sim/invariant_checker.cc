@@ -41,9 +41,8 @@ void SimInvariantChecker::Record(std::string message) {
 }
 
 void SimInvariantChecker::OnPublished(const Message& message) {
-  if (config_.check_delivery_guarantee) {
-    touched_[message.id.value].insert(message.publisher.underlying());
-  }
+  if (!config_.check_delivery_guarantee) return;
+  touched_[message.id.value].insert(message.publisher.underlying());
   for (const Subscription& sub :
        subscriptions_.subscriptions(message.topic)) {
     PublishedPair pair;
@@ -56,8 +55,10 @@ void SimInvariantChecker::OnPublished(const Message& message) {
 
 void SimInvariantChecker::OnDelivered(const Message& message,
                                       NodeId subscriber, SimTime arrival) {
-  const auto it = pairs_.find(PairKey(message.id, subscriber));
-  if (it != pairs_.end()) it->second.delivered = true;
+  if (config_.check_delivery_guarantee) {
+    const auto it = pairs_.find(PairKey(message.id, subscriber));
+    if (it != pairs_.end()) it->second.delivered = true;
+  }
   next_.OnDelivered(message, subscriber, arrival);
 }
 
@@ -123,36 +124,21 @@ void SimInvariantChecker::CheckEpoch() {
 
 bool SimInvariantChecker::LinkClean(LinkId link, SimTime t0,
                                     SimTime t1) const {
+  // Outages and gray episodes are epoch-aligned.
   const FailureSchedule& failures = network_.failures();
   const GrayFailureSchedule& gray = network_.gray();
-  const SimDuration epoch = failures.epoch();
-  // Outages and gray episodes are epoch-aligned, so sampling t0 and every
-  // epoch boundary in (t0, t1] covers the whole window.
-  for (SimTime t = t0; t <= t1;) {
-    if (!failures.IsUp(link, t)) return false;
-    if (gray.Active(link, t)) return false;
-    const std::int64_t next_epoch =
-        (t.micros() / epoch.micros() + 1) * epoch.micros();
-    if (SimTime::FromMicros(next_epoch) > t1) break;
-    t = SimTime::FromMicros(next_epoch);
-  }
-  return true;
+  return HoldsThroughout(failures.epoch(), t0, t1, [&](SimTime t) {
+    return failures.IsUp(link, t) && !gray.Active(link, t);
+  });
 }
 
 bool SimInvariantChecker::NodeClean(NodeId node, SimTime t0,
                                     SimTime t1) const {
   const NodeFailureSchedule& nodes = network_.node_failures();
   const BrokerCrashSchedule& crashes = network_.crashes();
-  const SimDuration epoch = network_.failures().epoch();
-  for (SimTime t = t0; t <= t1;) {
-    if (!nodes.IsUp(node, t)) return false;
-    if (!crashes.Up(node, t)) return false;
-    const std::int64_t next_epoch =
-        (t.micros() / epoch.micros() + 1) * epoch.micros();
-    if (SimTime::FromMicros(next_epoch) > t1) break;
-    t = SimTime::FromMicros(next_epoch);
-  }
-  return true;
+  return HoldsThroughout(network_.failures().epoch(), t0, t1, [&](SimTime t) {
+    return nodes.IsUp(node, t) && crashes.Up(node, t);
+  });
 }
 
 bool SimInvariantChecker::CleanPathExists(NodeId publisher, NodeId subscriber,
@@ -171,18 +157,18 @@ bool SimInvariantChecker::CleanPathExists(NodeId publisher, NodeId subscriber,
 }
 
 void SimInvariantChecker::CheckEndOfRun(const Router& router, SimTime end) {
-  const std::uint64_t pending_copies = router.transport_stats().pending_copies;
-  const std::size_t open_episodes = router.open_episodes();
+  const TransportStats transport = router.transport_stats();
   CheckEpoch();
-  // 5. Quiescence.
-  if (pending_copies != 0) {
+  // 5. Quiescence: nothing in flight or open, and no record left.
+  const std::pair<std::size_t, const char*> leftovers[] = {
+      {transport.pending_copies, "transport copies still pending"},
+      {router.open_episodes(), "router episodes still open"},
+      {transport.copy_records, "transport copy records still live"},
+      {router.message_records(), "message records still live"}};
+  for (const auto& [count, what] : leftovers) {
+    if (count == 0) continue;
     std::ostringstream os;
-    os << pending_copies << " transport copies still pending after quiescence";
-    Record(os.str());
-  }
-  if (open_episodes != 0) {
-    std::ostringstream os;
-    os << open_episodes << " router episodes still open after quiescence";
+    os << count << " " << what << " after quiescence";
     Record(os.str());
   }
   // 4. Delivery guarantee.
@@ -197,18 +183,14 @@ void SimInvariantChecker::CheckEndOfRun(const Router& router, SimTime end) {
       const SimTime t1 =
           std::min(pair.publish_time + config_.guarantee_window, end);
       const auto touched_it = touched_.find(key >> 16);
-      bool holder_crashed = false;
-      if (touched_it != touched_.end()) {
-        for (const std::uint32_t broker : touched_it->second) {
-          if (crashes.DownDuring(NodeId(static_cast<NodeId::underlying_type>(
-                                     broker)),
-                                 pair.publish_time, t1)) {
-            holder_crashed = true;
-            break;
-          }
-        }
+      if (touched_it != touched_.end() &&
+          std::any_of(touched_it->second.begin(), touched_it->second.end(),
+                      [&](std::uint32_t broker) {
+                        return crashes.DownDuring(NodeId(broker),
+                                                  pair.publish_time, t1);
+                      })) {
+        continue;
       }
-      if (holder_crashed) continue;
     }
     if (CleanPathExists(pair.publisher, pair.subscriber, pair.publish_time,
                         end)) {

@@ -34,7 +34,7 @@
 //     broker destroys the packet no matter how clean the rest of the
 //     overlay is, so non-delivery is then expected, not a violation.
 //  5. Quiescence: after the scheduler drains, no pending transport copies,
-//     no open router episodes, no leftover scheduled events.
+//     open router episodes, live copy or message records or scheduled events.
 //
 // Violations are collected, not thrown: the engine folds the messages into
 // RunSummary::invariant_violations so tests (the chaos soak) can assert the
@@ -94,9 +94,9 @@ class SimInvariantChecker final : public DeliverySink,
   // Engine hook at every monitoring epoch: conservation of transmissions.
   void CheckEpoch();
 
-  // Engine hook after the scheduler drains: quiescence (no copy pending in
-  // `router`'s transport, no episode open) + the delivery guarantee over
-  // all published pairs. `end` is the quiescence time.
+  // Engine hook after the scheduler drains: quiescence (check 5) + the
+  // delivery guarantee over all published pairs. `end` is the quiescence
+  // time.
   void CheckEndOfRun(const Router& router, SimTime end);
 
   [[nodiscard]] const std::vector<std::string>& violations() const {
@@ -149,12 +149,12 @@ class SimInvariantChecker final : public DeliverySink,
     SimTime time;
   };
   DenseIdMap<HandUp> handed_up_;
-  // (message id << 16 | subscriber) -> pair record. Subscriber ids are
-  // dense and << 2^16 in every scenario; checked at insert.
-  std::unordered_map<std::uint64_t, PublishedPair> pairs_;
+  // Check 4's state, populated only when check_delivery_guarantee is on.
+  // pairs_: (message id << 16 | subscriber) -> pair record; subscriber ids
+  // are dense and << 2^16 in every scenario, checked at insert. touched_:
   // message id -> brokers that held the packet (publisher + every copy
-  // endpoint); feeds the guarantee oracle's touched-broker precondition.
-  // Only populated when check_delivery_guarantee is on.
+  // endpoint), for the oracle's touched-broker precondition.
+  std::unordered_map<std::uint64_t, PublishedPair> pairs_;
   std::unordered_map<std::uint64_t, std::unordered_set<std::uint32_t>>
       touched_;
   std::vector<std::string> violations_;

@@ -1,11 +1,14 @@
 // Zero-steady-state-allocation contract of the source-routed data plane
 // that R-Tree, D-Tree, ORACLE and Multipath share. Once the router's
-// grouping and send scratch, the transport's slabs and the scheduler have
-// reached the run's high-water mark, forwarding a copy at an intermediate
-// broker — deliver locally, look up each subscriber's next hop, group by
-// (next hop, route tag), send, ACK / retransmit / give up — must not touch
-// the heap allocator. Rebuild and Publish allocate by design (new routes,
-// one route-cache entry per message) and run outside the measured region.
+// message records, grouping and send scratch, the transport's slabs and
+// copy records and the scheduler have reached the run's high-water mark,
+// publishing a message — plan its routes into its record, group by (first
+// hop, route tag), send — and forwarding a copy at an intermediate broker
+// — deliver locally, look up each subscriber's next hop in the record,
+// group, send, ACK / retransmit / give up — must not touch the heap
+// allocator. Rebuild (a new epoch's trees and path sets) allocates by
+// design and runs outside the measured region; ORACLE, which plans a fresh
+// tree per message, is not covered.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -97,12 +100,13 @@ struct Fixture {
   std::uint64_t next_id = 0;
 };
 
-// One epoch: a rebuild and `burst` publishes at the next whole second,
-// outside the probe, then the forwarding they start, drained inside it.
+// One epoch: a rebuild at the next whole second, outside the probe, then
+// `burst` publishes and the forwarding they start, drained inside it.
 AllocCounts RunRound(Fixture& f, Router& router, int burst) {
   const std::int64_t second = f.scheduler.now().micros() / 1'000'000 + 1;
   f.scheduler.RunUntil(SimTime::FromMicros(second * 1'000'000));
   router.Rebuild(f.monitor.view());
+  AllocProbe probe;
   for (int i = 0; i < burst; ++i) {
     Message message;
     message.id = MessageId(f.next_id++);
@@ -111,7 +115,6 @@ AllocCounts RunRound(Fixture& f, Router& router, int burst) {
     message.publish_time = f.scheduler.now();
     router.Publish(message);
   }
-  AllocProbe probe;
   f.scheduler.Run();
   return probe.delta();
 }
@@ -125,10 +128,10 @@ TEST(SourceRoutedAllocTest, ForwardHopIsAllocationFreeAfterWarmup) {
                   : std::make_unique<TreeRouter>(f.Context(),
                                                  TreeKind::kShortestHop);
     SCOPED_TRACE(router->name());
-    // Warm up: bursts 4x the measured ones size every pool and copy record
-    // past anything a measured round can need, then measured-size rounds
-    // let the buffers of the slots those rounds recycle reach their high
-    // water.
+    // Warm up: bursts 4x the measured ones size every pool, message record
+    // and copy record past anything a measured round can need, then
+    // measured-size rounds let the buffers of the slots those rounds
+    // recycle reach their high water.
     for (int round = 0; round < 53; ++round) {
       RunRound(f, *router, /*burst=*/round < 3 ? 64 : 16);
     }
@@ -144,9 +147,13 @@ TEST(SourceRoutedAllocTest, ForwardHopIsAllocationFreeAfterWarmup) {
       const AllocCounts delta = RunRound(f, *router, /*burst=*/16);
       measured.allocations += delta.allocations;
       measured.bytes += delta.bytes;
+      // Drained: every record went with the last copy of its message.
+      ASSERT_EQ(router->message_records(), 0U);
+      ASSERT_EQ(router->transport_stats().copy_records, 0U);
     }
     EXPECT_EQ(measured.allocations, 0U)
-        << "forwarding allocated " << measured.bytes << " bytes";
+        << "publishing and forwarding allocated " << measured.bytes
+        << " bytes";
     // The measured rounds really forwarded, retransmitted and gave up.
     EXPECT_GT(f.sink.count - delivered_before, 100U * 16U * 2U);
     EXPECT_GT(f.forwards.count - forwards_before, 100U * 4U);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "graph/topology.h"
 #include "test_harness.h"
 
@@ -19,6 +21,20 @@ Graph Diamond() {
   graph.AddEdge(NodeId(2), NodeId(1), SimDuration::Millis(2));
   graph.AddEdge(NodeId(1), NodeId(3), SimDuration::Millis(1));
   return graph;
+}
+
+// `graph`'s true delays, except the 0-2 edge measured at 100 ms.
+MonitoredView InflatedZeroTwoView(const Graph& graph) {
+  std::vector<SimDuration> alphas;
+  std::vector<double> gammas;
+  for (std::size_t e = 0; e < graph.edge_count(); ++e) {
+    alphas.push_back(
+        graph.edge(LinkId(static_cast<LinkId::underlying_type>(e))).delay);
+    gammas.push_back(1.0);
+  }
+  alphas[graph.FindEdge(NodeId(0), NodeId(2))->underlying()] =
+      SimDuration::Millis(100);
+  return MonitoredView(alphas, gammas);
 }
 
 TEST(TreeRouterTest, DTreeDeliversAlongShortestDelayPath) {
@@ -112,21 +128,11 @@ TEST(TreeRouterTest, TreeForExposesSpanningTree) {
 TEST(TreeRouterTest, RebuildTracksMonitoredDelays) {
   // With a monitored view that inflates the 0-2 edge, the D-Tree must
   // switch to the direct edge even though ground truth still favours 0-2.
-  const Graph diamond = Diamond();
   RouterHarness h(Diamond(), 0.0, 0.0);
   const TopicId topic = h.subscriptions.AddTopic(NodeId(0));
   h.subscriptions.AddSubscription(topic, NodeId(1), SimDuration::Millis(100));
   TreeRouter router(h.Context(), TreeKind::kShortestDelay);
-
-  std::vector<SimDuration> alphas;
-  std::vector<double> gammas;
-  for (std::size_t e = 0; e < h.graph.edge_count(); ++e) {
-    alphas.push_back(h.graph.edge(LinkId(static_cast<LinkId::underlying_type>(e))).delay);
-    gammas.push_back(1.0);
-  }
-  alphas[h.graph.FindEdge(NodeId(0), NodeId(2))->underlying()] =
-      SimDuration::Millis(100);
-  const MonitoredView skewed(alphas, gammas);
+  const MonitoredView skewed = InflatedZeroTwoView(h.graph);
   router.Rebuild(skewed);
 
   const Message message = h.PublishVia(router, topic);
@@ -134,6 +140,27 @@ TEST(TreeRouterTest, RebuildTracksMonitoredDelays) {
   // Direct path taken: ground-truth delay 10 ms.
   EXPECT_EQ(h.sink.ArrivalOf(message.id, NodeId(1)),
             SimTime::Zero() + SimDuration::Millis(10));
+}
+
+TEST(TreeRouterTest, CopyInFlightAcrossRebuildKeepsItsRoute) {
+  // Published on the true view, the copy takes 0->2->1. While it is still
+  // on the 0-2 link a rebuild moves the tree to the direct 0-1 edge; the
+  // copy keeps the route it was published with and lands at 3 ms.
+  RouterHarness h(Diamond(), 0.0, 0.0);
+  const TopicId topic = h.subscriptions.AddTopic(NodeId(0));
+  h.subscriptions.AddSubscription(topic, NodeId(1), SimDuration::Millis(100));
+  TreeRouter router(h.Context(), TreeKind::kShortestDelay);
+  router.Rebuild(h.monitor.view());
+  const Message message = h.PublishVia(router, topic);
+
+  h.scheduler.RunUntil(SimTime::Zero() + SimDuration::Micros(500));
+  const MonitoredView skewed = InflatedZeroTwoView(h.graph);
+  router.Rebuild(skewed);
+  ASSERT_EQ(router.TreeFor(topic).parent[1], NodeId(0));
+  h.scheduler.Run();
+  EXPECT_EQ(h.sink.ArrivalOf(message.id, NodeId(1)),
+            SimTime::Zero() + SimDuration::Millis(3));
+  EXPECT_EQ(router.message_records(), 0U);
 }
 
 }  // namespace

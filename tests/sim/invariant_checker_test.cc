@@ -23,6 +23,10 @@ struct FakeRouter final : public Router {
   [[nodiscard]] std::size_t open_episodes() const override {
     return episodes;
   }
+  std::size_t records = 0;
+  [[nodiscard]] std::size_t message_records() const override {
+    return records;
+  }
 };
 
 Message TestMessage(std::uint64_t id = 1) {
@@ -199,6 +203,21 @@ TEST(InvariantCheckerTest, PendingCopiesAfterDrainAreAViolation) {
   router.episodes = 2;
   checker.CheckEndOfRun(router, SimTime::Zero());
   EXPECT_EQ(checker.violation_count(), 2U);  // pending copies + episodes
+}
+
+TEST(InvariantCheckerTest, LiveRecordsAfterDrainAreAViolation) {
+  // A copy record or message record that outlives every packet is a leak.
+  Fixture f;
+  SimInvariantChecker checker(f.network, f.subscriptions, f.metrics);
+  FakeRouter router;
+  router.stats.copy_records = 1;
+  router.records = 4;
+  checker.CheckEndOfRun(router, SimTime::Zero());
+  ASSERT_EQ(checker.violation_count(), 2U);
+  EXPECT_NE(checker.violations()[0].find("1 transport copy records"),
+            std::string::npos);
+  EXPECT_NE(checker.violations()[1].find("4 message records"),
+            std::string::npos);
 }
 
 TEST(InvariantCheckerTest, GuaranteeViolationWhenCleanPathIgnored) {
